@@ -651,9 +651,12 @@ def rademacher_bounds(q_a: float, alpha: float) -> tuple[float, float, float]:
 
     Returns (phi, alpha_bar, p_bar):
       phi       — a.s. decay exponent q_a*log((1+alpha)/(1-alpha)) - log(1+alpha);
-      alpha_bar — largest stepsize with phi > 0 on (0, alpha_bar), located by
-                  bisection on (0, 1 - 1e-9) (phi is positive on the whole
-                  bracket, so this returns the bracket end);
+      alpha_bar — largest stepsize with phi > 0 on (0, alpha_bar): the end
+                  1 - 1e-9 of the bracket (0, 1) that keeps 1 - alpha > 0.
+                  No search is needed, because phi(0) = 0,
+                  phi'(0) = 2*q_a - 1 > 0 and phi is convex
+                  (phi'' = (1-q_a)/(1+alpha)^2 + q_a/(1-alpha)^2 > 0), so
+                  phi > 0 on all of (0, 1);
       p_bar     — the moment order 1 + 2*(2*q_a - 1)/(alpha*(1 - q_a)) above
                   which E[theta_n^p] diverges with n.
     """
@@ -662,21 +665,8 @@ def rademacher_bounds(q_a: float, alpha: float) -> tuple[float, float, float]:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     phi = _biased_phi(q_a, alpha)
-    lo, hi = 0.0, 1.0 - 1e-9
-    if _biased_phi(q_a, hi) > 0.0:
-        alpha_bar = hi
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _biased_phi(q_a, mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12:
-                break
-        alpha_bar = lo
     p_bar = 1.0 + 2.0 * (2.0 * q_a - 1.0) / (alpha * (1.0 - q_a))
-    return phi, alpha_bar, p_bar
+    return phi, 1.0 - 1e-9, p_bar
 
 
 def rademacher_tail_thresholds(

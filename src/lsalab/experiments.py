@@ -1,10 +1,14 @@
 """Experiment drivers: validated configs, grid fan-out, rows with verdicts.
 
-Each experiment expands its parameter grid into an ordered list of work
-units.  Unit i draws randomness only from streams keyed by the unit seed
-``(config.seed + i) mod 2**64``, so a unit is a pure function of
-``(config, i)`` and a full run produces identical rows no matter how many
-workers execute it or in which order they finish.  Failures inside a unit
+Each experiment orders its parameter grid into work units.  Unit i's
+descriptor is computed arithmetically from ``(config, i)`` (a mixed-radix
+digit split over the grid axes), never by enumerating the grid, so a run
+plans in time linear in its unit count.  Unit i draws randomness only from
+streams keyed by the unit seed ``(config.seed + i) mod 2**64``, so a unit is
+a pure function of ``(config, i)``.  A pool run hands the units to its
+workers in contiguous chunks and reassembles them in index order, so a full
+run produces identical rows whatever the worker count, the chunk layout or
+the order in which workers finish.  Failures inside a unit
 (simulation blow-ups, solver breakdowns) are recorded in the affected rows
 themselves -- empirical = nan, pass = false, with the message kept on the
 row's ``note`` field -- and never abort the run.
@@ -46,7 +50,6 @@ from lsalab.engine import (
 )
 from lsalab.linalg import (
     q_norm_mat,
-    solve_lyapunov,
     solve_riccati,
     solve_sigma,
     spectral_norm,
@@ -542,46 +545,76 @@ def _unit_seed(config: ExperimentConfig, index: int) -> int:
     return (config.seed + index) % 2**64
 
 
-def _unit_grid(config: ExperimentConfig) -> list[tuple]:
-    """Ordered unit descriptors; unit i of a run is row source i."""
-    exp = config.experiment
-    if exp == "lyapunov":
-        return [(t,) for t in range(config.n_traj)]
-    if exp == "bounds":
-        return list(itertools.product(config.alphas, config.ns, config.ps))
-    if exp == "simulate":
-        return list(itertools.product(config.alphas, config.ns))
-    if exp == "rademacher":
-        return list(itertools.product(config.alphas, config.ns, config.deltas))
-    if exp == "clt":
-        return [(al,) for al in config.alphas]
-    if exp == "wasserstein":
-        return [(al,) for al in config.alphas] if config.ns else []
-    if exp == "rosenthal":
-        units: list[tuple] = []
-        for q in config.qs:
-            for u in range(1, q):
-                for rho in config.rhos:
-                    units.append(("buq", q, u, rho))
-        for q in config.qs:
-            for u in range(1, q):
-                units.append(("count", q, u))
-        for al in config.alphas:
-            units.append(("delta_root", al))
-            units.append(("horizon", al))
-        units.extend(("bsum", t) for t in range(config.n_traj))
-        return units
-    raise ValueError(f"unknown experiment {exp!r}")
+# Grid axes of the experiments whose units are the points of a Cartesian
+# product, in itertools.product order (last axis fastest).
+_UNIT_AXES = {
+    "bounds": ("alphas", "ns", "ps"),
+    "simulate": ("alphas", "ns"),
+    "rademacher": ("alphas", "ns", "deltas"),
+    "clt": ("alphas",),
+    "wasserstein": ("alphas",),
+}
+
+
+def _grid_axes(config: ExperimentConfig) -> list[tuple]:
+    axes = [getattr(config, name) for name in _UNIT_AXES[config.experiment]]
+    if config.experiment == "wasserstein" and not config.ns:
+        # one unit emits the rows of every n, so no ns means no units
+        axes[0] = ()
+    return axes
+
+
+def _rosenthal_head(config: ExperimentConfig) -> list[tuple]:
+    """The closed-form units that precede the n_traj ``bsum`` trials."""
+    head: list[tuple] = [
+        ("buq", q, u, rho) for q in config.qs for u in range(1, q) for rho in config.rhos
+    ]
+    head += [("count", q, u) for q in config.qs for u in range(1, q)]
+    for al in config.alphas:
+        head += [("delta_root", al), ("horizon", al)]
+    return head
 
 
 def unit_count(config: ExperimentConfig) -> int:
-    return len(_unit_grid(config))
+    """Number of work units of a resolved config."""
+    exp = config.experiment
+    if exp == "lyapunov":
+        return config.n_traj
+    if exp == "rosenthal":
+        # len(_rosenthal_head(config)), without building it
+        per_q = sum(q - 1 for q in config.qs)
+        return per_q * (len(config.rhos) + 1) + 2 * len(config.alphas) + config.n_traj
+    if exp in _UNIT_AXES:
+        return math.prod(len(axis) for axis in _grid_axes(config))
+    raise ValueError(f"unknown experiment {exp!r}")
+
+
+def _unit(config: ExperimentConfig, index: int) -> tuple:
+    """Descriptor of unit ``index``; unit i of a run is row source i.
+
+    Computed arithmetically, without enumerating the other units, so a run
+    of N units plans in O(N) rather than O(N^2).
+    """
+    count = unit_count(config)
+    if not 0 <= index < count:
+        raise IndexError(f"unit index {index} out of range for {config.experiment}")
+    exp = config.experiment
+    if exp == "lyapunov":
+        return (index,)
+    if exp == "rosenthal":
+        n_head = count - config.n_traj
+        return _rosenthal_head(config)[index] if index < n_head else ("bsum", index - n_head)
+    point = []
+    for axis in reversed(_grid_axes(config)):
+        index, k = divmod(index, len(axis))
+        point.append(axis[k])
+    return tuple(reversed(point))
 
 
 def _planned_params(config: ExperimentConfig, index: int) -> list[tuple]:
     """Parameter tuples the unit would emit, for failure rows."""
     exp = config.experiment
-    unit = _unit_grid(config)[index]
+    unit = _unit(config, index)
     if exp == "lyapunov":
         (trial,) = unit
         dim = 1 + trial % _LYAPUNOV_MAX_DIM
@@ -644,7 +677,7 @@ def _dominates(value: float, bound: float) -> bool:
 
 
 def _run_lyapunov_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    (trial,) = _unit_grid(config)[index]
+    (trial,) = _unit(config, index)
     seed = _unit_seed(config, index)
     gen = stream(seed, 0)
     dim = 1 + trial % _LYAPUNOV_MAX_DIM
@@ -662,7 +695,9 @@ def _run_lyapunov_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     def rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
         return spectral_norm(lhs - rhs) / (1.0 + spectral_norm(rhs))
 
-    q = solve_lyapunov(abar)
+    # spectral_profile already solved (and residual-checked) the Lyapunov
+    # equation; its q is the matrix solve_lyapunov(abar) returns
+    q = profile.q
     sig = solve_sigma(abar, sigma_eps)
     sig_a = solve_riccati(abar, sigma_eps, alpha)
     worst = max(
@@ -697,7 +732,7 @@ def _run_lyapunov_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
 
 
 def _run_bounds_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    alpha, n, p = _unit_grid(config)[index]
+    alpha, n, p = _unit(config, index)
     seed = _unit_seed(config, index)
     model = _build_model(config.model)
     profile = lyapunov_witness(model)
@@ -724,7 +759,7 @@ def _run_bounds_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
 
 
 def _run_simulate_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    alpha, n = _unit_grid(config)[index]
+    alpha, n = _unit(config, index)
     seed = _unit_seed(config, index)
     model = _build_model(config.model)
     theta0 = model.theta_star + 1.0
@@ -747,7 +782,7 @@ def _run_simulate_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
 
 
 def _run_rademacher_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    alpha, n, delta = _unit_grid(config)[index]
+    alpha, n, delta = _unit(config, index)
     seed = _unit_seed(config, index)
     q_a = config.model["q_a"]
     rows = []
@@ -771,7 +806,7 @@ def _run_rademacher_unit(config: ExperimentConfig, index: int) -> list[ResultRow
 
 
 def _run_clt_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    (alpha,) = _unit_grid(config)[index]
+    (alpha,) = _unit(config, index)
     seed = _unit_seed(config, index)
     model = _build_model(config.model)
     profile = lyapunov_witness(model)
@@ -828,7 +863,7 @@ def _run_clt_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
 
 
 def _run_wasserstein_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    (alpha,) = _unit_grid(config)[index]
+    (alpha,) = _unit(config, index)
     seed = _unit_seed(config, index)
     model = _build_model(config.model)
     theta_a = model.theta_star + 1.0
@@ -873,7 +908,7 @@ def _count_compositions(total: int, parts: int) -> int:
 
 
 def _run_rosenthal_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    unit = _unit_grid(config)[index]
+    unit = _unit(config, index)
     seed = _unit_seed(config, index)
     spec = _drift_spec(config.model)
     (params,) = _planned_params(config, index)
@@ -1052,8 +1087,11 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     if cfg.workers <= 1 or count <= 1:
         units = [run_unit(cfg, i) for i in range(count)]
     else:
+        # contiguous chunks, about four per worker, amortize the pool's
+        # per-task round trip; map still returns units in index order
+        chunksize = max(1, count // (4 * cfg.workers))
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            units = list(pool.map(run_unit, repeat(cfg), range(count), chunksize=1))
+            units = list(pool.map(run_unit, repeat(cfg), range(count), chunksize=chunksize))
     return [row for unit in units for row in unit]
 
 

@@ -3,8 +3,12 @@
 Everything here is exact desk-scale linear algebra (d <= 32 or so): the
 Lyapunov / stationary-covariance / discretized-Riccati equations are solved by
 vectorizing them into a single dense d^2 x d^2 linear system (Kronecker form)
-and calling a dense solver.  Solutions are symmetrized and validated against
-an explicit residual tolerance before being returned.
+and calling a dense solver.  The Kronecker products are built by one
+broadcast multiply (``_kron``), which forms the same products as ``np.kron``
+without its per-call overhead; the system is still O(d^6) to solve, and a
+Bartels-Stewart / Stein solver in O(d^3) remains open (ROADMAP item 4).
+Solutions are symmetrized and validated against an explicit residual
+tolerance before being returned.
 
 Conventions: the driving matrix ``abar`` has eigenvalues with positive real
 part (the recursion theta - alpha*A*theta is then stable for small alpha);
@@ -50,8 +54,20 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float:
-    """Operator 2-norm (largest singular value)."""
-    return float(np.linalg.norm(np.asarray(m, dtype=float), 2))
+    """Operator 2-norm (largest singular value) of a matrix; 0.0 if empty.
+
+    The same singular values as ``np.linalg.norm(m, 2)``, read directly, so
+    the value is bit-identical without that wrapper's dispatch cost.
+    """
+    sv = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
+    return float(sv[0]) if sv.size else 0.0
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices: the same products, by one broadcast."""
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(
+        x.shape[0] * y.shape[0], x.shape[1] * y.shape[1]
+    )
 
 
 def hurwitz_check(abar: np.ndarray, margin: float = EIG_MARGIN) -> bool:
@@ -91,7 +107,7 @@ def solve_lyapunov(abar: np.ndarray) -> np.ndarray:
     abar = _require_hurwitz(abar)
     d = abar.shape[0]
     eye = np.eye(d)
-    k = np.kron(eye, abar.T) + np.kron(abar.T, eye)
+    k = _kron(eye, abar.T) + _kron(abar.T, eye)
     q = np.linalg.solve(k, eye.reshape(-1)).reshape(d, d)
     q = 0.5 * (q + q.T)
     _check_residual(abar.T @ q + q @ abar, eye, "lyapunov solve")
@@ -108,7 +124,7 @@ def solve_sigma(abar: np.ndarray, sigma_eps: np.ndarray) -> np.ndarray:
     sigma_eps = _as_square(sigma_eps, "sigma_eps")
     d = abar.shape[0]
     eye = np.eye(d)
-    k = np.kron(eye, abar) + np.kron(abar, eye)
+    k = _kron(eye, abar) + _kron(abar, eye)
     s = np.linalg.solve(k, sigma_eps.reshape(-1)).reshape(d, d)
     s = 0.5 * (s + s.T)
     _check_residual(abar @ s + s @ abar.T, sigma_eps, "sigma solve")
@@ -128,7 +144,7 @@ def solve_riccati(abar: np.ndarray, sigma_eps: np.ndarray, alpha: float) -> np.n
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     d = abar.shape[0]
     eye = np.eye(d)
-    k = np.kron(eye, abar) + np.kron(abar, eye) - alpha * np.kron(abar, abar)
+    k = _kron(eye, abar) + _kron(abar, eye) - alpha * _kron(abar, abar)
     s = np.linalg.solve(k, sigma_eps.reshape(-1)).reshape(d, d)
     s = 0.5 * (s + s.T)
     _check_residual(

@@ -3,6 +3,7 @@ serialization, and scheduling-independence of results."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -11,6 +12,7 @@ import pytest
 
 from lsalab.experiments import (
     EXPERIMENT_NAMES,
+    _unit,
     PARAM_KEYS,
     ConfigError,
     ExperimentConfig,
@@ -247,6 +249,92 @@ class TestRun:
         assert unit_count(cfg) == 2
         rows0 = run_unit(cfg, 0)
         assert rows0[0].param_dict["n"] == 10
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunk_layout_does_not_change_rows(self, workers):
+        # 41 rosenthal and 29 lyapunov units are not multiples of the chunk
+        # sizes at 2 or 3 workers, so the last chunk of each run is short
+        for cfg in (
+            tiny_config("rosenthal", n_traj=37, seed=11),
+            tiny_config("lyapunov", n_traj=29, seed=11),
+        ):
+            serial = run(cfg)
+            assert len(serial) == (41 if cfg.experiment == "rosenthal" else 58)
+            assert run(ExperimentConfig(**{**cfg.__dict__, "workers": workers})) == serial
+
+    def test_last_unit_of_a_huge_run_plans_in_constant_space(self):
+        # materializing this grid would need tens of GiB; the descriptor of
+        # its last unit is arithmetic
+        cfg = resolve(tiny_config("rosenthal", n_traj=10**9))
+        (row,) = run_unit(cfg, unit_count(cfg) - 1)
+        assert row.param_dict["check"] == "bsum"
+        assert row.param_dict["trial"] == 10**9 - 1
+        assert row.passed, row.note
+
+
+def _materialized_units(cfg: ExperimentConfig) -> list[tuple]:
+    """The run's units as the fully enumerated grid, in row order."""
+    exp = cfg.experiment
+    if exp == "lyapunov":
+        return [(t,) for t in range(cfg.n_traj)]
+    if exp == "bounds":
+        return list(itertools.product(cfg.alphas, cfg.ns, cfg.ps))
+    if exp == "simulate":
+        return list(itertools.product(cfg.alphas, cfg.ns))
+    if exp == "rademacher":
+        return list(itertools.product(cfg.alphas, cfg.ns, cfg.deltas))
+    if exp == "clt":
+        return [(al,) for al in cfg.alphas]
+    if exp == "wasserstein":
+        return [(al,) for al in cfg.alphas] if cfg.ns else []
+    units: list[tuple] = []
+    for q in cfg.qs:
+        for u in range(1, q):
+            for rho in cfg.rhos:
+                units.append(("buq", q, u, rho))
+    for q in cfg.qs:
+        for u in range(1, q):
+            units.append(("count", q, u))
+    for al in cfg.alphas:
+        units.append(("delta_root", al))
+        units.append(("horizon", al))
+    units.extend(("bsum", t) for t in range(cfg.n_traj))
+    return units
+
+
+class TestUnitDescriptors:
+    @pytest.mark.parametrize(
+        "cfg",
+        [ExperimentConfig(experiment=name) for name in EXPERIMENT_NAMES]
+        + [
+            ExperimentConfig(experiment="lyapunov", n_traj=2),
+            ExperimentConfig(
+                experiment="bounds", alphas=(0.1, 0.2), ns=(10, 50, 200), ps=(2.0, 4.0)
+            ),
+            ExperimentConfig(experiment="bounds", ps=()),
+            ExperimentConfig(experiment="simulate", alphas=(0.1, 0.05, 0.02), ns=(7, 9)),
+            ExperimentConfig(
+                experiment="rademacher", alphas=(0.1, 0.2), ns=(400, 500, 1000), deltas=(0.1,)
+            ),
+            ExperimentConfig(experiment="rademacher", alphas=()),
+            ExperimentConfig(experiment="clt", alphas=(0.1, 0.05, 0.02)),
+            ExperimentConfig(experiment="wasserstein", alphas=(0.1, 0.2), ns=(5,)),
+            ExperimentConfig(experiment="wasserstein", ns=()),
+            ExperimentConfig(
+                experiment="rosenthal", qs=(2, 3, 5), rhos=(0.5, 0.25), n_traj=7
+            ),
+            ExperimentConfig(experiment="rosenthal", qs=(), alphas=(), n_traj=3),
+        ],
+        ids=lambda cfg: cfg.experiment,
+    )
+    def test_descriptors_match_the_enumerated_grid(self, cfg):
+        cfg = resolve(cfg)
+        expected = _materialized_units(cfg)
+        assert unit_count(cfg) == len(expected)
+        assert [_unit(cfg, i) for i in range(len(expected))] == expected
+        for index in (-1, len(expected)):
+            with pytest.raises(IndexError):
+                _unit(cfg, index)
 
 
 class TestCsvText:

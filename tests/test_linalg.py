@@ -12,11 +12,13 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lsalab.linalg import (
     NotHurwitzError,
     NotSpdError,
     SolverResidualError,
+    _kron,
     alpha_p_inf,
     hurwitz_check,
     q_norm_mat,
@@ -167,6 +169,36 @@ class TestNormsAndRoots:
         assert schatten_norm(m, np.inf) == pytest.approx(sv[0], rel=1e-12)
         with pytest.raises(ValueError):
             schatten_norm(m, 0.5)
+
+
+def small_matrices():
+    """Finite matrices with 1..8 rows and 1..8 columns, square or not."""
+    return st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+        lambda shape: arrays(
+            np.float64,
+            shape,
+            elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        )
+    )
+
+
+class TestFastHelpersAreBitIdentical:
+    @given(small_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_spectral_norm_is_numpy_operator_norm(self, m):
+        expected = float(np.linalg.norm(m, 2))
+        assert np.float64(spectral_norm(m)).tobytes() == np.float64(expected).tobytes()
+
+    def test_spectral_norm_of_empty_matrix_is_zero(self):
+        assert spectral_norm(np.zeros((0, 0))) == 0.0
+        assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+    @given(small_matrices(), small_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_kron_is_numpy_kron(self, x, y):
+        fast = _kron(x, y)
+        assert fast.shape == np.kron(x, y).shape
+        assert fast.tobytes() == np.kron(x, y).tobytes()
 
 
 class TestSpectralProfile:
