@@ -19,7 +19,7 @@ from numpy.random import Generator
 from scipy.special import logsumexp
 
 from lsalab.linalg import SpectralProfile
-from lsalab.noise import LsaModel, eps_noise, lyapunov_witness, second_moment_kernel
+from lsalab.noise import LsaModel, _second_moment_transfer, eps_noise, lyapunov_witness
 from lsalab.rng import _block_uniforms, stream
 
 # A chunk's buffers stay under roughly this many floats.  Per trajectory: its
@@ -71,8 +71,7 @@ class TrajectoryDecomposition:
     theta_err: np.ndarray
 
     def __post_init__(self):
-        parts = self.gamma_term + self.j0 + self.j1 + self.h1
-        resid = float(np.linalg.norm(parts - self.theta_err))
+        resid = self._residual_norm()
         terms = (self.theta_err, self.gamma_term, self.j0, self.j1, self.h1)
         scale = max(*(float(np.linalg.norm(t)) for t in terms), 1e-30)
         if resid > 1e-9 * scale:
@@ -82,10 +81,11 @@ class TrajectoryDecomposition:
 
     @property
     def residual(self) -> float:
+        return self._residual_norm() / max(float(np.linalg.norm(self.theta_err)), 1e-30)
+
+    def _residual_norm(self) -> float:
         parts = self.gamma_term + self.j0 + self.j1 + self.h1
-        resid = float(np.linalg.norm(parts - self.theta_err))
-        scale = max(float(np.linalg.norm(self.theta_err)), 1e-30)
-        return resid / scale
+        return float(np.linalg.norm(parts - self.theta_err))
 
 
 def _check_run_args(model: LsaModel, alpha: float, n: int) -> None:
@@ -396,9 +396,7 @@ def coupled_exact_sq(
     _check_run_args(model, alpha, n)
     d = model.dim
     delta0 = np.asarray(delta0, dtype=float).reshape(d)
-    kernel = second_moment_kernel(model)
-    g = np.eye(d) - alpha * model.abar
-    transfer = np.kron(g, g) + alpha**2 * (kernel - np.kron(model.abar, model.abar))
+    transfer = _second_moment_transfer(model, alpha)
     state = np.outer(delta0, delta0).reshape(-1)
     out = np.empty(n + 1)
     idx = np.arange(d) * (d + 1)

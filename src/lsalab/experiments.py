@@ -816,12 +816,11 @@ def _run_clt_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     v_hat = float(np.var(x, ddof=1))
     v_se = v_hat * math.sqrt(2.0 / (n_s - 1))
     v_exact = exact_stationary_cov(model, alpha)[0, 0] / alpha
-    sig_limit = solve_sigma(model.abar, model.sigma_eps_exact)[0, 0]
+    sig = solve_sigma(model.abar, model.sigma_eps_exact)
+    sig_limit = sig[0, 0]
     sig_alpha = solve_riccati(model.abar, model.sigma_eps_exact, alpha)[0, 0]
     gap = abs(sig_alpha - sig_limit)
-    gap_cap = sigma_gap_bound(
-        model.abar, solve_sigma(model.abar, model.sigma_eps_exact), profile, alpha
-    )
+    gap_cap = sigma_gap_bound(model.abar, sig, profile, alpha)
     scale = math.sqrt(sig_alpha)
     ks = empirical_ks(x, lambda t: ndtr(t / scale))
     # ks_tol caps the systematic distribution distance; the 1.36/sqrt(N)
@@ -910,7 +909,6 @@ def _count_compositions(total: int, parts: int) -> int:
 def _run_rosenthal_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     unit = _unit(config, index)
     seed = _unit_seed(config, index)
-    spec = _drift_spec(config.model)
     (params,) = _planned_params(config, index)
     kind = unit[0]
     if kind == "buq":
@@ -947,6 +945,7 @@ def _run_rosenthal_unit(config: ExperimentConfig, index: int) -> list[ResultRow]
         ]
     if kind == "delta_root":
         _, alpha = unit
+        spec = _drift_spec(config.model)
         constants = v_geometric_constants(
             spec["lambda"], spec["b"], spec["m"], spec["epsilon"], spec["d_level"]
         )
@@ -990,6 +989,7 @@ def _run_rosenthal_unit(config: ExperimentConfig, index: int) -> list[ResultRow]
         ]
     if kind == "horizon":
         _, alpha = unit
+        spec = _drift_spec(config.model)
         profile = spectral_profile(np.array([[spec["abar"]]]), spec["c_a"])
         m_h = contraction_horizon(profile, alpha, spec["epsilon"])
         rate = 1.0 - alpha * profile.a / 2.0

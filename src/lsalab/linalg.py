@@ -1,14 +1,19 @@
 """Dense linear-algebra kernel: Lyapunov geometry of the driving matrix.
 
-Everything here is exact desk-scale linear algebra (d <= 32 or so): the
-Lyapunov / stationary-covariance / discretized-Riccati equations are solved by
-vectorizing them into a single dense d^2 x d^2 linear system (Kronecker form)
-and calling a dense solver.  The Kronecker products are built by one
-broadcast multiply (``_kron``), which forms the same products as ``np.kron``
-without its per-call overhead; the system is still O(d^6) to solve, and a
-Bartels-Stewart / Stein solver in O(d^3) remains open (ROADMAP item 4).
-Solutions are symmetrized and validated against an explicit residual
-tolerance before being returned.
+Everything here is exact desk-scale linear algebra (d <= 32 or so).  One
+solver (``_solve_stationary``) serves the package's four covariance
+equations ``abar @ S + S @ abar.T - alpha * K[S] = C``: the Lyapunov geometry
+Q and the asymptotic covariance Sigma (K = 0), the Riccati scale S^alpha
+(K[S] = abar S abar.T) and the exact stationary covariance V of
+``lsalab.noise`` (K[S] = E[A S A.T]).  It vectorizes the equation into one
+dense d^2 x d^2 system (Kronecker form; ``_kron`` forms the same products as
+``np.kron`` by one broadcast, without its per-call overhead), solves it,
+symmetrizes the result and checks it against an explicit residual tolerance.
+The solve is O(d^6).  A Bartels-Stewart / Stein route in O(d^3) is deferred:
+the exact kernels E[A (x) A] of the bounded-factor and TD(0) models have no
+Stein structure, so it would be a second solver beside this one and would
+change results in the last bits, and at d <= 8, the largest any experiment
+uses, a solve takes well under a millisecond either way.
 
 Conventions: the driving matrix ``abar`` has eigenvalues with positive real
 part (the recursion theta - alpha*A*theta is then stable for small alpha);
@@ -97,6 +102,29 @@ def _check_residual(lhs: np.ndarray, rhs: np.ndarray, what: str) -> None:
         raise SolverResidualError(f"{what}: residual {resid:.3e} exceeds {tol:.3e}")
 
 
+def _solve_stationary(
+    abar: np.ndarray, rhs: np.ndarray, alpha: float, kernel: np.ndarray | None, what: str
+) -> np.ndarray:
+    """Solve ``abar @ S + S @ abar.T - alpha * K[S] = rhs`` for symmetric S.
+
+    ``kernel`` is K in numpy's row-major vec (``kernel @ vec(S) == vec(K[S])``),
+    read only when alpha is nonzero.
+    """
+    abar = _require_hurwitz(abar)
+    d = abar.shape[0]
+    eye = np.eye(d)
+    k = _kron(eye, abar) + _kron(abar, eye)
+    if alpha:
+        k = k - alpha * kernel
+    s = np.linalg.solve(k, rhs.reshape(-1)).reshape(d, d)
+    s = 0.5 * (s + s.T)
+    lhs = abar @ s + s @ abar.T
+    if alpha:
+        lhs = lhs - alpha * (kernel @ s.reshape(-1)).reshape(d, d)
+    _check_residual(lhs, rhs, what)
+    return s
+
+
 def solve_lyapunov(abar: np.ndarray) -> np.ndarray:
     """Solve ``abar.T @ Q + Q @ abar = I`` for symmetric positive definite Q.
 
@@ -104,14 +132,8 @@ def solve_lyapunov(abar: np.ndarray) -> np.ndarray:
     The result is the squared-norm-defining matrix of the geometry in which
     one step of the deterministic recursion is a contraction.
     """
-    abar = _require_hurwitz(abar)
-    d = abar.shape[0]
-    eye = np.eye(d)
-    k = _kron(eye, abar.T) + _kron(abar.T, eye)
-    q = np.linalg.solve(k, eye.reshape(-1)).reshape(d, d)
-    q = 0.5 * (q + q.T)
-    _check_residual(abar.T @ q + q @ abar, eye, "lyapunov solve")
-    return q
+    abar = _as_square(abar, "abar")
+    return _solve_stationary(abar.T, np.eye(len(abar)), 0.0, None, "lyapunov solve")
 
 
 def solve_sigma(abar: np.ndarray, sigma_eps: np.ndarray) -> np.ndarray:
@@ -120,15 +142,8 @@ def solve_sigma(abar: np.ndarray, sigma_eps: np.ndarray) -> np.ndarray:
     S is the asymptotic (alpha -> 0) covariance of the rescaled iterate
     error driven by noise with covariance ``sigma_eps``.
     """
-    abar = _require_hurwitz(abar)
     sigma_eps = _as_square(sigma_eps, "sigma_eps")
-    d = abar.shape[0]
-    eye = np.eye(d)
-    k = _kron(eye, abar) + _kron(abar, eye)
-    s = np.linalg.solve(k, sigma_eps.reshape(-1)).reshape(d, d)
-    s = 0.5 * (s + s.T)
-    _check_residual(abar @ s + s @ abar.T, sigma_eps, "sigma solve")
-    return s
+    return _solve_stationary(abar, sigma_eps, 0.0, None, "sigma solve")
 
 
 def solve_riccati(abar: np.ndarray, sigma_eps: np.ndarray, alpha: float) -> np.ndarray:
@@ -138,19 +153,11 @@ def solve_riccati(abar: np.ndarray, sigma_eps: np.ndarray, alpha: float) -> np.n
     covariance of the linearized iterate error is alpha * S.  At alpha = 0
     this degenerates to :func:`solve_sigma`.
     """
-    abar = _require_hurwitz(abar)
+    abar = _as_square(abar, "abar")
     sigma_eps = _as_square(sigma_eps, "sigma_eps")
     if not 0.0 <= alpha:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    d = abar.shape[0]
-    eye = np.eye(d)
-    k = _kron(eye, abar) + _kron(abar, eye) - alpha * _kron(abar, abar)
-    s = np.linalg.solve(k, sigma_eps.reshape(-1)).reshape(d, d)
-    s = 0.5 * (s + s.T)
-    _check_residual(
-        abar @ s + s @ abar.T - alpha * (abar @ s @ abar.T), sigma_eps, "riccati solve"
-    )
-    return s
+    return _solve_stationary(abar, sigma_eps, alpha, _kron(abar, abar), "riccati solve")
 
 
 def spd_sqrt(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,19 +2,20 @@
 
 A model packages the mean pair (abar, bbar), the target theta_star solving
 ``abar @ theta_star = bbar``, the scale constants used by the bound
-evaluators (c_a, sigma_b), the exact covariance of the effective noise
+evaluators (c_a, sigma_b), the exact second moments its constructor computes
+in closed form -- the covariance ``sigma_eps_exact`` of the effective noise
 
-    eps_n = (b_n - bbar) - (A_n - abar) @ theta_star,
+    eps_n = (b_n - bbar) - (A_n - abar) @ theta_star
 
-and a sampler.  Each built-in sampler owns a fixed word layout: an n-step
-path reads the A-noise words of all n steps first, then all b-noise words,
-so a path is a pure function of ``(seed, stream_id, n)`` and never depends on
-batching or scheduling.  A sampler decodes open uniforms laid out that way
-both for one path (``sample_path``) and, step by step, for a block of
-trajectories at once (one row per trajectory, see ``lsalab.rng``); both
-apply the same elementwise operations in the same order, so they give the
-same bits.  A consumer that needs only the A draws reads only the A-word
-prefix.
+and the kernel ``kernel_exact`` = E[kron(A_n, A_n)] -- and a sampler.  Each
+built-in sampler owns a fixed word layout: an n-step path reads the A-noise
+words of all n steps first, then all b-noise words, so a path is a pure
+function of ``(seed, stream_id, n)`` and never depends on batching or
+scheduling.  A sampler decodes open uniforms laid out that way both for one
+path (``sample_path``) and, step by step, for a block of trajectories at once
+(one row per trajectory, see ``lsalab.rng``); both apply the same elementwise
+operations in the same order, so they give the same bits.  A consumer that
+needs only the A draws reads only the A-word prefix.
 
 All built-in models satisfy the standing noise assumptions: ||A_n|| <= c_a
 almost surely (or with the documented sub-Gaussian scale), and ||b_n - bbar||
@@ -33,9 +34,11 @@ from numpy.random import Generator
 
 from lsalab.linalg import (
     _as_square,
+    _kron,
+    _solve_stationary,
     hurwitz_check,
-    solve_lyapunov,
     spectral_norm,
+    spectral_profile,
 )
 from lsalab.rng import _categorical, _normals, _signs, uniform_open01
 
@@ -113,6 +116,7 @@ class LsaModel:
     c_a: float
     sigma_b: float
     sigma_eps_exact: np.ndarray
+    kernel_exact: np.ndarray
     sampler: PathSampler
     a1_compliant: bool = True
     contractive: ContractiveProfile | None = None
@@ -187,6 +191,7 @@ def biased_rademacher_model(q_a: float) -> LsaModel:
         c_a=1.0,
         sigma_b=0.0,
         sigma_eps_exact=np.zeros((1, 1)),
+        kernel_exact=np.ones((1, 1)),
         sampler=_BiasedRademacherSampler(q_a),
     )
 
@@ -227,6 +232,7 @@ def rademacher_gaussian_model(q_a: float, sigma: float) -> LsaModel:
         c_a=1.0,
         sigma_b=float(sigma),
         sigma_eps_exact=np.array([[float(sigma) ** 2]]),
+        kernel_exact=np.ones((1, 1)),
         sampler=_RademacherGaussianSampler(q_a, sigma),
     )
 
@@ -311,6 +317,7 @@ def bounded_factor_model(
         c_a=float(spectral_norm(abar) + eta * spectral_norm(m)),
         sigma_b=float(sigma * np.sqrt(d)),
         sigma_eps_exact=sig_eps,
+        kernel_exact=_kron(abar, abar) + float(eta) ** 2 * _kron(m, m),
         sampler=_BoundedFactorSampler(abar, bbar, m, float(eta), float(sigma)),
         contractive=profile,
     )
@@ -404,9 +411,11 @@ def td_zero_model(
             "positive-real-part spectrum; choose full-rank features and gamma < 1"
         )
     theta_star = np.linalg.solve(abar, bbar)
-    # exact noise covariance and the almost-sure bound c_a over reachable pairs
+    # exact noise covariance, E[kron(A, A)] and the almost-sure bound c_a
+    # over reachable transitions
     d = phi.shape[1]
     sig_eps = np.zeros((d, d))
+    kernel = np.zeros((d * d, d * d))
     c_a = 0.0
     for x in range(s):
         fx = phi[x]
@@ -418,6 +427,7 @@ def td_zero_model(
             a_real = np.outer(fx, fx - gamma * phi[x_next])
             eps = (bx - bbar) - (a_real - abar) @ theta_star
             sig_eps += w * np.outer(eps, eps)
+            kernel += w * _kron(a_real, a_real)
             c_a = max(c_a, float(np.linalg.norm(fx) * np.linalg.norm(fx - gamma * phi[x_next])))
     sigma_b = float(max(np.linalg.norm(rewards[x] * phi[x] - bbar) for x in range(s)))
     return LsaModel(
@@ -429,6 +439,7 @@ def td_zero_model(
         c_a=max(c_a, float(spectral_norm(abar))),
         sigma_b=sigma_b,
         sigma_eps_exact=0.5 * (sig_eps + sig_eps.T),
+        kernel_exact=kernel,
         sampler=_TdZeroSampler(
             phi=phi,
             rewards=rewards,
@@ -441,8 +452,6 @@ def td_zero_model(
 
 def lyapunov_witness(model: LsaModel):
     """Spectral profile of the model's mean matrix (convenience wrapper)."""
-    from lsalab.linalg import spectral_profile
-
     return spectral_profile(model.abar, model.c_a)
 
 
@@ -456,35 +465,18 @@ def second_moment_kernel(model: LsaModel) -> np.ndarray:
 
     With numpy's row-major vec, ``kron(A, A) @ vec(X) == vec(A @ X @ A.T)``,
     so this kernel drives every exact second-moment recursion of the
-    iterates.  Each built-in sampler admits a closed form: the +-1 factors
-    are sign-invariant under the Kronecker square, the bounded-factor law
-    has a two-point mixture, and the finite-state pairs reduce to a weighted
-    sum over reachable transitions.
+    iterates.  Each model's constructor computes it in closed form
+    (``LsaModel.kernel_exact``): the +-1 factors are sign-invariant under the
+    Kronecker square, the bounded-factor law has a two-point mixture, and the
+    finite-state pairs reduce to a weighted sum over reachable transitions.
     """
-    sampler = model.sampler
-    if isinstance(sampler, (_BiasedRademacherSampler, _RademacherGaussianSampler)):
-        return np.ones((1, 1))
-    if isinstance(sampler, _BoundedFactorSampler):
-        return np.kron(sampler.abar, sampler.abar) + sampler.eta**2 * np.kron(
-            sampler.m, sampler.m
-        )
-    if isinstance(sampler, _TdZeroSampler):
-        d = model.dim
-        pi = np.diff(sampler.pi_cdf, prepend=0.0)
-        p = np.diff(sampler.p_cdf, prepend=0.0, axis=1)
-        out = np.zeros((d * d, d * d))
-        for x in range(pi.size):
-            fx = sampler.phi[x]
-            for x_next in range(pi.size):
-                w = pi[x] * p[x, x_next]
-                if w == 0.0:
-                    continue
-                a_real = np.outer(fx, fx - sampler.gamma * sampler.phi[x_next])
-                out += w * np.kron(a_real, a_real)
-        return out
-    raise NotImplementedError(
-        f"no closed-form second-moment kernel for sampler {type(sampler).__name__}"
-    )
+    return model.kernel_exact
+
+
+def _second_moment_transfer(model: LsaModel, alpha: float) -> np.ndarray:
+    """One-step map E[kron(G, G)] of vec(E[x x.T]), G = I - alpha*A, shape (d^2, d^2)."""
+    g = np.eye(model.dim) - alpha * model.abar
+    return _kron(g, g) + alpha**2 * (model.kernel_exact - _kron(model.abar, model.abar))
 
 
 def exact_stationary_cov(model: LsaModel, alpha: float) -> np.ndarray:
@@ -499,21 +491,17 @@ def exact_stationary_cov(model: LsaModel, alpha: float) -> np.ndarray:
     (``solve_riccati``, which replaces E[A . A.T] by abar . abar.T), this
     keeps the multiplicative noise exactly, so it is the true limit of
     Var(theta_n) whenever that limit exists.  Raises when the second-moment
-    map is not a contraction at this stepsize.
+    map is not a contraction at this stepsize, and, like the other
+    covariance solves, when the solution misses its residual tolerance.
     """
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    d = model.dim
-    kernel = second_moment_kernel(model)
-    g = np.eye(d) - alpha * model.abar
-    transfer = np.kron(g, g) + alpha**2 * (kernel - np.kron(model.abar, model.abar))
+    transfer = _second_moment_transfer(model, alpha)
     radius = float(np.max(np.abs(np.linalg.eigvals(transfer))))
     if radius >= 1.0:
         raise ValueError(
             f"second moment of the iterates has no stationary value at "
             f"alpha={alpha} (one-step transfer has spectral radius {radius:.6g})"
         )
-    eye = np.eye(d)
-    k = np.kron(model.abar, eye) + np.kron(eye, model.abar) - alpha * kernel
-    v = np.linalg.solve(k, alpha * model.sigma_eps_exact.reshape(-1)).reshape(d, d)
-    return 0.5 * (v + v.T)
+    rhs = alpha * model.sigma_eps_exact
+    return _solve_stationary(model.abar, rhs, alpha, model.kernel_exact, "stationary covariance")

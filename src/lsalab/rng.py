@@ -74,7 +74,7 @@ def _block_uniforms(seed: int, lo: int, hi: int, n_words: int) -> np.ndarray:
 
 def uniform_open01(gen: Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """Uniform draws strictly inside (0, 1), one 64-bit counter word each."""
-    raw = gen.integers(0, 2**64, size=size, dtype=_U64)
+    raw = gen.bit_generator.random_raw(size)
     return _open01((raw >> _SHIFT).astype(np.float64))
 
 

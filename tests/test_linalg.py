@@ -201,6 +201,43 @@ class TestFastHelpersAreBitIdentical:
         assert fast.tobytes() == np.kron(x, y).tobytes()
 
 
+@st.composite
+def stable_problems(draw):
+    """(abar, sigma, alpha): Hurwitz abar (symmetric part >= 0.1 I), SPD sigma,
+    and a stepsize at which the Riccati system stays well posed."""
+    d = draw(st.integers(1, 8))
+    entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    g, r, w = (draw(arrays(np.float64, (d, d), elements=entries)) for _ in range(3))
+    abar = g @ g.T / d + 0.1 * np.eye(d) + 0.5 * (r - r.T)
+    sigma = w @ w.T / d + 0.1 * np.eye(d)
+    alpha = draw(st.floats(0.0, 0.5)) * 0.1 / spectral_norm(abar) ** 2
+    return abar, sigma, alpha
+
+
+def _kronecker_solve(k: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    d = rhs.shape[0]
+    s = np.linalg.solve(k, rhs.reshape(-1)).reshape(d, d)
+    return 0.5 * (s + s.T)
+
+
+class TestOneStationarySolver:
+    """The solvers give the bytes of the Kronecker systems they replace."""
+
+    @given(stable_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_equal_the_inline_kronecker_formulas(self, problem):
+        abar, sigma, alpha = problem
+        eye = np.eye(len(abar))
+        lyap = _kronecker_solve(np.kron(eye, abar.T) + np.kron(abar.T, eye), eye)
+        plain = np.kron(eye, abar) + np.kron(abar, eye)
+        riccati = _kronecker_solve(plain - alpha * np.kron(abar, abar), sigma)
+        riccati_0 = _kronecker_solve(plain - 0.0 * np.kron(abar, abar), sigma)
+        assert solve_lyapunov(abar).tobytes() == lyap.tobytes()
+        assert solve_sigma(abar, sigma).tobytes() == _kronecker_solve(plain, sigma).tobytes()
+        assert solve_riccati(abar, sigma, alpha).tobytes() == riccati.tobytes()
+        assert solve_riccati(abar, sigma, 0.0).tobytes() == riccati_0.tobytes()
+
+
 class TestSpectralProfile:
     def test_scalar_constants(self):
         # abar = 1/2: q = 1, a = 1/2, alpha_inf = 1/(2 * (1/2)^2) ... with

@@ -5,10 +5,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lsalab.linalg import SpectralProfile, spectral_norm
+from lsalab import linalg
+from lsalab.linalg import SolverResidualError, SpectralProfile, spectral_norm
 from lsalab.noise import (
     ContractiveProfile,
+    _second_moment_transfer,
     biased_rademacher_model,
     bounded_factor_model,
     eps_noise,
@@ -220,13 +225,22 @@ class TestSecondMomentKernel:
         ).reshape(kernel.shape) / 2000
         assert np.allclose(brute, brute_mc, atol=1e-12)
 
-    def test_unknown_sampler_rejected(self):
-        model = biased_rademacher_model(0.75)
-        hacked = type(model)(
-            **{**model.__dict__, "sampler": object()}
-        )
-        with pytest.raises(NotImplementedError):
-            second_moment_kernel(hacked)
+    @pytest.mark.parametrize("p", [
+        np.array([[0.1, 0.6, 0.3], [0.4, 0.4, 0.2], [0.5, 0.25, 0.25]]),
+        # unreachable transitions carry no weight
+        np.array([[0.0, 0.7, 0.3], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]),
+    ])
+    def test_td_kernel_is_the_sum_over_transitions(self, p):
+        rewards = np.array([1.0, -0.5, 2.0])
+        phi = np.array([[1.0, 0.0], [0.5, 1.0], [-0.5, 0.5]])
+        model = td_zero_model(p, rewards, phi, gamma=0.9)
+        pi = stationary_law(p)
+        brute = np.zeros((4, 4))
+        for x in range(3):
+            for x_next in range(3):
+                a = np.outer(phi[x], phi[x] - 0.9 * phi[x_next])
+                brute += pi[x] * p[x, x_next] * np.kron(a, a)
+        assert np.allclose(second_moment_kernel(model), brute, rtol=1e-14, atol=1e-15)
 
 
 class TestExactStationaryCov:
@@ -257,6 +271,54 @@ class TestExactStationaryCov:
         with pytest.raises(ValueError, match="no stationary value"):
             exact_stationary_cov(model, 1.7)
         exact_stationary_cov(model, 1.5)  # still stable just below
+
+    @pytest.mark.parametrize("make", [
+        lambda: bounded_factor_model(
+            np.array([[1.0, 0.3], [-0.2, 2.0]]), np.array([1.0, -0.5]),
+            np.array([[0.5, 0.0], [0.2, 0.4]]), 0.7, 0.9,
+        ),
+        three_state_td,
+    ])
+    def test_solves_its_equation_and_is_the_transfer_fixed_point(self, make):
+        model, alpha = make(), 0.05
+        v = exact_stationary_cov(model, alpha)
+        kernel = second_moment_kernel(model)
+        d = model.dim
+        scale = np.abs(v).max()
+        lhs = model.abar @ v + v @ model.abar.T - alpha * (kernel @ v.reshape(-1)).reshape(d, d)
+        assert np.allclose(lhs, alpha * model.sigma_eps_exact, rtol=0, atol=1e-12 * scale)
+        fixed = _second_moment_transfer(model, alpha) @ v.reshape(-1)
+        fixed += alpha**2 * model.sigma_eps_exact.reshape(-1)
+        assert np.allclose(fixed, v.reshape(-1), rtol=0, atol=1e-12 * scale)
+
+    def test_residual_gated(self, monkeypatch):
+        model = three_state_td()
+        exact_stationary_cov(model, 0.05)
+        monkeypatch.setattr(linalg, "SOLVER_TOL", -1.0)
+        with pytest.raises(SolverResidualError, match="stationary covariance"):
+            exact_stationary_cov(model, 0.05)
+
+    @given(
+        st.integers(1, 8).flatmap(lambda d: st.tuples(*(
+            arrays(np.float64, shape, elements=st.floats(-1.0, 1.0))
+            for shape in ((d, d), (d, d), (d, d), (d,))
+        ))),
+        st.floats(0.0, 1.0),
+        st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_the_inline_kronecker_formula(self, draws, eta_frac, alpha_frac):
+        g, r, m, bbar = draws
+        d = len(bbar)
+        abar = g @ g.T / d + 0.1 * np.eye(d) + 0.5 * (r - r.T)
+        # every realization abar +- eta*m keeps its symmetric part >= 0.05 I,
+        # so the second-moment map contracts for alpha < 0.1 / c_a^2
+        model = bounded_factor_model(abar, bbar, m, eta=0.05 * eta_frac / d, sigma=0.8)
+        alpha = alpha_frac * 0.1 / model.c_a**2
+        eye = np.eye(d)
+        k = np.kron(abar, eye) + np.kron(eye, abar) - alpha * second_moment_kernel(model)
+        v = np.linalg.solve(k, alpha * model.sigma_eps_exact.reshape(-1)).reshape(d, d)
+        assert exact_stationary_cov(model, alpha).tobytes() == (0.5 * (v + v.T)).tobytes()
 
     def test_rejects_bad_alpha(self):
         model = biased_rademacher_model(0.75)

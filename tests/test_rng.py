@@ -61,6 +61,21 @@ class TestBlockUniforms:
 
 
 class TestUniformOpen01:
+    @pytest.mark.parametrize("sizes", [(3, 1, 3), ((2, 5), 7, (1, 1)), (0, 4, (3, 0, 2))])
+    def test_words_match_the_integers_draw(self, sizes):
+        # the raw-word draw reads the same words as gen.integers over the full
+        # uint64 range and leaves the generator in the same state, so draws
+        # interleaved with it continue identically
+        for stream_id in range(20):
+            fast, ref = stream(11, stream_id), stream(11, stream_id)
+            for size in sizes:
+                words = ref.integers(0, 2**64, size=size, dtype=np.uint64)
+                expected = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+                got = uniform_open01(fast, size)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+                assert fast.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
     def test_strictly_inside_unit_interval(self):
         u = uniform_open01(stream(1, 0), 200_000)
         assert u.min() > 0.0

@@ -4,31 +4,38 @@
 ``meter(result, *args, **kwargs)`` with the arguments of the wrapped call, so
 a meter names the function's positional parameters after its first one
 (``r``, the result).  A renamed, reordered or added positional parameter
-makes the meter raise in a traced run; this test catches it first.  The
-tracer module is read and executed from its source, never imported as a
-package or written to.
+makes the meter raise in a traced run; this test catches it first.
+``perfbench/layers.py`` looks some functions up by name with
+``names.index``, which raises in a traced run if the function is gone or
+renamed.  Both modules are read and executed from their source, never
+imported as packages or written to.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+LAYERS = PERFBENCH / "layers.py"
 
 
-def _load_meters() -> dict:
-    module = types.ModuleType("perfbench_spans")
-    module.__file__ = str(SPANS)
-    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
-    return module.METERS
+def _exec_source(path: Path, name: str) -> types.ModuleType:
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
-METERS = _load_meters()
+SPANS_MODULE = _exec_source(SPANS, "perfbench_spans")
+METERS = SPANS_MODULE.METERS
 
 _POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
 
@@ -65,4 +72,56 @@ def test_meter_names_the_positional_parameters(qualname):
 
 def test_every_metered_function_exists():
     for qualname in METERS:
+        assert callable(_target(qualname)), qualname
+
+
+def _names_looked_up_by_index() -> set[str]:
+    """Every function name ``layers.py`` passes to ``names.index``.
+
+    A literal argument is read directly; an argument bound by an unfiltered
+    comprehension is evaluated over the comprehension's iterable in the
+    executed module.  Lookups guarded by ``if m in names`` tolerate absence
+    and are skipped.
+    """
+    # layers.py imports its sibling as ``spans``
+    saved = sys.modules.get("spans")
+    sys.modules["spans"] = SPANS_MODULE
+    try:
+        layers = _exec_source(LAYERS, "perfbench_layers")
+    finally:
+        if saved is None:
+            del sys.modules["spans"]
+        else:
+            sys.modules["spans"] = saved
+
+    def is_lookup(node) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "index"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "names"
+        )
+
+    found = set()
+    tree = ast.parse(LAYERS.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if is_lookup(node) and isinstance(node.args[0], ast.Constant):
+            found.add(node.args[0].value)
+        if isinstance(node, (ast.SetComp, ast.ListComp, ast.GeneratorExp)) and is_lookup(node.elt):
+            (gen,) = node.generators
+            if not gen.ifs:
+                found.update(eval(ast.unparse(gen.iter), layers.__dict__))
+    return found
+
+
+def test_functions_layers_looks_up_by_name_exist():
+    found = _names_looked_up_by_index()
+    assert found >= {
+        "experiments.run", "cli.main", "experiments.config_from_dict", "experiments.resolve",
+        "experiments.validate", "noise.sample_path", "rng.uniform_open01",
+        "linalg.solve_lyapunov", "linalg.solve_sigma", "linalg.solve_riccati",
+    }
+    for qualname in sorted(found):
+        assert not qualname.split(".")[1].startswith("_"), qualname
         assert callable(_target(qualname)), qualname
