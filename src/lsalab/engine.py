@@ -2,11 +2,15 @@
 
 Determinism contract: trajectory j reads its own counter stream
 ``stream(seed, j)`` in the model's fixed word layout, so it is a pure function
-of ``(model, alpha, seed, j)``.  The batch routines step a ``(B, d)`` chunk of
-trajectories at once, each row with a lone trajectory's arithmetic
-(``_matvec``), and reduce per-trajectory statistics in trajectory order with
-full-array numpy operations: results are bit-identical however trajectories
-are chunked or scheduled, so rows do not depend on the chunk budget.
+of ``(model, alpha, seed, j)``.  The batch routines (``final_errors``,
+``mc_norm_moment``, ``coupled_w2`` and the error decomposition
+``_decomposed_errors``) step a chunk of trajectories at once, each row with a
+lone trajectory's arithmetic (``_matvec``), and reduce per-trajectory
+statistics in trajectory order with full-array numpy operations: results are
+bit-identical however trajectories are chunked or scheduled, so rows do not
+depend on the chunk budget.  ``run_trajectory``, ``run_decomposed`` and
+``product`` are the single-trajectory references; ``run_decomposed`` and
+``_decomposed_errors`` share one seven-row step (``_decompose``).
 """
 
 from __future__ import annotations
@@ -126,45 +130,61 @@ def run_decomposed(
     All five recursions (the iterate itself, the transient product term, and
     the three noise terms) consume the same (A_k, b_k) sequence, so the
     identity  theta_err = gamma_term + j0 + j1 + h1  holds to rounding error.
+    This is the single-trajectory reference of the batch kernel
+    ``_decomposed_errors``; both take the same step (``_decompose``).
     """
     _check_run_args(model, alpha, n)
-    d = model.dim
-    # rows: theta_err, gamma_term, h1, j1, j0, j0, j1 (see _decompose)
-    start = np.zeros((7, d, 1))
-    start[0:2, :, 0] = np.asarray(theta0, dtype=float).reshape(d) - model.theta_star
+    start = _decompose_start(model, theta0)[None]
     a_seq, b_seq = model.sample_path(gen, n)
-    eye = np.eye(d)
-    a_eps = (alpha * eps_noise(model, a_seq, b_seq))[:, :, None]
-    args = (eye - alpha * model.abar, eye - alpha * a_seq, a_seq - model.abar, a_eps, alpha)
-    end = _decompose(start, *args)
-    if not np.all(np.isfinite(end[0])):
+
+    def steps():  # a batch of one: A_k (1, d, d), b_k (1, d, 1)
+        return zip(a_seq[:, None], b_seq[:, None, :, None])
+
+    end = _decompose(start, steps(), model, alpha)
+    if not np.all(np.isfinite(end[0, 0])):
         # a non-finite iterate stays non-finite: re-run to name the step
-        _decompose(start, *args, checked=True)
-    theta_err, gamma_term, h1, j1, j0 = end[:5, :, 0]
+        _decompose(start, steps(), model, alpha, checked=True)
+    theta_err, gamma_term, h1, j1, j0 = end[0, :5, :, 0]
     return TrajectoryDecomposition(
         gamma_term=gamma_term, j0=j0, j1=j1, h1=h1, theta_err=theta_err
     )
 
 
-def _decompose(state, g_mean, g_seq, delta_seq, a_eps, alpha, checked=False):
-    """The seven-row state of run_decomposed after all steps.
+# The seven decomposition rows are theta_err, gamma_term, h1, j1, j0, j0, j1;
+# a step's products come out in stack order and are put back in this order.
+_DECOMPOSE_ROWS = [0, 1, 2, 3, 4, 4, 3]
 
+
+def _decompose_start(model: LsaModel, theta0: np.ndarray) -> np.ndarray:
+    """The (7, d, 1) state at step 0: theta_err = gamma_term = theta0 - theta_star."""
+    d = model.dim
+    start = np.zeros((7, d, 1))
+    start[0:2, :, 0] = np.asarray(theta0, dtype=float).reshape(d) - model.theta_star
+    return start
+
+
+def _decompose(state, steps, model, alpha, checked=False):
+    """The (B, 7, d, 1) decomposition state of B trajectories after all steps.
+
+    ``steps`` yields each step's (A_k, b_k), shapes (B, d, d) and (B, d, 1).
     A step is one stacked product of [G_k, G_k, G_k, G_mean, G_mean, delta_k,
     delta_k] with the rows, then theta_err and j0 add alpha*eps_k, h1
-    subtracts alpha*(delta_k j1) and j1 subtracts alpha*(delta_k j0).
+    subtracts alpha*(delta_k j1) and j1 subtracts alpha*(delta_k j0).  With
+    ``checked`` a non-finite theta_err raises TrajectoryBlowup at its step.
     """
-    stack = np.empty((7,) + g_mean.shape)
-    stack[3:5] = g_mean
-    for k in range(len(g_seq)):
-        stack[0:3] = g_seq[k]
-        stack[5:7] = delta_seq[k]
+    eye = np.eye(model.dim)
+    stack = np.empty(state.shape[:2] + eye.shape)
+    stack[:, 3:5] = eye - alpha * model.abar
+    for k, (a_k, b_k) in enumerate(steps, 1):
+        stack[:, 0:3] = (eye - alpha * a_k)[:, None]
+        stack[:, 5:7] = (a_k - model.abar)[:, None]
         p = _matvec(stack, state)
-        p[5:7] *= alpha
-        p[2:4] -= p[6:4:-1]
-        p[0:5:4] += a_eps[k]
-        state = p[[0, 1, 2, 3, 4, 4, 3]]
-        if checked and not np.all(np.isfinite(state[0])):
-            raise TrajectoryBlowup(step=k + 1)
+        p[:, 5:7] *= alpha
+        p[:, 2:4] -= p[:, 6:4:-1]
+        p[:, 0:5:4] += (alpha * eps_noise(model, a_k, b_k[..., 0]))[:, None, :, None]
+        state = p[:, _DECOMPOSE_ROWS]
+        if checked and not np.all(np.isfinite(state[:, 0])):
+            raise TrajectoryBlowup(step=k)
     return state
 
 
@@ -185,16 +205,22 @@ def product(model: LsaModel, alpha: float, n: int, gen: Generator) -> np.ndarray
     return gamma
 
 
-def _chunks(model: LsaModel, n: int, n_traj: int, seed: int, with_b: bool):
+def _chunks(
+    model: LsaModel, n: int, n_traj: int, seed: int, with_b: bool, step_floats: int | None = None
+):
     """Yield (lo, hi, steps) for fixed chunks of trajectories lo..hi-1.
 
     ``steps`` yields the chunk's per-step draws (see ``_LayoutSampler._steps``);
-    the chunk size keeps its words, decoded window and step matrices in budget.
+    the chunk size keeps its words, decoded window and step temporaries in
+    budget.  A caller whose step holds more than _STEP_MATRICES (d, d)
+    temporaries per trajectory passes their float count as ``step_floats``.
     """
     d = model.dim
     words = model.sampler._words(n, with_b)
     window = max(1, _WINDOW_FLOATS // (d * d + d))
-    per_traj = words + window * (d * d + d) + _STEP_MATRICES * d * d
+    if step_floats is None:
+        step_floats = _STEP_MATRICES * d * d
+    per_traj = words + window * (d * d + d) + step_floats
     chunk = max(1, min(4096, _CHUNK_FLOAT_BUDGET // per_traj))
     for lo in range(0, n_traj, chunk):
         hi = min(lo + chunk, n_traj)
@@ -236,18 +262,49 @@ def final_errors(
         if np.any(bad):
             j = lo + int(np.argmax(bad))
             raise TrajectoryBlowup(
-                step=_locate_blowup(model, alpha, theta0, n, seed, j), trajectory=j
+                step=_locate_blowup(run_trajectory, model, alpha, theta0, n, seed, j),
+                trajectory=j,
             )
         out[lo:hi] = theta[:, :, 0]
     return out - model.theta_star
 
 
+def _decomposed_errors(
+    model: LsaModel, alpha: float, theta0: np.ndarray, n: int, n_traj: int, seed: int
+) -> np.ndarray:
+    """Decomposition terms of n_traj trajectories, shape (n_traj, 5, d).
+
+    Row j holds theta_err, gamma_term, h1, j1, j0 of
+    ``run_decomposed(model, alpha, theta0, n, stream(seed, j))``, bit for bit.
+    Raises TrajectoryBlowup (with the trajectory index) if any theta_err
+    leaves the finite range.
+    """
+    _check_run_args(model, alpha, n)
+    d = model.dim
+    start = _decompose_start(model, theta0)
+    out = np.empty((n_traj, 5, d))
+    # per trajectory: the (7, d, d) stack, I - alpha*A_k, alpha*A_k and
+    # A_k - abar, and three (7, d, 1) states (state, products, reordered)
+    step_floats = 10 * d * d + 21 * d
+    for lo, hi, steps in _chunks(model, n, n_traj, seed, with_b=True, step_floats=step_floats):
+        end = _decompose(np.tile(start, (hi - lo, 1, 1, 1)), steps, model, alpha)
+        bad = ~np.all(np.isfinite(end[:, 0]), axis=(1, 2))
+        if np.any(bad):
+            j = lo + int(np.argmax(bad))
+            raise TrajectoryBlowup(
+                step=_locate_blowup(run_decomposed, model, alpha, theta0, n, seed, j),
+                trajectory=j,
+            )
+        out[lo:hi] = end[:, :5, :, 0]
+    return out
+
+
 def _locate_blowup(
-    model: LsaModel, alpha: float, theta0: np.ndarray, n: int, seed: int, j: int
+    run, model: LsaModel, alpha: float, theta0: np.ndarray, n: int, seed: int, j: int
 ) -> int:
-    """Re-run trajectory j stepwise to find the first non-finite step."""
+    """Re-run trajectory j with ``run``, which raises at the first non-finite step."""
     try:
-        run_trajectory(model, alpha, theta0, n, stream(seed, j))
+        run(model, alpha, theta0, n, stream(seed, j))
     except TrajectoryBlowup as exc:
         return exc.step
     return n

@@ -149,6 +149,51 @@ class TestDecomposition:
             )
 
 
+def d2_model():
+    """A 2-dimensional bounded-factor model with a nonzero target."""
+    return bounded_factor_model(
+        np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([1.0, -0.5]),
+        np.array([[0.5, 0.1], [0.1, 0.4]]), 0.5, 1.0,
+    )
+
+
+class TestDecomposedErrors:
+    @pytest.mark.parametrize("maker", [gm_model, d2_model, d8_model, small_td])
+    def test_rows_are_the_bytes_of_run_decomposed(self, maker, monkeypatch):
+        model = maker()
+        alpha, theta0, n, n_traj, seed = 0.05, model.theta_star + 1.0, 30, 12, 41
+        expected = []
+        for j in range(n_traj):
+            dec = run_decomposed(model, alpha, theta0, n, stream(seed, j))
+            expected.append(np.stack([dec.theta_err, dec.gamma_term, dec.h1, dec.j1, dec.j0]))
+        expected = np.stack(expected)
+        for budget in (engine._CHUNK_FLOAT_BUDGET, 3000):
+            monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
+            terms = engine._decomposed_errors(model, alpha, theta0, n, n_traj, seed)
+            assert terms.shape == (n_traj, 5, model.dim)
+            assert terms.tobytes() == expected.tobytes()
+
+    def test_blowup_reports_first_trajectory_and_step(self, monkeypatch):
+        # as in TestFinalErrors: A = diag(1 +- 0.9), so only some of the
+        # trajectories overflow within four steps at alpha = 1e77
+        model = bounded_factor_model(np.eye(2), np.zeros(2), 0.9 * np.eye(2), 1.0, 0.0)
+        alpha, theta0, n, n_traj, seed = 1e77, np.ones(2), 4, 64, 36
+        expected = None
+        with np.errstate(all="ignore"):
+            for j in range(n_traj):
+                try:
+                    run_decomposed(model, alpha, theta0, n, stream(seed, j))
+                except TrajectoryBlowup as exc:
+                    expected = (j, exc.step)
+                    break
+        assert expected is not None and expected[0] > 0
+        for budget in (engine._CHUNK_FLOAT_BUDGET, 250):
+            monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
+            with np.errstate(all="ignore"), pytest.raises(TrajectoryBlowup) as info:
+                engine._decomposed_errors(model, alpha, theta0, n, n_traj, seed)
+            assert (info.value.trajectory, info.value.step) == expected
+
+
 class TestProduct:
     def test_pure_product_drives_noise_free_error(self):
         # with b = 0 and theta* = 0, theta_n = Gamma_{1:n} theta_0

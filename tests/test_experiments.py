@@ -10,8 +10,12 @@ import math
 import numpy as np
 import pytest
 
+import lsalab.engine as engine
+import lsalab.experiments as experiments
+from lsalab.engine import final_errors, run_decomposed
 from lsalab.experiments import (
     EXPERIMENT_NAMES,
+    _build_model,
     _unit,
     PARAM_KEYS,
     ConfigError,
@@ -29,6 +33,7 @@ from lsalab.experiments import (
     validate,
     write_outputs,
 )
+from lsalab.rng import stream
 
 
 def tiny_config(experiment: str, **kw) -> ExperimentConfig:
@@ -270,6 +275,67 @@ class TestRun:
         assert row.param_dict["check"] == "bsum"
         assert row.param_dict["trial"] == 10**9 - 1
         assert row.passed, row.note
+
+
+_D2_FACTOR = {
+    "kind": "bounded_factor", "abar": [[1.0, 0.3], [-0.2, 0.8]], "bbar": [1.0, -0.5],
+    "m": [[0.5, 0.1], [0.1, 0.4]], "eta": 0.5, "sigma": 1.0,
+}
+
+
+class TestSimulateUnit:
+    @pytest.mark.parametrize("model", [None, _D2_FACTOR], ids=["default", "d2"])
+    def test_row_equals_a_per_trajectory_reference(self, model):
+        cfg = resolve(tiny_config("simulate", alphas=(0.1, 0.05), ns=(30,), n_traj=15,
+                                  **({"model": model} if model else {})))
+        for index in range(unit_count(cfg)):
+            alpha, n = _unit(cfg, index)
+            seed = (cfg.seed + index) % 2**64
+            built = _build_model(cfg.model)
+            theta0 = built.theta_star + 1.0
+            worst = 0.0
+            for j in range(cfg.n_traj):
+                dec = run_decomposed(built, alpha, theta0, n, stream(seed, j))
+                worst = max(worst, dec.residual)
+            expected = ResultRow(
+                experiment="simulate", params=(("alpha", alpha), ("n", n)), empirical=worst,
+                std_err=0.0, oracle=0.0, bound=1e-9, passed=worst <= 1e-9, seed=seed,
+            )
+            (row,) = run_unit(cfg, index)
+            assert row == expected
+            assert csv_text("simulate", [row]) == csv_text("simulate", [expected])
+
+    def test_disagreement_with_the_recursion_fails_the_row(self, monkeypatch):
+        cfg = resolve(tiny_config("simulate"))
+        (clean,) = run_unit(cfg, 0)
+        assert clean.passed
+        monkeypatch.setattr(
+            experiments, "final_errors", lambda *args: final_errors(*args) + 1e-6
+        )
+        (row,) = run_unit(cfg, 0)
+        assert not row.passed
+        assert row.empirical == clean.empirical
+        assert "differs from the recursion" in row.note
+
+    def test_nan_residual_fails_the_row(self, monkeypatch):
+        # h1 of one trajectory overflows while theta_err stays finite
+        def with_nan_h1(*args):
+            terms = engine._decomposed_errors(*args)
+            terms[3, 2] = math.nan
+            return terms
+
+        monkeypatch.setattr(experiments, "_decomposed_errors", with_nan_h1)
+        (row,) = run_unit(resolve(tiny_config("simulate")), 0)
+        assert math.isnan(row.empirical)
+        assert not row.passed
+
+    def test_noise_free_model_with_a_nonzero_target_passes(self):
+        # every theta_err shrinks to 0.9**200 while the recursion carries
+        # theta_n near theta_star = 2: its rounding is relative to 2
+        model = {"kind": "bounded_factor", "abar": [[1.0]], "bbar": [2.0], "m": [[1.0]],
+                 "eta": 0.0, "sigma": 0.0}
+        rows = run(resolve(tiny_config("simulate", ns=(200,), model=model)))
+        assert all(row.passed for row in rows), [row.note for row in rows]
 
 
 def _materialized_units(cfg: ExperimentConfig) -> list[tuple]:
