@@ -24,7 +24,6 @@ import numpy as np
 from lsalab.linalg import (
     SpectralProfile,
     alpha_p_inf,
-    q_norm_mat,
     solve_riccati,
     spectral_norm,
 )
@@ -579,7 +578,7 @@ def sigma_gap_bound(
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     abar = np.asarray(abar, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    return alpha / profile.a * q_norm_mat(abar @ sigma @ abar.T, profile.q)
+    return alpha / profile.a * profile._q_norm(abar @ sigma @ abar.T)
 
 
 def subgauss_moment_bound(sigma: float, p: float, *, max_weighted: bool = False) -> float:

@@ -214,6 +214,9 @@ def _chunks(
     the chunk size keeps its words, decoded window and step temporaries in
     budget.  A caller whose step holds more than _STEP_MATRICES (d, d)
     temporaries per trajectory passes their float count as ``step_floats``.
+    The chunk's words are held only by ``steps``, which drops them when it is
+    exhausted, so a caller that runs ``steps`` to the end holds at most one
+    chunk's words at a time.
     """
     d = model.dim
     words = model.sampler._words(n, with_b)
@@ -224,8 +227,7 @@ def _chunks(
     chunk = max(1, min(4096, _CHUNK_FLOAT_BUDGET // per_traj))
     for lo in range(0, n_traj, chunk):
         hi = min(lo + chunk, n_traj)
-        u = _block_uniforms(seed, lo, hi, words)
-        yield lo, hi, model.sampler._steps(u, n, window, with_b)
+        yield lo, hi, model.sampler._steps(_block_uniforms(seed, lo, hi, words), n, window, with_b)
 
 
 def _matvec(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -432,7 +434,10 @@ def coupled_w2(
             delta = _matvec(eye - alpha * a_k, delta)
             sq[lo:hi, k] = _sq_norms(delta)
     mean = np.mean(sq, axis=0)
-    se_mean = np.std(sq, axis=0, ddof=1) / math.sqrt(n_traj)
+    # np.std(sq, axis=0, ddof=1)'s two passes, in place of a second array
+    sq -= mean
+    np.square(sq, out=sq)
+    se_mean = np.sqrt(np.sum(sq, axis=0) / (n_traj - 1)) / math.sqrt(n_traj)
     value = np.sqrt(mean)
     with np.errstate(divide="ignore", invalid="ignore"):
         std_err = np.where(mean > 0.0, se_mean / (2.0 * np.sqrt(mean)), 0.0)

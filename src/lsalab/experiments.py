@@ -51,7 +51,7 @@ from lsalab.engine import (
     stationary_horizon,
 )
 from lsalab.linalg import (
-    q_norm_mat,
+    _solve_sigma_pair,
     solve_riccati,
     solve_sigma,
     spectral_norm,
@@ -697,17 +697,18 @@ def _run_lyapunov_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     def rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
         return spectral_norm(lhs - rhs) / (1.0 + spectral_norm(rhs))
 
-    # spectral_profile already solved (and residual-checked) the Lyapunov
-    # equation; its q is the matrix solve_lyapunov(abar) returns
+    # spectral_profile already validated abar and solved (and residual-checked)
+    # the Lyapunov equation; its q is the matrix solve_lyapunov(abar) returns.
+    # Sigma's residual is its solve's own gate residual; S^alpha's is
+    # recomputed in matmul form, independently of the Kronecker form it solved.
     q = profile.q
-    sig = solve_sigma(abar, sigma_eps)
-    sig_a = solve_riccati(abar, sigma_eps, alpha)
+    _, sig_a, sig_rel = _solve_sigma_pair(profile.abar, sigma_eps, alpha)
     worst = max(
         rel(abar.T @ q + q @ abar, eye),
-        rel(abar @ sig + sig @ abar.T, sigma_eps),
+        sig_rel,
         rel(abar @ sig_a + sig_a @ abar.T - alpha * (abar @ sig_a @ abar.T), sigma_eps),
     )
-    contraction = q_norm_mat(eye - alpha * abar, profile.q) ** 2
+    contraction = profile._q_norm(eye - alpha * abar) ** 2
     contraction_cap = 1.0 - profile.a * alpha + CONTRACTION_SLACK
     return [
         _row(

@@ -9,6 +9,12 @@ Q and the asymptotic covariance Sigma (K = 0), the Riccati scale S^alpha
 dense d^2 x d^2 system (Kronecker form; ``_kron`` forms the same products as
 ``np.kron`` by one broadcast, without its per-call overhead), solves it,
 symmetrizes the result and checks it against an explicit residual tolerance.
+Validation lives at the public entries: ``solve_lyapunov``, ``solve_sigma``,
+``solve_riccati`` and ``lsalab.noise.exact_stationary_cov`` each check their
+own inputs once (finite entries, then the stepsize, then the Hurwitz
+condition), and ``_solve_stationary`` assumes an already validated ``abar``.
+``spectral_profile`` gets Q through ``solve_lyapunov`` and keeps Q's square
+root factors, so a caller holding a profile never factors Q again.
 The solve is O(d^6).  A Bartels-Stewart / Stein route in O(d^3) is deferred:
 the exact kernels E[A (x) A] of the bounded-factor and TD(0) models have no
 Stein structure, so it would be a second solver beside this one and would
@@ -22,7 +28,7 @@ unadorned norms are spectral (operator 2-) norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +59,7 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -86,34 +92,51 @@ def hurwitz_check(abar: np.ndarray, margin: float = EIG_MARGIN) -> bool:
 
 
 def _require_hurwitz(abar: np.ndarray) -> np.ndarray:
-    abar = _as_square(abar, "abar")
-    if not hurwitz_check(abar):
+    """Raise NotHurwitzError unless ``abar`` (already through ``_as_square``) is Hurwitz."""
+    eig = np.linalg.eigvals(abar)
+    if not np.min(eig.real) > EIG_MARGIN:
         raise NotHurwitzError(
-            "driving matrix has an eigenvalue with real part <= "
-            f"{EIG_MARGIN}: eigenvalues {np.linalg.eigvals(abar)}"
+            f"driving matrix has an eigenvalue with real part <= {EIG_MARGIN}: eigenvalues {eig}"
         )
     return abar
 
 
-def _check_residual(lhs: np.ndarray, rhs: np.ndarray, what: str) -> None:
+def _check_residual(lhs: np.ndarray, rhs: np.ndarray, rhs_norm: float, what: str) -> float:
+    """Gate a solve on ``||lhs - rhs||``; return ``||lhs - rhs|| / (1 + ||rhs||)``."""
     resid = spectral_norm(lhs - rhs)
-    tol = SOLVER_TOL * (1.0 + spectral_norm(rhs))
+    tol = SOLVER_TOL * (1.0 + rhs_norm)
     if not resid <= tol:
         raise SolverResidualError(f"{what}: residual {resid:.3e} exceeds {tol:.3e}")
+    return resid / (1.0 + rhs_norm)
+
+
+def _kron_sum(abar: np.ndarray) -> np.ndarray:
+    """Vectorized ``S -> abar @ S + S @ abar.T`` in numpy's row-major vec."""
+    eye = np.eye(abar.shape[0])
+    return _kron(eye, abar) + _kron(abar, eye)
 
 
 def _solve_stationary(
-    abar: np.ndarray, rhs: np.ndarray, alpha: float, kernel: np.ndarray | None, what: str
-) -> np.ndarray:
+    abar: np.ndarray,
+    rhs: np.ndarray,
+    alpha: float,
+    kernel: np.ndarray | None,
+    what: str,
+    ksum: np.ndarray | None = None,
+    rhs_norm: float | None = None,
+) -> tuple[np.ndarray, float]:
     """Solve ``abar @ S + S @ abar.T - alpha * K[S] = rhs`` for symmetric S.
 
-    ``kernel`` is K in numpy's row-major vec (``kernel @ vec(S) == vec(K[S])``),
-    read only when alpha is nonzero.
+    ``abar`` must already be validated (square, finite, Hurwitz); this is
+    only the solve, the symmetrization and the residual gate.  ``kernel`` is
+    K in numpy's row-major vec (``kernel @ vec(S) == vec(K[S])``), read only
+    when alpha is nonzero.  A caller solving several equations with the same
+    ``abar`` or ``rhs`` may pass ``_kron_sum(abar)`` as ``ksum`` and
+    ``spectral_norm(rhs)`` as ``rhs_norm``.  Returns S and the gate's
+    relative residual ``||lhs - rhs|| / (1 + ||rhs||)``.
     """
-    abar = _require_hurwitz(abar)
     d = abar.shape[0]
-    eye = np.eye(d)
-    k = _kron(eye, abar) + _kron(abar, eye)
+    k = _kron_sum(abar) if ksum is None else ksum
     if alpha:
         k = k - alpha * kernel
     s = np.linalg.solve(k, rhs.reshape(-1)).reshape(d, d)
@@ -121,8 +144,9 @@ def _solve_stationary(
     lhs = abar @ s + s @ abar.T
     if alpha:
         lhs = lhs - alpha * (kernel @ s.reshape(-1)).reshape(d, d)
-    _check_residual(lhs, rhs, what)
-    return s
+    if rhs_norm is None:
+        rhs_norm = spectral_norm(rhs)
+    return s, _check_residual(lhs, rhs, rhs_norm, what)
 
 
 def solve_lyapunov(abar: np.ndarray) -> np.ndarray:
@@ -132,8 +156,8 @@ def solve_lyapunov(abar: np.ndarray) -> np.ndarray:
     The result is the squared-norm-defining matrix of the geometry in which
     one step of the deterministic recursion is a contraction.
     """
-    abar = _as_square(abar, "abar")
-    return _solve_stationary(abar.T, np.eye(len(abar)), 0.0, None, "lyapunov solve")
+    abar = _require_hurwitz(_as_square(abar, "abar"))
+    return _solve_stationary(abar.T, np.eye(len(abar)), 0.0, None, "lyapunov solve")[0]
 
 
 def solve_sigma(abar: np.ndarray, sigma_eps: np.ndarray) -> np.ndarray:
@@ -143,7 +167,8 @@ def solve_sigma(abar: np.ndarray, sigma_eps: np.ndarray) -> np.ndarray:
     error driven by noise with covariance ``sigma_eps``.
     """
     sigma_eps = _as_square(sigma_eps, "sigma_eps")
-    return _solve_stationary(abar, sigma_eps, 0.0, None, "sigma solve")
+    abar = _require_hurwitz(_as_square(abar, "abar"))
+    return _solve_stationary(abar, sigma_eps, 0.0, None, "sigma solve")[0]
 
 
 def solve_riccati(abar: np.ndarray, sigma_eps: np.ndarray, alpha: float) -> np.ndarray:
@@ -157,7 +182,27 @@ def solve_riccati(abar: np.ndarray, sigma_eps: np.ndarray, alpha: float) -> np.n
     sigma_eps = _as_square(sigma_eps, "sigma_eps")
     if not 0.0 <= alpha:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return _solve_stationary(abar, sigma_eps, alpha, _kron(abar, abar), "riccati solve")
+    abar = _require_hurwitz(abar)
+    return _solve_stationary(abar, sigma_eps, alpha, _kron(abar, abar), "riccati solve")[0]
+
+
+def _solve_sigma_pair(
+    abar: np.ndarray, sigma_eps: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``solve_sigma`` and ``solve_riccati`` of a validated ``abar``, same bits.
+
+    The two solves share one Kronecker sum and one ``||sigma_eps||``.
+    Returns Sigma, S^alpha and Sigma's relative gate residual.
+    """
+    ksum = _kron_sum(abar)
+    rhs_norm = spectral_norm(sigma_eps)
+    sigma, sigma_rel = _solve_stationary(
+        abar, sigma_eps, 0.0, None, "sigma solve", ksum, rhs_norm
+    )
+    s_alpha, _ = _solve_stationary(
+        abar, sigma_eps, alpha, _kron(abar, abar), "riccati solve", ksum, rhs_norm
+    )
+    return sigma, s_alpha, sigma_rel
 
 
 def spd_sqrt(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,6 +241,12 @@ def q_norm_mat(m: np.ndarray, q: np.ndarray) -> float:
 class SpectralProfile:
     """Lyapunov geometry of a driving matrix, with the derived step limits.
 
+    A profile from :func:`spectral_profile` also carries the factors
+    ``spd_sqrt(q)`` of q, so q-norms against it (``_q_norm``) never factor q
+    again; a profile assembled by hand leaves them out and ``_q_norm``
+    factors q on each call.  ``dataclasses.replace`` of q would keep the old
+    factors: build a new profile instead.
+
     Attributes
     ----------
     abar : mean driving matrix.
@@ -216,6 +267,9 @@ class SpectralProfile:
     c_a: float
     b_q: float
     b_q_prime: float | None = None
+    _q_roots: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
@@ -225,6 +279,12 @@ class SpectralProfile:
     def q_norm(self) -> float:
         return spectral_norm(self.q)
 
+    def _q_norm(self, m: np.ndarray) -> float:
+        """``q_norm_mat(m, self.q)``, bit for bit, from the carried factors."""
+        m = _as_square(m, "m")
+        root, inv_root = spd_sqrt(self.q) if self._q_roots is None else self._q_roots
+        return spectral_norm(root @ m @ inv_root)
+
 
 def spectral_profile(
     abar: np.ndarray, c_a: float, c_a_prime: float | None = None
@@ -233,16 +293,17 @@ def spectral_profile(
 
     ``c_a`` must dominate ``||abar||`` (it is an almost-sure or sub-Gaussian
     scale for the random driving matrices, and the mean cannot exceed it).
+    ``solve_lyapunov`` makes the Hurwitz check, ahead of the check on ``c_a``.
     """
-    abar = _require_hurwitz(abar)
-    if not np.isfinite(c_a) or c_a < spectral_norm(abar):
-        raise ValueError(
-            f"c_a={c_a} must be finite and >= ||abar|| = {spectral_norm(abar):.6g}"
-        )
+    abar = _as_square(abar, "abar")
     q = solve_lyapunov(abar)
+    abar_norm = spectral_norm(abar)
+    if not np.isfinite(c_a) or c_a < abar_norm:
+        raise ValueError(f"c_a={c_a} must be finite and >= ||abar|| = {abar_norm:.6g}")
     q_norm = spectral_norm(q)
     a = 1.0 / (2.0 * q_norm)
-    abar_qnorm = q_norm_mat(abar, q)
+    root, inv_root = spd_sqrt(q)
+    abar_qnorm = spectral_norm(root @ abar @ inv_root)
     alpha_inf = 0.5 / (abar_qnorm**2 * q_norm)
     w = np.linalg.eigvalsh(q)
     kappa_q = float(w[-1] / w[0])
@@ -257,6 +318,7 @@ def spectral_profile(
         c_a=float(c_a),
         b_q=float(b_q),
         b_q_prime=b_q_prime,
+        _q_roots=(root, inv_root),
     )
 
 

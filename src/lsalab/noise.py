@@ -35,6 +35,7 @@ from numpy.random import Generator
 from lsalab.linalg import (
     _as_square,
     _kron,
+    _require_hurwitz,
     _solve_stationary,
     hurwitz_check,
     spectral_norm,
@@ -490,12 +491,14 @@ def exact_stationary_cov(model: LsaModel, alpha: float) -> np.ndarray:
     + alpha^2 * Sigma_eps.  Unlike the linearized stationary scale
     (``solve_riccati``, which replaces E[A . A.T] by abar . abar.T), this
     keeps the multiplicative noise exactly, so it is the true limit of
-    Var(theta_n) whenever that limit exists.  Raises when the second-moment
-    map is not a contraction at this stepsize, and, like the other
-    covariance solves, when the solution misses its residual tolerance.
+    Var(theta_n) whenever that limit exists.  Raises, like the other
+    covariance solves, when abar is not Hurwitz or the solution misses its
+    residual tolerance, and when the second-moment map is not a contraction
+    at this stepsize.
     """
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    abar = _require_hurwitz(_as_square(model.abar, "abar"))
     transfer = _second_moment_transfer(model, alpha)
     radius = float(np.max(np.abs(np.linalg.eigvals(transfer))))
     if radius >= 1.0:
@@ -504,4 +507,4 @@ def exact_stationary_cov(model: LsaModel, alpha: float) -> np.ndarray:
             f"alpha={alpha} (one-step transfer has spectral radius {radius:.6g})"
         )
     rhs = alpha * model.sigma_eps_exact
-    return _solve_stationary(model.abar, rhs, alpha, model.kernel_exact, "stationary covariance")
+    return _solve_stationary(abar, rhs, alpha, model.kernel_exact, "stationary covariance")[0]

@@ -4,6 +4,7 @@ chunking invariance, stationary sampling, and the coupled contraction curve."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -268,6 +269,32 @@ class TestFinalErrors:
         assert info.value.step >= 1
 
 
+class TestChunkMemory:
+    def test_one_chunk_of_words_alive_at_a_time(self, monkeypatch):
+        model = gm_model()
+        n, n_traj = 2000, 35
+        # 2n words, a 128-step decoded window of A and b, and 6 temporaries a
+        # trajectory: ten trajectories a chunk, so 10, 10, 10, 5
+        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 10 * (2 * n + 2 * 128 + 6))
+        word_bytes = []
+        draw = engine._block_uniforms
+
+        def spy(seed, lo, hi, n_words):
+            u = draw(seed, lo, hi, n_words)
+            word_bytes.append(u.nbytes)
+            return u
+
+        monkeypatch.setattr(engine, "_block_uniforms", spy)
+        tracemalloc.start()
+        try:
+            final_errors(model, 0.1, np.zeros(1), n, n_traj, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(word_bytes) >= 3
+        assert peak <= 1.5 * max(word_bytes), (peak, word_bytes)
+
+
 class TestMcNormMoment:
     def test_estimates_exact_product_moment(self):
         model = biased_rademacher_model(0.75)
@@ -395,6 +422,32 @@ class TestCoupling:
         tiny_value, tiny_err = coupled_w2(*args)
         assert np.array_equal(value, tiny_value)
         assert np.array_equal(std_err, tiny_err)
+
+    @pytest.mark.parametrize("maker", [gm_model, small_td])
+    def test_std_err_is_the_numpy_std_of_the_squared_norms(self, maker, monkeypatch):
+        model = maker()
+        alpha, n, n_traj, seed = 0.05, 20, 23, 35
+        delta0 = np.ones(model.dim)
+        eye = np.eye(model.dim)
+        sq = np.empty((n_traj, n + 1))  # per-trajectory reference, a batch of one
+        for j in range(n_traj):
+            a_seq, _ = model.sample_path(stream(seed, j), n)
+            delta = delta0.reshape(1, -1, 1)
+            sq[j, 0] = engine._sq_norms(delta)[0]
+            for k in range(n):
+                delta = engine._matvec((eye - alpha * a_seq[k])[None], delta)
+                sq[j, k + 1] = engine._sq_norms(delta)[0]
+        mean = np.mean(sq, axis=0)
+        se_mean = np.std(sq, axis=0, ddof=1) / math.sqrt(n_traj)
+        expected = np.where(mean > 0.0, se_mean / (2.0 * np.sqrt(mean)), 0.0)
+        # uneven chunks: 23 trajectories in chunks of 5
+        words = model.sampler._words(n, False)
+        window = 256 // (model.dim**2 + model.dim)
+        per_traj = words + window * (model.dim**2 + model.dim) + 6 * model.dim**2
+        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 5 * per_traj)
+        value, std_err = coupled_w2(model, alpha, n, delta0, np.zeros(model.dim), n_traj, seed)
+        assert std_err.tobytes() == expected.tobytes()
+        assert value.tobytes() == np.sqrt(mean).tobytes()
 
 
 class TestRademacherOracles:

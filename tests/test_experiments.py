@@ -12,6 +12,7 @@ import pytest
 
 import lsalab.engine as engine
 import lsalab.experiments as experiments
+import lsalab.linalg as linalg
 from lsalab.engine import final_errors, run_decomposed
 from lsalab.experiments import (
     EXPERIMENT_NAMES,
@@ -33,7 +34,14 @@ from lsalab.experiments import (
     validate,
     write_outputs,
 )
-from lsalab.rng import stream
+from lsalab.linalg import (
+    q_norm_mat,
+    solve_riccati,
+    solve_sigma,
+    spectral_norm,
+    spectral_profile,
+)
+from lsalab.rng import stream, uniform_open01
 
 
 def tiny_config(experiment: str, **kw) -> ExperimentConfig:
@@ -336,6 +344,83 @@ class TestSimulateUnit:
                  "eta": 0.0, "sigma": 0.0}
         rows = run(resolve(tiny_config("simulate", ns=(200,), model=model)))
         assert all(row.passed for row in rows), [row.note for row in rows]
+
+
+def _lyapunov_reference(cfg: ExperimentConfig, index: int) -> list[ResultRow]:
+    """A lyapunov unit's rows from the public solves, one call each, in order."""
+    (trial,) = _unit(cfg, index)
+    seed = (cfg.seed + index) % 2**64
+    gen = stream(seed, 0)
+    dim = 1 + trial % 8
+    g, r, w = (gen.standard_normal((dim, dim)) for _ in range(3))
+    abar = g @ g.T / dim + 0.1 * np.eye(dim) + 0.5 * (r - r.T)
+    sigma_eps = w @ w.T / dim + 0.1 * np.eye(dim)
+    profile = spectral_profile(abar, 1.5 * spectral_norm(abar))
+    alpha = float(uniform_open01(gen, 1)[0]) * profile.alpha_inf
+    eye = np.eye(dim)
+
+    def rel(lhs, rhs):
+        return spectral_norm(lhs - rhs) / (1.0 + spectral_norm(rhs))
+
+    q = profile.q
+    sig = solve_sigma(abar, sigma_eps)
+    sig_a = solve_riccati(abar, sigma_eps, alpha)
+    worst = max(
+        rel(abar.T @ q + q @ abar, eye),
+        rel(abar @ sig + sig @ abar.T, sigma_eps),
+        rel(abar @ sig_a + sig_a @ abar.T - alpha * (abar @ sig_a @ abar.T), sigma_eps),
+    )
+    contraction = q_norm_mat(eye - alpha * abar, q) ** 2
+    cap = 1.0 - profile.a * alpha + experiments.CONTRACTION_SLACK
+    tol = experiments.SOLVER_RESIDUAL_TOL
+
+    def row(check, empirical, oracle, bound, passed):
+        return ResultRow(
+            experiment="lyapunov",
+            params=(("check", check), ("trial", trial), ("dim", dim), ("alpha", alpha)),
+            empirical=empirical, std_err=0.0, oracle=oracle, bound=bound, passed=passed,
+            seed=seed,
+        )
+
+    return [
+        row("residuals", worst, 0.0, tol, worst <= tol),
+        row("contraction", contraction, None, cap, contraction <= cap),
+    ]
+
+
+class TestLyapunovUnit:
+    # 24 units: dimensions 1..8, three times each
+    CFG = resolve(tiny_config("lyapunov", n_traj=24, seed=5))
+
+    def test_rows_equal_the_public_call_reference(self):
+        for index in range(unit_count(self.CFG)):
+            expected = _lyapunov_reference(self.CFG, index)
+            rows = run_unit(self.CFG, index)
+            assert rows == expected
+            assert csv_text("lyapunov", rows) == csv_text("lyapunov", expected)
+
+    def test_per_unit_call_budget(self, monkeypatch):
+        counts: dict[str, int] = {}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("eigvals", "eigh", "svd"):
+            counting(np.linalg, name)
+        counting(linalg, "solve_lyapunov")
+        for index in range(unit_count(self.CFG)):
+            counts.clear()
+            run_unit(self.CFG, index)
+            assert counts.get("eigvals") == 1, counts
+            assert counts.get("eigh") == 1, counts
+            assert counts.get("svd", 0) <= 14, counts
+            assert counts.get("solve_lyapunov") == 1, counts
 
 
 def _materialized_units(cfg: ExperimentConfig) -> list[tuple]:

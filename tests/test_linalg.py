@@ -7,6 +7,8 @@ contraction constants are checked against their defining inequalities.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -31,6 +33,7 @@ from lsalab.linalg import (
     spectral_norm,
     spectral_profile,
 )
+from lsalab.noise import bounded_factor_model, exact_stationary_cov
 from lsalab.rng import stream
 
 
@@ -75,6 +78,51 @@ class TestSolveLyapunov:
         with pytest.raises(NotHurwitzError):
             # one eigenvalue on the imaginary axis
             solve_lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+
+def _with_abar(abar: np.ndarray):
+    """A valid scalar model whose mean driving matrix is replaced by ``abar``."""
+    model = bounded_factor_model(np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), 0.5, 1.0)
+    return dataclasses.replace(model, abar=abar)
+
+
+_UNSTABLE = np.array([[-1.0]])
+
+
+class TestEntryValidation:
+    """Each public entry validates its own input: finite, then alpha, then Hurwitz."""
+
+    @pytest.mark.parametrize("solve", [
+        solve_lyapunov,
+        lambda a: solve_sigma(a, np.eye(1)),
+        lambda a: solve_riccati(a, np.eye(1), 0.1),
+        lambda a: spectral_profile(a, c_a=1.0),
+        lambda a: spectral_profile(a, c_a=0.5),  # a too-small c_a does not mask it
+        lambda a: exact_stationary_cov(_with_abar(a), 0.1),
+    ], ids=["lyapunov", "sigma", "riccati", "profile", "profile-small-c_a", "exact-cov"])
+    def test_unstable_driving_matrix_rejected(self, solve):
+        with pytest.raises(NotHurwitzError):
+            solve(_UNSTABLE)
+
+    @pytest.mark.parametrize("solve, match", [
+        (lambda: solve_lyapunov(np.array([[np.nan]])), "abar has non-finite"),
+        (lambda: solve_sigma(np.array([[np.inf]]), np.eye(1)), "abar has non-finite"),
+        (lambda: solve_sigma(_UNSTABLE, np.array([[np.nan]])), "sigma_eps has non-finite"),
+        (lambda: solve_riccati(np.array([[np.nan]]), np.eye(1), -0.1), "abar has non-finite"),
+        (lambda: solve_riccati(_UNSTABLE, np.array([[np.inf]]), -0.1),
+         "sigma_eps has non-finite"),
+        (lambda: solve_riccati(_UNSTABLE, np.eye(1), -0.1), "alpha must be >= 0"),
+        (lambda: spectral_profile(np.array([[np.nan]]), c_a=1.0), "abar has non-finite"),
+        (lambda: spectral_profile(np.array([[0.5]]), c_a=0.4), "c_a=0.4 must be"),
+        (lambda: exact_stationary_cov(_with_abar(_UNSTABLE), -0.1), "alpha must be positive"),
+        (lambda: exact_stationary_cov(_with_abar(_UNSTABLE), np.nan), "alpha must be positive"),
+    ], ids=["lyapunov-nan", "sigma-abar-inf", "sigma-rhs-nan", "riccati-nan-before-alpha",
+            "riccati-rhs-before-alpha", "riccati-alpha-before-hurwitz", "profile-nan",
+            "profile-c_a", "exact-cov-alpha", "exact-cov-nan-alpha"])
+    def test_error_precedence(self, solve, match):
+        with pytest.raises(ValueError, match=match) as info:
+            solve()
+        assert not isinstance(info.value, NotHurwitzError)
 
 
 class TestSolveSigma:
