@@ -8,30 +8,36 @@ of ``(model, alpha, seed, j)``.  The batch routines (``final_errors``,
 lone trajectory's arithmetic (``_matvec``), and reduce per-trajectory
 statistics in trajectory order with full-array numpy operations: results are
 bit-identical however trajectories are chunked or scheduled, so rows do not
-depend on the chunk budget.  ``run_trajectory``, ``run_decomposed`` and
-``product`` are the single-trajectory references; ``run_decomposed`` and
-``_decomposed_errors`` share one seven-row step (``_decompose``).
+depend on the chunk budget.  A's law has finite support, so a batch routine
+builds its A-dependent step matrices (A, I - alpha*A, A - abar and
+(A - abar) @ theta_star) once per call, one per atom of the sampler, and
+each step gathers them by the decoded atom indices: the same numpy
+operations on the same values as a per-step computation, hence the same
+bits.  ``run_trajectory``, ``run_decomposed`` and ``product`` are the
+single-trajectory references; ``run_decomposed`` and ``_decomposed_errors``
+share one seven-row step (``_decompose``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator
 from scipy.special import logsumexp
 
 from lsalab.linalg import SpectralProfile
-from lsalab.noise import LsaModel, _second_moment_transfer, eps_noise, lyapunov_witness
+from lsalab.noise import LsaModel, _second_moment_transfer, lyapunov_witness
 from lsalab.rng import _block_uniforms, stream
 
 # A chunk's buffers stay under roughly this many floats.  Per trajectory: its
-# stream words, a window of decoded steps (~_WINDOW_FLOATS) and _STEP_MATRICES
-# (d, d) temporaries of a step (A_k, alpha*A_k, I - alpha*A_k, state, update, spare).
+# stream words, a window of decoded steps (an atom index and a b draw each,
+# ~_WINDOW_FLOATS) and _STEP_MATRICES (d, d) temporaries of a step (the
+# gathered step matrix, the state and its update).
 _CHUNK_FLOAT_BUDGET = 4_000_000
 _WINDOW_FLOATS = 256
-_STEP_MATRICES = 6
+_STEP_MATRICES = 3
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -65,7 +71,8 @@ class TrajectoryDecomposition:
     j0: linear noise accumulation driven by the mean matrix;
     j1: first-order multiplicative-noise correction;
     h1: the remainder.  The four parts sum to theta_err (validated here to
-    1e-9 relative -- they are the same arithmetic regrouped).
+    1e-9 relative -- they are the same arithmetic regrouped); ``residual``
+    is the identity's relative residual.
     """
 
     gamma_term: np.ndarray
@@ -73,23 +80,34 @@ class TrajectoryDecomposition:
     j1: np.ndarray
     h1: np.ndarray
     theta_err: np.ndarray
+    residual: float = field(init=False)
 
     def __post_init__(self):
-        resid = self._residual_norm()
-        terms = (self.theta_err, self.gamma_term, self.j0, self.j1, self.h1)
-        scale = max(*(float(np.linalg.norm(t)) for t in terms), 1e-30)
-        if resid > 1e-9 * scale:
-            raise ValueError(
-                f"decomposition identity violated: residual {resid:.3e} vs scale {scale:.3e}"
-            )
+        terms = np.stack([self.theta_err, self.gamma_term, self.h1, self.j1, self.j0])
+        object.__setattr__(self, "residual", float(_decomposition_residuals(terms[None])[0]))
 
-    @property
-    def residual(self) -> float:
-        return self._residual_norm() / max(float(np.linalg.norm(self.theta_err)), 1e-30)
 
-    def _residual_norm(self) -> float:
-        parts = self.gamma_term + self.j0 + self.j1 + self.h1
-        return float(np.linalg.norm(parts - self.theta_err))
+def _decomposition_residuals(terms: np.ndarray) -> np.ndarray:
+    """Relative residuals of theta_err = gamma_term + j0 + j1 + h1, shape (N,).
+
+    ``terms`` (N, 5, d) holds rows theta_err, gamma_term, h1, j1, j0, as
+    ``_decomposed_errors`` returns them.  Row i's residual is
+    ||gamma_term + j0 + j1 + h1 - theta_err|| / max(||theta_err||, 1e-30);
+    raises ValueError if a residual norm exceeds 1e-9 times the largest
+    norm of its row's five terms.  A NaN residual raises nothing: it fails
+    the caller's tolerance check instead.
+    """
+    theta_err, gamma_term, h1, j1, j0 = terms.transpose(1, 0, 2)[..., None]
+    resid = np.sqrt(_sq_norms(gamma_term + j0 + j1 + h1 - theta_err))
+    norms = np.sqrt(_sq_norms(terms.reshape(-1, terms.shape[2], 1))).reshape(terms.shape[:2])
+    scale = np.maximum(norms.max(axis=1), 1e-30)
+    bad = resid > 1e-9 * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"decomposition identity violated: residual {resid[i]:.3e} vs scale {scale[i]:.3e}"
+        )
+    return resid / np.maximum(norms[:, 0], 1e-30)
 
 
 def _check_run_args(model: LsaModel, alpha: float, n: int) -> None:
@@ -136,14 +154,17 @@ def run_decomposed(
     _check_run_args(model, alpha, n)
     start = _decompose_start(model, theta0)[None]
     a_seq, b_seq = model.sample_path(gen, n)
+    # a batch of one whose tables hold the path's own matrices: step k
+    # gathers entry k, with b_k of shape (1, d, 1)
+    tables = _decompose_tables(model, alpha, a_seq)
 
-    def steps():  # a batch of one: A_k (1, d, d), b_k (1, d, 1)
-        return zip(a_seq[:, None], b_seq[:, None, :, None])
+    def steps():
+        return zip(np.arange(n)[:, None], b_seq[:, None, :, None])
 
-    end = _decompose(start, steps(), model, alpha)
+    end = _decompose(start, steps(), tables, model, alpha)
     if not np.all(np.isfinite(end[0, 0])):
         # a non-finite iterate stays non-finite: re-run to name the step
-        _decompose(start, steps(), model, alpha, checked=True)
+        _decompose(start, steps(), tables, model, alpha, checked=True)
     theta_err, gamma_term, h1, j1, j0 = end[0, :5, :, 0]
     return TrajectoryDecomposition(
         gamma_term=gamma_term, j0=j0, j1=j1, h1=h1, theta_err=theta_err
@@ -163,25 +184,40 @@ def _decompose_start(model: LsaModel, theta0: np.ndarray) -> np.ndarray:
     return start
 
 
-def _decompose(state, steps, model, alpha, checked=False):
+def _decompose_tables(model, alpha, a):
+    """Per-matrix step tables of ``_decompose`` for matrices a, shape (K, d, d).
+
+    Entry i holds the stack [G, G, G, G_mean, G_mean, delta, delta], shape
+    (7, d, d), with G = I - alpha*a[i], G_mean = I - alpha*abar and
+    delta = a[i] - abar, and the drift delta @ theta_star, shape (d,).
+    """
+    eye = np.eye(model.dim)
+    stacks = np.empty((len(a), 7) + eye.shape)
+    stacks[:, 0:3] = (eye - alpha * a)[:, None]
+    stacks[:, 3:5] = eye - alpha * model.abar
+    delta = a - model.abar
+    stacks[:, 5:7] = delta[:, None]
+    return stacks, delta @ model.theta_star
+
+
+def _decompose(state, steps, tables, model, alpha, checked=False):
     """The (B, 7, d, 1) decomposition state of B trajectories after all steps.
 
-    ``steps`` yields each step's (A_k, b_k), shapes (B, d, d) and (B, d, 1).
-    A step is one stacked product of [G_k, G_k, G_k, G_mean, G_mean, delta_k,
-    delta_k] with the rows, then theta_err and j0 add alpha*eps_k, h1
+    ``steps`` yields each step's (index_k, b_k), shapes (B,) and (B, d, 1),
+    and ``tables`` (see ``_decompose_tables``) holds the step matrices that
+    index_k selects.  A step is one stacked product of [G_k, G_k, G_k,
+    G_mean, G_mean, delta_k, delta_k] with the rows, then theta_err and j0
+    add alpha*eps_k, with eps_k = (b_k - bbar) - delta_k @ theta_star, h1
     subtracts alpha*(delta_k j1) and j1 subtracts alpha*(delta_k j0).  With
     ``checked`` a non-finite theta_err raises TrajectoryBlowup at its step.
     """
-    eye = np.eye(model.dim)
-    stack = np.empty(state.shape[:2] + eye.shape)
-    stack[:, 3:5] = eye - alpha * model.abar
-    for k, (a_k, b_k) in enumerate(steps, 1):
-        stack[:, 0:3] = (eye - alpha * a_k)[:, None]
-        stack[:, 5:7] = (a_k - model.abar)[:, None]
-        p = _matvec(stack, state)
+    stacks, drifts = tables
+    for k, (index, b_k) in enumerate(steps, 1):
+        p = _matvec(stacks.take(index, axis=0), state)
         p[:, 5:7] *= alpha
         p[:, 2:4] -= p[:, 6:4:-1]
-        p[:, 0:5:4] += (alpha * eps_noise(model, a_k, b_k[..., 0]))[:, None, :, None]
+        eps = (b_k[..., 0] - model.bbar) - drifts.take(index, axis=0)
+        p[:, 0:5:4] += (alpha * eps)[:, None, :, None]
         state = p[:, _DECOMPOSE_ROWS]
         if checked and not np.all(np.isfinite(state[:, 0])):
             raise TrajectoryBlowup(step=k)
@@ -205,25 +241,39 @@ def product(model: LsaModel, alpha: float, n: int, gen: Generator) -> np.ndarray
     return gamma
 
 
+def _window(d: int) -> int:
+    """Steps decoded at a time: an atom index and a b draw of d floats each."""
+    return max(1, _WINDOW_FLOATS // (d + 1))
+
+
+def _traj_floats(model: LsaModel, n: int, with_b: bool, step_floats: int | None = None) -> int:
+    """Floats a chunk holds per trajectory: words, decoded window, step temporaries.
+
+    ``step_floats`` defaults to _STEP_MATRICES (d, d) temporaries.
+    """
+    d = model.dim
+    if step_floats is None:
+        step_floats = _STEP_MATRICES * d * d
+    return model.sampler._words(n, with_b) + _window(d) * (d + 1) + step_floats
+
+
 def _chunks(
     model: LsaModel, n: int, n_traj: int, seed: int, with_b: bool, step_floats: int | None = None
 ):
     """Yield (lo, hi, steps) for fixed chunks of trajectories lo..hi-1.
 
-    ``steps`` yields the chunk's per-step draws (see ``_LayoutSampler._steps``);
-    the chunk size keeps its words, decoded window and step temporaries in
-    budget.  A caller whose step holds more than _STEP_MATRICES (d, d)
-    temporaries per trajectory passes their float count as ``step_floats``.
-    The chunk's words are held only by ``steps``, which drops them when it is
-    exhausted, so a caller that runs ``steps`` to the end holds at most one
-    chunk's words at a time.
+    ``steps`` yields the chunk's per-step atom indices and b draws (see
+    ``_LayoutSampler._steps``); the chunk size keeps its words, decoded
+    window and step temporaries in budget (``_traj_floats``).  A caller
+    whose step holds more than _STEP_MATRICES (d, d) temporaries per
+    trajectory passes their float count as ``step_floats``.  The chunk's
+    words are held only by ``steps``, which drops them when it is exhausted,
+    so a caller that runs ``steps`` to the end holds at most one chunk's
+    words at a time.
     """
-    d = model.dim
     words = model.sampler._words(n, with_b)
-    window = max(1, _WINDOW_FLOATS // (d * d + d))
-    if step_floats is None:
-        step_floats = _STEP_MATRICES * d * d
-    per_traj = words + window * (d * d + d) + step_floats
+    window = _window(model.dim)
+    per_traj = _traj_floats(model, n, with_b, step_floats)
     chunk = max(1, min(4096, _CHUNK_FLOAT_BUDGET // per_traj))
     for lo in range(0, n_traj, chunk):
         hi = min(lo + chunk, n_traj)
@@ -255,11 +305,12 @@ def final_errors(
     _check_run_args(model, alpha, n)
     d = model.dim
     theta0 = np.asarray(theta0, dtype=float).reshape(d)
+    atoms = model.sampler.atoms
     out = np.empty((n_traj, d))
     for lo, hi, steps in _chunks(model, n, n_traj, seed, with_b=True):
         theta = np.tile(theta0[:, None], (hi - lo, 1, 1))
-        for a_k, b_k in steps:
-            theta = theta - alpha * (_matvec(a_k, theta) - b_k)
+        for index, b_k in steps:
+            theta = theta - alpha * (_matvec(atoms.take(index, axis=0), theta) - b_k)
         bad = ~np.all(np.isfinite(theta), axis=(1, 2))
         if np.any(bad):
             j = lo + int(np.argmax(bad))
@@ -284,12 +335,13 @@ def _decomposed_errors(
     _check_run_args(model, alpha, n)
     d = model.dim
     start = _decompose_start(model, theta0)
+    tables = _decompose_tables(model, alpha, model.sampler.atoms)
     out = np.empty((n_traj, 5, d))
-    # per trajectory: the (7, d, d) stack, I - alpha*A_k, alpha*A_k and
-    # A_k - abar, and three (7, d, 1) states (state, products, reordered)
-    step_floats = 10 * d * d + 21 * d
+    # per trajectory: the gathered (7, d, d) stack, three (7, d, 1) states
+    # (state, products, reordered) and the drift, eps_k and alpha*eps_k
+    step_floats = 7 * d * d + 24 * d
     for lo, hi, steps in _chunks(model, n, n_traj, seed, with_b=True, step_floats=step_floats):
-        end = _decompose(np.tile(start, (hi - lo, 1, 1, 1)), steps, model, alpha)
+        end = _decompose(np.tile(start, (hi - lo, 1, 1, 1)), steps, tables, model, alpha)
         bad = ~np.all(np.isfinite(end[:, 0]), axis=(1, 2))
         if np.any(bad):
             j = lo + int(np.argmax(bad))
@@ -327,11 +379,12 @@ def mc_norm_moment(
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
     d = model.dim
     eye = np.eye(d)
+    factors = eye - alpha * model.sampler.atoms
     x = np.empty(n_traj)
     for lo, hi, steps in _chunks(model, n, n_traj, seed, with_b=False):
         gamma = np.tile(eye, (hi - lo, 1, 1))
-        for a_k, _ in steps:
-            gamma = _matvec(eye - alpha * a_k, gamma)
+        for index, _ in steps:
+            gamma = _matvec(factors.take(index, axis=0), gamma)
         if d == 1:
             x[lo:hi] = np.abs(gamma[:, 0, 0]) ** p
         else:  # scalar powers, as for one product: numpy's array power rounds differently
@@ -418,20 +471,23 @@ def coupled_w2(
     Two copies of the recursion share every (A, b) draw, so their difference
     satisfies Delta_{k+1} = (I - alpha*A_{k+1}) Delta_k.  Returns the per-step
     estimates of E^(1/2) ||Delta_k||^2 for k = 0..n and their delta-method
-    standard errors, each of shape (n+1,).
+    standard errors, each of shape (n+1,).  The standard errors need
+    n_traj >= 2.
     """
     _check_run_args(model, alpha, n)
+    if n_traj < 2:
+        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
     d = model.dim
     delta0 = np.asarray(theta0_a, dtype=float).reshape(d) - np.asarray(
         theta0_b, dtype=float
     ).reshape(d)
-    eye = np.eye(d)
+    factors = np.eye(d) - alpha * model.sampler.atoms
     sq = np.empty((n_traj, n + 1))
     for lo, hi, steps in _chunks(model, n, n_traj, seed, with_b=False):
         delta = np.tile(delta0[:, None], (hi - lo, 1, 1))
         sq[lo:hi, 0] = _sq_norms(delta)
-        for k, (a_k, _) in enumerate(steps, 1):
-            delta = _matvec(eye - alpha * a_k, delta)
+        for k, (index, _) in enumerate(steps, 1):
+            delta = _matvec(factors.take(index, axis=0), delta)
             sq[lo:hi, k] = _sq_norms(delta)
     mean = np.mean(sq, axis=0)
     # np.std(sq, axis=0, ddof=1)'s two passes, in place of a second array

@@ -38,8 +38,8 @@ from scipy.special import ndtr
 
 from lsalab.bounds import product_moment_bound, rademacher_tail_thresholds, sigma_gap_bound
 from lsalab.engine import (
-    TrajectoryDecomposition,
     _decomposed_errors,
+    _decomposition_residuals,
     coupled_exact_sq,
     coupled_w2,
     empirical_ks,
@@ -776,12 +776,7 @@ def _run_simulate_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     theta0 = model.theta_star + 1.0
     terms = _decomposed_errors(model, alpha, theta0, n, config.n_traj, seed)
     # np.max, not max(): a NaN residual must fail the row, not be skipped
-    worst = float(np.max([
-        TrajectoryDecomposition(
-            theta_err=t[0], gamma_term=t[1], h1=t[2], j1=t[3], j0=t[4]
-        ).residual
-        for t in terms
-    ]))
+    worst = float(np.max(_decomposition_residuals(terms)))
     # The decomposition's theta_err against the recursion as written, which
     # carries theta_n and subtracts theta_star at the end.  Its rounding
     # scales with the unit's largest error or with theta_star, not with a

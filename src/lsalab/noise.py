@@ -11,11 +11,20 @@ and the kernel ``kernel_exact`` = E[kron(A_n, A_n)] -- and a sampler.  Each
 built-in sampler owns a fixed word layout: an n-step path reads the A-noise
 words of all n steps first, then all b-noise words, so a path is a pure
 function of ``(seed, stream_id, n)`` and never depends on batching or
-scheduling.  A sampler decodes open uniforms laid out that way both for one
-path (``sample_path``) and, step by step, for a block of trajectories at once
-(one row per trajectory, see ``lsalab.rng``); both apply the same elementwise
-operations in the same order, so they give the same bits.  A consumer that
-needs only the A draws reads only the A-word prefix.
+scheduling.  A consumer that needs only the A draws reads only the A-word
+prefix.
+
+Every built-in law gives A_n finite support: two values for the +-1 chains,
+two matrices ``abar -+ eta*M`` for the bounded factor and at most S^2
+rank-one matrices for TD(0) on S states.  A sampler carries these *atoms*,
+built once with the model, and decodes each step's A-words to an atom index
+with the ``u < p`` comparison or categorical lookup of ``lsalab.rng``; the
+word layout is the same as for a matrix decode.  One path
+(``sample_path``) is ``atoms[index]``; a block of trajectories at once (one
+row per trajectory, see ``lsalab.rng``) is decoded step by step to indices,
+so a batch kernel gathers whatever it needs per atom from small tables
+built from ``atoms``.  The atoms come from the same elementwise operations
+in the same order as a matrix decode, so they give the same bits.
 
 All built-in models satisfy the standing noise assumptions: ||A_n|| <= c_a
 almost surely (or with the documented sub-Gaussian scale), and ||b_n - bbar||
@@ -41,7 +50,7 @@ from lsalab.linalg import (
     spectral_norm,
     spectral_profile,
 )
-from lsalab.rng import _categorical, _normals, _signs, uniform_open01
+from lsalab.rng import _categorical, _coins, _normals, uniform_open01
 
 # Power-iteration controls for the stationary law of the finite-state chain.
 STATIONARY_TOL = 1e-12
@@ -49,6 +58,9 @@ STATIONARY_MAX_ITERS = 10**6
 
 
 class PathSampler(Protocol):
+    # the finite support of A, shape (K, d, d); step draws index it
+    atoms: np.ndarray
+
     def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Draw (A_1..A_n, b_1..b_n) with shapes (n, d, d) and (n, d)."""
 
@@ -56,35 +68,42 @@ class PathSampler(Protocol):
         """Words per trajectory of an n-step path: all, or the A-word prefix."""
 
     def _steps(self, u: np.ndarray, n: int, window: int, with_b: bool):
-        """Per-step draws of a block of n-step paths, one row of u each."""
+        """Per-step atom indices and b draws of a block of n-step paths, one row of u each."""
 
 
 class _LayoutSampler:
     """Path and block decoding shared by the built-in samplers.
 
-    A sampler's ``_decode_a(u, n, k)`` maps open uniforms u, one row of
-    words per trajectory, to the A draws of step k (an index or a slice of
-    steps), shape (B, [steps,] d, d); ``_decode_b`` gives the b draws,
-    shape (B, [steps,] d), and needs all the words, not only the A prefix.
+    A sampler's ``_a_index(u, n, k)`` maps open uniforms u, one row of words
+    per trajectory, to the indices into ``atoms`` of the A draws of step k
+    (an index or a slice of steps), shape (B, [steps]); ``_decode_b`` gives
+    the b draws, shape (B, [steps,] d), and needs all the words, not only
+    the A prefix.  The word layout is that of a matrix decode.
     """
+
+    atoms: np.ndarray
 
     def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         u = uniform_open01(gen, (1, self._words(n, with_b=True)))
         every = slice(None)
         return self._decode_a(u, n, every)[0], self._decode_b(u, n, every)[0]
 
-    def _steps(self, u: np.ndarray, n: int, window: int, with_b: bool):
-        """Yield (A_k, b_k), shapes (B, d, d) and (B, d, 1), for k = 0..n-1.
+    def _decode_a(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
+        """The A draws of step k, shape (B, [steps,] d, d)."""
+        return self.atoms[self._a_index(u, n, k)]
 
-        b_k is None unless with_b.  Draws are decoded a window of steps at a
-        time.
+    def _steps(self, u: np.ndarray, n: int, window: int, with_b: bool):
+        """Yield (index_k, b_k), shapes (B,) and (B, d, 1), for k = 0..n-1.
+
+        A_k of row i is ``atoms[index_k[i]]``; b_k is None unless with_b.
+        Draws are decoded a window of steps at a time.
         """
         for k0 in range(0, n, window):
             ks = slice(k0, min(k0 + window, n))
-            a = self._decode_a(u, n, ks)
+            index = self._a_index(u, n, ks)
             b = self._decode_b(u, n, ks)[..., None] if with_b else None
-            for i in range(a.shape[1]):
-                yield a[:, i], None if b is None else b[:, i]
+            for i in range(index.shape[1]):
+                yield index[:, i], None if b is None else b[:, i]
 
 
 @dataclass(frozen=True)
@@ -158,15 +177,21 @@ def eps_subgauss_const(model: LsaModel) -> float:
 # ---------------------------------------------------------------------------
 
 
+# A = -1 (index 0) or +1 (index 1, with probability q_a)
+_SIGN_ATOMS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
+_SIGN_ATOMS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class _BiasedRademacherSampler(_LayoutSampler):
     q_a: float
+    atoms = _SIGN_ATOMS
 
     def _words(self, n: int, with_b: bool) -> int:
         return n
 
-    def _decode_a(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        return _signs(u[:, :n][:, k], self.q_a)[..., None, None]
+    def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
+        return _coins(u[:, :n][:, k], self.q_a)
 
     def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
         return np.zeros(u[:, :n][:, k].shape + (1,))
@@ -206,12 +231,13 @@ def biased_rademacher_model(q_a: float) -> LsaModel:
 class _RademacherGaussianSampler(_LayoutSampler):
     q_a: float
     sigma: float
+    atoms = _SIGN_ATOMS
 
     def _words(self, n: int, with_b: bool) -> int:
         return 2 * n if with_b else n
 
-    def _decode_a(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        return _signs(u[:, :n][:, k], self.q_a)[..., None, None]
+    def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
+        return _coins(u[:, :n][:, k], self.q_a)
 
     def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
         return (self.sigma * _normals(u[:, n:][:, k]))[..., None]
@@ -250,13 +276,18 @@ class _BoundedFactorSampler(_LayoutSampler):
     m: np.ndarray
     eta: float
     sigma: float
+    atoms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # zeta = -1 (index 0) or +1 (index 1), each with probability 1/2
+        zeta = _SIGN_ATOMS[:, 0, 0]
+        object.__setattr__(self, "atoms", self.abar + (self.eta * zeta)[:, None, None] * self.m)
 
     def _words(self, n: int, with_b: bool) -> int:
         return n + n * self.abar.shape[0] if with_b else n
 
-    def _decode_a(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        zeta = _signs(u[:, :n][:, k], 0.5)
-        return self.abar + self.eta * zeta[..., None, None] * self.m
+    def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
+        return _coins(u[:, :n][:, k], 0.5)
 
     def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
         g = _normals(u[:, n:].reshape(len(u), n, self.abar.shape[0])[:, k])
@@ -355,12 +386,21 @@ class _TdZeroSampler(_LayoutSampler):
     gamma: float
     pi_cdf: np.ndarray
     p_cdf: np.ndarray
+    atoms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # atom x * S + x' is phi(x) (phi(x) - gamma phi(x'))^T, for every pair
+        # of states: the clamp in _a_index can pick a successor of probability 0
+        s = self.pi_cdf.size
+        f = self.phi[np.repeat(np.arange(s), s)]
+        f_next = self.phi[np.tile(np.arange(s), s)]
+        object.__setattr__(self, "atoms", f[:, :, None] * (f - self.gamma * f_next)[:, None, :])
 
     def _words(self, n: int, with_b: bool) -> int:
         # A needs both the state words and the successor words
         return 2 * n
 
-    def _decode_a(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
+    def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
         x = _categorical(u[:, :n][:, k], self.pi_cdf)
         u_next = u[:, n:][:, k]
         # the successor counts the entries of row x of p_cdf below u_next,
@@ -368,11 +408,8 @@ class _TdZeroSampler(_LayoutSampler):
         x_next = np.zeros(x.shape, dtype=np.intp)
         for column in self.p_cdf.T:
             x_next += u_next > column[x]
-        x_next = np.minimum(x_next, self.pi_cdf.size - 1)
-        f = self.phi[x]
-        f_next = self.phi[x_next]
-        # rank-one outer products phi(x) (phi(x) - gamma phi(x'))^T, one per step
-        return f[..., :, None] * (f - self.gamma * f_next)[..., None, :]
+        s = self.pi_cdf.size
+        return x * s + np.minimum(x_next, s - 1)
 
     def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
         x = _categorical(u[:, :n][:, k], self.pi_cdf)

@@ -195,6 +195,29 @@ class TestDecomposedErrors:
             assert (info.value.trajectory, info.value.step) == expected
 
 
+class TestDecompositionResiduals:
+    @pytest.mark.parametrize("maker", [gm_model, d2_model, d8_model])
+    def test_rows_are_the_bytes_of_per_row_norms(self, maker):
+        model = maker()
+        terms = engine._decomposed_errors(model, 0.05, model.theta_star + 1.0, 30, 40, 42)
+        expected = []
+        for theta_err, gamma_term, h1, j1, j0 in terms:
+            resid = float(np.linalg.norm(gamma_term + j0 + j1 + h1 - theta_err))
+            expected.append(resid / max(float(np.linalg.norm(theta_err)), 1e-30))
+        residuals = engine._decomposition_residuals(terms)
+        assert residuals.tobytes() == np.array(expected).tobytes()
+
+    def test_violated_identity_raises_and_nan_passes_through(self):
+        terms = np.zeros((3, 5, 2))
+        terms[:, 0] = terms[:, 1] = 1.0  # theta_err = gamma_term: residual 0
+        terms[1, 2, 0] = math.nan
+        residuals = engine._decomposition_residuals(terms)
+        assert residuals[0] == residuals[2] == 0.0 and math.isnan(residuals[1])
+        terms[2, 4, 1] = 1e-3
+        with pytest.raises(ValueError, match="identity violated: residual 1.000e-03"):
+            engine._decomposition_residuals(terms)
+
+
 class TestProduct:
     def test_pure_product_drives_noise_free_error(self):
         # with b = 0 and theta* = 0, theta_n = Gamma_{1:n} theta_0
@@ -273,9 +296,9 @@ class TestChunkMemory:
     def test_one_chunk_of_words_alive_at_a_time(self, monkeypatch):
         model = gm_model()
         n, n_traj = 2000, 35
-        # 2n words, a 128-step decoded window of A and b, and 6 temporaries a
-        # trajectory: ten trajectories a chunk, so 10, 10, 10, 5
-        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 10 * (2 * n + 2 * 128 + 6))
+        # ten trajectories a chunk, so 10, 10, 10, 5
+        budget = 10 * engine._traj_floats(model, n, with_b=True)
+        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
         word_bytes = []
         draw = engine._block_uniforms
 
@@ -441,13 +464,18 @@ class TestCoupling:
         se_mean = np.std(sq, axis=0, ddof=1) / math.sqrt(n_traj)
         expected = np.where(mean > 0.0, se_mean / (2.0 * np.sqrt(mean)), 0.0)
         # uneven chunks: 23 trajectories in chunks of 5
-        words = model.sampler._words(n, False)
-        window = 256 // (model.dim**2 + model.dim)
-        per_traj = words + window * (model.dim**2 + model.dim) + 6 * model.dim**2
+        per_traj = engine._traj_floats(model, n, with_b=False)
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 5 * per_traj)
         value, std_err = coupled_w2(model, alpha, n, delta0, np.zeros(model.dim), n_traj, seed)
         assert std_err.tobytes() == expected.tobytes()
         assert value.tobytes() == np.sqrt(mean).tobytes()
+
+    @pytest.mark.parametrize("n_traj", [0, 1])
+    def test_rejects_fewer_than_two_trajectories(self, n_traj):
+        # one trajectory has no sample standard error; none has no mean
+        model = gm_model()
+        with pytest.raises(ValueError, match="n_traj"):
+            coupled_w2(model, 0.1, 10, np.ones(1), np.zeros(1), n_traj, 0)
 
 
 class TestRademacherOracles:

@@ -364,3 +364,60 @@ class TestWordLayout:
                 assert np.array_equal(sampler._decode_a(full, n, k)[j - 2], a_seq[k])
                 assert np.array_equal(sampler._decode_a(prefix, n, k)[j - 2], a_seq[k])
                 assert np.array_equal(sampler._decode_b(full, n, k)[j - 2], b_seq[k])
+
+
+def _banded_factor(d):
+    band = np.diag(np.ones(d - 1), 1)
+    return bounded_factor_model(
+        np.eye(d) + 0.25 * (band - band.T), np.ones(d), 0.5 * np.eye(d) + 0.25 * (band + band.T),
+        0.5, 1.0,
+    )
+
+
+def _closed_form_a(model, u, n):
+    """A draws of every step, shape (B, n, d, d), decoded as matrices from the words."""
+    sampler = model.sampler
+    if model.name in ("biased_rademacher", "rademacher_gaussian"):
+        return ((u[:, :n] < sampler.q_a) * 2.0 - 1.0)[..., None, None]
+    if model.name == "bounded_factor":
+        zeta = (u[:, :n] < 0.5) * 2.0 - 1.0
+        return sampler.abar + sampler.eta * zeta[..., None, None] * sampler.m
+    s = sampler.pi_cdf.size
+    x = np.minimum(np.searchsorted(sampler.pi_cdf, u[:, :n], side="left"), s - 1)
+    x_next = np.minimum((u[:, n:, None] > sampler.p_cdf[x]).sum(axis=-1), s - 1)
+    f, f_next = sampler.phi[x], sampler.phi[x_next]
+    return f[..., :, None] * (f - sampler.gamma * f_next)[..., None, :]
+
+
+class TestAtoms:
+    @pytest.mark.parametrize("make", [
+        lambda: biased_rademacher_model(0.75),
+        lambda: rademacher_gaussian_model(0.7, 1.3),
+        lambda: bounded_factor_model(np.array([[0.9]]), np.ones(1), np.array([[0.7]]), 0.3, 1.0),
+        lambda: _banded_factor(3),
+        lambda: _banded_factor(8),
+        three_state_td,
+    ])
+    def test_atoms_at_the_decoded_index_are_the_closed_form_draws(self, make):
+        model = make()
+        n = 40
+        u = _block_uniforms(13, 0, 25, model.sampler._words(n, with_b=False))
+        index = model.sampler._a_index(u, n, slice(None))
+        expected = _closed_form_a(model, u, n)
+        assert model.sampler.atoms[index].tobytes() == expected.tobytes()
+        assert model.sampler._decode_a(u, n, slice(None)).tobytes() == expected.tobytes()
+
+    def test_td_atoms_cover_a_clamped_successor_of_probability_zero(self):
+        # row 0's cumulative sum ends at 1 - 2^-53, below the largest open
+        # uniform 1 - 2^-54, so that uniform counts past every column and the
+        # clamp picks state 3, which row 0 reaches with probability 0
+        p = np.array([[0.7, 0.2, 0.1, 0.0], [0.25] * 4, [0.25] * 4, [0.25] * 4])
+        phi = np.array([[1.0, 0.0], [0.5, 1.0], [-0.5, 0.5], [2.0, -1.0]])
+        model = td_zero_model(p, np.ones(4), phi, gamma=0.9)
+        assert model.sampler.p_cdf[0, -1] < 1.0 - 2.0**-54
+        u = np.array([[0.01, 1.0 - 2.0**-54]])  # state 0, then successor words
+        index = model.sampler._a_index(u, 1, slice(None))
+        assert index.tolist() == [[0 * 4 + 3]]
+        expected = _closed_form_a(model, u, 1)
+        assert model.sampler._decode_a(u, 1, slice(None)).tobytes() == expected.tobytes()
+        assert np.array_equal(expected[0, 0], np.outer(phi[0], phi[0] - 0.9 * phi[3]))
