@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator
-from scipy.special import logsumexp
 
-from lsalab.linalg import SpectralProfile
+from lsalab.linalg import SpectralProfile, _logsumexp
 from lsalab.noise import LsaModel, _second_moment_transfer, lyapunov_witness
 from lsalab.rng import _block_uniforms, stream
 
@@ -543,7 +542,7 @@ def rademacher_exact_moment(q_a: float, alpha: float, p: float, n: int) -> float
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if n < 0 or p <= 0.0:
         raise ValueError(f"need n >= 0 and p > 0, got n={n}, p={p}")
-    log_base = logsumexp(
+    log_base = _logsumexp(
         [math.log(q_a) + p * math.log1p(-alpha), math.log1p(-q_a) + p * math.log1p(alpha)]
     )
     return float(np.exp(n * log_base))

@@ -74,6 +74,28 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(sv[0]) if sv.size else 0.0
 
 
+def _logsumexp(a) -> float:
+    """log(sum(exp(a))) of a non-empty real 1-D array.
+
+    The steps of ``scipy.special.logsumexp`` (scipy 1.17) for real input
+    without weights, so the result is the same bits without its import cost:
+    the maxima are split out of the shifted sum and counted, and where that
+    is not finite the direct ``log(sum(exp(a)))`` is the result.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a)
+        top = a == a_max
+        m = np.sum(top, dtype=float)
+        s = np.sum(np.exp(np.where(top, -np.inf, a) - a_max))
+        if s != 0:
+            s = s / m
+        out = np.log1p(s) + np.log(m) + a_max
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``np.kron`` of two matrices: the same products, by one broadcast."""
     return (x[:, None, :, None] * y[None, :, None, :]).reshape(

@@ -27,13 +27,20 @@ consumption pattern can change between library versions, so the mapping from
 counters to variates is a fixed pure function; the private ``_coins``,
 ``_signs``, ``_normals`` and ``_categorical`` maps apply it to uniforms
 already drawn.
+
+``scipy.special`` costs about 0.3 s and 20 MiB to import, and a run that draws
+no Gaussian never needs it, so it is not imported with this module.
+``_special`` loads it on first use; ``lsalab.experiments.validate`` calls it
+for an experiment that decodes Gaussians (or, in clt, evaluates the normal
+CDF), so the import comes before the run and pool workers inherit it.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 _U64 = np.uint64
 _SHIFT = _U64(11)
@@ -92,8 +99,16 @@ def _open01(top: np.ndarray) -> np.ndarray:
     return top
 
 
+@cache
+def _special():
+    """The ``scipy.special`` module, imported on the first call."""
+    import scipy.special
+
+    return scipy.special
+
+
 def _normals(u: np.ndarray) -> np.ndarray:
-    return ndtri(u)
+    return _special().ndtri(u)
 
 
 def _coins(u: np.ndarray, p_plus: float) -> np.ndarray:

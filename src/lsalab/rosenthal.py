@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
-from lsalab.linalg import SpectralProfile, alpha_p_inf
+from lsalab.linalg import SpectralProfile, _logsumexp, alpha_p_inf
 
 # Bisection targets: the root is polished until the equation residual
 # |lhs - rhs| falls below this.
@@ -524,7 +523,7 @@ def rosenthal_bound(inputs: RosenthalInputs, constants: RosenthalConstants) -> f
     )
     if not logs:
         return 0.0
-    return float(math.exp(logsumexp(np.array(logs))))
+    return math.exp(_logsumexp(logs))
 
 
 # ---------------------------------------------------------------------------

@@ -159,13 +159,66 @@ class TestOverridesAndOutputs:
         assert results[1] == results[8]
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats costs about a second of cold start and the CLI needs none of it
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
     src = str(Path(lsalab.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, lsalab.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of cold start and the CLI needs none of it
+    code = "import sys, lsalab.cli; print('scipy.stats' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+def test_cli_import_loads_no_scipy_module():
+    # scipy.special alone is about 0.3 s of cold start
+    code = "import sys, lsalab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _fresh_python(code) == "[]"
+
+
+# Whether scipy.special is loaded when experiments.run is entered and after
+# the CLI returns, as JSON on the last line of output.
+_SPECIAL_PROBE = """
+import json, sys
+import lsalab.cli as cli
+
+seen = {}
+inner = cli.run
+
+def run(config):
+    seen["at_run"] = "scipy.special" in sys.modules
+    return inner(config)
+
+cli.run = run
+seen["code"] = cli.main(sys.argv[1:])
+seen["after"] = "scipy.special" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize(
+    "experiment, fields, needs_special",
+    [
+        ("lyapunov", dict(n_traj=3), True),
+        ("simulate", dict(alphas=[0.1], ns=[20], n_traj=20), True),
+        ("clt", dict(alphas=[0.1], n_traj=200), True),
+        ("bounds", dict(alphas=[0.1], ns=[10], ps=[2.0], n_traj=200), False),
+        ("wasserstein", dict(alphas=[0.1], ns=[20], n_traj=50), False),
+        ("rosenthal", dict(alphas=[0.25], qs=[2], rhos=[0.5], n_traj=3), False),
+    ],
+)
+def test_scipy_special_loads_before_run_only_where_used(
+    tmp_path, experiment, fields, needs_special
+):
+    cfg = write_config(tmp_path, out=str(tmp_path / "out"), **fields)
+    out = _fresh_python(_SPECIAL_PROBE, experiment, "--config", cfg)
+    seen = json.loads(out.splitlines()[-1])
+    assert seen["code"] in (0, 3)
+    assert seen["at_run"] is needs_special
+    assert seen["after"] is needs_special

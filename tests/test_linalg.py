@@ -12,7 +12,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+import scipy.special
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +22,7 @@ from lsalab.linalg import (
     NotSpdError,
     SolverResidualError,
     _kron,
+    _logsumexp,
     alpha_p_inf,
     hurwitz_check,
     q_norm_mat,
@@ -247,6 +249,31 @@ class TestFastHelpersAreBitIdentical:
         fast = _kron(x, y)
         assert fast.shape == np.kron(x, y).shape
         assert fast.tobytes() == np.kron(x, y).tobytes()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-800.0, 800.0),
+                st.sampled_from([-np.inf, np.inf, np.nan, 0.0, -0.0]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(0, 7),
+    )
+    @example([-np.inf] * 3, 0)
+    @example([-np.inf, 1.5, -np.inf], 0)
+    @example([np.inf, 1.5], 0)
+    @example([np.nan, 1.5], 0)
+    @example([0.3, 1.5, -2.0, 1.5], 0)
+    @settings(max_examples=400, deadline=None)
+    def test_logsumexp_is_scipy_logsumexp(self, entries, ties):
+        a = np.array(entries)
+        a[:ties] = np.max(a)  # the first entries tie at the maximum
+        with np.errstate(all="ignore"):
+            expected = np.float64(scipy.special.logsumexp(a))
+        got = np.float64(_logsumexp(a))
+        assert (np.isnan(got) and np.isnan(expected)) or got.tobytes() == expected.tobytes()
 
 
 @st.composite
