@@ -1,5 +1,10 @@
 """Experiment drivers: validated configs, grid fan-out, rows with verdicts.
 
+Each experiment is one record in ``_EXPERIMENTS``: its parameter columns,
+default grids and model, its unit plan, the parameters of each unit's rows,
+its runner and its validation hook.  Adding an experiment means adding a
+record and a runner; the driver reads everything else from the table.
+
 Each experiment orders its parameter grid into work units.  Unit i's
 descriptor is computed arithmetically from ``(config, i)`` (a mixed-radix
 digit split over the grid axes), never by enumerating the grid, so a run
@@ -25,10 +30,12 @@ only and appears in neither format.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -77,88 +84,7 @@ from lsalab.rosenthal import (
     v_geometric_constants,
 )
 
-EXPERIMENT_NAMES = (
-    "lyapunov",
-    "bounds",
-    "simulate",
-    "rademacher",
-    "clt",
-    "wasserstein",
-    "rosenthal",
-)
-
-# Fixed parameter-column order per experiment; blanks render as empty cells.
-PARAM_KEYS = {
-    "lyapunov": ("check", "trial", "dim", "alpha"),
-    "bounds": ("alpha", "n", "p"),
-    "simulate": ("alpha", "n"),
-    "rademacher": ("q_a", "alpha", "n", "delta", "side"),
-    "clt": ("check", "alpha"),
-    "wasserstein": ("alpha", "n"),
-    "rosenthal": ("check", "q", "u", "rho", "alpha", "trial"),
-}
-
 _CSV_TAIL = ("empirical", "std_err", "oracle", "bound", "pass", "seed")
-
-# Experiments whose units call into scipy.special: Gaussian draws (lyapunov's
-# random matrices, simulate's and clt's b noise) and clt's normal CDF.
-# validate loads it for them; every other run never imports it.
-_SPECIAL_EXPERIMENTS = frozenset({"lyapunov", "simulate", "clt"})
-
-# Grid fields each experiment actually consumes; supplying any other grid is
-# a config error rather than a silent ignore.
-_USED_GRIDS = {
-    "lyapunov": (),
-    "bounds": ("alphas", "ns", "ps"),
-    "simulate": ("alphas", "ns"),
-    "rademacher": ("alphas", "ns", "deltas"),
-    "clt": ("alphas",),
-    "wasserstein": ("alphas", "ns"),
-    "rosenthal": ("alphas", "qs", "rhos"),
-}
-
-_DEFAULT_GRIDS = {
-    "lyapunov": {},
-    "bounds": {"alphas": (0.1,), "ns": (10, 50, 200), "ps": (2.0,)},
-    "simulate": {"alphas": (0.1, 0.05), "ns": (200,)},
-    "rademacher": {"alphas": (0.1,), "ns": (400, 1000), "deltas": (0.1, 0.05)},
-    "clt": {"alphas": (0.1, 0.05)},
-    "wasserstein": {"alphas": (0.1,), "ns": (50, 100, 200)},
-    "rosenthal": {"alphas": (0.25, 0.9), "qs": (2, 3, 4), "rhos": (0.5,)},
-}
-
-_DEFAULT_MODEL = {
-    "lyapunov": None,
-    "bounds": {"kind": "biased_rademacher", "q_a": 0.75},
-    "rademacher": {"kind": "biased_rademacher", "q_a": 0.75},
-    "wasserstein": {"kind": "biased_rademacher", "q_a": 0.75},
-    "simulate": {
-        "kind": "bounded_factor",
-        "abar": [[1.0]],
-        "bbar": [0.0],
-        "m": [[1.0]],
-        "eta": 0.5,
-        "sigma": 1.0,
-    },
-    "clt": {
-        "kind": "bounded_factor",
-        "abar": [[1.0]],
-        "bbar": [0.0],
-        "m": [[1.0]],
-        "eta": 0.5,
-        "sigma": 1.0,
-    },
-    "rosenthal": {
-        "kind": "drift",
-        "lambda": 0.52,
-        "b": 0.1,
-        "m": 5,
-        "epsilon": 0.1,
-        "d_level": 9.0,
-        "abar": 1.0,
-        "c_a": 1.0,
-    },
-}
 
 # Verdict tolerances that are properties of the checks themselves (not of the
 # Monte Carlo noise, which se_mult scales).
@@ -240,6 +166,16 @@ class ResultRow:
 
 _GRID_FIELDS = ("alphas", "ns", "deltas", "ps", "qs", "rhos")
 _INT_GRIDS = ("ns", "qs")
+
+# What every entry of each grid must satisfy, whichever experiment reads it.
+_GRID_WINDOWS = {
+    "alphas": ("must be positive and finite", lambda v: math.isfinite(v) and v > 0.0),
+    "ns": ("must be >= 0", lambda v: v >= 0),
+    "deltas": ("must lie in (0, 1)", lambda v: math.isfinite(v) and 0.0 < v < 1.0),
+    "ps": ("must be >= 2", lambda v: math.isfinite(v) and v >= 2.0),
+    "qs": ("must be >= 2", lambda v: v >= 2),
+    "rhos": ("must lie in (0, 1)", lambda v: math.isfinite(v) and 0.0 < v < 1.0),
+}
 
 
 def _coerce_int(value) -> int:
@@ -328,15 +264,14 @@ def resolve(config: ExperimentConfig) -> ExperimentConfig:
     Unknown experiment names resolve trivially so that validation can
     report them.
     """
-    if config.experiment not in EXPERIMENT_NAMES:
+    exp = _EXPERIMENTS.get(config.experiment)
+    if exp is None:
         return config
-    updates: dict = {}
-    grid_defaults = _DEFAULT_GRIDS[config.experiment]
-    for name in _GRID_FIELDS:
-        if getattr(config, name) is None:
-            updates[name] = grid_defaults.get(name, ())
-    if config.model is None and _DEFAULT_MODEL[config.experiment] is not None:
-        updates["model"] = dict(_DEFAULT_MODEL[config.experiment])
+    updates: dict = {
+        name: exp.grids.get(name, ()) for name in _GRID_FIELDS if getattr(config, name) is None
+    }
+    if config.model is None and exp.model is not None:
+        updates["model"] = dict(exp.model)
     return replace(config, **updates) if updates else config
 
 
@@ -399,7 +334,8 @@ def validate(config: ExperimentConfig) -> list[str]:
     can be fixed in one pass.
     """
     errors: list[str] = []
-    if config.experiment not in EXPERIMENT_NAMES:
+    exp = _EXPERIMENTS.get(config.experiment)
+    if exp is None:
         errors.append(
             f"unknown experiment {config.experiment!r}; expected one of "
             + ", ".join(EXPERIMENT_NAMES)
@@ -420,130 +356,131 @@ def validate(config: ExperimentConfig) -> list[str]:
     if not config.out:
         errors.append("out must be a non-empty path prefix")
 
-    used = _USED_GRIDS[config.experiment]
+    # a grid or model the experiment does not read is an error, not a silent
+    # ignore
     for name in _GRID_FIELDS:
         grid = getattr(config, name)
         if grid is None:
             errors.append(f"{name} is unresolved; pass the config through resolve()")
-            continue
-        if name not in used and grid:
+        elif grid and name not in exp.grids:
             errors.append(f"{config.experiment} takes no {name} grid")
-    alphas = config.alphas or ()
-    ns = config.ns or ()
-    deltas = config.deltas or ()
-    ps = config.ps or ()
-    qs = config.qs or ()
-    rhos = config.rhos or ()
-    for i, al in enumerate(alphas):
-        if not (math.isfinite(al) and al > 0.0):
-            errors.append(f"alphas[{i}] must be positive and finite, got {al}")
-    for i, n in enumerate(ns):
-        if n < 0:
-            errors.append(f"ns[{i}] must be >= 0, got {n}")
-    for i, d in enumerate(deltas):
-        if not (math.isfinite(d) and 0.0 < d < 1.0):
-            errors.append(f"deltas[{i}] must lie in (0, 1), got {d}")
-    for i, p in enumerate(ps):
-        if not (math.isfinite(p) and p >= 2.0):
-            errors.append(f"ps[{i}] must be >= 2, got {p}")
-    for i, q in enumerate(qs):
-        if q < 2:
-            errors.append(f"qs[{i}] must be >= 2, got {q}")
-    for i, r in enumerate(rhos):
-        if not (math.isfinite(r) and 0.0 < r < 1.0):
-            errors.append(f"rhos[{i}] must lie in (0, 1), got {r}")
+    if exp.model is None and config.model is not None:
+        errors.append(f"{config.experiment} takes no model")
+    for name, (window, inside) in _GRID_WINDOWS.items():
+        for i, value in enumerate(getattr(config, name) or ()):
+            if not inside(value):
+                errors.append(f"{name}[{i}] {window}, got {value}")
     if errors:
         # Broken scalars or grid entries make the per-point checks below
         # meaningless; report what we have.
         return errors
-    if config.experiment in _SPECIAL_EXPERIMENTS:
+    if exp.special:
         # load it here, so the CLI pays for it before the timed run and a
         # pool's workers fork with it instead of each importing it
         _special()
+    if exp.check is not None:
+        exp.check(config, errors)
+    return errors
 
-    if config.experiment == "lyapunov":
-        return errors
 
-    if config.experiment == "rosenthal":
-        try:
-            spec = _drift_spec(config.model)
-        except (TypeError, ValueError) as exc:
-            errors.append(str(exc))
-            return errors
-        try:
-            v_geometric_constants(
-                spec["lambda"], spec["b"], spec["m"], spec["epsilon"], spec["d_level"]
-            )
-        except ValueError as exc:
-            errors.append(f"drift constants: {exc}")
-        try:
-            profile = spectral_profile(np.array([[spec["abar"]]]), spec["c_a"])
-        except ValueError as exc:
-            errors.append(f"drift model mean matrix: {exc}")
-            profile = None
-        for i, al in enumerate(alphas):
-            if not al < 1.0:
-                errors.append(f"alphas[{i}]={al}: interpolation exponent needs alpha < 1")
-            elif profile is not None:
-                try:
-                    contraction_horizon(profile, al, spec["epsilon"])
-                except ValueError as exc:
-                    errors.append(f"alphas[{i}]={al}: {exc}")
-        for i, q in enumerate(qs):
-            try:
-                b_uq_exact(1, q, 0.5)
-            except ValueError as exc:
-                errors.append(f"qs[{i}]={q}: {exc}")
-        return errors
+def _checked_model(
+    config: ExperimentConfig, errors: list[str], two_point: bool = False
+) -> LsaModel | None:
+    """The config's model, or None with the reason appended to ``errors``.
 
+    Any positive stepsize suits simulate and wasserstein, which use this as
+    their whole check: the residual identity is scale-free and the coupled
+    curve oracle is exact for all alpha; instability shows up in the rows.
+    """
     try:
         model = _build_model(config.model)
     except ValueError as exc:
         errors.append(str(exc))
-        return errors
-
-    if config.experiment in ("bounds", "rademacher") and model.name != "biased_rademacher":
+        return None
+    if two_point and model.name != "biased_rademacher":
         errors.append(
             f"{config.experiment} needs the two-point factor model with exact "
             f"closed-form oracles (kind biased_rademacher), got {model.name}"
         )
-        return errors
+        return None
+    return model
 
-    if config.experiment == "bounds":
-        profile = lyapunov_witness(model)
-        for (i, al), (j, p) in itertools.product(enumerate(alphas), enumerate(ps)):
+
+def _check_bounds(config: ExperimentConfig, errors: list[str]) -> None:
+    model = _checked_model(config, errors, two_point=True)
+    if model is None:
+        return
+    profile = lyapunov_witness(model)
+    for (i, al), (j, p) in itertools.product(enumerate(config.alphas), enumerate(config.ps)):
+        try:
+            product_moment_bound(profile, p, p, al, 0)
+        except ValueError as exc:
+            errors.append(f"alphas[{i}]={al}, ps[{j}]={p}: {exc}")
+
+
+def _check_rademacher(config: ExperimentConfig, errors: list[str]) -> None:
+    if _checked_model(config, errors, two_point=True) is None:
+        return
+    q_a = config.model["q_a"]
+    for (i, al), (j, n), (k, d) in itertools.product(
+        enumerate(config.alphas), enumerate(config.ns), enumerate(config.deltas)
+    ):
+        for side in ("upper", "lower"):
             try:
-                product_moment_bound(profile, p, p, al, 0)
+                rademacher_tail_thresholds(q_a, al, n, d, side)
             except ValueError as exc:
-                errors.append(f"alphas[{i}]={al}, ps[{j}]={p}: {exc}")
-    elif config.experiment == "rademacher":
-        q_a = config.model["q_a"]
-        for (i, al), (j, n), (k, d) in itertools.product(
-            enumerate(alphas), enumerate(ns), enumerate(deltas)
-        ):
-            for side in ("upper", "lower"):
-                try:
-                    rademacher_tail_thresholds(q_a, al, n, d, side)
-                except ValueError as exc:
-                    errors.append(
-                        f"alphas[{i}]={al}, ns[{j}]={n}, deltas[{k}]={d}, {side}: {exc}"
-                    )
-    elif config.experiment == "clt":
-        if model.dim != 1:
-            errors.append(f"clt needs a one-dimensional model, got dim={model.dim}")
-        else:
-            profile = lyapunov_witness(model)
-            tol = 1e-8 * (1.0 + float(np.linalg.norm(model.theta_star)))
-            for i, al in enumerate(alphas):
-                try:
-                    exact_stationary_cov(model, al)
-                    stationary_horizon(profile, al, tol, model.dim)
-                except ValueError as exc:
-                    errors.append(f"alphas[{i}]={al}: {exc}")
-    # simulate and wasserstein accept any positive stepsize: the residual
-    # identity is scale-free and the coupled curve oracle is exact for all
-    # alpha; instability simply shows up in the rows.
-    return errors
+                errors.append(
+                    f"alphas[{i}]={al}, ns[{j}]={n}, deltas[{k}]={d}, {side}: {exc}"
+                )
+
+
+def _check_clt(config: ExperimentConfig, errors: list[str]) -> None:
+    model = _checked_model(config, errors)
+    if model is None:
+        return
+    if model.dim != 1:
+        errors.append(f"clt needs a one-dimensional model, got dim={model.dim}")
+        return
+    profile = lyapunov_witness(model)
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(model.theta_star)))
+    for i, al in enumerate(config.alphas):
+        try:
+            exact_stationary_cov(model, al)
+            stationary_horizon(profile, al, tol, model.dim)
+        except ValueError as exc:
+            errors.append(f"alphas[{i}]={al}: {exc}")
+
+
+def _check_rosenthal(config: ExperimentConfig, errors: list[str]) -> None:
+    try:
+        spec = _drift_spec(config.model)
+    except (TypeError, ValueError) as exc:
+        errors.append(str(exc))
+        return
+    try:
+        v_geometric_constants(
+            spec["lambda"], spec["b"], spec["m"], spec["epsilon"], spec["d_level"]
+        )
+    except ValueError as exc:
+        errors.append(f"drift constants: {exc}")
+    try:
+        profile = spectral_profile(np.array([[spec["abar"]]]), spec["c_a"])
+    except ValueError as exc:
+        errors.append(f"drift model mean matrix: {exc}")
+        profile = None
+    for i, al in enumerate(config.alphas):
+        if not al < 1.0:
+            errors.append(f"alphas[{i}]={al}: interpolation exponent needs alpha < 1")
+        elif profile is not None:
+            try:
+                contraction_horizon(profile, al, spec["epsilon"])
+            except ValueError as exc:
+                errors.append(f"alphas[{i}]={al}: {exc}")
+    for i, q in enumerate(config.qs):
+        try:
+            b_uq_exact(1, q, 0.5)
+        except ValueError as exc:
+            errors.append(f"qs[{i}]={q}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -555,48 +492,31 @@ def _unit_seed(config: ExperimentConfig, index: int) -> int:
     return (config.seed + index) % 2**64
 
 
-# Grid axes of the experiments whose units are the points of a Cartesian
-# product, in itertools.product order (last axis fastest).
-_UNIT_AXES = {
-    "bounds": ("alphas", "ns", "ps"),
-    "simulate": ("alphas", "ns"),
-    "rademacher": ("alphas", "ns", "deltas"),
-    "clt": ("alphas",),
-    "wasserstein": ("alphas",),
-}
+@functools.lru_cache(maxsize=16)
+def _rosenthal_head(qs: tuple, rhos: tuple, alphas: tuple) -> tuple[tuple, ...]:
+    """The closed-form units that precede the n_traj ``bsum`` trials.
 
-
-def _grid_axes(config: ExperimentConfig) -> list[tuple]:
-    axes = [getattr(config, name) for name in _UNIT_AXES[config.experiment]]
-    if config.experiment == "wasserstein" and not config.ns:
-        # one unit emits the rows of every n, so no ns means no units
-        axes[0] = ()
-    return axes
-
-
-def _rosenthal_head(config: ExperimentConfig) -> list[tuple]:
-    """The closed-form units that precede the n_traj ``bsum`` trials."""
-    head: list[tuple] = [
-        ("buq", q, u, rho) for q in config.qs for u in range(1, q) for rho in config.rhos
-    ]
-    head += [("count", q, u) for q in config.qs for u in range(1, q)]
-    for al in config.alphas:
+    Cached, because every unit of a run plans from it.
+    """
+    head: list[tuple] = [("buq", q, u, rho) for q in qs for u in range(1, q) for rho in rhos]
+    head += [("count", q, u) for q in qs for u in range(1, q)]
+    for al in alphas:
         head += [("delta_root", al), ("horizon", al)]
-    return head
+    return tuple(head)
+
+
+def _plan(config: ExperimentConfig) -> tuple[tuple, tuple, int]:
+    """The head units, the unit axes and the unit count of a resolved config."""
+    exp = _EXPERIMENTS.get(config.experiment)
+    if exp is None:
+        raise ValueError(f"unknown experiment {config.experiment!r}")
+    head, axes = exp.head(config), exp.axes(config)
+    return head, axes, len(head) + math.prod(map(len, axes))
 
 
 def unit_count(config: ExperimentConfig) -> int:
     """Number of work units of a resolved config."""
-    exp = config.experiment
-    if exp == "lyapunov":
-        return config.n_traj
-    if exp == "rosenthal":
-        # len(_rosenthal_head(config)), without building it
-        per_q = sum(q - 1 for q in config.qs)
-        return per_q * (len(config.rhos) + 1) + 2 * len(config.alphas) + config.n_traj
-    if exp in _UNIT_AXES:
-        return math.prod(len(axis) for axis in _grid_axes(config))
-    raise ValueError(f"unknown experiment {exp!r}")
+    return _plan(config)[2]
 
 
 def _unit(config: ExperimentConfig, index: int) -> tuple:
@@ -605,55 +525,17 @@ def _unit(config: ExperimentConfig, index: int) -> tuple:
     Computed arithmetically, without enumerating the other units, so a run
     of N units plans in O(N) rather than O(N^2).
     """
-    count = unit_count(config)
+    head, axes, count = _plan(config)
     if not 0 <= index < count:
         raise IndexError(f"unit index {index} out of range for {config.experiment}")
-    exp = config.experiment
-    if exp == "lyapunov":
-        return (index,)
-    if exp == "rosenthal":
-        n_head = count - config.n_traj
-        return _rosenthal_head(config)[index] if index < n_head else ("bsum", index - n_head)
+    if index < len(head):
+        return head[index]
+    index -= len(head)
     point = []
-    for axis in reversed(_grid_axes(config)):
+    for axis in reversed(axes):
         index, k = divmod(index, len(axis))
         point.append(axis[k])
     return tuple(reversed(point))
-
-
-def _planned_params(config: ExperimentConfig, index: int) -> list[tuple]:
-    """Parameter tuples the unit would emit, for failure rows."""
-    exp = config.experiment
-    unit = _unit(config, index)
-    if exp == "lyapunov":
-        (trial,) = unit
-        dim = 1 + trial % _LYAPUNOV_MAX_DIM
-        return [("residuals", trial, dim, math.nan), ("contraction", trial, dim, math.nan)]
-    if exp in ("bounds", "simulate"):
-        return [unit]
-    if exp == "rademacher":
-        al, n, d = unit
-        q_a = config.model["q_a"]
-        return [(q_a, al, n, d, "upper"), (q_a, al, n, d, "lower")]
-    if exp == "clt":
-        (al,) = unit
-        return [("variance", al), ("gap", al), ("ks", al)]
-    if exp == "wasserstein":
-        (al,) = unit
-        return [(al, n) for n in config.ns]
-    if exp == "rosenthal":
-        kind = unit[0]
-        blank: dict = {"q": "", "u": "", "rho": "", "alpha": "", "trial": ""}
-        if kind == "buq":
-            blank.update(q=unit[1], u=unit[2], rho=unit[3])
-        elif kind == "count":
-            blank.update(q=unit[1], u=unit[2])
-        elif kind in ("delta_root", "horizon"):
-            blank.update(alpha=unit[1])
-        else:
-            blank.update(trial=unit[1])
-        return [(kind, blank["q"], blank["u"], blank["rho"], blank["alpha"], blank["trial"])]
-    raise ValueError(f"unknown experiment {exp!r}")
 
 
 def _row(
@@ -686,9 +568,15 @@ def _dominates(value: float, bound: float) -> bool:
     return value <= bound * (1.0 + DOMINANCE_REL_SLACK)
 
 
-def _run_lyapunov_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    (trial,) = _unit(config, index)
-    seed = _unit_seed(config, index)
+def _lyapunov_params(config: ExperimentConfig, unit: tuple) -> list[tuple]:
+    # alpha is drawn inside the unit, so the failure rows leave it nan
+    (trial,) = unit
+    dim = 1 + trial % _LYAPUNOV_MAX_DIM
+    return [("residuals", trial, dim, math.nan), ("contraction", trial, dim, math.nan)]
+
+
+def _run_lyapunov_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+    (trial,) = unit
     gen = stream(seed, 0)
     dim = 1 + trial % _LYAPUNOV_MAX_DIM
     g, r, w = (normal_inverse_cdf(gen, (dim, dim)) for _ in range(3))
@@ -741,9 +629,8 @@ def _run_lyapunov_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     ]
 
 
-def _run_bounds_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    alpha, n, p = _unit(config, index)
-    seed = _unit_seed(config, index)
+def _run_bounds_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+    alpha, n, p = unit
     model = _build_model(config.model)
     profile = lyapunov_witness(model)
     q_a = config.model["q_a"]
@@ -757,7 +644,7 @@ def _run_bounds_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     return [
         _row(
             config,
-            (alpha, n, p),
+            unit,
             empirical=mc.value,
             std_err=mc.std_err,
             oracle=oracle,
@@ -768,7 +655,7 @@ def _run_bounds_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     ]
 
 
-def _run_simulate_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
+def _run_simulate_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
     """One (alpha, n) row over n_traj decomposed trajectories.
 
     ``empirical`` is the worst relative residual of the identity
@@ -777,8 +664,7 @@ def _run_simulate_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     written, on the same streams) relative to the unit's error scale, are
     both within DECOMPOSITION_TOL.
     """
-    alpha, n = _unit(config, index)
-    seed = _unit_seed(config, index)
+    alpha, n = unit
     model = _build_model(config.model)
     theta0 = model.theta_star + 1.0
     terms = _decomposed_errors(model, alpha, theta0, n, config.n_traj, seed)
@@ -800,7 +686,7 @@ def _run_simulate_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     return [
         _row(
             config,
-            (alpha, n),
+            unit,
             empirical=worst,
             std_err=0.0,
             oracle=0.0,
@@ -812,19 +698,21 @@ def _run_simulate_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     ]
 
 
-def _run_rademacher_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    alpha, n, delta = _unit(config, index)
-    seed = _unit_seed(config, index)
-    q_a = config.model["q_a"]
+def _rademacher_params(config: ExperimentConfig, unit: tuple) -> list[tuple]:
+    return [(config.model["q_a"], *unit, side) for side in ("upper", "lower")]
+
+
+def _run_rademacher_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
     rows = []
-    for side in ("upper", "lower"):
+    for params in _rademacher_params(config, unit):
+        q_a, alpha, n, delta, side = params
         t = rademacher_tail_thresholds(q_a, alpha, n, delta, side)
         tail = rademacher_exact_tail(q_a, alpha, n, t)
         passed = tail <= delta if side == "upper" else tail >= delta
         rows.append(
             _row(
                 config,
-                (q_a, alpha, n, delta, side),
+                params,
                 empirical=tail,
                 std_err=0.0,
                 oracle=delta,
@@ -836,9 +724,8 @@ def _run_rademacher_unit(config: ExperimentConfig, index: int) -> list[ResultRow
     return rows
 
 
-def _run_clt_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    (alpha,) = _unit(config, index)
-    seed = _unit_seed(config, index)
+def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+    (alpha,) = unit
     model = _build_model(config.model)
     profile = lyapunov_witness(model)
     samples = sample_stationary(model, alpha, config.n_traj, seed, profile=profile)
@@ -893,9 +780,8 @@ def _run_clt_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     ]
 
 
-def _run_wasserstein_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    (alpha,) = _unit(config, index)
-    seed = _unit_seed(config, index)
+def _run_wasserstein_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+    (alpha,) = unit
     model = _build_model(config.model)
     theta_a = model.theta_star + 1.0
     theta_b = model.theta_star - 1.0
@@ -938,44 +824,42 @@ def _count_compositions(total: int, parts: int) -> int:
     return table[total]
 
 
-def _run_rosenthal_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    unit = _unit(config, index)
-    seed = _unit_seed(config, index)
-    (params,) = _planned_params(config, index)
+# The columns each kind of rosenthal unit fills after "check"; the rest of
+# its row stays blank.
+_ROSENTHAL_COLUMNS = {
+    "buq": ("q", "u", "rho"),
+    "count": ("q", "u"),
+    "delta_root": ("alpha",),
+    "horizon": ("alpha",),
+    "bsum": ("trial",),
+}
+
+
+def _rosenthal_params(config: ExperimentConfig, unit: tuple) -> list[tuple]:
+    kind, *values = unit
+    cells = dict.fromkeys(PARAM_KEYS["rosenthal"][1:], "")
+    cells.update(zip(_ROSENTHAL_COLUMNS[kind], values))
+    return [(kind, *cells.values())]
+
+
+def _run_rosenthal_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+    (params,) = _rosenthal_params(config, unit)
     kind = unit[0]
     if kind == "buq":
         _, q, u, rho = unit
         exact = b_uq_exact(u, q, rho)
         upper = b_uq_upper(u, q, rho)
-        return [
-            _row(
-                config,
-                params,
-                empirical=exact,
-                std_err=0.0,
-                oracle=None,
-                bound=upper,
-                passed=_dominates(exact, upper),
-                seed=seed,
-            )
-        ]
-    if kind == "count":
+        verdict = dict(
+            empirical=exact, oracle=None, bound=upper, passed=_dominates(exact, upper)
+        )
+    elif kind == "count":
         _, q, u = unit
         brute = _count_compositions(2 * q - u, u)
         closed = composition_count(u, q)
-        return [
-            _row(
-                config,
-                params,
-                empirical=float(brute),
-                std_err=0.0,
-                oracle=float(closed),
-                bound=None,
-                passed=brute == closed,
-                seed=seed,
-            )
-        ]
-    if kind == "delta_root":
+        verdict = dict(
+            empirical=float(brute), oracle=float(closed), bound=None, passed=brute == closed
+        )
+    elif kind == "delta_root":
         _, alpha = unit
         spec = _drift_spec(config.model)
         constants = v_geometric_constants(
@@ -983,43 +867,28 @@ def _run_rosenthal_unit(config: ExperimentConfig, index: int) -> list[ResultRow]
         )
         full = attach_wasserstein(constants, alpha, c_a=spec["c_a"])
         if full.delta_alpha is None:
-            return [
-                _row(
-                    config,
-                    params,
-                    empirical=math.nan,
-                    std_err=0.0,
-                    oracle=0.0,
-                    bound=ROOT_RESIDUAL_TOL,
-                    passed=True,
-                    seed=seed,
-                    note="no positive root; contraction rates undefined at this alpha",
-                )
-            ]
-        delta = full.delta_alpha
-        eps = spec["epsilon"]
-        lhs = (1.0 - eps) ** ((1.0 - alpha) / alpha) * (
-            constants.lambda_bar_m + constants.b_m + delta
-        ) / (1.0 + delta)
-        rhs = (constants.lambda_bar_m * constants.d_bar + delta) / (
-            constants.d_bar + delta
-        )
-        residual = abs(lhs - rhs)
-        passed = residual <= ROOT_RESIDUAL_TOL and 0.0 < full.rho_alpha < 1.0
-        return [
-            _row(
-                config,
-                params,
+            verdict = dict(
+                empirical=math.nan,
+                passed=True,
+                note="no positive root; contraction rates undefined at this alpha",
+            )
+        else:
+            delta = full.delta_alpha
+            eps = spec["epsilon"]
+            lhs = (1.0 - eps) ** ((1.0 - alpha) / alpha) * (
+                constants.lambda_bar_m + constants.b_m + delta
+            ) / (1.0 + delta)
+            rhs = (constants.lambda_bar_m * constants.d_bar + delta) / (
+                constants.d_bar + delta
+            )
+            residual = abs(lhs - rhs)
+            verdict = dict(
                 empirical=residual,
-                std_err=0.0,
-                oracle=0.0,
-                bound=ROOT_RESIDUAL_TOL,
-                passed=passed,
-                seed=seed,
+                passed=residual <= ROOT_RESIDUAL_TOL and 0.0 < full.rho_alpha < 1.0,
                 note=f"delta_alpha={delta:.9g}, rho_alpha={full.rho_alpha:.9g}",
             )
-        ]
-    if kind == "horizon":
+        verdict.update(oracle=0.0, bound=ROOT_RESIDUAL_TOL)
+    elif kind == "horizon":
         _, alpha = unit
         spec = _drift_spec(config.model)
         profile = spectral_profile(np.array([[spec["abar"]]]), spec["c_a"])
@@ -1028,21 +897,14 @@ def _run_rosenthal_unit(config: ExperimentConfig, index: int) -> list[ResultRow]
         reached = profile.kappa_q * rate ** (m_h / 2.0)
         target = 1.0 - spec["epsilon"]
         minimal = m_h == 1 or profile.kappa_q * rate ** ((m_h - 1) / 2.0) > target
-        return [
-            _row(
-                config,
-                params,
-                empirical=reached,
-                std_err=0.0,
-                oracle=None,
-                bound=target,
-                passed=reached <= target and minimal,
-                seed=seed,
-                note=f"horizon={m_h}",
-            )
-        ]
-    if kind == "bsum":
-        _, trial = unit
+        verdict = dict(
+            empirical=reached,
+            oracle=None,
+            bound=target,
+            passed=reached <= target and minimal,
+            note=f"horizon={m_h}",
+        )
+    else:  # bsum
         gen = stream(seed, 0)
         draws = uniform_open01(gen, 3)
         length = 5 + int(draws[0] * 60.0)
@@ -1051,30 +913,138 @@ def _run_rosenthal_unit(config: ExperimentConfig, index: int) -> list[ResultRow]
         decay = 0.8 + 0.2 * uniform_open01(gen, length - 1)
         steps = start * np.concatenate(([1.0], np.cumprod(decay)))
         residual = geometric_sum_check(steps, a_val)
-        return [
-            _row(
-                config,
-                params,
-                empirical=residual,
-                std_err=0.0,
-                oracle=0.0,
-                bound=GEOMETRIC_SUM_TOL,
-                passed=residual <= GEOMETRIC_SUM_TOL,
-                seed=seed,
-            )
-        ]
-    raise ValueError(f"unknown rosenthal unit kind {kind!r}")
+        verdict = dict(
+            empirical=residual,
+            oracle=0.0,
+            bound=GEOMETRIC_SUM_TOL,
+            passed=residual <= GEOMETRIC_SUM_TOL,
+        )
+    return [_row(config, params, std_err=0.0, seed=seed, **verdict)]
 
 
-_DISPATCH = {
-    "lyapunov": _run_lyapunov_unit,
-    "bounds": _run_bounds_unit,
-    "simulate": _run_simulate_unit,
-    "rademacher": _run_rademacher_unit,
-    "clt": _run_clt_unit,
-    "wasserstein": _run_wasserstein_unit,
-    "rosenthal": _run_rosenthal_unit,
+# ---------------------------------------------------------------------------
+# The experiments.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """Everything the driver knows about one experiment.
+
+    ``keys`` is the fixed parameter-column order; blanks render as empty
+    cells.  ``grids`` holds the default of every grid the experiment reads,
+    and ``model`` its default model, or None if it takes none; a config that
+    supplies anything else is rejected.  ``special`` marks experiments whose
+    units call into scipy.special, which validate loads for them and every
+    other run never imports.
+
+    The units of a run are the descriptors ``head(config)`` followed by the
+    points of the product of the sequences ``axes(config)``, last axis
+    fastest.  ``params(config, unit)`` gives the parameter tuples of the
+    unit's rows, which its failure rows carry when ``runner(config, unit,
+    seed)`` raises.  ``check(config, errors)`` appends the per-point
+    problems of a config whose fields are otherwise valid.
+
+    Records hold private functions only: a public lsalab function stored
+    here would escape the rebinding of module-level names that tracing uses.
+    """
+
+    keys: tuple[str, ...]
+    grids: dict
+    model: dict | None
+    special: bool
+    axes: Callable[[ExperimentConfig], tuple]
+    params: Callable[[ExperimentConfig, tuple], list[tuple]]
+    runner: Callable[[ExperimentConfig, tuple, int], list[ResultRow]]
+    check: Callable[[ExperimentConfig, list[str]], object] | None = None
+    head: Callable[[ExperimentConfig], tuple] = lambda config: ()
+
+
+_TWO_POINT = {"kind": "biased_rademacher", "q_a": 0.75}
+_SCALAR_FACTOR = {
+    "kind": "bounded_factor", "abar": [[1.0]], "bbar": [0.0], "m": [[1.0]],
+    "eta": 0.5, "sigma": 1.0,
 }
+
+_EXPERIMENTS = {
+    "lyapunov": _Experiment(
+        keys=("check", "trial", "dim", "alpha"),
+        grids={},
+        model=None,
+        special=True,  # Gaussian random matrices
+        axes=lambda c: (range(c.n_traj),),
+        params=_lyapunov_params,
+        runner=_run_lyapunov_unit,
+    ),
+    "bounds": _Experiment(
+        keys=("alpha", "n", "p"),
+        grids={"alphas": (0.1,), "ns": (10, 50, 200), "ps": (2.0,)},
+        model=_TWO_POINT,
+        special=False,
+        axes=lambda c: (c.alphas, c.ns, c.ps),
+        params=lambda c, unit: [unit],
+        runner=_run_bounds_unit,
+        check=_check_bounds,
+    ),
+    "simulate": _Experiment(
+        keys=("alpha", "n"),
+        grids={"alphas": (0.1, 0.05), "ns": (200,)},
+        model=_SCALAR_FACTOR,
+        special=True,  # Gaussian b noise
+        axes=lambda c: (c.alphas, c.ns),
+        params=lambda c, unit: [unit],
+        runner=_run_simulate_unit,
+        check=_checked_model,
+    ),
+    "rademacher": _Experiment(
+        keys=("q_a", "alpha", "n", "delta", "side"),
+        grids={"alphas": (0.1,), "ns": (400, 1000), "deltas": (0.1, 0.05)},
+        model=_TWO_POINT,
+        special=False,
+        axes=lambda c: (c.alphas, c.ns, c.deltas),
+        params=_rademacher_params,
+        runner=_run_rademacher_unit,
+        check=_check_rademacher,
+    ),
+    "clt": _Experiment(
+        keys=("check", "alpha"),
+        grids={"alphas": (0.1, 0.05)},
+        model=_SCALAR_FACTOR,
+        special=True,  # Gaussian b noise and the normal CDF
+        axes=lambda c: (c.alphas,),
+        params=lambda c, unit: [(check, *unit) for check in ("variance", "gap", "ks")],
+        runner=_run_clt_unit,
+        check=_check_clt,
+    ),
+    "wasserstein": _Experiment(
+        keys=("alpha", "n"),
+        grids={"alphas": (0.1,), "ns": (50, 100, 200)},
+        model=_TWO_POINT,
+        special=False,
+        # one unit emits the rows of every n, so no ns means no units
+        axes=lambda c: (c.alphas if c.ns else (),),
+        params=lambda c, unit: [(*unit, n) for n in c.ns],
+        runner=_run_wasserstein_unit,
+        check=_checked_model,
+    ),
+    "rosenthal": _Experiment(
+        keys=("check", "q", "u", "rho", "alpha", "trial"),
+        grids={"alphas": (0.25, 0.9), "qs": (2, 3, 4), "rhos": (0.5,)},
+        model={
+            "kind": "drift", "lambda": 0.52, "b": 0.1, "m": 5, "epsilon": 0.1,
+            "d_level": 9.0, "abar": 1.0, "c_a": 1.0,
+        },
+        special=False,
+        head=lambda c: _rosenthal_head(tuple(c.qs), tuple(c.rhos), tuple(c.alphas)),
+        axes=lambda c: (("bsum",), range(c.n_traj)),
+        params=_rosenthal_params,
+        runner=_run_rosenthal_unit,
+        check=_check_rosenthal,
+    ),
+}
+
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
+PARAM_KEYS = {name: exp.keys for name, exp in _EXPERIMENTS.items()}
 
 
 def run_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
@@ -1084,10 +1054,12 @@ def run_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     (simulation blow-up, solver failure) must be reported as a failing row
     while the rest of the run continues.
     """
+    unit = _unit(config, index)
+    seed = _unit_seed(config, index)
+    exp = _EXPERIMENTS[config.experiment]
     try:
-        return _DISPATCH[config.experiment](config, index)
+        return exp.runner(config, unit, seed)
     except Exception as exc:  # noqa: BLE001 - unit failures become rows
-        seed = _unit_seed(config, index)
         return [
             _row(
                 config,
@@ -1100,7 +1072,7 @@ def run_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
                 seed=seed,
                 note=f"{type(exc).__name__}: {exc}",
             )
-            for params in _planned_params(config, index)
+            for params in exp.params(config, unit)
         ]
 
 
@@ -1116,13 +1088,15 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     if errors:
         raise ConfigError(errors)
     count = unit_count(cfg)
-    if cfg.workers <= 1 or count <= 1:
+    # a pool forks all its workers at once, so never more than there are units
+    workers = min(cfg.workers, count)
+    if workers <= 1:
         units = [run_unit(cfg, i) for i in range(count)]
     else:
         # contiguous chunks, about four per worker, amortize the pool's
         # per-task round trip; map still returns units in index order
-        chunksize = max(1, count // (4 * cfg.workers))
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        chunksize = max(1, count // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             units = list(pool.map(run_unit, repeat(cfg), range(count), chunksize=chunksize))
     return [row for unit in units for row in unit]
 
@@ -1182,12 +1156,7 @@ def config_hash(config: ExperimentConfig) -> str:
     payload = {
         "experiment": cfg.experiment,
         "model": cfg.model,
-        "alphas": list(cfg.alphas or ()),
-        "ns": list(cfg.ns or ()),
-        "deltas": list(cfg.deltas or ()),
-        "ps": list(cfg.ps or ()),
-        "qs": list(cfg.qs or ()),
-        "rhos": list(cfg.rhos or ()),
+        **{name: list(getattr(cfg, name) or ()) for name in _GRID_FIELDS},
         "n_traj": cfg.n_traj,
         "seed": cfg.seed,
         "se_mult": cfg.se_mult,

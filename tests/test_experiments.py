@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,7 +158,11 @@ class TestValidate:
 
     def test_unused_grid_is_an_error(self):
         cfg = resolve(tiny_config("clt", ns=(5,)))
-        assert any("does not use" in e or "ns" in e for e in validate(cfg))
+        assert "clt takes no ns grid" in validate(cfg)
+
+    def test_model_is_an_error_where_none_is_taken(self):
+        cfg = resolve(ExperimentConfig(experiment="lyapunov", model={"kind": "martian"}))
+        assert validate(cfg) == ["lyapunov takes no model"]
 
     def test_grid_element_windows(self):
         cfg = resolve(tiny_config("bounds", alphas=(-0.1,), ps=(1.0,)))
@@ -275,6 +280,33 @@ class TestRun:
             assert len(serial) == (41 if cfg.experiment == "rosenthal" else 58)
             assert run(ExperimentConfig(**{**cfg.__dict__, "workers": workers})) == serial
 
+    def test_pool_never_outnumbers_the_units(self, monkeypatch):
+        # a fork pool starts all of its workers at the first submit
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        cfg = ExperimentConfig(experiment="rademacher", seed=2)
+        serial = run(cfg)
+        assert started == []
+        for workers, pool_size in ((64, 4), (3, 3), (4, 4)):
+            assert run(replace(cfg, workers=workers)) == serial
+            assert started[-1] == pool_size
+        run(ExperimentConfig(experiment="lyapunov", n_traj=3, workers=8))
+        assert started[-1] == 3
+
     def test_last_unit_of_a_huge_run_plans_in_constant_space(self):
         # materializing this grid would need tens of GiB; the descriptor of
         # its last unit is arithmetic
@@ -283,6 +315,44 @@ class TestRun:
         assert row.param_dict["check"] == "bsum"
         assert row.param_dict["trial"] == 10**9 - 1
         assert row.passed, row.note
+
+
+# Small configs of several units, covering every kind of row.
+_FAILING = {
+    "lyapunov": dict(n_traj=3),
+    "bounds": dict(alphas=(0.1,), ns=(10, 20), ps=(2.0, 3.0), n_traj=20),
+    "simulate": dict(alphas=(0.1, 0.05), ns=(20,), n_traj=5),
+    "rademacher": dict(alphas=(0.1,), ns=(400, 1000), deltas=(0.1,)),
+    "clt": dict(alphas=(0.1, 0.05), n_traj=20),
+    "wasserstein": dict(alphas=(0.1, 0.05), ns=(20, 30), n_traj=10),
+    "rosenthal": dict(alphas=(0.25, 0.9), qs=(2, 3), rhos=(0.5, 0.25), n_traj=2),
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_failure_rows_carry_the_success_rows_params(name, monkeypatch):
+    cfg = resolve(ExperimentConfig(experiment=name, seed=3, **_FAILING[name]))
+    succeeded = [run_unit(cfg, index) for index in range(unit_count(cfg))]
+
+    def broken(config, unit, seed):
+        raise RuntimeError("forced")
+
+    record = experiments._EXPERIMENTS[name]
+    monkeypatch.setitem(experiments._EXPERIMENTS, name, replace(record, runner=broken))
+    for index, rows in enumerate(succeeded):
+        failed = run_unit(cfg, index)
+        assert len(failed) == len(rows)
+        for ok, bad in zip(rows, failed):
+            assert (bad.passed, bad.oracle, bad.bound, bad.seed) == (False, None, None, ok.seed)
+            assert math.isnan(bad.empirical) and math.isnan(bad.std_err)
+            assert bad.note == "RuntimeError: forced"
+            assert [key for key, _ in bad.params] == [key for key, _ in ok.params]
+            expected, seen = ok.param_dict, bad.param_dict
+            if name == "lyapunov":
+                # alpha is drawn inside the unit, so a failed unit has none
+                assert math.isnan(seen.pop("alpha"))
+                expected.pop("alpha")
+            assert seen == expected
 
 
 _D2_FACTOR = {
@@ -567,6 +637,22 @@ class TestConfigHash:
         assert config_hash(base) != config_hash(
             ExperimentConfig(**{**base.__dict__, "alphas": (0.05,)})
         )
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("lyapunov", "4b72193dbdf1809210f0ed8415f20727d8005c1977ca8f442a3f2e7090d38414"),
+            ("bounds", "b16562e76d6a1a6aeb4715cbdd64f301e02d15d85fd444f82c208ce7af730a3d"),
+            ("simulate", "2da70dec1886b840c9841e0ee686c37e4ed691c501578c7dd791c4198306c258"),
+            ("rademacher", "b3e18ae3296fd16d8b0aa0f4548dd75ff6a95687a5b4c06917f65d918c6c5d76"),
+            ("clt", "664598c4b7e8a80a0052a96ce3991b9cdf7c8ad76e763add9a3e47356cd2043f"),
+            ("wasserstein", "f7bbcb74eb7c4e0c746b1cf9dd87811244545fc8e65f6c25359b1f714c7ef67e"),
+            ("rosenthal", "93580dd1e3810f46258d0dc0233a330a917ccac4dbd438e3a92dfe85f1ec0e93"),
+        ],
+    )
+    def test_default_config_hashes_are_pinned(self, name, digest):
+        # reruns are matched across machines and versions by this digest
+        assert config_hash(ExperimentConfig(experiment=name)) == digest
 
     def test_equals_resolved_hash(self):
         sparse = ExperimentConfig(experiment="rademacher")
