@@ -10,6 +10,8 @@ constants), and cross-checks empirical behaviour against exact oracles at
 desk scale.
 """
 
+from types import ModuleType as _ModuleType
+
 from lsalab.linalg import (
     SpectralProfile,
     hurwitz_check,
@@ -18,8 +20,6 @@ from lsalab.linalg import (
     solve_riccati,
     spectral_profile,
     alpha_p_inf,
-    schatten_norm,
-    q_norm_vec,
     q_norm_mat,
 )
 from lsalab.rng import stream, uniform_open01, normal_inverse_cdf
@@ -30,11 +30,7 @@ from lsalab.noise import (
     rademacher_gaussian_model,
     bounded_factor_model,
     td_zero_model,
-    sample_pair,
-    eps_noise,
-    sigma_eps,
     eps_subgauss_const,
-    second_moment_kernel,
     exact_stationary_cov,
     lyapunov_witness,
 )
@@ -55,7 +51,6 @@ from lsalab.engine import (
     rademacher_exact_moment,
     rademacher_exact_tail,
     empirical_quantile,
-    empirical_w2,
     empirical_ks,
 )
 from lsalab.bounds import (
@@ -68,8 +63,6 @@ from lsalab.bounds import (
     j1_h1_bounds,
     composite_hp_bound,
     sigma_gap_bound,
-    subgauss_moment_bound,
-    max_term_bound,
     rademacher_bounds,
     rademacher_tail_thresholds,
 )
@@ -81,7 +74,6 @@ from lsalab.rosenthal import (
     attach_wasserstein,
     wasserstein_rates,
     contraction_horizon,
-    drift_constants,
     b_uq_exact,
     b_uq_upper,
     composition_count,
@@ -104,4 +96,10 @@ from lsalab.experiments import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the layer submodules become attributes of the package on import; they are
+# not part of the star-import surface
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

@@ -27,7 +27,7 @@ from lsalab.linalg import (
     solve_riccati,
     spectral_norm,
 )
-from lsalab.noise import ContractiveProfile, LsaModel, eps_subgauss_const, sigma_eps
+from lsalab.noise import ContractiveProfile, LsaModel, eps_subgauss_const
 
 # Gaussian-envelope constant.  The exponent 4/3 variant is used everywhere;
 # a weaker 2/3 variant of the same constant exists but is not evaluated.
@@ -172,37 +172,21 @@ def d5_constant(
 # ---------------------------------------------------------------------------
 
 
-def product_moment_bound(
-    profile: SpectralProfile,
-    p: float,
-    q: float,
-    alpha: float,
-    n: int,
-    subgaussian_a: bool = False,
-) -> float:
+def product_moment_bound(profile: SpectralProfile, p: float, alpha: float, n: int) -> float:
     """p-th moment bound on the n-step product of (I - alpha*A_k) factors.
 
-    sqrt(kappa_q) * d^(1/p) * (1 - a*alpha + (p-1)*b_q^2*alpha^2)^(n/2);
-    with ``subgaussian_a`` the quadratic coefficient becomes
-    q*(p-1)*b_q_prime^2 (moment orders 2 <= q <= p).
+    sqrt(kappa_q) * d^(1/p) * (1 - a*alpha + (p-1)*b_q^2*alpha^2)^(n/2),
+    for moment orders p >= 2.
     """
-    if not 2.0 <= q <= p:
-        raise ValueError(f"moment orders need 2 <= q <= p, got q={q}, p={p}")
+    if not p >= 2.0:
+        raise ValueError(f"p must be >= 2, got {p}")
     if not 0.0 <= alpha <= profile.alpha_inf:
         raise ValueError(
             f"alpha={alpha} outside [0, alpha_inf={profile.alpha_inf:.6g}]"
         )
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if subgaussian_a:
-        if profile.b_q_prime is None:
-            raise ValueError(
-                "profile has no sub-Gaussian scale b_q_prime; build it with "
-                "spectral_profile(..., c_a_prime=...)"
-            )
-        coeff = q * (p - 1.0) * profile.b_q_prime**2
-    else:
-        coeff = (p - 1.0) * profile.b_q**2
+    coeff = (p - 1.0) * profile.b_q**2
     base = 1.0 - profile.a * alpha + coeff * alpha * alpha
     if base < 0.0:
         cap = min(profile.alpha_inf, profile.a / (2.0 * coeff))
@@ -451,7 +435,7 @@ def composite_hp_bound(
     if not 0.0 < alpha < cap:
         raise ValueError(f"alpha={alpha} outside (0, {cap:.6g}) (= {cap_name})")
 
-    sige = sigma_eps(model)
+    sige = model.sigma_eps_exact
     if sigma_alpha is None:
         sigma_alpha = solve_riccati(model.abar, sige, alpha)
     quad = float(u @ sigma_alpha @ u)
@@ -563,7 +547,7 @@ def composite_hp_bound(
 
 
 # ---------------------------------------------------------------------------
-# Covariance-gap and sub-Gaussian moment envelopes.
+# Covariance-gap bound.
 # ---------------------------------------------------------------------------
 
 
@@ -579,58 +563,6 @@ def sigma_gap_bound(
     abar = np.asarray(abar, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     return alpha / profile.a * profile._q_norm(abar @ sigma @ abar.T)
-
-
-def subgauss_moment_bound(sigma: float, p: float, *, max_weighted: bool = False) -> float:
-    """Moment envelope of a sub-Gaussian scale-``sigma`` variable.
-
-    sqrt(2)*e*(2/e)^(p/2)*p^(p/2)*sigma^p; with ``max_weighted`` the
-    coarser envelope 3^p*sigma^p*p^(p/2) used for maxima over a block.
-    """
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return 0.0
-    if max_weighted:
-        logv = p * math.log(3.0) + p * math.log(sigma) + 0.5 * p * math.log(p)
-    else:
-        logv = (
-            0.5 * math.log(2.0)
-            + 1.0
-            + 0.5 * p * (math.log(2.0) - 1.0)
-            + 0.5 * p * math.log(p)
-            + p * math.log(sigma)
-        )
-    return math.exp(logv)
-
-
-def max_term_bound(
-    profile: SpectralProfile, c_eps: float, p: float, alpha: float
-) -> float:
-    """Envelope for the p-th moment of the largest noise term in a block:
-
-    (9*kappa_q*p*c_eps^2*(1 + log(1/(a*alpha))))^(p/2).
-    """
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2, got {p}")
-    if not 0.0 < alpha <= profile.alpha_inf:
-        raise ValueError(
-            f"alpha={alpha} outside (0, alpha_inf={profile.alpha_inf:.6g}]"
-        )
-    if c_eps < 0.0:
-        raise ValueError(f"c_eps must be >= 0, got {c_eps}")
-    if c_eps == 0.0:
-        return 0.0
-    inner = (
-        9.0
-        * profile.kappa_q
-        * p
-        * c_eps**2
-        * (1.0 + math.log(1.0 / (profile.a * alpha)))
-    )
-    return math.exp(0.5 * p * math.log(inner))
 
 
 # ---------------------------------------------------------------------------

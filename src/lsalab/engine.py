@@ -586,15 +586,6 @@ def empirical_quantile(samples: np.ndarray, level: float) -> float:
     return float(np.quantile(np.asarray(samples, dtype=float).reshape(-1), level))
 
 
-def empirical_w2(x: np.ndarray, y: np.ndarray) -> float:
-    """1-D Wasserstein-2 distance between equal-size samples: sorted pairing."""
-    x = np.sort(np.asarray(x, dtype=float).reshape(-1))
-    y = np.sort(np.asarray(y, dtype=float).reshape(-1))
-    if x.size != y.size or x.size == 0:
-        raise ValueError("samples must be non-empty and of equal size")
-    return float(np.sqrt(np.mean((x - y) ** 2)))
-
-
 def empirical_ks(samples: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov statistic of a sample against a supplied CDF."""
     x = np.sort(np.asarray(samples, dtype=float).reshape(-1))

@@ -30,6 +30,7 @@ only and appears in neither format.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import itertools
@@ -271,7 +272,9 @@ def resolve(config: ExperimentConfig) -> ExperimentConfig:
         name: exp.grids.get(name, ()) for name in _GRID_FIELDS if getattr(config, name) is None
     }
     if config.model is None and exp.model is not None:
-        updates["model"] = dict(exp.model)
+        # a deep copy: the default's nested lists must not be shared with
+        # a caller that edits the resolved model in place
+        updates["model"] = copy.deepcopy(exp.model)
     return replace(config, **updates) if updates else config
 
 
@@ -413,7 +416,7 @@ def _check_bounds(config: ExperimentConfig, errors: list[str]) -> None:
     profile = lyapunov_witness(model)
     for (i, al), (j, p) in itertools.product(enumerate(config.alphas), enumerate(config.ps)):
         try:
-            product_moment_bound(profile, p, p, al, 0)
+            product_moment_bound(profile, p, al, 0)
         except ValueError as exc:
             errors.append(f"alphas[{i}]={al}, ps[{j}]={p}: {exc}")
 
@@ -636,7 +639,7 @@ def _run_bounds_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[R
     q_a = config.model["q_a"]
     mc = mc_norm_moment(model, alpha, n, p, config.n_traj, seed)
     oracle = rademacher_exact_moment(q_a, alpha, p, n) ** (1.0 / p)
-    bound = product_moment_bound(profile, p, p, alpha, n)
+    bound = product_moment_bound(profile, p, alpha, n)
     passed = (
         abs(mc.value - oracle) <= config.se_mult * mc.std_err
         and _dominates(oracle, bound)

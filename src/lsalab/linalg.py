@@ -243,15 +243,6 @@ def spd_sqrt(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return root, inv_root
 
 
-def q_norm_vec(x: np.ndarray, q: np.ndarray) -> float:
-    """Weighted vector norm ``sqrt(x.T @ q @ x)`` for SPD ``q``."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    q = _as_square(q, "q")
-    # spd_sqrt also validates positive definiteness
-    root, _ = spd_sqrt(q)
-    return float(np.linalg.norm(root @ x))
-
-
 def q_norm_mat(m: np.ndarray, q: np.ndarray) -> float:
     """Weighted operator norm: spectral norm of ``q^(1/2) @ m @ q^(-1/2)``."""
     m = _as_square(m, "m")
@@ -278,7 +269,6 @@ class SpectralProfile:
     kappa_q : condition number of q.
     c_a : almost-sure bound on ||A_n|| supplied by the model.
     b_q : 2 * sqrt(kappa_q) * c_a (bounded-noise product-moment constant).
-    b_q_prime : same with the sub-Gaussian scale c_a_prime, when supplied.
     """
 
     abar: np.ndarray
@@ -288,7 +278,6 @@ class SpectralProfile:
     kappa_q: float
     c_a: float
     b_q: float
-    b_q_prime: float | None = None
     _q_roots: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -297,10 +286,6 @@ class SpectralProfile:
     def dim(self) -> int:
         return self.abar.shape[0]
 
-    @property
-    def q_norm(self) -> float:
-        return spectral_norm(self.q)
-
     def _q_norm(self, m: np.ndarray) -> float:
         """``q_norm_mat(m, self.q)``, bit for bit, from the carried factors."""
         m = _as_square(m, "m")
@@ -308,13 +293,11 @@ class SpectralProfile:
         return spectral_norm(root @ m @ inv_root)
 
 
-def spectral_profile(
-    abar: np.ndarray, c_a: float, c_a_prime: float | None = None
-) -> SpectralProfile:
+def spectral_profile(abar: np.ndarray, c_a: float) -> SpectralProfile:
     """Solve the Lyapunov equation and package the derived constants.
 
-    ``c_a`` must dominate ``||abar||`` (it is an almost-sure or sub-Gaussian
-    scale for the random driving matrices, and the mean cannot exceed it).
+    ``c_a`` must dominate ``||abar||`` (it is an almost-sure bound on the
+    random driving matrices, and the mean cannot exceed it).
     ``solve_lyapunov`` makes the Hurwitz check, ahead of the check on ``c_a``.
     """
     abar = _as_square(abar, "abar")
@@ -330,7 +313,6 @@ def spectral_profile(
     w = np.linalg.eigvalsh(q)
     kappa_q = float(w[-1] / w[0])
     b_q = 2.0 * np.sqrt(kappa_q) * c_a
-    b_q_prime = None if c_a_prime is None else 2.0 * np.sqrt(kappa_q) * c_a_prime
     return SpectralProfile(
         abar=abar,
         q=q,
@@ -339,7 +321,6 @@ def spectral_profile(
         kappa_q=kappa_q,
         c_a=float(c_a),
         b_q=float(b_q),
-        b_q_prime=b_q_prime,
         _q_roots=(root, inv_root),
     )
 
@@ -355,16 +336,3 @@ def alpha_p_inf(profile: SpectralProfile, p: float) -> float:
     if p == 1:
         return profile.alpha_inf
     return min(profile.alpha_inf, profile.a / (2.0 * profile.b_q**2 * (p - 1.0)))
-
-
-def schatten_norm(m: np.ndarray, p: float) -> float:
-    """Schatten p-norm: ell_p norm of the singular value vector, p in [1, inf]."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    if not (p >= 1.0):
-        raise ValueError(f"p must be in [1, inf], got {p}")
-    sv = np.linalg.svd(m, compute_uv=False)
-    if np.isinf(p):
-        return float(sv[0]) if sv.size else 0.0
-    return float(np.sum(sv**p) ** (1.0 / p))

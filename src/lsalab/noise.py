@@ -27,16 +27,14 @@ built from ``atoms``.  The atoms come from the same elementwise operations
 in the same order as a matrix decode, so they give the same bits.
 
 All built-in models satisfy the standing noise assumptions: ||A_n|| <= c_a
-almost surely (or with the documented sub-Gaussian scale), and ||b_n - bbar||
-sub-Gaussian with scale sigma_b (sigma * sqrt(d) for the Gaussian-vector
-models, i.e. the RMS of the norm; exact range bounds for the finite-state
-model).
+almost surely, and ||b_n - bbar|| sub-Gaussian with scale sigma_b
+(sigma * sqrt(d) for the Gaussian-vector models, i.e. the RMS of the norm;
+exact range bounds for the finite-state model).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 from numpy.random import Generator
@@ -57,28 +55,17 @@ STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITERS = 10**6
 
 
-class PathSampler(Protocol):
-    # the finite support of A, shape (K, d, d); step draws index it
-    atoms: np.ndarray
-
-    def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (A_1..A_n, b_1..b_n) with shapes (n, d, d) and (n, d)."""
-
-    def _words(self, n: int, with_b: bool) -> int:
-        """Words per trajectory of an n-step path: all, or the A-word prefix."""
-
-    def _steps(self, u: np.ndarray, n: int, window: int, with_b: bool):
-        """Per-step atom indices and b draws of a block of n-step paths, one row of u each."""
-
-
 class _LayoutSampler:
     """Path and block decoding shared by the built-in samplers.
 
-    A sampler's ``_a_index(u, n, k)`` maps open uniforms u, one row of words
-    per trajectory, to the indices into ``atoms`` of the A draws of step k
-    (an index or a slice of steps), shape (B, [steps]); ``_decode_b`` gives
-    the b draws, shape (B, [steps,] d), and needs all the words, not only
-    the A prefix.  The word layout is that of a matrix decode.
+    A sampler's ``atoms`` are the finite support of A, shape (K, d, d), and
+    ``_words(n, with_b)`` is the number of words per trajectory of an n-step
+    path: all of them, or only the A-word prefix.  Its ``_a_index(u, n, k)``
+    maps open uniforms u, one row of words per trajectory, to the indices
+    into ``atoms`` of the A draws of step k (an index or a slice of steps),
+    shape (B, [steps]); ``_decode_b`` gives the b draws, shape
+    (B, [steps,] d), and needs all the words, not only the A prefix.  The
+    word layout is that of a matrix decode.
     """
 
     atoms: np.ndarray
@@ -126,7 +113,16 @@ class ContractiveProfile:
 
 @dataclass(frozen=True)
 class LsaModel:
-    """A fully specified instance of the fixed-stepsize linear recursion."""
+    """A fully specified instance of the fixed-stepsize linear recursion.
+
+    ``kernel_exact`` is E[kron(A, A)], shape (d^2, d^2).  With numpy's
+    row-major vec, ``kron(A, A) @ vec(X) == vec(A @ X @ A.T)``, so this
+    kernel drives every exact second-moment recursion of the iterates.  Each
+    constructor computes it in closed form: the +-1 factors are
+    sign-invariant under the Kronecker square, the bounded-factor law is a
+    two-point mixture, and the finite-state pairs reduce to a weighted sum
+    over reachable transitions.
+    """
 
     name: str
     dim: int
@@ -137,33 +133,11 @@ class LsaModel:
     sigma_b: float
     sigma_eps_exact: np.ndarray
     kernel_exact: np.ndarray
-    sampler: PathSampler
-    a1_compliant: bool = True
+    sampler: _LayoutSampler
     contractive: ContractiveProfile | None = None
 
     def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         return self.sampler.sample_path(gen, n)
-
-
-def sample_pair(model: LsaModel, gen: Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One draw of (A, b), shapes (d, d) and (d,)."""
-    a_seq, b_seq = model.sample_path(gen, 1)
-    return a_seq[0], b_seq[0]
-
-
-def eps_noise(model: LsaModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Effective noise eps = (b - bbar) - (A - abar) @ theta_star.
-
-    Accepts single pairs or stacked paths (leading axes broadcast).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return (b - model.bbar) - (a - model.abar) @ model.theta_star
-
-
-def sigma_eps(model: LsaModel) -> np.ndarray:
-    """Exact covariance of the effective noise, E[eps eps.T]."""
-    return model.sigma_eps_exact
 
 
 def eps_subgauss_const(model: LsaModel) -> float:
@@ -498,21 +472,11 @@ def lyapunov_witness(model: LsaModel):
 # ---------------------------------------------------------------------------
 
 
-def second_moment_kernel(model: LsaModel) -> np.ndarray:
-    """Exact E[kron(A, A)] of the model's random matrix, shape (d^2, d^2).
-
-    With numpy's row-major vec, ``kron(A, A) @ vec(X) == vec(A @ X @ A.T)``,
-    so this kernel drives every exact second-moment recursion of the
-    iterates.  Each model's constructor computes it in closed form
-    (``LsaModel.kernel_exact``): the +-1 factors are sign-invariant under the
-    Kronecker square, the bounded-factor law has a two-point mixture, and the
-    finite-state pairs reduce to a weighted sum over reachable transitions.
-    """
-    return model.kernel_exact
-
-
 def _second_moment_transfer(model: LsaModel, alpha: float) -> np.ndarray:
-    """One-step map E[kron(G, G)] of vec(E[x x.T]), G = I - alpha*A, shape (d^2, d^2)."""
+    """One-step map E[kron(G, G)] of vec(E[x x.T]), G = I - alpha*A, shape (d^2, d^2).
+
+    In numpy's row-major vec, ``kron(G, G) @ vec(X) == vec(G @ X @ G.T)``.
+    """
     g = np.eye(model.dim) - alpha * model.abar
     return _kron(g, g) + alpha**2 * (model.kernel_exact - _kron(model.abar, model.abar))
 

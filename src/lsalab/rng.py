@@ -25,8 +25,7 @@ rational minimax approximation of the probit function, accurate to ~1e-16
 relative) to those uniforms.  This avoids rejection-based samplers whose
 consumption pattern can change between library versions, so the mapping from
 counters to variates is a fixed pure function; the private ``_coins``,
-``_signs``, ``_normals`` and ``_categorical`` maps apply it to uniforms
-already drawn.
+``_normals`` and ``_categorical`` maps apply it to uniforms already drawn.
 
 ``scipy.special`` costs about 0.3 s and 20 MiB to import, and a run that draws
 no Gaussian never needs it, so it is not imported with this module.
@@ -116,31 +115,12 @@ def _coins(u: np.ndarray, p_plus: float) -> np.ndarray:
     return (u < p_plus).view(np.uint8)
 
 
-def _signs(u: np.ndarray, p_plus: float) -> np.ndarray:
-    # exactly +1.0 where u < p_plus and -1.0 elsewhere; faster than np.where
-    return _coins(u, p_plus) * 2.0 - 1.0
-
-
 def _categorical(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    # cdf is the inclusive cumulative sum of the probabilities; its last entry
+    # may fall short of 1 by rounding, so the index is clamped to the last one
     return np.minimum(np.searchsorted(cdf, u, side="left"), cdf.size - 1)
 
 
 def normal_inverse_cdf(gen: Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """Standard normal draws via the inverse CDF applied to open uniforms."""
     return _normals(uniform_open01(gen, size))
-
-
-def rademacher(gen: Generator, size: int | tuple[int, ...], p_plus: float = 0.5) -> np.ndarray:
-    """Signs in {+1, -1} with P(+1) = p_plus, from one uniform each."""
-    if not 0.0 <= p_plus <= 1.0:
-        raise ValueError(f"p_plus must be in [0, 1], got {p_plus}")
-    return _signs(uniform_open01(gen, size), p_plus)
-
-
-def categorical(gen: Generator, cdf: np.ndarray, size: int | tuple[int, ...]) -> np.ndarray:
-    """Indices sampled from the distribution with cumulative weights ``cdf``.
-
-    ``cdf`` is the inclusive cumulative sum of the probability vector; the
-    last entry must be 1 up to rounding.  One uniform is consumed per draw.
-    """
-    return _categorical(uniform_open01(gen, size), np.asarray(cdf, dtype=float))

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lsalab.linalg import SpectralProfile, _logsumexp, alpha_p_inf
+from lsalab.linalg import SpectralProfile, _logsumexp
 
 # Bisection targets: the root is polished until the equation residual
 # |lhs - rhs| falls below this.
@@ -329,7 +329,7 @@ def attach_wasserstein(
 
 
 # ---------------------------------------------------------------------------
-# Horizon and drift constants for the linear recursion's V-geometry.
+# Contraction horizon of the linear recursion's V-geometry.
 # ---------------------------------------------------------------------------
 
 
@@ -349,42 +349,6 @@ def contraction_horizon(profile: SpectralProfile, alpha: float, epsilon: float) 
         return 1
     m = math.ceil(2.0 * math.log(target) / math.log(1.0 - alpha * profile.a / 2.0))
     return max(1, m)
-
-
-def drift_constants(
-    profile: SpectralProfile, alpha: float, p: float, c_b: float, m: int
-) -> tuple[float, float]:
-    """Drift pair (lambda_p, b_p) of the m-step kernel in the p-th power norm:
-
-    lambda_p = e*d*kappa_q^(2p)*(1 - alpha*a/2)^(m*p)
-    b_p      = C0^(2p)*d^(p+1)*p^(2p),  C0 = 64*sqrt(3)*kappa_q*c_b/a,
-
-    both in log-space.
-    """
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    cap = alpha_p_inf(profile, p)
-    if not 0.0 < alpha < cap:
-        raise ValueError(f"alpha={alpha} outside (0, {cap:.6g}) (= alpha_p_inf at p={p})")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if c_b < 0.0:
-        raise ValueError(f"c_b must be >= 0, got {c_b}")
-    d = profile.dim
-    lambda_p = math.exp(
-        1.0
-        + math.log(d)
-        + 2.0 * p * math.log(profile.kappa_q)
-        + m * p * math.log(1.0 - alpha * profile.a / 2.0)
-    )
-    if c_b == 0.0:
-        b_p = 0.0
-    else:
-        c0 = 64.0 * math.sqrt(3.0) * profile.kappa_q * c_b / profile.a
-        b_p = math.exp(
-            2.0 * p * math.log(c0) + (p + 1.0) * math.log(d) + 2.0 * p * math.log(p)
-        )
-    return lambda_p, b_p
 
 
 # ---------------------------------------------------------------------------

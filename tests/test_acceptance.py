@@ -43,7 +43,6 @@ from lsalab import (
     rademacher_tail_thresholds,
     run,
     sample_stationary,
-    sigma_eps,
     solve_lyapunov,
     solve_riccati,
     solve_sigma,
@@ -151,7 +150,7 @@ def test_03_product_moment_tightness(acceptance):
     for n in (10, 50, 200):
         est = mc_norm_moment(model, alpha, n, p, 100_000, seed=11)
         exact = (0.75 * 0.9**2 + 0.25 * 1.1**2) ** (n / 2)
-        bound = product_moment_bound(profile, p, p, alpha, n)
+        bound = product_moment_bound(profile, p, alpha, n)
         z = abs(est.value - exact) / est.std_err
         worst_z = max(worst_z, z)
         dominated = dominated and est.value <= bound
@@ -267,7 +266,7 @@ def test_06_stationarity_and_clt(acceptance):
         se_var = math.sqrt(max(0.0, np.mean(centered**4) - var**2) / len(x))
         gap_ok = gap_ok and abs(var / alpha - 0.5 - exact_gap) <= 4.0 * se_var / alpha
 
-    sig_alpha = solve_riccati(np.array([[1.0]]), sigma_eps(model), 0.01)[0, 0]
+    sig_alpha = solve_riccati(np.array([[1.0]]), model.sigma_eps_exact, 0.01)[0, 0]
     scale = math.sqrt(sig_alpha)
     ks = empirical_ks(
         samples[0.01] / math.sqrt(0.01), lambda t: stats.norm.cdf(t, scale=scale)

@@ -23,14 +23,12 @@ from lsalab.bounds import (
     d5_constant,
     j0_hp_bound,
     j1_h1_bounds,
-    max_term_bound,
     moments_to_hp,
     product_hp_bound,
     product_moment_bound,
     rademacher_bounds,
     rademacher_tail_thresholds,
     sigma_gap_bound,
-    subgauss_moment_bound,
     transient_hp_bound,
 )
 from lsalab.engine import rademacher_exact_moment, rademacher_exact_tail
@@ -110,14 +108,14 @@ class TestProductMomentBound:
     def test_scalar_hand_formula(self):
         prof = scalar_profile()
         # (1 - a*alpha + (p-1)*b_q^2*alpha^2)^(n/2) with kappa = d = 1
-        got = product_moment_bound(prof, 2.0, 2.0, 0.1, 10)
+        got = product_moment_bound(prof, 2.0, 0.1, 10)
         assert got == pytest.approx(0.99**5, rel=1e-13)
-        got4 = product_moment_bound(prof, 4.0, 4.0, 0.1, 6)
+        got4 = product_moment_bound(prof, 4.0, 0.1, 6)
         assert got4 == pytest.approx((1.0 - 0.05 + 3 * 4 * 0.01) ** 3, rel=1e-13)
 
     def test_zero_steps_is_head_constant(self):
         prof = shear_profile()
-        got = product_moment_bound(prof, 3.0, 2.0, 0.01, 0)
+        got = product_moment_bound(prof, 3.0, 0.01, 0)
         assert got == pytest.approx(
             math.sqrt(prof.kappa_q) * 2.0 ** (1.0 / 3.0), rel=1e-12
         )
@@ -129,21 +127,19 @@ class TestProductMomentBound:
         prof = scalar_profile()
         for p in (2.0, 4.0):
             for alpha in (0.02, 0.05, 0.1):
-                bound_1 = product_moment_bound(prof, p, p, alpha, 1)
                 for n in (1, 10, 100, 1000):
                     exact = rademacher_exact_moment(0.75, alpha, p, n) ** (1.0 / p)
-                    bound = product_moment_bound(prof, p, p, alpha, n)
+                    bound = product_moment_bound(prof, p, alpha, n)
                     assert exact <= bound * (1 + 1e-12)
-                del bound_1
 
     def test_argument_windows(self):
         prof = scalar_profile()
-        with pytest.raises(ValueError, match="2 <= q <= p"):
-            product_moment_bound(prof, 2.0, 1.5, 0.1, 10)
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            product_moment_bound(prof, 1.5, 0.1, 10)
         with pytest.raises(ValueError, match="alpha_inf"):
-            product_moment_bound(prof, 2.0, 2.0, 3.0, 10)
+            product_moment_bound(prof, 2.0, 3.0, 10)
         with pytest.raises(ValueError, match="n must be >= 0"):
-            product_moment_bound(prof, 2.0, 2.0, 0.1, -1)
+            product_moment_bound(prof, 2.0, 0.1, -1)
 
     def test_negative_base_names_the_stepsize_cap(self):
         # profiles built from real models keep the base non-negative (b_q
@@ -156,15 +152,7 @@ class TestProductMomentBound:
             kappa_q=1.0, c_a=1.0, b_q=0.1,
         )
         with pytest.raises(ValueError, match="alpha_p_inf"):
-            product_moment_bound(prof, 2.0, 2.0, 0.4, 10)
-
-    def test_subgaussian_variant(self):
-        prof = spectral_profile(np.array([[0.5]]), c_a=1.0, c_a_prime=2.0)
-        got = product_moment_bound(prof, 2.0, 2.0, 0.01, 4, subgaussian_a=True)
-        coeff = 2.0 * 1.0 * prof.b_q_prime**2
-        assert got == pytest.approx((1.0 - 0.005 + coeff * 1e-4) ** 2, rel=1e-12)
-        with pytest.raises(ValueError, match="b_q_prime"):
-            product_moment_bound(scalar_profile(), 2.0, 2.0, 0.01, 4, subgaussian_a=True)
+            product_moment_bound(prof, 2.0, 0.4, 10)
 
 
 class TestProductHpBound:
@@ -473,52 +461,6 @@ class TestSigmaGapBound:
                 gap = q_norm_mat(sig_alpha - sig, prof.q)
                 cap = sigma_gap_bound(abar, sig, prof, alpha)
                 assert gap <= cap * (1 + 1e-9)
-
-
-class TestEnvelopes:
-    def test_subgauss_second_moment_anchors(self):
-        # p = 2: sqrt(2)*e*(2/e)*2*sigma^2 = 4*sqrt(2)*sigma^2
-        assert subgauss_moment_bound(1.0, 2.0) == pytest.approx(
-            4.0 * math.sqrt(2.0), rel=1e-12
-        )
-        assert subgauss_moment_bound(3.0, 2.0) == pytest.approx(
-            4.0 * math.sqrt(2.0) * 9.0, rel=1e-12
-        )
-        # max-weighted variant at p = 2: 3^2 * sigma^2 * 2 = 18 sigma^2
-        assert subgauss_moment_bound(1.0, 2.0, max_weighted=True) == pytest.approx(
-            18.0, rel=1e-12
-        )
-        assert subgauss_moment_bound(0.0, 5.0) == 0.0
-        with pytest.raises(ValueError):
-            subgauss_moment_bound(1.0, 1.5)
-
-    def test_subgauss_moments_dominate_gaussian_truth(self):
-        # exact E|Z|^p for Z ~ N(0, sigma^2): sigma^p 2^(p/2) Gamma((p+1)/2)/sqrt(pi)
-        from scipy.special import gammaln
-
-        for sigma in (0.5, 1.0, 2.0):
-            for p in (2.0, 4.0, 7.0, 12.0):
-                exact = math.exp(
-                    p * math.log(sigma)
-                    + 0.5 * p * math.log(2.0)
-                    + gammaln((p + 1.0) / 2.0)
-                    - 0.5 * math.log(math.pi)
-                )
-                assert exact <= subgauss_moment_bound(sigma, p)
-
-    def test_max_term_formula(self):
-        prof = scalar_profile()
-        alpha, p, c_eps = 0.1, 4.0, 1.5
-        inner = (
-            9.0 * prof.kappa_q * p * c_eps**2
-            * (1.0 + math.log(1.0 / (prof.a * alpha)))
-        )
-        assert max_term_bound(prof, c_eps, p, alpha) == pytest.approx(
-            inner ** (p / 2.0), rel=1e-12
-        )
-        assert max_term_bound(prof, 0.0, 4.0, 0.1) == 0.0
-        with pytest.raises(ValueError):
-            max_term_bound(prof, 1.0, 4.0, 5.0)
 
 
 class TestRademacherBounds:

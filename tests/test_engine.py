@@ -20,7 +20,6 @@ from lsalab.engine import (
     coupled_w2,
     empirical_ks,
     empirical_quantile,
-    empirical_w2,
     final_errors,
     mc_norm_moment,
     product,
@@ -538,15 +537,6 @@ class TestEmpiricalStats:
         assert empirical_quantile(x, 0.9) == pytest.approx(np.quantile(x, 0.9))
         with pytest.raises(ValueError):
             empirical_quantile(x, 1.5)
-
-    def test_w2_identical_samples_is_zero(self):
-        x = stream(22, 0).standard_normal(500)
-        assert empirical_w2(x, x) == 0.0
-        assert empirical_w2(x, x + 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_w2_rejects_mismatched_sizes(self):
-        with pytest.raises(ValueError):
-            empirical_w2(np.zeros(3), np.zeros(4))
 
     def test_ks_matches_scipy(self):
         x = stream(23, 0).standard_normal(2000)

@@ -133,6 +133,17 @@ class TestResolve:
         cfg = ExperimentConfig(experiment="nope")
         assert resolve(cfg) == cfg
 
+    def test_editing_a_resolved_model_leaves_the_defaults_alone(self):
+        default = json.loads(json.dumps(experiments._SCALAR_FACTOR))
+        hashes = {name: config_hash(ExperimentConfig(name)) for name in EXPERIMENT_NAMES}
+        cfg = resolve(ExperimentConfig("simulate"))
+        cfg.model["abar"][0][0] = 9.0
+        cfg.model["bbar"].append(1.0)
+        cfg.model["eta"] = 0.0
+        assert experiments._SCALAR_FACTOR == default
+        assert resolve(ExperimentConfig("clt")).model == default
+        assert {name: config_hash(ExperimentConfig(name)) for name in EXPERIMENT_NAMES} == hashes
+
 
 class TestValidate:
     def test_clean_defaults_validate_everywhere(self):

@@ -16,14 +16,10 @@ from lsalab.noise import (
     _second_moment_transfer,
     biased_rademacher_model,
     bounded_factor_model,
-    eps_noise,
     eps_subgauss_const,
     exact_stationary_cov,
     lyapunov_witness,
     rademacher_gaussian_model,
-    sample_pair,
-    second_moment_kernel,
-    sigma_eps,
     stationary_law,
     td_zero_model,
 )
@@ -67,7 +63,7 @@ class TestRademacherGaussian:
         assert model.sigma_eps_exact[0, 0] == pytest.approx(4.0)
         a_seq, b_seq = model.sample_path(stream(1, 0), 20_000)
         # eps = b here (theta* = 0, bbar = 0)
-        eps = eps_noise(model, a_seq, b_seq)
+        eps = (b_seq - model.bbar) - (a_seq - model.abar) @ model.theta_star
         assert np.allclose(eps, b_seq)
         assert abs(eps.var() - 4.0) < 5.0 * 4.0 * np.sqrt(2.0 / 20_000)
 
@@ -95,10 +91,10 @@ class TestBoundedFactor:
     def test_exact_noise_covariance_vs_mc(self):
         model = self.make()
         a_seq, b_seq = model.sample_path(stream(4, 0), 200_000)
-        eps = eps_noise(model, a_seq, b_seq)
+        eps = (b_seq - model.bbar) - (a_seq - model.abar) @ model.theta_star
         assert abs(eps.mean(axis=0)).max() < 0.02
         mc_cov = eps.T @ eps / eps.shape[0]
-        assert np.allclose(mc_cov, sigma_eps(model), atol=0.03)
+        assert np.allclose(mc_cov, model.sigma_eps_exact, atol=0.03)
 
     def test_subgauss_const_formula(self):
         model = self.make()
@@ -170,7 +166,7 @@ class TestTdZero:
     def test_noise_covariance_vs_mc(self):
         model = three_state_td()
         a_seq, b_seq = model.sample_path(stream(6, 0), 200_000)
-        eps = eps_noise(model, a_seq, b_seq)
+        eps = (b_seq - model.bbar) - (a_seq - model.abar) @ model.theta_star
         mc_cov = eps.T @ eps / eps.shape[0]
         assert np.allclose(mc_cov, model.sigma_eps_exact, atol=0.02)
 
@@ -194,14 +190,14 @@ class TestSecondMomentKernel:
     def test_rademacher_kernel_is_identity(self):
         # A in {+1, -1} scalar: A (x) A = 1 always.
         for model in (biased_rademacher_model(0.75), rademacher_gaussian_model(0.6, 1.0)):
-            assert np.allclose(second_moment_kernel(model), np.eye(1))
+            assert np.allclose(model.kernel_exact, np.eye(1))
 
     def test_bounded_factor_closed_form(self):
         abar = np.array([[1.0, 0.3], [0.0, 2.0]])
         m = np.array([[0.5, 0.0], [0.2, 0.4]])
         model = bounded_factor_model(abar, np.zeros(2), m, eta=0.7, sigma=0.9)
         expected = np.kron(abar, abar) + 0.7**2 * np.kron(m, m)
-        assert np.allclose(second_moment_kernel(model), expected, atol=1e-13)
+        assert np.allclose(model.kernel_exact, expected, atol=1e-13)
 
     @pytest.mark.parametrize("maker", [
         lambda: bounded_factor_model(
@@ -212,7 +208,7 @@ class TestSecondMomentKernel:
     ])
     def test_kernel_matches_mc(self, maker):
         model = maker()
-        kernel = second_moment_kernel(model)
+        kernel = model.kernel_exact
         a_seq, _ = model.sample_path(stream(8, 0), 60_000)
         # kron(a, a)[i*d+k, j*d+l] = a[i,j] * a[k,l]
         mc = np.einsum("nij,nkl->ikjl", a_seq, a_seq).reshape(kernel.shape)
@@ -240,7 +236,7 @@ class TestSecondMomentKernel:
             for x_next in range(3):
                 a = np.outer(phi[x], phi[x] - 0.9 * phi[x_next])
                 brute += pi[x] * p[x, x_next] * np.kron(a, a)
-        assert np.allclose(second_moment_kernel(model), brute, rtol=1e-14, atol=1e-15)
+        assert np.allclose(model.kernel_exact, brute, rtol=1e-14, atol=1e-15)
 
 
 class TestExactStationaryCov:
@@ -282,7 +278,7 @@ class TestExactStationaryCov:
     def test_solves_its_equation_and_is_the_transfer_fixed_point(self, make):
         model, alpha = make(), 0.05
         v = exact_stationary_cov(model, alpha)
-        kernel = second_moment_kernel(model)
+        kernel = model.kernel_exact
         d = model.dim
         scale = np.abs(v).max()
         lhs = model.abar @ v + v @ model.abar.T - alpha * (kernel @ v.reshape(-1)).reshape(d, d)
@@ -316,7 +312,7 @@ class TestExactStationaryCov:
         model = bounded_factor_model(abar, bbar, m, eta=0.05 * eta_frac / d, sigma=0.8)
         alpha = alpha_frac * 0.1 / model.c_a**2
         eye = np.eye(d)
-        k = np.kron(abar, eye) + np.kron(eye, abar) - alpha * second_moment_kernel(model)
+        k = np.kron(abar, eye) + np.kron(eye, abar) - alpha * model.kernel_exact
         v = np.linalg.solve(k, alpha * model.sigma_eps_exact.reshape(-1)).reshape(d, d)
         assert exact_stationary_cov(model, alpha).tobytes() == (0.5 * (v + v.T)).tobytes()
 
@@ -326,21 +322,6 @@ class TestExactStationaryCov:
             exact_stationary_cov(model, 0.0)
         with pytest.raises(ValueError):
             exact_stationary_cov(model, np.inf)
-
-
-class TestPairHelpers:
-    def test_sample_pair_shapes(self):
-        model = three_state_td()
-        a, b = sample_pair(model, stream(9, 0))
-        assert a.shape == (2, 2)
-        assert b.shape == (2,)
-
-    def test_eps_noise_single_pair(self):
-        model = three_state_td()
-        a, b = sample_pair(model, stream(9, 1))
-        eps = eps_noise(model, a, b)
-        expected = (b - model.bbar) - (a - model.abar) @ model.theta_star
-        assert np.allclose(eps, expected)
 
 
 class TestWordLayout:

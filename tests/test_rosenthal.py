@@ -23,7 +23,6 @@ from lsalab.rosenthal import (
     composition_count,
     contraction_horizon,
     delta_alpha_root,
-    drift_constants,
     geometric_sum_check,
     rosenthal_bound,
     v_geometric_constants,
@@ -196,26 +195,6 @@ class TestContractionHorizon:
             contraction_horizon(prof, 5.0, 0.1)
         with pytest.raises(ValueError):
             contraction_horizon(prof, 0.1, 1.5)
-
-
-class TestDriftConstants:
-    def test_worked_example(self):
-        prof = spectral_profile(np.array([[1.0]]), 1.0)
-        lam, b = drift_constants(prof, 0.5, 1.0, 1.0, 10)
-        # lambda_1 = e * (1 - 0.25)^10;  b_1 = (64*sqrt(3))^2 = 12288
-        assert lam == pytest.approx(math.e * 0.75**10, rel=1e-12)
-        assert lam == pytest.approx(0.15307600373142075, rel=1e-12)
-        assert b == pytest.approx(12288.0, rel=1e-12)
-
-    def test_noise_free_chain_has_zero_offset(self):
-        prof = spectral_profile(np.array([[1.0]]), 1.0)
-        _, b = drift_constants(prof, 0.5, 1.0, 0.0, 10)
-        assert b == 0.0
-
-    def test_stepsize_cap_enforced(self):
-        prof = spectral_profile(np.array([[1.0]]), 1.0)
-        with pytest.raises(ValueError, match="alpha_p_inf"):
-            drift_constants(prof, 0.9, 3.0, 1.0, 5)
 
 
 class TestCompositionCombinatorics:
