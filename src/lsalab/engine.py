@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator
 
-from lsalab.linalg import SpectralProfile, _logsumexp
+from lsalab.linalg import SpectralProfile, _horizon, _logsumexp
 from lsalab.noise import LsaModel, _second_moment_transfer, lyapunov_witness
 from lsalab.rng import _block_uniforms, stream
 
@@ -413,23 +413,17 @@ def cov_j0(model: LsaModel, alpha: float, n: int) -> np.ndarray:
     return 0.5 * (sig + sig.T)
 
 
-def stationary_horizon(
-    profile: SpectralProfile, alpha: float, tol: float, dim: int | None = None
-) -> int:
+def stationary_horizon(profile: SpectralProfile, alpha: float, tol: float) -> int:
     """Burn-in length n with sqrt(kappa_q * d) * (1 - a*alpha/2)^(n/2) <= tol.
 
     ceil(2 * log(tol / sqrt(kappa_q * d)) / log(1 - a*alpha/2)), at least 1.
     """
-    d = profile.dim if dim is None else dim
     if not 0.0 < tol:
         raise ValueError(f"tol must be positive, got {tol}")
     rate = 1.0 - profile.a * alpha / 2.0
     if not 0.0 < rate < 1.0:
         raise ValueError(f"need 0 < 1 - a*alpha/2 < 1, got {rate}")
-    target = tol / math.sqrt(profile.kappa_q * d)
-    if target >= 1.0:
-        return 1
-    return max(1, math.ceil(2.0 * math.log(target) / math.log(rate)))
+    return _horizon(profile, alpha, tol / math.sqrt(profile.kappa_q * profile.dim))
 
 
 def sample_stationary(
@@ -450,7 +444,7 @@ def sample_stationary(
         profile = lyapunov_witness(model)
     if tol is None:
         tol = 1e-8 * (1.0 + float(np.linalg.norm(model.theta_star)))
-    horizon = stationary_horizon(profile, alpha, tol, model.dim)
+    horizon = stationary_horizon(profile, alpha, tol)
     return model.theta_star + final_errors(
         model, alpha, model.theta_star, horizon, n_samples, seed
     )

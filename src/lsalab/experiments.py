@@ -24,8 +24,8 @@ Emission: ``csv_text`` renders the fixed column schema
 
 with every float at 17 significant digits; ``json_text`` mirrors the same
 rows as objects plus a metadata header (package version, a hash of the
-scientific config fields, wall time).  ``note`` is an in-memory diagnostic
-only and appears in neither format.
+scientific config fields, wall time), with null for a nan or infinite cell.
+``note`` is an in-memory diagnostic only and appears in neither format.
 """
 
 from __future__ import annotations
@@ -76,6 +76,7 @@ from lsalab.noise import (
 from lsalab.rng import _special, normal_inverse_cdf, stream, uniform_open01
 from lsalab.rosenthal import (
     ROOT_RESIDUAL_TOL,
+    _delta_gap,
     attach_wasserstein,
     b_uq_exact,
     b_uq_upper,
@@ -449,7 +450,7 @@ def _check_clt(config: ExperimentConfig, errors: list[str]) -> None:
     for i, al in enumerate(config.alphas):
         try:
             exact_stationary_cov(model, al)
-            stationary_horizon(profile, al, tol, model.dim)
+            stationary_horizon(profile, al, tol)
         except ValueError as exc:
             errors.append(f"alphas[{i}]={al}: {exc}")
 
@@ -877,14 +878,12 @@ def _run_rosenthal_unit(config: ExperimentConfig, unit: tuple, seed: int) -> lis
             )
         else:
             delta = full.delta_alpha
-            eps = spec["epsilon"]
-            lhs = (1.0 - eps) ** ((1.0 - alpha) / alpha) * (
-                constants.lambda_bar_m + constants.b_m + delta
-            ) / (1.0 + delta)
-            rhs = (constants.lambda_bar_m * constants.d_bar + delta) / (
-                constants.d_bar + delta
+            residual = abs(
+                _delta_gap(
+                    delta, constants.lambda_bar_m, constants.b_m, constants.d_bar,
+                    constants.epsilon, alpha,
+                )
             )
-            residual = abs(lhs - rhs)
             verdict = dict(
                 empirical=residual,
                 passed=residual <= ROOT_RESIDUAL_TOL and 0.0 < full.rho_alpha < 1.0,
@@ -1142,11 +1141,10 @@ def csv_text(experiment: str, rows: list[ResultRow]) -> str:
 
 
 def _json_value(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
+    """A row cell as a JSON value: numpy scalars as Python ones, nan and +-inf as null."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return None if type(value) is float and not math.isfinite(value) else value
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -1179,6 +1177,7 @@ def json_text(
     from lsalab import __version__
 
     keys = PARAM_KEYS[experiment]
+    names = keys + _CSV_TAIL
     payload = {
         "metadata": {
             "version": __version__,
@@ -1190,17 +1189,12 @@ def json_text(
     }
     for row in rows:
         pd = row.param_dict
+        cells = [pd.get(k, "") for k in keys]
+        cells += [row.empirical, row.std_err, row.oracle, row.bound, row.passed, row.seed]
         entry = {"experiment": row.experiment}
-        for k in keys:
-            entry[k] = _json_value(pd.get(k, ""))
-        entry["empirical"] = row.empirical
-        entry["std_err"] = row.std_err
-        entry["oracle"] = row.oracle
-        entry["bound"] = row.bound
-        entry["pass"] = row.passed
-        entry["seed"] = row.seed
+        entry.update(zip(names, map(_json_value, cells)))
         payload["rows"].append(entry)
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def output_paths(config: ExperimentConfig) -> list[str]:

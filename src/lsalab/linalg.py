@@ -28,6 +28,7 @@ unadorned norms are spectral (operator 2-) norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -323,6 +324,16 @@ def spectral_profile(abar: np.ndarray, c_a: float) -> SpectralProfile:
         b_q=float(b_q),
         _q_roots=(root, inv_root),
     )
+
+
+def _horizon(profile: SpectralProfile, alpha: float, target: float) -> int:
+    """Smallest n with (1 - a*alpha/2)^(n/2) <= target, at least 1.
+
+    ceil(2 * log(target) / log(1 - a*alpha/2)), and 1 when target >= 1.
+    """
+    if target >= 1.0:
+        return 1
+    return max(1, math.ceil(2.0 * math.log(target) / math.log(1.0 - profile.a * alpha / 2.0)))
 
 
 def alpha_p_inf(profile: SpectralProfile, p: float) -> float:

@@ -16,7 +16,10 @@ prefix.
 
 Every built-in law gives A_n finite support: two values for the +-1 chains,
 two matrices ``abar -+ eta*M`` for the bounded factor and at most S^2
-rank-one matrices for TD(0) on S states.  A sampler carries these *atoms*,
+rank-one matrices for TD(0) on S states.  The +-1 chains and the bounded
+factor are one two-point law, A = atoms[1] with probability p_plus and
+atoms[0] otherwise, b = bbar + sigma*g, decoded by one sampler; a law with
+sigma == 0 has no b words.  A sampler carries these *atoms*,
 built once with the model, and decodes each step's A-words to an atom index
 with the ``u < p`` comparison or categorical lookup of ``lsalab.rng``; the
 word layout is the same as for a matrix decode.  One path
@@ -147,28 +150,59 @@ def eps_subgauss_const(model: LsaModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Biased Rademacher (1-D): the moment blow-up witness.
+# Two-point laws: the +-1 chains and the bounded multiplicative factor.
 # ---------------------------------------------------------------------------
 
 
-# A = -1 (index 0) or +1 (index 1, with probability q_a)
+@dataclass(frozen=True)
+class _TwoPointSampler(_LayoutSampler):
+    """A = atoms[1] with probability p_plus, else atoms[0]; b = bbar + sigma * g.
+
+    With sigma > 0 the n*d Gaussian words of b follow the n A-words; with
+    sigma == 0 there are no b words and b = bbar.
+    """
+
+    atoms: np.ndarray
+    p_plus: float
+    bbar: np.ndarray
+    sigma: float
+
+    def _words(self, n: int, with_b: bool) -> int:
+        return n + n * self.bbar.size if with_b and self.sigma != 0.0 else n
+
+    def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
+        return _coins(u[:, :n][:, k], self.p_plus)
+
+    def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
+        if self.sigma == 0.0:
+            return np.broadcast_to(self.bbar, u[:, :n][:, k].shape + self.bbar.shape).copy()
+        g = _normals(u[:, n:].reshape(len(u), n, self.bbar.size)[:, k])
+        return self.bbar + self.sigma * g
+
+
+# A = -1 (index 0) or +1 (index 1)
 _SIGN_ATOMS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
 _SIGN_ATOMS.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class _BiasedRademacherSampler(_LayoutSampler):
-    q_a: float
-    atoms = _SIGN_ATOMS
-
-    def _words(self, n: int, with_b: bool) -> int:
-        return n
-
-    def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        return _coins(u[:, :n][:, k], self.q_a)
-
-    def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        return np.zeros(u[:, :n][:, k].shape + (1,))
+def _sign_model(name: str, q_a: float, sigma: float) -> LsaModel:
+    """Scalar recursion with A = +-1, P(A = +1) = q_a, and b ~ N(0, sigma^2)."""
+    if not 0.5 < q_a < 1.0:
+        raise ValueError(f"q_a must lie in (1/2, 1), got {q_a}")
+    if sigma < 0.0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    return LsaModel(
+        name=name,
+        dim=1,
+        abar=np.array([[2.0 * q_a - 1.0]]),
+        bbar=np.zeros(1),
+        theta_star=np.zeros(1),
+        c_a=1.0,
+        sigma_b=float(sigma),
+        sigma_eps_exact=np.array([[float(sigma) ** 2]]),
+        kernel_exact=np.ones((1, 1)),
+        sampler=_TwoPointSampler(_SIGN_ATOMS, q_a, np.zeros(1), float(sigma)),
+    )
 
 
 def biased_rademacher_model(q_a: float) -> LsaModel:
@@ -179,93 +213,12 @@ def biased_rademacher_model(q_a: float) -> LsaModel:
     threshold blow up exponentially; tails of the n-step product are exact
     Binomial sums.
     """
-    if not 0.5 < q_a < 1.0:
-        raise ValueError(f"q_a must lie in (1/2, 1), got {q_a}")
-    abar = np.array([[2.0 * q_a - 1.0]])
-    return LsaModel(
-        name="biased_rademacher",
-        dim=1,
-        abar=abar,
-        bbar=np.zeros(1),
-        theta_star=np.zeros(1),
-        c_a=1.0,
-        sigma_b=0.0,
-        sigma_eps_exact=np.zeros((1, 1)),
-        kernel_exact=np.ones((1, 1)),
-        sampler=_BiasedRademacherSampler(q_a),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Biased Rademacher A with Gaussian b (1-D).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _RademacherGaussianSampler(_LayoutSampler):
-    q_a: float
-    sigma: float
-    atoms = _SIGN_ATOMS
-
-    def _words(self, n: int, with_b: bool) -> int:
-        return 2 * n if with_b else n
-
-    def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        return _coins(u[:, :n][:, k], self.q_a)
-
-    def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        return (self.sigma * _normals(u[:, n:][:, k]))[..., None]
+    return _sign_model("biased_rademacher", q_a, 0.0)
 
 
 def rademacher_gaussian_model(q_a: float, sigma: float) -> LsaModel:
     """Scalar recursion with A = +-1 (P(+1) = q_a) and b ~ N(0, sigma^2)."""
-    if not 0.5 < q_a < 1.0:
-        raise ValueError(f"q_a must lie in (1/2, 1), got {q_a}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    abar = np.array([[2.0 * q_a - 1.0]])
-    return LsaModel(
-        name="rademacher_gaussian",
-        dim=1,
-        abar=abar,
-        bbar=np.zeros(1),
-        theta_star=np.zeros(1),
-        c_a=1.0,
-        sigma_b=float(sigma),
-        sigma_eps_exact=np.array([[float(sigma) ** 2]]),
-        kernel_exact=np.ones((1, 1)),
-        sampler=_RademacherGaussianSampler(q_a, sigma),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Bounded multiplicative factor: A = abar + eta * zeta * M, b = bbar + sigma*g.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _BoundedFactorSampler(_LayoutSampler):
-    abar: np.ndarray
-    bbar: np.ndarray
-    m: np.ndarray
-    eta: float
-    sigma: float
-    atoms: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # zeta = -1 (index 0) or +1 (index 1), each with probability 1/2
-        zeta = _SIGN_ATOMS[:, 0, 0]
-        object.__setattr__(self, "atoms", self.abar + (self.eta * zeta)[:, None, None] * self.m)
-
-    def _words(self, n: int, with_b: bool) -> int:
-        return n + n * self.abar.shape[0] if with_b else n
-
-    def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        return _coins(u[:, :n][:, k], 0.5)
-
-    def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        g = _normals(u[:, n:].reshape(len(u), n, self.abar.shape[0])[:, k])
-        return self.bbar + self.sigma * g
+    return _sign_model("rademacher_gaussian", q_a, sigma)
 
 
 def bounded_factor_model(
@@ -324,7 +277,10 @@ def bounded_factor_model(
         sigma_b=float(sigma * np.sqrt(d)),
         sigma_eps_exact=sig_eps,
         kernel_exact=_kron(abar, abar) + float(eta) ** 2 * _kron(m, m),
-        sampler=_BoundedFactorSampler(abar, bbar, m, float(eta), float(sigma)),
+        # zeta = -1 (index 0) or +1 (index 1), each with probability 1/2
+        sampler=_TwoPointSampler(
+            abar + (float(eta) * _SIGN_ATOMS[:, 0, 0])[:, None, None] * m, 0.5, bbar, float(sigma)
+        ),
         contractive=profile,
     )
 

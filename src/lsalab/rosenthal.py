@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from lsalab.linalg import SpectralProfile, _logsumexp
+from lsalab.linalg import SpectralProfile, _horizon, _logsumexp
 
 # Bisection targets: the root is polished until the equation residual
 # |lhs - rhs| falls below this.
@@ -253,25 +253,18 @@ def delta_alpha_root(
 
 
 def wasserstein_rates(
-    constants: RosenthalConstants,
-    alpha: float,
-    lambda_: float,
-    b: float,
-    *,
-    vartheta: float | None = None,
-    c_a: float = 0.0,
-) -> tuple[float, float, float]:
-    """Wasserstein contraction rate and its companion constants.
+    constants: RosenthalConstants, alpha: float, *, c_a: float = 0.0
+) -> RosenthalConstants:
+    """Return a copy of ``constants`` with the Wasserstein rates at ``alpha``:
 
     rho_alpha      = ((lambda_bar_m*d_bar + delta_alpha)/(d_bar + delta_alpha))^(alpha/m)
     vartheta_alpha = (1 + b/(1-lambda) + delta_alpha)^alpha / rho_alpha^m
     kappa          = vartheta^(m*(1-alpha))
 
-    ``vartheta`` is the one-step Lipschitz constant of the coupling kernel;
-    when omitted it defaults to max(1, 1 + alpha*c_a) — the natural choice
-    for the linear recursion, where one step moves points by at most a
-    (1 + alpha*||A||) factor.  That default is a modeling choice, not a
-    derived quantity.  Requires ``constants.delta_alpha``.
+    ``vartheta`` is the one-step Lipschitz constant of the coupling kernel,
+    taken as max(1, 1 + alpha*c_a): for the linear recursion one step moves
+    points by at most a (1 + alpha*||A||) factor.  That is a modeling choice,
+    not a derived quantity.  Requires ``constants.delta_alpha``.
     """
     if constants.delta_alpha is None:
         raise ValueError(
@@ -280,28 +273,27 @@ def wasserstein_rates(
         )
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not 0.0 <= lambda_ < 1.0:
-        raise ValueError(f"lambda must be in [0,1), got {lambda_}")
-    if vartheta is None:
-        vartheta = max(1.0, 1.0 + alpha * c_a)
-    if vartheta < 1.0:
-        raise ValueError(f"vartheta must be >= 1, got {vartheta}")
+    if not 0.0 <= constants.lambda_ < 1.0:
+        raise ValueError(f"lambda must be in [0,1), got {constants.lambda_}")
+    vartheta = max(1.0, 1.0 + alpha * c_a)
     da = constants.delta_alpha
     m = constants.m
     rho_alpha = (
         (constants.lambda_bar_m * constants.d_bar + da) / (constants.d_bar + da)
     ) ** (alpha / m)
-    vartheta_alpha = (1.0 + b / (1.0 - lambda_) + da) ** alpha / rho_alpha**m
-    kappa = vartheta ** (m * (1.0 - alpha))
-    return rho_alpha, vartheta_alpha, kappa
+    vartheta_alpha = (1.0 + constants.b / (1.0 - constants.lambda_) + da) ** alpha / rho_alpha**m
+    return replace(
+        constants,
+        alpha=alpha,
+        rho_alpha=rho_alpha,
+        vartheta_alpha=vartheta_alpha,
+        kappa=vartheta ** (m * (1.0 - alpha)),
+        vartheta=vartheta,
+    )
 
 
 def attach_wasserstein(
-    constants: RosenthalConstants,
-    alpha: float,
-    *,
-    vartheta: float | None = None,
-    c_a: float = 0.0,
+    constants: RosenthalConstants, alpha: float, *, c_a: float = 0.0
 ) -> RosenthalConstants:
     """Return a copy of ``constants`` with the alpha-dependent fields filled.
 
@@ -311,21 +303,8 @@ def attach_wasserstein(
     da = delta_alpha_root(
         constants.lambda_bar_m, constants.b_m, constants.d_bar, constants.epsilon, alpha
     )
-    if da is None:
-        return replace(constants, alpha=alpha, delta_alpha=None)
     partial = replace(constants, alpha=alpha, delta_alpha=da)
-    rho_alpha, vartheta_alpha, kappa = wasserstein_rates(
-        partial, alpha, constants.lambda_, constants.b, vartheta=vartheta, c_a=c_a
-    )
-    if vartheta is None:
-        vartheta = max(1.0, 1.0 + alpha * c_a)
-    return replace(
-        partial,
-        rho_alpha=rho_alpha,
-        vartheta_alpha=vartheta_alpha,
-        kappa=kappa,
-        vartheta=vartheta,
-    )
+    return partial if da is None else wasserstein_rates(partial, alpha, c_a=c_a)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +323,7 @@ def contraction_horizon(profile: SpectralProfile, alpha: float, epsilon: float) 
         )
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0,1), got {epsilon}")
-    target = (1.0 - epsilon) / profile.kappa_q
-    if target >= 1.0:
-        return 1
-    m = math.ceil(2.0 * math.log(target) / math.log(1.0 - alpha * profile.a / 2.0))
-    return max(1, m)
+    return _horizon(profile, alpha, (1.0 - epsilon) / profile.kappa_q)
 
 
 # ---------------------------------------------------------------------------

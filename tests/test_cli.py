@@ -138,6 +138,23 @@ class TestOverridesAndOutputs:
         for line, entry in zip(csv_rows, payload["rows"]):
             assert float(line.split(",")[-6]) == entry["empirical"]
 
+    def test_failure_rows_are_strict_json(self, tmp_path):
+        # alpha = 5 blows up, so the failure row's empirical cell is nan
+        cfg = write_config(
+            tmp_path,
+            alphas=[5.0], ns=[400], n_traj=10,
+            out=str(tmp_path / "r"), format="both",
+        )
+        with np.errstate(all="ignore"):
+            assert main(["simulate", "--config", cfg]) == 3
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
+        assert payload["rows"][0]["empirical"] is None
+        assert (tmp_path / "r.csv").read_text().splitlines()[1].split(",")[3] == "nan"
+
     def test_empty_grid_writes_header_only(self, tmp_path, capsys):
         cfg = write_config(tmp_path, alphas=[], out=str(tmp_path / "none"))
         assert main(["clt", "--config", cfg]) == 0

@@ -621,6 +621,27 @@ class TestJsonText:
             "empirical", "std_err", "oracle", "bound", "pass", "seed",
         }
 
+    def test_non_finite_cells_are_null(self):
+        # the CSV keeps nan and inf; strict JSON has no such constants
+        row = ResultRow(
+            experiment="bounds",
+            params=(("alpha", 0.1), ("n", 10), ("p", np.float64(2.0))),
+            empirical=math.nan,
+            std_err=math.inf,
+            oracle=np.float64(-math.inf),
+            bound=2.0,
+            passed=False,
+            seed=7,
+        )
+        cfg = tiny_config("bounds")
+        assert csv_text("bounds", [row]).splitlines()[1].split(",")[4:8] == [
+            "nan", "inf", "-inf", "2"
+        ]
+        (entry,) = json.loads(json_text("bounds", [row], cfg, 0.0))["rows"]
+        assert [entry[k] for k in ("p", "empirical", "std_err", "oracle", "bound")] == [
+            2.0, None, None, None, 2.0
+        ]
+
     def test_agreement_with_csv_values(self):
         cfg = tiny_config("bounds")
         rows = run(cfg)

@@ -324,6 +324,13 @@ class TestExactStationaryCov:
             exact_stationary_cov(model, np.inf)
 
 
+_NOISELESS_B = [
+    lambda: biased_rademacher_model(0.75),
+    lambda: rademacher_gaussian_model(0.7, 0.0),
+    lambda: bounded_factor_model(np.eye(3) + 0.1, np.arange(3.0), 0.5 * np.eye(3), 0.5, sigma=0.0),
+]
+
+
 class TestWordLayout:
     @pytest.mark.parametrize("make", [
         lambda: biased_rademacher_model(0.75),
@@ -331,7 +338,7 @@ class TestWordLayout:
         lambda: bounded_factor_model(np.eye(1), np.ones(1), np.eye(1), 0.5, 1.0),
         lambda: bounded_factor_model(np.eye(3) + 0.1, np.ones(3), 0.5 * np.eye(3), 0.5, 1.0),
         three_state_td,
-    ])
+    ] + _NOISELESS_B[1:])
     def test_block_decode_matches_sample_path(self, make):
         # step k of row j of a block draw is step k of stream(seed, j)'s path,
         # and the A draws need only the A-word prefix
@@ -346,23 +353,43 @@ class TestWordLayout:
                 assert np.array_equal(sampler._decode_a(prefix, n, k)[j - 2], a_seq[k])
                 assert np.array_equal(sampler._decode_b(full, n, k)[j - 2], b_seq[k])
 
+    @pytest.mark.parametrize("make", _NOISELESS_B)
+    def test_noiseless_b_reads_only_the_a_words(self, make):
+        model, n = make(), 11
+        assert model.sampler._words(n, with_b=True) == n
+        _, b_seq = model.sample_path(stream(4, 0), n)
+        assert b_seq.shape == (n, model.dim)
+        assert np.all(b_seq == model.bbar)
+
+
+def _sign(q_a, sigma=None):
+    """A +-1 chain and its law's construction arguments."""
+    model = biased_rademacher_model(q_a) if sigma is None else rademacher_gaussian_model(q_a, sigma)
+    return model, dict(q_a=q_a)
+
+
+def _factor(abar, m, eta, sigma=1.0):
+    """A bounded-factor model and its law's construction arguments."""
+    return bounded_factor_model(abar, np.ones(len(abar)), m, eta, sigma), dict(eta=eta, m=m)
+
 
 def _banded_factor(d):
     band = np.diag(np.ones(d - 1), 1)
-    return bounded_factor_model(
-        np.eye(d) + 0.25 * (band - band.T), np.ones(d), 0.5 * np.eye(d) + 0.25 * (band + band.T),
-        0.5, 1.0,
-    )
+    return _factor(np.eye(d) + 0.25 * (band - band.T), 0.5 * np.eye(d) + 0.25 * (band + band.T), 0.5)
 
 
-def _closed_form_a(model, u, n):
-    """A draws of every step, shape (B, n, d, d), decoded as matrices from the words."""
-    sampler = model.sampler
-    if model.name in ("biased_rademacher", "rademacher_gaussian"):
-        return ((u[:, :n] < sampler.q_a) * 2.0 - 1.0)[..., None, None]
-    if model.name == "bounded_factor":
+def _closed_form_a(model, u, n, q_a=None, eta=None, m=None):
+    """A draws of every step, shape (B, n, d, d), decoded as matrices from the words.
+
+    A two-point law is decoded from its construction arguments (q_a, or eta
+    and m), not from the sampler under test; TD(0) from its sampler's tables.
+    """
+    if q_a is not None:
+        return ((u[:, :n] < q_a) * 2.0 - 1.0)[..., None, None]
+    if eta is not None:
         zeta = (u[:, :n] < 0.5) * 2.0 - 1.0
-        return sampler.abar + sampler.eta * zeta[..., None, None] * sampler.m
+        return model.abar + eta * zeta[..., None, None] * m
+    sampler = model.sampler
     s = sampler.pi_cdf.size
     x = np.minimum(np.searchsorted(sampler.pi_cdf, u[:, :n], side="left"), s - 1)
     x_next = np.minimum((u[:, n:, None] > sampler.p_cdf[x]).sum(axis=-1), s - 1)
@@ -372,19 +399,21 @@ def _closed_form_a(model, u, n):
 
 class TestAtoms:
     @pytest.mark.parametrize("make", [
-        lambda: biased_rademacher_model(0.75),
-        lambda: rademacher_gaussian_model(0.7, 1.3),
-        lambda: bounded_factor_model(np.array([[0.9]]), np.ones(1), np.array([[0.7]]), 0.3, 1.0),
+        lambda: _sign(0.75),
+        lambda: _sign(0.7, sigma=1.3),
+        lambda: _factor(np.array([[0.9]]), np.array([[0.7]]), 0.3),
         lambda: _banded_factor(3),
         lambda: _banded_factor(8),
-        three_state_td,
+        pytest.param(lambda: (three_state_td(), {}), id="three_state_td"),
+        lambda: _sign(0.7, sigma=0.0),
+        lambda: _factor(np.array([[0.9]]), np.array([[0.7]]), 0.3, sigma=0.0),
     ])
     def test_atoms_at_the_decoded_index_are_the_closed_form_draws(self, make):
-        model = make()
+        model, law = make()
         n = 40
         u = _block_uniforms(13, 0, 25, model.sampler._words(n, with_b=False))
         index = model.sampler._a_index(u, n, slice(None))
-        expected = _closed_form_a(model, u, n)
+        expected = _closed_form_a(model, u, n, **law)
         assert model.sampler.atoms[index].tobytes() == expected.tobytes()
         assert model.sampler._decode_a(u, n, slice(None)).tobytes() == expected.tobytes()
 

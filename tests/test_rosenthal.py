@@ -128,25 +128,21 @@ class TestWassersteinRates:
         )
 
     def test_rate_closed_form(self):
-        c = self.manual_constants(1.0)
-        rho_a, vth_a, kappa = wasserstein_rates(c, 0.25, 0.5, 0.1, c_a=2.0)
+        c = wasserstein_rates(self.manual_constants(1.0), 0.25, c_a=2.0)
         # ((0.52*5 + 1)/(5 + 1))^(0.25/1) = (3.6/6)^(1/4)
-        assert rho_a == pytest.approx((3.6 / 6.0) ** 0.25, rel=1e-13)
-        assert rho_a == pytest.approx(0.8801117367933934, rel=1e-12)
-        assert vth_a == pytest.approx((1 + 0.1 / 0.5 + 1.0) ** 0.25 / rho_a, rel=1e-13)
-        assert kappa == pytest.approx(1.5 ** 0.75, rel=1e-13)
-
-    def test_explicit_vartheta_overrides_default(self):
-        c = self.manual_constants(1.0)
-        _, _, kappa = wasserstein_rates(c, 0.25, 0.5, 0.1, vartheta=2.0)
-        assert kappa == pytest.approx(2.0 ** 0.75, rel=1e-13)
-        with pytest.raises(ValueError, match="vartheta"):
-            wasserstein_rates(c, 0.25, 0.5, 0.1, vartheta=0.5)
+        assert c.rho_alpha == pytest.approx((3.6 / 6.0) ** 0.25, rel=1e-13)
+        assert c.rho_alpha == pytest.approx(0.8801117367933934, rel=1e-12)
+        # lambda = 0.5 and b = 0.1 come from the constants
+        assert c.vartheta_alpha == pytest.approx(
+            (1 + 0.1 / 0.5 + 1.0) ** 0.25 / c.rho_alpha, rel=1e-13
+        )
+        assert c.vartheta == 1.5
+        assert c.kappa == pytest.approx(1.5 ** 0.75, rel=1e-13)
 
     def test_requires_delta_alpha(self):
         c = self.manual_constants(None)
         with pytest.raises(ValueError, match="delta_alpha"):
-            wasserstein_rates(c, 0.25, 0.5, 0.1)
+            wasserstein_rates(c, 0.25)
 
 
 class TestAttachWasserstein:
