@@ -4,39 +4,41 @@ Determinism contract: trajectory j reads its own counter stream
 ``stream(seed, j)`` in the model's fixed word layout, so it is a pure function
 of ``(model, alpha, seed, j)``.  The batch routines (``final_errors``,
 ``mc_norm_moment``, ``coupled_w2`` and the error decomposition
-``_decomposed_errors``) step a chunk of trajectories at once, each row with a
-lone trajectory's arithmetic (``_matvec``), and reduce per-trajectory
-statistics in trajectory order with full-array numpy operations: results are
+``_decomposed_errors``) all step through one driver, ``_drive``: it runs the
+trajectories in fixed chunks, sized so that a chunk's words, decoded window
+and step temporaries stay under a float budget, tiles the start state over
+each chunk and applies the caller's step to it, each row with a lone
+trajectory's arithmetic (``_matvec``).  Per-trajectory statistics are reduced
+in trajectory order with full-array numpy operations: results are
 bit-identical however trajectories are chunked or scheduled, so rows do not
 depend on the chunk budget.  A's law has finite support, so a batch routine
-builds its A-dependent step matrices (A, I - alpha*A, A - abar and
-(A - abar) @ theta_star) once per call, one per atom of the sampler, and
-each step gathers them by the decoded atom indices: the same numpy
-operations on the same values as a per-step computation, hence the same
-bits.  ``run_trajectory``, ``run_decomposed`` and ``product`` are the
-single-trajectory references; ``run_decomposed`` and ``_decomposed_errors``
-share one seven-row step (``_decompose``).
+builds its A-dependent step matrices (such as I - alpha*A and A - abar) once
+per call, one per atom of the sampler, and each step gathers them by the
+decoded atom indices: the same numpy operations on the same values as a
+per-step computation, hence the same bits.  ``run_trajectory``,
+``run_decomposed`` and ``product`` are the single-trajectory references;
+``run_decomposed`` runs the batch decomposition's step (``_decomposition``)
+through the driver on one row drawn from its own generator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.random import Generator
 
 from lsalab.linalg import SpectralProfile, _horizon, _logsumexp
 from lsalab.noise import LsaModel, _second_moment_transfer, lyapunov_witness
-from lsalab.rng import _block_uniforms, stream
+from lsalab.rng import _block_uniforms, stream, uniform_open01
 
 # A chunk's buffers stay under roughly this many floats.  Per trajectory: its
 # stream words, a window of decoded steps (an atom index and a b draw each,
-# ~_WINDOW_FLOATS) and _STEP_MATRICES (d, d) temporaries of a step (the
-# gathered step matrix, the state and its update).
+# ~_WINDOW_FLOATS) and a step's temporaries (see _traj_floats).
 _CHUNK_FLOAT_BUDGET = 4_000_000
 _WINDOW_FLOATS = 256
-_STEP_MATRICES = 3
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -148,22 +150,19 @@ def run_decomposed(
     the three noise terms) consume the same (A_k, b_k) sequence, so the
     identity  theta_err = gamma_term + j0 + j1 + h1  holds to rounding error.
     This is the single-trajectory reference of the batch kernel
-    ``_decomposed_errors``; both take the same step (``_decompose``).
+    ``_decomposed_errors``; both take the same step (``_decomposition``).
     """
     _check_run_args(model, alpha, n)
-    start = _decompose_start(model, theta0)[None]
-    a_seq, b_seq = model.sample_path(gen, n)
-    # a batch of one whose tables hold the path's own matrices: step k
-    # gathers entry k, with b_k of shape (1, d, 1)
-    tables = _decompose_tables(model, alpha, a_seq)
-
-    def steps():
-        return zip(np.arange(n)[:, None], b_seq[:, None, :, None])
-
-    end = _decompose(start, steps(), tables, model, alpha)
+    start, step = _decomposition(model, alpha, theta0)
+    words = uniform_open01(gen, (1, model.sampler._words(n, with_b=True)))
+    end = _drive(model, n, start, step, words=words)
     if not np.all(np.isfinite(end[0, 0])):
         # a non-finite iterate stays non-finite: re-run to name the step
-        _decompose(start, steps(), tables, model, alpha, checked=True)
+        def check(rows, k, state):
+            if not np.all(np.isfinite(state[:, 0])):
+                raise TrajectoryBlowup(step=k)
+
+        _drive(model, n, start, step, words=words, observe=check)
     theta_err, gamma_term, h1, j1, j0 = end[0, :5, :, 0]
     return TrajectoryDecomposition(
         gamma_term=gamma_term, j0=j0, j1=j1, h1=h1, theta_err=theta_err
@@ -175,52 +174,38 @@ def run_decomposed(
 _DECOMPOSE_ROWS = [0, 1, 2, 3, 4, 4, 3]
 
 
-def _decompose_start(model: LsaModel, theta0: np.ndarray) -> np.ndarray:
-    """The (7, d, 1) state at step 0: theta_err = gamma_term = theta0 - theta_star."""
+def _decomposition(model: LsaModel, alpha: float, theta0: np.ndarray):
+    """The (7, d, 1) start state of the error decomposition and its step.
+
+    At step 0, theta_err = gamma_term = theta0 - theta_star.  A step is one
+    stacked product of [G_k, G_k, G_k, G_mean, G_mean, delta_k, delta_k]
+    with the rows, with G_k = I - alpha*A_k, G_mean = I - alpha*abar and
+    delta_k = A_k - abar; then theta_err and j0 add alpha*eps_k, with
+    eps_k = (b_k - bbar) - delta_k @ theta_star, h1 subtracts
+    alpha*(delta_k j1) and j1 subtracts alpha*(delta_k j0).  The stacks and
+    the drifts delta_k @ theta_star are built once per atom of the sampler.
+    """
     d = model.dim
     start = np.zeros((7, d, 1))
     start[0:2, :, 0] = np.asarray(theta0, dtype=float).reshape(d) - model.theta_star
-    return start
-
-
-def _decompose_tables(model, alpha, a):
-    """Per-matrix step tables of ``_decompose`` for matrices a, shape (K, d, d).
-
-    Entry i holds the stack [G, G, G, G_mean, G_mean, delta, delta], shape
-    (7, d, d), with G = I - alpha*a[i], G_mean = I - alpha*abar and
-    delta = a[i] - abar, and the drift delta @ theta_star, shape (d,).
-    """
-    eye = np.eye(model.dim)
-    stacks = np.empty((len(a), 7) + eye.shape)
-    stacks[:, 0:3] = (eye - alpha * a)[:, None]
+    atoms = model.sampler.atoms
+    eye = np.eye(d)
+    stacks = np.empty((len(atoms), 7, d, d))
+    stacks[:, 0:3] = (eye - alpha * atoms)[:, None]
     stacks[:, 3:5] = eye - alpha * model.abar
-    delta = a - model.abar
+    delta = atoms - model.abar
     stacks[:, 5:7] = delta[:, None]
-    return stacks, delta @ model.theta_star
+    drifts = delta @ model.theta_star
 
-
-def _decompose(state, steps, tables, model, alpha, checked=False):
-    """The (B, 7, d, 1) decomposition state of B trajectories after all steps.
-
-    ``steps`` yields each step's (index_k, b_k), shapes (B,) and (B, d, 1),
-    and ``tables`` (see ``_decompose_tables``) holds the step matrices that
-    index_k selects.  A step is one stacked product of [G_k, G_k, G_k,
-    G_mean, G_mean, delta_k, delta_k] with the rows, then theta_err and j0
-    add alpha*eps_k, with eps_k = (b_k - bbar) - delta_k @ theta_star, h1
-    subtracts alpha*(delta_k j1) and j1 subtracts alpha*(delta_k j0).  With
-    ``checked`` a non-finite theta_err raises TrajectoryBlowup at its step.
-    """
-    stacks, drifts = tables
-    for k, (index, b_k) in enumerate(steps, 1):
+    def step(state, index, b_k):
         p = _matvec(stacks.take(index, axis=0), state)
         p[:, 5:7] *= alpha
         p[:, 2:4] -= p[:, 6:4:-1]
         eps = (b_k[..., 0] - model.bbar) - drifts.take(index, axis=0)
         p[:, 0:5:4] += (alpha * eps)[:, None, :, None]
-        state = p[:, _DECOMPOSE_ROWS]
-        if checked and not np.all(np.isfinite(state[:, 0])):
-            raise TrajectoryBlowup(step=k)
-    return state
+        return p[:, _DECOMPOSE_ROWS]
+
+    return start, step
 
 
 def product(model: LsaModel, alpha: float, n: int, gen: Generator) -> np.ndarray:
@@ -245,38 +230,61 @@ def _window(d: int) -> int:
     return max(1, _WINDOW_FLOATS // (d + 1))
 
 
-def _traj_floats(model: LsaModel, n: int, with_b: bool, step_floats: int | None = None) -> int:
+def _traj_floats(model: LsaModel, n: int, with_b: bool, state_floats: int) -> int:
     """Floats a chunk holds per trajectory: words, decoded window, step temporaries.
 
-    ``step_floats`` defaults to _STEP_MATRICES (d, d) temporaries.
+    A step on a state of ``state_floats`` floats holds the state, its update
+    and the gathered (d, d) step matrices: at most d floats per state float.
     """
     d = model.dim
-    if step_floats is None:
-        step_floats = _STEP_MATRICES * d * d
-    return model.sampler._words(n, with_b) + _window(d) * (d + 1) + step_floats
+    return model.sampler._words(n, with_b) + _window(d) * (d + 1) + (d + 2) * state_floats
 
 
-def _chunks(
-    model: LsaModel, n: int, n_traj: int, seed: int, with_b: bool, step_floats: int | None = None
-):
-    """Yield (lo, hi, steps) for fixed chunks of trajectories lo..hi-1.
+def _drive(
+    model: LsaModel, n: int, start: np.ndarray, step, seed: int = 0, n_traj: int = 1, *,
+    with_b: bool = True, words: np.ndarray | None = None, observe=None, reference=None,
+) -> np.ndarray:
+    """Final states of n_traj trajectories of n steps, shape (n_traj, *start.shape).
 
-    ``steps`` yields the chunk's per-step atom indices and b draws (see
-    ``_LayoutSampler._steps``); the chunk size keeps its words, decoded
-    window and step temporaries in budget (``_traj_floats``).  A caller
-    whose step holds more than _STEP_MATRICES (d, d) temporaries per
-    trajectory passes their float count as ``step_floats``.  The chunk's
-    words are held only by ``steps``, which drops them when it is exhausted,
-    so a caller that runs ``steps`` to the end holds at most one chunk's
-    words at a time.
+    Trajectory j reads stream(seed, j), or with ``words`` the one row of
+    words given, shape (1, words); with_b=False reads only the A words.
+    Trajectories run in fixed chunks whose words, decoded window and step
+    temporaries stay in budget (``_traj_floats``); a chunk's words are held
+    only by the decoder, so one chunk's words are alive at a time.  Each
+    chunk starts from ``start`` tiled, and ``step(state, index_k, b_k)``
+    returns the chunk's next state from the step's atom indices and b draws
+    (see ``_LayoutSampler._steps``).  ``observe(rows, k, state)`` sees the
+    state of trajectories ``rows`` (a slice) after each step k = 1..n.
+    With ``reference``, a function of a trajectory's generator that raises
+    TrajectoryBlowup at its first non-finite step, a final iterate (the
+    leading d floats of a state) that is not finite raises TrajectoryBlowup
+    with the first such trajectory and the step its reference names.
     """
-    words = model.sampler._words(n, with_b)
+    n_words = model.sampler._words(n, with_b)
     window = _window(model.dim)
-    per_traj = _traj_floats(model, n, with_b, step_floats)
-    chunk = max(1, min(4096, _CHUNK_FLOAT_BUDGET // per_traj))
+    chunk = max(1, min(4096, _CHUNK_FLOAT_BUDGET // _traj_floats(model, n, with_b, start.size)))
+    out = np.empty((n_traj,) + start.shape)
     for lo in range(0, n_traj, chunk):
         hi = min(lo + chunk, n_traj)
-        yield lo, hi, model.sampler._steps(_block_uniforms(seed, lo, hi, words), n, window, with_b)
+        state = np.tile(start, (hi - lo,) + (1,) * start.ndim)
+        steps = model.sampler._steps(
+            _block_uniforms(seed, lo, hi, n_words) if words is None else words, n, window, with_b
+        )
+        for k, (index, b_k) in enumerate(steps, 1):
+            state = step(state, index, b_k)
+            if observe is not None:
+                observe(slice(lo, hi), k, state)
+        if reference is not None:
+            bad = ~np.all(np.isfinite(state.reshape(hi - lo, -1)[:, : model.dim]), axis=1)
+            if np.any(bad):
+                j = lo + int(np.argmax(bad))
+                try:
+                    reference(stream(seed, j))
+                except TrajectoryBlowup as exc:
+                    raise TrajectoryBlowup(exc.step, trajectory=j) from None
+                raise TrajectoryBlowup(n, trajectory=j)
+        out[lo:hi] = state
+    return out
 
 
 def _matvec(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -302,23 +310,14 @@ def final_errors(
     trajectory index) if any trajectory leaves the finite range.
     """
     _check_run_args(model, alpha, n)
-    d = model.dim
-    theta0 = np.asarray(theta0, dtype=float).reshape(d)
+    theta0 = np.asarray(theta0, dtype=float).reshape(model.dim)
     atoms = model.sampler.atoms
-    out = np.empty((n_traj, d))
-    for lo, hi, steps in _chunks(model, n, n_traj, seed, with_b=True):
-        theta = np.tile(theta0[:, None], (hi - lo, 1, 1))
-        for index, b_k in steps:
-            theta = theta - alpha * (_matvec(atoms.take(index, axis=0), theta) - b_k)
-        bad = ~np.all(np.isfinite(theta), axis=(1, 2))
-        if np.any(bad):
-            j = lo + int(np.argmax(bad))
-            raise TrajectoryBlowup(
-                step=_locate_blowup(run_trajectory, model, alpha, theta0, n, seed, j),
-                trajectory=j,
-            )
-        out[lo:hi] = theta[:, :, 0]
-    return out - model.theta_star
+    theta = _drive(
+        model, n, theta0[:, None],
+        lambda x, index, b_k: x - alpha * (_matvec(atoms.take(index, axis=0), x) - b_k),
+        seed, n_traj, reference=partial(run_trajectory, model, alpha, theta0, n),
+    )
+    return theta[:, :, 0] - model.theta_star
 
 
 def _decomposed_errors(
@@ -332,35 +331,12 @@ def _decomposed_errors(
     leaves the finite range.
     """
     _check_run_args(model, alpha, n)
-    d = model.dim
-    start = _decompose_start(model, theta0)
-    tables = _decompose_tables(model, alpha, model.sampler.atoms)
-    out = np.empty((n_traj, 5, d))
-    # per trajectory: the gathered (7, d, d) stack, three (7, d, 1) states
-    # (state, products, reordered) and the drift, eps_k and alpha*eps_k
-    step_floats = 7 * d * d + 24 * d
-    for lo, hi, steps in _chunks(model, n, n_traj, seed, with_b=True, step_floats=step_floats):
-        end = _decompose(np.tile(start, (hi - lo, 1, 1, 1)), steps, tables, model, alpha)
-        bad = ~np.all(np.isfinite(end[:, 0]), axis=(1, 2))
-        if np.any(bad):
-            j = lo + int(np.argmax(bad))
-            raise TrajectoryBlowup(
-                step=_locate_blowup(run_decomposed, model, alpha, theta0, n, seed, j),
-                trajectory=j,
-            )
-        out[lo:hi] = end[:, :5, :, 0]
-    return out
-
-
-def _locate_blowup(
-    run, model: LsaModel, alpha: float, theta0: np.ndarray, n: int, seed: int, j: int
-) -> int:
-    """Re-run trajectory j with ``run``, which raises at the first non-finite step."""
-    try:
-        run(model, alpha, theta0, n, stream(seed, j))
-    except TrajectoryBlowup as exc:
-        return exc.step
-    return n
+    start, step = _decomposition(model, alpha, theta0)
+    end = _drive(
+        model, n, start, step, seed, n_traj,
+        reference=partial(run_decomposed, model, alpha, theta0, n),
+    )
+    return np.ascontiguousarray(end[:, :5, :, 0])
 
 
 def mc_norm_moment(
@@ -377,17 +353,15 @@ def mc_norm_moment(
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
     d = model.dim
-    eye = np.eye(d)
-    factors = eye - alpha * model.sampler.atoms
-    x = np.empty(n_traj)
-    for lo, hi, steps in _chunks(model, n, n_traj, seed, with_b=False):
-        gamma = np.tile(eye, (hi - lo, 1, 1))
-        for index, _ in steps:
-            gamma = _matvec(factors.take(index, axis=0), gamma)
-        if d == 1:
-            x[lo:hi] = np.abs(gamma[:, 0, 0]) ** p
-        else:  # scalar powers, as for one product: numpy's array power rounds differently
-            x[lo:hi] = [v**p for v in np.linalg.norm(gamma, 2, axis=(1, 2)).tolist()]
+    factors = np.eye(d) - alpha * model.sampler.atoms
+    gamma = _drive(
+        model, n, np.eye(d), lambda x, index, _: _matvec(factors.take(index, axis=0), x),
+        seed, n_traj, with_b=False,
+    )
+    if d == 1:
+        x = np.abs(gamma[:, 0, 0]) ** p
+    else:  # scalar powers, as for one product: numpy's array power rounds differently
+        x = np.array([v**p for v in np.linalg.norm(gamma, 2, axis=(1, 2)).tolist()])
     mean = float(np.mean(x))
     se_mean = float(np.std(x, ddof=1) / math.sqrt(n_traj))
     if mean <= 0.0:
@@ -426,27 +400,29 @@ def stationary_horizon(profile: SpectralProfile, alpha: float, tol: float) -> in
     return _horizon(profile, alpha, tol / math.sqrt(profile.kappa_q * profile.dim))
 
 
+def _burn_in(model: LsaModel, profile: SpectralProfile, alpha: float) -> int:
+    """Burn-in of ``sample_stationary``: the stationary horizon at 1e-8 * (1 + ||theta_star||)."""
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(model.theta_star)))
+    return stationary_horizon(profile, alpha, tol)
+
+
 def sample_stationary(
     model: LsaModel,
     alpha: float,
     n_samples: int,
     seed: int,
-    tol: float | None = None,
     profile: SpectralProfile | None = None,
 ) -> np.ndarray:
     """Approximate stationary samples by forward burn-in from theta_star.
 
     Each sample is the endpoint of an independent trajectory of length
-    N(alpha, tol) started at theta_star; tol defaults to
-    1e-8 * (1 + ||theta_star||).  Returns shape (n_samples, d).
+    N(alpha, tol) started at theta_star, with tol = 1e-8 * (1 + ||theta_star||).
+    Returns shape (n_samples, d).
     """
     if profile is None:
         profile = lyapunov_witness(model)
-    if tol is None:
-        tol = 1e-8 * (1.0 + float(np.linalg.norm(model.theta_star)))
-    horizon = stationary_horizon(profile, alpha, tol)
     return model.theta_star + final_errors(
-        model, alpha, model.theta_star, horizon, n_samples, seed
+        model, alpha, model.theta_star, _burn_in(model, profile, alpha), n_samples, seed
     )
 
 
@@ -476,12 +452,15 @@ def coupled_w2(
     ).reshape(d)
     factors = np.eye(d) - alpha * model.sampler.atoms
     sq = np.empty((n_traj, n + 1))
-    for lo, hi, steps in _chunks(model, n, n_traj, seed, with_b=False):
-        delta = np.tile(delta0[:, None], (hi - lo, 1, 1))
-        sq[lo:hi, 0] = _sq_norms(delta)
-        for k, (index, _) in enumerate(steps, 1):
-            delta = _matvec(factors.take(index, axis=0), delta)
-            sq[lo:hi, k] = _sq_norms(delta)
+    sq[:, 0] = _sq_norms(delta0[None, :, None])
+
+    def observe(rows, k, delta):
+        sq[rows, k] = _sq_norms(delta)
+
+    _drive(
+        model, n, delta0[:, None], lambda x, index, _: _matvec(factors.take(index, axis=0), x),
+        seed, n_traj, with_b=False, observe=observe,
+    )
     mean = np.mean(sq, axis=0)
     # np.std(sq, axis=0, ddof=1)'s two passes, in place of a second array
     sq -= mean

@@ -45,6 +45,7 @@ import numpy as np
 
 from lsalab.bounds import product_moment_bound, rademacher_tail_thresholds, sigma_gap_bound
 from lsalab.engine import (
+    _burn_in,
     _decomposed_errors,
     _decomposition_residuals,
     coupled_exact_sq,
@@ -55,7 +56,6 @@ from lsalab.engine import (
     rademacher_exact_moment,
     rademacher_exact_tail,
     sample_stationary,
-    stationary_horizon,
 )
 from lsalab.linalg import (
     _solve_sigma_pair,
@@ -446,11 +446,10 @@ def _check_clt(config: ExperimentConfig, errors: list[str]) -> None:
         errors.append(f"clt needs a one-dimensional model, got dim={model.dim}")
         return
     profile = lyapunov_witness(model)
-    tol = 1e-8 * (1.0 + float(np.linalg.norm(model.theta_star)))
     for i, al in enumerate(config.alphas):
         try:
             exact_stationary_cov(model, al)
-            stationary_horizon(profile, al, tol)
+            _burn_in(model, profile, al)
         except ValueError as exc:
             errors.append(f"alphas[{i}]={al}: {exc}")
 

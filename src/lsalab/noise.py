@@ -53,10 +53,6 @@ from lsalab.linalg import (
 )
 from lsalab.rng import _categorical, _coins, _normals, uniform_open01
 
-# Power-iteration controls for the stationary law of the finite-state chain.
-STATIONARY_TOL = 1e-12
-STATIONARY_MAX_ITERS = 10**6
-
 
 class _LayoutSampler:
     """Path and block decoding shared by the built-in samplers.
@@ -291,22 +287,24 @@ def bounded_factor_model(
 
 
 def stationary_law(p: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix by power iteration."""
+    """Stationary distribution of a row-stochastic matrix.
+
+    Solves pi @ p = pi with sum(pi) = 1 directly: the last equation of
+    (p.T - I) @ pi = 0 is replaced by sum(pi) = 1.  That system is
+    nonsingular exactly when the law is unique (periodic chains included);
+    otherwise, as for p = I, raises ValueError.
+    """
     p = _as_square(p, "p")
     s = p.shape[0]
     if np.any(p < 0) or not np.allclose(p.sum(axis=1), 1.0, atol=1e-12):
         raise ValueError("p must be row-stochastic")
-    pi = np.full(s, 1.0 / s)
-    for _ in range(STATIONARY_MAX_ITERS):
-        nxt = pi @ p
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) <= STATIONARY_TOL:
-            return nxt
-        pi = nxt
-    raise RuntimeError(
-        f"power iteration did not reach tol={STATIONARY_TOL} within "
-        f"{STATIONARY_MAX_ITERS} iterations"
-    )
+    system = p.T - np.eye(s)
+    system[-1] = 1.0
+    if np.linalg.matrix_rank(system) < s:
+        raise ValueError("p has no unique stationary law: it has more than one closed class")
+    pi = np.linalg.solve(system, np.eye(s)[-1])
+    # rounding can leave a state of probability 0 slightly negative
+    return np.maximum(pi, 0.0)
 
 
 @dataclass(frozen=True)

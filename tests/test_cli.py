@@ -75,6 +75,22 @@ class TestExitCodes:
         assert "note [" in captured.err
         assert "failed" in captured.out
 
+    @pytest.mark.parametrize("p,code", [
+        ([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]], 0),  # periodic: law [1/4, 1/2, 1/4]
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2),  # every law is stationary
+    ], ids=["periodic", "identity"])
+    def test_td_chain_is_run_or_rejected_by_its_stationary_law(self, tmp_path, capsys, p, code):
+        model = {
+            "kind": "td_zero", "p": p, "rewards": [1.0, -0.5, 2.0],
+            "phi": [[1.0, 0.0], [0.5, 1.0], [-0.5, 0.5]], "gamma": 0.9,
+        }
+        cfg = write_config(
+            tmp_path, model=model, alphas=[0.05], ns=[50], n_traj=20, out=str(tmp_path / "td"),
+        )
+        assert main(["simulate", "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert ("no unique stationary law" in err) == (code == 2)
+
     def test_unreadable_config_exits_two(self, tmp_path, capsys):
         assert main(["clt", "--config", str(tmp_path / "absent.json")]) == 2
         assert "cannot read config file" in capsys.readouterr().err

@@ -3,14 +3,18 @@ chunking invariance, stationary sampling, and the coupled contraction curve."""
 
 from __future__ import annotations
 
+import ast
 import math
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+import lsalab
 import lsalab.engine as engine
 from lsalab.engine import (
     McEstimate,
@@ -291,30 +295,81 @@ class TestFinalErrors:
         assert info.value.step >= 1
 
 
+# Each batch estimator on a scalar model, whether it reads the b words, and
+# the floats of its start state (engine._traj_floats sizes chunks by both).
+_ESTIMATORS = {
+    "final_errors": (
+        lambda model, n, n_traj: final_errors(model, 0.1, np.zeros(1), n, n_traj, 7), True, 1
+    ),
+    "decomposed_errors": (
+        lambda model, n, n_traj: engine._decomposed_errors(
+            model, 0.1, np.zeros(1), n, n_traj, 7
+        ),
+        True,
+        7,
+    ),
+    "mc_norm_moment": (
+        lambda model, n, n_traj: mc_norm_moment(model, 0.1, n, 2.0, n_traj, 7), False, 1
+    ),
+    "coupled_w2": (
+        lambda model, n, n_traj: coupled_w2(model, 0.1, n, np.ones(1), np.zeros(1), n_traj, 7),
+        False,
+        1,
+    ),
+}
+
+
 class TestChunkMemory:
-    def test_one_chunk_of_words_alive_at_a_time(self, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+    def test_one_chunk_of_words_alive_at_a_time(self, name, monkeypatch):
+        estimate, with_b, state_floats = _ESTIMATORS[name]
         model = gm_model()
         n, n_traj = 2000, 35
         # ten trajectories a chunk, so 10, 10, 10, 5
-        budget = 10 * engine._traj_floats(model, n, with_b=True)
+        budget = 10 * engine._traj_floats(model, n, with_b, state_floats)
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
-        word_bytes = []
+        word_bytes, earlier_alive, held, chunks = [], [], [], []
         draw = engine._block_uniforms
 
         def spy(seed, lo, hi, n_words):
+            earlier_alive.append(sum(ref() is not None for ref in chunks))
+            if not chunks:
+                # what the estimator holds before its first chunk, such as
+                # its output arrays, is not chunk memory
+                held.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
             u = draw(seed, lo, hi, n_words)
+            chunks.append(weakref.ref(u))
             word_bytes.append(u.nbytes)
             return u
 
         monkeypatch.setattr(engine, "_block_uniforms", spy)
         tracemalloc.start()
         try:
-            final_errors(model, 0.1, np.zeros(1), n, n_traj, 7)
+            estimate(model, n, n_traj)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(word_bytes) >= 3
-        assert peak <= 1.5 * max(word_bytes), (peak, word_bytes)
+        assert len(word_bytes) == 4
+        assert earlier_alive == [0, 0, 0, 0]
+        assert peak - held[0] <= 1.5 * max(word_bytes), (peak, held, word_bytes)
+
+
+class TestOneLoop:
+    def test_only_the_driver_draws_and_steps_chunks(self):
+        # a function that draws a block of stream rows or runs a sampler's
+        # steps itself is a second chunk loop beside engine._drive
+        callers = set()
+        for path in sorted(Path(lsalab.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                for node in ast.walk(top):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if name in ("_block_uniforms", "_steps"):
+                        callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+        assert callers == {"engine._drive"}
 
 
 class TestMcNormMoment:
@@ -463,7 +518,7 @@ class TestCoupling:
         se_mean = np.std(sq, axis=0, ddof=1) / math.sqrt(n_traj)
         expected = np.where(mean > 0.0, se_mean / (2.0 * np.sqrt(mean)), 0.0)
         # uneven chunks: 23 trajectories in chunks of 5
-        per_traj = engine._traj_floats(model, n, with_b=False)
+        per_traj = engine._traj_floats(model, n, False, model.dim)
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 5 * per_traj)
         value, std_err = coupled_w2(model, alpha, n, delta0, np.zeros(model.dim), n_traj, seed)
         assert std_err.tobytes() == expected.tobytes()

@@ -142,6 +142,20 @@ class TestTdZero:
         with pytest.raises(ValueError):
             stationary_law(np.array([[0.5, 0.2], [0.3, 0.7]]))
 
+    def test_stationary_law_of_a_periodic_chain(self):
+        # period 2: a power iteration from the uniform law never settles
+        p = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        assert np.allclose(stationary_law(p), [0.25, 0.5, 0.25], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("p", [
+        np.eye(3),
+        np.array([[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0],
+                  [0.0, 0.0, 0.2, 0.8], [0.0, 0.0, 0.6, 0.4]]),
+    ], ids=["identity", "two_closed_classes"])
+    def test_chain_without_a_unique_law_is_rejected(self, p):
+        with pytest.raises(ValueError, match="no unique stationary law"):
+            stationary_law(p)
+
     def test_mean_pair_is_exact_state_sum(self):
         model = three_state_td()
         p = np.array([[0.1, 0.6, 0.3], [0.4, 0.4, 0.2], [0.5, 0.25, 0.25]])
