@@ -22,7 +22,7 @@ from lsalab.linalg import (
     alpha_p_inf,
     q_norm_mat,
 )
-from lsalab.rng import stream, uniform_open01, normal_inverse_cdf
+from lsalab.rng import stream, uniform_open01
 from lsalab.noise import (
     LsaModel,
     ContractiveProfile,

@@ -526,7 +526,11 @@ def rademacher_exact_tail(q_a: float, alpha: float, n: int, t: float) -> float:
 
     theta_n = (1-alpha)^K (1+alpha)^(n-K) with K ~ Binomial(n, q_a), so the
     event is K <= k* with k* = floor((n log(1+alpha) - log t) / log((1+alpha)/(1-alpha))),
-    clamped to [-1, n].
+    clamped to [-1, n].  The CDF is summed in integers: with q_a = a/b
+    exactly (b a power of two) and c = b - a, the terms
+    T_i = C(n, i) a^i c^(n-i) follow T_{i+1} = T_i (n-i) a / ((i+1) c)
+    without remainder, and P(K <= k*) = sum_{i <= k*} T_i / b^n, rounded
+    once.
     """
     if not 0.0 < q_a < 1.0:
         raise ValueError(f"q_a must lie in (0, 1), got {q_a}")
@@ -541,10 +545,14 @@ def rademacher_exact_tail(q_a: float, alpha: float, n: int, t: float) -> float:
     k_star = max(-1, min(n, k_star))
     if k_star < 0:
         return 0.0
-    # scipy.stats costs ~1 s of import; scipy.special.bdtr rounds differently
-    from scipy.stats import binom
-
-    return float(binom.cdf(k_star, n, q_a))
+    a, b = float(q_a).as_integer_ratio()
+    c = b - a
+    term = total = c**n
+    for i in range(k_star):
+        term = term * (n - i) * a // ((i + 1) * c)
+        total += term
+    # int / int is correctly rounded
+    return total / b**n
 
 
 # ---------------------------------------------------------------------------

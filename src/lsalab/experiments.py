@@ -13,7 +13,11 @@ streams keyed by the unit seed ``(config.seed + i) mod 2**64``, so a unit is
 a pure function of ``(config, i)``.  A pool run hands the units to its
 workers in contiguous chunks and reassembles them in index order, so a full
 run produces identical rows whatever the worker count, the chunk layout or
-the order in which workers finish.  Failures inside a unit
+the order in which workers finish.  An experiment may compute its units in
+blocks: ``lyapunov`` solves 256 units at a time, those of each dimension in
+one call of ``lsalab.linalg``'s stacked kernels, and its units read their
+rows from the block.  A pool chunk is a whole number of blocks, and a unit's
+rows are the same bits at any block size.  Failures inside a unit
 (simulation blow-ups, solver breakdowns) are recorded in the affected rows
 themselves -- empirical = nan, pass = false, with the message kept on the
 row's ``note`` field -- and never abort the run.
@@ -37,9 +41,9 @@ import itertools
 import json
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -58,10 +62,15 @@ from lsalab.engine import (
     sample_stationary,
 )
 from lsalab.linalg import (
+    _geometry,
+    _lyapunov_q,
+    _norms,
+    _require_finite,
+    _require_hurwitz,
     _solve_sigma_pair,
+    _t,
     solve_riccati,
     solve_sigma,
-    spectral_norm,
     spectral_profile,
 )
 from lsalab.noise import (
@@ -73,7 +82,7 @@ from lsalab.noise import (
     rademacher_gaussian_model,
     td_zero_model,
 )
-from lsalab.rng import _special, normal_inverse_cdf, stream, uniform_open01
+from lsalab.rng import _normals, _seed_uniforms, _special, stream, uniform_open01
 from lsalab.rosenthal import (
     ROOT_RESIDUAL_TOL,
     _delta_gap,
@@ -578,36 +587,88 @@ def _lyapunov_params(config: ExperimentConfig, unit: tuple) -> list[tuple]:
     return [("residuals", trial, dim, math.nan), ("contraction", trial, dim, math.nan)]
 
 
+def _lyapunov_verdicts(seed: int, trials: range) -> list[tuple[float, float, float, float]]:
+    """(alpha, worst residual, contraction, contraction cap) of each trial.
+
+    Trial t is unit t of a run with seed ``seed``: its words are the leading
+    words of ``stream(seed + t, 0)``.  The trials of each dimension are
+    computed together, through the stacked kernels behind the public solves
+    and geometry, which make every check of those calls per matrix and give
+    each matrix the bits the public calls give it.  Raises what the first
+    failing check raises.
+    """
+    out: list = [None] * len(trials)
+    for dim in range(1, _LYAPUNOV_MAX_DIM + 1):
+        at = [i for i, trial in enumerate(trials) if 1 + trial % _LYAPUNOV_MAX_DIM == dim]
+        if not at:
+            continue
+        n = len(at)
+        words = _seed_uniforms([(seed + trials[i]) % 2**64 for i in at], 3 * dim * dim + 1)
+        g, r, w = _normals(words[:, :-1]).reshape(n, 3, dim, dim).transpose(1, 0, 2, 3)
+        eye = np.eye(dim)
+        # positive-definite symmetric part keeps the spectrum in the right half
+        # plane for any skew part, so every draw is a valid mean matrix
+        abar = g @ _t(g) / dim + 0.1 * eye + 0.5 * (r - _t(r))
+        sigma_eps = w @ _t(w) / dim + 0.1 * eye
+        # spectral_profile(abar, 1.5 * ||abar||), with ||abar|| taken once
+        abar_norm = _norms(abar)
+        _require_hurwitz(_require_finite(abar, "abar"))
+        q, q_rel = _lyapunov_q(abar)
+        a, alpha_inf, _, _, root, inv_root = _geometry(abar, q, 1.5 * abar_norm, abar_norm)
+        alpha = words[:, -1] * alpha_inf
+        # Q's residual is its solve's own gate residual, and so is Sigma's;
+        # S^alpha's is recomputed in matmul form, independently of the
+        # Kronecker form it solved.
+        sigma_norm = _norms(sigma_eps)
+        _, sig_a, sig_rel = _solve_sigma_pair(abar, sigma_eps, alpha, sigma_norm)
+        al = alpha[:, None, None]
+        lhs = abar @ sig_a + sig_a @ _t(abar) - al * (abar @ sig_a @ _t(abar))
+        s_rel = _norms(lhs - sigma_eps) / (1.0 + sigma_norm)
+        step = _require_finite(eye - al * abar, "m")
+        contraction = _norms(root @ step @ inv_root)
+        for k, i in enumerate(at):
+            # Python floats throughout, as the one-unit arithmetic was:
+            # max() keeps its nan handling and ** 2 its rounding
+            out[i] = (
+                float(alpha[k]),
+                max(float(q_rel[k]), float(sig_rel[k]), float(s_rel[k])),
+                float(contraction[k]) ** 2,
+                1.0 - float(a[k]) * float(alpha[k]) + CONTRACTION_SLACK,
+            )
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _lyapunov_block(seed: int, lo: int, hi: int) -> list:
+    """``_lyapunov_verdicts`` of trials lo..hi-1, or an exception per trial.
+
+    Cached, because every unit of the block reads it; the pool hands out
+    whole blocks, so each process computes a block once.  If the block
+    raises, each trial is computed as a block of one, so a failing trial
+    carries exactly the exception its own unit raises and no other trial
+    fails with it.
+    """
+    try:
+        return _lyapunov_verdicts(seed, range(lo, hi))
+    except Exception:  # noqa: BLE001 - narrowed to the failing trial below
+        out: list = []
+        for trial in range(lo, hi):
+            try:
+                out += _lyapunov_verdicts(seed, range(trial, trial + 1))
+            except Exception as exc:  # noqa: BLE001 - becomes the unit's failure rows
+                out.append(exc)
+        return out
+
+
 def _run_lyapunov_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
     (trial,) = unit
-    gen = stream(seed, 0)
+    size = _EXPERIMENTS["lyapunov"].block
+    lo = trial - trial % size
+    verdict = _lyapunov_block(config.seed, lo, min(lo + size, config.n_traj))[trial - lo]
+    if isinstance(verdict, Exception):
+        raise verdict.with_traceback(None)
+    alpha, worst, contraction, contraction_cap = verdict
     dim = 1 + trial % _LYAPUNOV_MAX_DIM
-    g, r, w = (normal_inverse_cdf(gen, (dim, dim)) for _ in range(3))
-    # positive-definite symmetric part keeps the spectrum in the right half
-    # plane for any skew part, so every draw is a valid mean matrix
-    abar = g @ g.T / dim + 0.1 * np.eye(dim) + 0.5 * (r - r.T)
-    sigma_eps = w @ w.T / dim + 0.1 * np.eye(dim)
-    profile = spectral_profile(abar, 1.5 * spectral_norm(abar))
-    alpha = float(uniform_open01(gen, 1)[0]) * profile.alpha_inf
-    eye = np.eye(dim)
-
-    def rel(lhs: np.ndarray, rhs: np.ndarray) -> float:
-        return spectral_norm(lhs - rhs) / (1.0 + spectral_norm(rhs))
-
-    # spectral_profile already validated abar and solved (and residual-checked)
-    # the Lyapunov equation; its q is the matrix solve_lyapunov(abar) returns.
-    # Sigma's residual is its solve's own gate residual; S^alpha's is
-    # recomputed in matmul form, independently of the Kronecker form it solved.
-    q = profile.q
-    _, sig_a, sig_rel = _solve_sigma_pair(profile.abar, sigma_eps, alpha)
-    worst = max(
-        # 1 + ||I|| is exactly 2
-        spectral_norm(abar.T @ q + q @ abar - eye) / 2.0,
-        sig_rel,
-        rel(abar @ sig_a + sig_a @ abar.T - alpha * (abar @ sig_a @ abar.T), sigma_eps),
-    )
-    contraction = profile._q_norm(eye - alpha * abar) ** 2
-    contraction_cap = 1.0 - profile.a * alpha + CONTRACTION_SLACK
     return [
         _row(
             config,
@@ -944,7 +1005,9 @@ class _Experiment:
     fastest.  ``params(config, unit)`` gives the parameter tuples of the
     unit's rows, which its failure rows carry when ``runner(config, unit,
     seed)`` raises.  ``check(config, errors)`` appends the per-point
-    problems of a config whose fields are otherwise valid.
+    problems of a config whose fields are otherwise valid.  ``block`` is
+    the number of consecutive units the runner computes together; a pool
+    chunk is a whole number of blocks.
 
     Records hold private functions only: a public lsalab function stored
     here would escape the rebinding of module-level names that tracing uses.
@@ -959,6 +1022,7 @@ class _Experiment:
     runner: Callable[[ExperimentConfig, tuple, int], list[ResultRow]]
     check: Callable[[ExperimentConfig, list[str]], object] | None = None
     head: Callable[[ExperimentConfig], tuple] = lambda config: ()
+    block: int = 1
 
 
 _TWO_POINT = {"kind": "biased_rademacher", "q_a": 0.75}
@@ -976,6 +1040,7 @@ _EXPERIMENTS = {
         axes=lambda c: (range(c.n_traj),),
         params=_lyapunov_params,
         runner=_run_lyapunov_unit,
+        block=256,
     ),
     "bounds": _Experiment(
         keys=("alpha", "n", "p"),
@@ -1094,9 +1159,17 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     if workers <= 1:
         units = [run_unit(cfg, i) for i in range(count)]
     else:
+        # the pool's import costs every process about 20 ms; only a pool
+        # run pays it
+        from concurrent.futures import ProcessPoolExecutor
+
         # contiguous chunks, about four per worker, amortize the pool's
-        # per-task round trip; map still returns units in index order
+        # per-task round trip; map still returns units in index order.  A
+        # chunk is a whole number of the experiment's blocks, so no block
+        # is computed by two workers.
+        block = _EXPERIMENTS[cfg.experiment].block
         chunksize = max(1, count // (4 * workers))
+        chunksize = block * max(1, round(chunksize / block))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             units = list(pool.map(run_unit, repeat(cfg), range(count), chunksize=chunksize))
     return [row for unit in units for row in unit]
@@ -1139,11 +1212,24 @@ def csv_text(experiment: str, rows: list[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_value(value):
-    """A row cell as a JSON value: numpy scalars as Python ones, nan and +-inf as null."""
+def _json_cell(value) -> str:
+    """A row cell as ``json.dumps`` writes it: numpy scalars as Python ones,
+    nan and +-inf as null."""
     if isinstance(value, np.generic):
         value = value.item()
-    return None if type(value) is float and not math.isfinite(value) else value
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    raise TypeError(f"row cell {value!r} is not JSON serializable")
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -1176,24 +1262,28 @@ def json_text(
     from lsalab import __version__
 
     keys = PARAM_KEYS[experiment]
-    names = keys + _CSV_TAIL
-    payload = {
-        "metadata": {
-            "version": __version__,
-            "experiment": experiment,
-            "config_hash": config_hash(config),
-            "wall_time_s": wall_time_s,
-        },
-        "rows": [],
+    metadata = {
+        "version": __version__,
+        "experiment": experiment,
+        "config_hash": config_hash(config),
+        "wall_time_s": wall_time_s,
     }
+    # json.dumps(..., indent=2) of the whole payload, whose indented form
+    # runs CPython's pure-Python encoder: the metadata goes through
+    # json.dumps, and each row cell is written after its key's prefix
+    head = json.dumps({"metadata": metadata}, indent=2, allow_nan=False)[:-2]
+    prefixes = [
+        f"      {encode_basestring_ascii(name)}: " for name in ("experiment",) + keys + _CSV_TAIL
+    ]
+    entries = []
     for row in rows:
         pd = row.param_dict
-        cells = [pd.get(k, "") for k in keys]
+        cells = [row.experiment, *(pd.get(k, "") for k in keys)]
         cells += [row.empirical, row.std_err, row.oracle, row.bound, row.passed, row.seed]
-        entry = {"experiment": row.experiment}
-        entry.update(zip(names, map(_json_value, cells)))
-        payload["rows"].append(entry)
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        lines = ",\n".join(p + _json_cell(c) for p, c in zip(prefixes, cells))
+        entries.append("    {\n" + lines + "\n    }")
+    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return head + ',\n  "rows": ' + body + "\n}\n"
 
 
 def output_paths(config: ExperimentConfig) -> list[str]:

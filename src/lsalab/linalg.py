@@ -15,6 +15,16 @@ own inputs once (finite entries, then the stepsize, then the Hurwitz
 condition), and ``_solve_stationary`` assumes an already validated ``abar``.
 ``spectral_profile`` gets Q through ``solve_lyapunov`` and keeps Q's square
 root factors, so a caller holding a profile never factors Q again.
+
+The private kernels (``_solve_stationary``, ``_kron``, ``_kron_sum``,
+``_norms``, ``_spd_roots``, ``_geometry`` and the checks) take a stack of
+matrices, shape ``(n, d, d)``, and make every check per matrix, raising for
+the first one that fails the error a single call would raise for it.  The
+public 2-D functions are calls on a stack of one.  numpy's stacked ``solve``,
+``svd``, ``eigh``, ``eigvals`` and ``matmul`` give each slice the bits of the
+2-D call, so a stacked caller (``lsalab.experiments``' lyapunov blocks) gets
+the same results as the public functions, at a fraction of their per-call
+overhead on small matrices.
 The solve is O(d^6).  A Bartels-Stewart / Stein route in O(d^3) is deferred:
 the exact kernels E[A (x) A] of the bounded-factor and TD(0) models have no
 Stein structure, so it would be a second solver beside this one and would
@@ -60,9 +70,25 @@ def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
+    return _require_finite(m, name)
+
+
+def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
+    """Raise unless every entry of ``m`` (one matrix or a stack) is finite."""
     if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix of a stack, a view as ``m.T`` is of one."""
+    return m.swapaxes(-1, -2)
+
+
+def _norms(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix of a stack; 0.0 if empty."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return sv[..., 0] if sv.shape[-1] else np.zeros(sv.shape[:-1])
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -71,8 +97,7 @@ def spectral_norm(m: np.ndarray) -> float:
     The same singular values as ``np.linalg.norm(m, 2)``, read directly, so
     the value is bit-identical without that wrapper's dispatch cost.
     """
-    sv = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-    return float(sv[0]) if sv.size else 0.0
+    return float(_norms(np.asarray(m, dtype=float)))
 
 
 def _logsumexp(a) -> float:
@@ -98,9 +123,10 @@ def _logsumexp(a) -> float:
 
 
 def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices: the same products, by one broadcast."""
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(
-        x.shape[0] * y.shape[0], x.shape[1] * y.shape[1]
+    """``np.kron`` of two matrices, or of stacks slice by slice, by one broadcast."""
+    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    return (x[..., :, None, :, None] * y[..., None, :, None, :]).reshape(
+        lead + (x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1])
     )
 
 
@@ -115,61 +141,83 @@ def hurwitz_check(abar: np.ndarray, margin: float = EIG_MARGIN) -> bool:
 
 
 def _require_hurwitz(abar: np.ndarray) -> np.ndarray:
-    """Raise NotHurwitzError unless ``abar`` (already through ``_as_square``) is Hurwitz."""
+    """Raise NotHurwitzError unless the finite matrix, or every matrix of the
+    finite stack, ``abar`` is Hurwitz."""
     eig = np.linalg.eigvals(abar)
-    if not np.min(eig.real) > EIG_MARGIN:
+    bad = ~(eig.real.min(axis=-1) > EIG_MARGIN)
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
         raise NotHurwitzError(
-            f"driving matrix has an eigenvalue with real part <= {EIG_MARGIN}: eigenvalues {eig}"
+            f"driving matrix has an eigenvalue with real part <= {EIG_MARGIN}: "
+            f"eigenvalues {eig[first]}"
         )
     return abar
 
 
-def _check_residual(lhs: np.ndarray, rhs: np.ndarray, rhs_norm: float, what: str) -> float:
-    """Gate a solve on ``||lhs - rhs||``; return ``||lhs - rhs|| / (1 + ||rhs||)``."""
-    resid = spectral_norm(lhs - rhs)
+def _check_residual(
+    lhs: np.ndarray, rhs: np.ndarray, rhs_norm: np.ndarray, what: str
+) -> np.ndarray:
+    """Gate a stack of solves on ``||lhs - rhs||``; return ``||lhs - rhs|| / (1 + ||rhs||)``."""
+    resid = _norms(lhs - rhs)
     tol = SOLVER_TOL * (1.0 + rhs_norm)
-    if not resid <= tol:
-        raise SolverResidualError(f"{what}: residual {resid:.3e} exceeds {tol:.3e}")
+    bad = ~(resid <= tol)
+    if bad.any():
+        i = np.argmax(bad)
+        raise SolverResidualError(
+            f"{what}: residual {resid[i]:.3e} exceeds {np.broadcast_to(tol, bad.shape)[i]:.3e}"
+        )
     return resid / (1.0 + rhs_norm)
 
 
 def _kron_sum(abar: np.ndarray) -> np.ndarray:
-    """Vectorized ``S -> abar @ S + S @ abar.T`` in numpy's row-major vec."""
-    eye = np.eye(abar.shape[0])
+    """Vectorized ``S -> abar @ S + S @ abar.T`` in numpy's row-major vec, per slice."""
+    eye = np.eye(abar.shape[-1])
     return _kron(eye, abar) + _kron(abar, eye)
 
 
 def _solve_stationary(
     abar: np.ndarray,
     rhs: np.ndarray,
-    alpha: float,
+    alpha,
     kernel: np.ndarray | None,
     what: str,
     ksum: np.ndarray | None = None,
-    rhs_norm: float | None = None,
-) -> tuple[np.ndarray, float]:
-    """Solve ``abar @ S + S @ abar.T - alpha * K[S] = rhs`` for symmetric S.
+    rhs_norm: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``abar @ S + S @ abar.T - alpha * K[S] = rhs`` for symmetric S, per slice.
 
-    ``abar`` must already be validated (square, finite, Hurwitz); this is
-    only the solve, the symmetrization and the residual gate.  ``kernel`` is
-    K in numpy's row-major vec (``kernel @ vec(S) == vec(K[S])``), read only
-    when alpha is nonzero.  A caller solving several equations with the same
-    ``abar`` or ``rhs`` may pass ``_kron_sum(abar)`` as ``ksum`` and
-    ``spectral_norm(rhs)`` as ``rhs_norm``.  Returns S and the gate's
-    relative residual ``||lhs - rhs|| / (1 + ||rhs||)``.
+    ``abar`` is a stack ``(n, d, d)`` that must already be validated
+    (finite, Hurwitz); this is only the solve, the symmetrization and the
+    residual gate, which raises for the first slice that misses it.
+    ``rhs`` is a stack or one ``(d, d)`` matrix shared by every slice.
+    ``alpha`` is one stepsize or one per slice.  ``kernel`` is K in numpy's
+    row-major vec (``kernel @ vec(S) == vec(K[S])``), a stack or one shared
+    matrix, read only when some alpha is nonzero.  A caller solving several
+    equations with the same ``abar`` or ``rhs`` may pass ``_kron_sum(abar)``
+    as ``ksum`` and ``_norms(rhs)`` as ``rhs_norm``.  Returns the stack S and
+    the gate's relative residuals ``||lhs - rhs|| / (1 + ||rhs||)``.
     """
-    d = abar.shape[0]
+    n, d, _ = abar.shape
     k = _kron_sum(abar) if ksum is None else ksum
-    if alpha:
+    alpha = np.asarray(alpha)[..., None, None]
+    if alpha.any():
         k = k - alpha * kernel
-    s = np.linalg.solve(k, rhs.reshape(-1)).reshape(d, d)
-    s = 0.5 * (s + s.T)
-    lhs = abar @ s + s @ abar.T
-    if alpha:
-        lhs = lhs - alpha * (kernel @ s.reshape(-1)).reshape(d, d)
+    s = np.linalg.solve(k, rhs.reshape(rhs.shape[:-2] + (d * d, 1))).reshape(n, d, d)
+    s = 0.5 * (s + _t(s))
+    lhs = abar @ s + s @ _t(abar)
+    if alpha.any():
+        lhs = lhs - alpha * (kernel @ s.reshape(n, d * d, 1)).reshape(n, d, d)
     if rhs_norm is None:
-        rhs_norm = spectral_norm(rhs)
+        rhs_norm = _norms(rhs)
     return s, _check_residual(lhs, rhs, rhs_norm, what)
+
+
+def _lyapunov_q(abar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q of every matrix of a validated stack, and the gate's relative residuals.
+
+    The residual is ``||abar.T q + q abar - I|| / 2``, since ``||I||`` is 1.
+    """
+    return _solve_stationary(_t(abar), np.eye(abar.shape[-1]), 0.0, None, "lyapunov solve")
 
 
 def solve_lyapunov(abar: np.ndarray) -> np.ndarray:
@@ -180,7 +228,7 @@ def solve_lyapunov(abar: np.ndarray) -> np.ndarray:
     one step of the deterministic recursion is a contraction.
     """
     abar = _require_hurwitz(_as_square(abar, "abar"))
-    return _solve_stationary(abar.T, np.eye(len(abar)), 0.0, None, "lyapunov solve")[0]
+    return _lyapunov_q(abar[None])[0][0]
 
 
 def solve_sigma(abar: np.ndarray, sigma_eps: np.ndarray) -> np.ndarray:
@@ -191,7 +239,7 @@ def solve_sigma(abar: np.ndarray, sigma_eps: np.ndarray) -> np.ndarray:
     """
     sigma_eps = _as_square(sigma_eps, "sigma_eps")
     abar = _require_hurwitz(_as_square(abar, "abar"))
-    return _solve_stationary(abar, sigma_eps, 0.0, None, "sigma solve")[0]
+    return _solve_stationary(abar[None], sigma_eps, 0.0, None, "sigma solve")[0][0]
 
 
 def solve_riccati(abar: np.ndarray, sigma_eps: np.ndarray, alpha: float) -> np.ndarray:
@@ -206,26 +254,39 @@ def solve_riccati(abar: np.ndarray, sigma_eps: np.ndarray, alpha: float) -> np.n
     if not 0.0 <= alpha:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     abar = _require_hurwitz(abar)
-    return _solve_stationary(abar, sigma_eps, alpha, _kron(abar, abar), "riccati solve")[0]
+    return _solve_stationary(
+        abar[None], sigma_eps, alpha, _kron(abar, abar), "riccati solve"
+    )[0][0]
 
 
 def _solve_sigma_pair(
-    abar: np.ndarray, sigma_eps: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """``solve_sigma`` and ``solve_riccati`` of a validated ``abar``, same bits.
+    abar: np.ndarray, sigma_eps: np.ndarray, alpha, sigma_norm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solve_sigma`` and ``solve_riccati`` of a validated stack, same bits.
 
-    The two solves share one Kronecker sum and one ``||sigma_eps||``.
-    Returns Sigma, S^alpha and Sigma's relative gate residual.
+    ``sigma_norm`` is ``_norms(sigma_eps)``, and ``alpha`` one stepsize or
+    one per slice.  The two solves share one Kronecker sum.  Returns the
+    stacks Sigma and S^alpha and Sigma's relative gate residuals.
     """
     ksum = _kron_sum(abar)
-    rhs_norm = spectral_norm(sigma_eps)
     sigma, sigma_rel = _solve_stationary(
-        abar, sigma_eps, 0.0, None, "sigma solve", ksum, rhs_norm
+        abar, sigma_eps, 0.0, None, "sigma solve", ksum, sigma_norm
     )
     s_alpha, _ = _solve_stationary(
-        abar, sigma_eps, alpha, _kron(abar, abar), "riccati solve", ksum, rhs_norm
+        abar, sigma_eps, alpha, _kron(abar, abar), "riccati solve", ksum, sigma_norm
     )
     return sigma, s_alpha, sigma_rel
+
+
+def _spd_roots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``spd_sqrt`` of every matrix of a finite stack; raises for the first non-SPD one."""
+    q = 0.5 * (q + _t(q))
+    w, v = np.linalg.eigh(q)
+    bad = (w[:, -1] <= 0.0) | (w[:, 0] <= SPD_EIG_FLOOR * w[:, -1])
+    if bad.any():
+        raise NotSpdError(f"matrix is not numerically SPD: eigenvalues {w[np.argmax(bad)]}")
+    sqrt_w = np.sqrt(w)[:, None, :]
+    return (v * sqrt_w) @ _t(v), (v / sqrt_w) @ _t(v)
 
 
 def spd_sqrt(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,14 +295,8 @@ def spd_sqrt(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Uses the symmetric eigendecomposition; eigenvalues below
     SPD_EIG_FLOOR * lambda_max are rejected as numerically singular.
     """
-    q = _as_square(q, "q")
-    q = 0.5 * (q + q.T)
-    w, v = np.linalg.eigh(q)
-    if w[-1] <= 0.0 or w[0] <= SPD_EIG_FLOOR * w[-1]:
-        raise NotSpdError(f"matrix is not numerically SPD: eigenvalues {w}")
-    root = (v * np.sqrt(w)) @ v.T
-    inv_root = (v / np.sqrt(w)) @ v.T
-    return root, inv_root
+    root, inv_root = _spd_roots(_as_square(q, "q")[None])
+    return root[0], inv_root[0]
 
 
 def q_norm_mat(m: np.ndarray, q: np.ndarray) -> float:
@@ -294,6 +349,42 @@ class SpectralProfile:
         return spectral_norm(root @ m @ inv_root)
 
 
+def _py_squares(x: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of every entry as a Python float.
+
+    numpy's array ``** 2`` multiplies, which can round differently in the
+    last bit from the libm ``pow`` behind Python's float ``** 2``, and the
+    geometry has always squared one Python float at a time.
+    """
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _geometry(abar: np.ndarray, q: np.ndarray, c_a, abar_norm: np.ndarray) -> tuple:
+    """The arithmetic of ``spectral_profile`` on a stack, after Q's solve.
+
+    ``abar`` is a validated stack, ``q`` its Lyapunov solutions, ``c_a``
+    one bound or one per slice and ``abar_norm`` the stack's ``_norms``.
+    Raises for the first slice whose ``c_a`` is not finite or is below
+    ``||abar||``.  Returns the stacks a, alpha_inf, kappa_q and b_q and the
+    factors ``spd_sqrt`` gives of each q.
+    """
+    bad = ~np.isfinite(c_a) | (c_a < abar_norm)
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(
+            f"c_a={np.broadcast_to(c_a, bad.shape)[i]} must be finite and "
+            f">= ||abar|| = {abar_norm[i]:.6g}"
+        )
+    q_norm = _norms(q)
+    a = 1.0 / (2.0 * q_norm)
+    root, inv_root = _spd_roots(q)
+    alpha_inf = 0.5 / (_py_squares(_norms(root @ abar @ inv_root)) * q_norm)
+    w = np.linalg.eigvalsh(q)
+    kappa_q = w[:, -1] / w[:, 0]
+    b_q = 2.0 * np.sqrt(kappa_q) * c_a
+    return a, alpha_inf, kappa_q, b_q, root, inv_root
+
+
 def spectral_profile(abar: np.ndarray, c_a: float) -> SpectralProfile:
     """Solve the Lyapunov equation and package the derived constants.
 
@@ -303,26 +394,19 @@ def spectral_profile(abar: np.ndarray, c_a: float) -> SpectralProfile:
     """
     abar = _as_square(abar, "abar")
     q = solve_lyapunov(abar)
-    abar_norm = spectral_norm(abar)
-    if not np.isfinite(c_a) or c_a < abar_norm:
-        raise ValueError(f"c_a={c_a} must be finite and >= ||abar|| = {abar_norm:.6g}")
-    q_norm = spectral_norm(q)
-    a = 1.0 / (2.0 * q_norm)
-    root, inv_root = spd_sqrt(q)
-    abar_qnorm = spectral_norm(root @ abar @ inv_root)
-    alpha_inf = 0.5 / (abar_qnorm**2 * q_norm)
-    w = np.linalg.eigvalsh(q)
-    kappa_q = float(w[-1] / w[0])
-    b_q = 2.0 * np.sqrt(kappa_q) * c_a
+    stack = abar[None]
+    a, alpha_inf, kappa_q, b_q, root, inv_root = _geometry(
+        stack, q[None], c_a, _norms(stack)
+    )
     return SpectralProfile(
         abar=abar,
         q=q,
-        a=a,
-        alpha_inf=alpha_inf,
-        kappa_q=kappa_q,
+        a=float(a[0]),
+        alpha_inf=float(alpha_inf[0]),
+        kappa_q=float(kappa_q[0]),
         c_a=float(c_a),
-        b_q=float(b_q),
-        _q_roots=(root, inv_root),
+        b_q=float(b_q[0]),
+        _q_roots=(root[0], inv_root[0]),
     )
 
 

@@ -462,4 +462,6 @@ def exact_stationary_cov(model: LsaModel, alpha: float) -> np.ndarray:
             f"alpha={alpha} (one-step transfer has spectral radius {radius:.6g})"
         )
     rhs = alpha * model.sigma_eps_exact
-    return _solve_stationary(abar, rhs, alpha, model.kernel_exact, "stationary covariance")[0]
+    return _solve_stationary(
+        abar[None], rhs, alpha, model.kernel_exact, "stationary covariance"
+    )[0][0]

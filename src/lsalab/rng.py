@@ -14,12 +14,14 @@ consequences the rest of the package relies on:
 Batch consumers read many streams at once through a block draw: one Philox
 whose state is reset to key ``(seed, j)`` at counter 0 for each row j, so row
 j holds exactly the leading words of ``stream(seed, j)`` and a block is the
-same no matter how the stream ids are split into blocks.  Salmon et al.,
+same no matter how the stream ids are split into blocks; a block of streams
+``(seed_i, 0)`` is read the same way with the seed varying.  Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3" (SC 2011) describe such keyed
 counter streams.
 
 Uniform variates are produced directly from the raw 64-bit counters as
-``((word >> 11) + 0.5) * 2^-53``, which lies strictly inside (0, 1).  Gaussian
+``((word >> 11) + 0.5) * 2^-53``, clamped below 1 (the all-ones word would
+round to 1.0), so every uniform lies strictly inside (0, 1).  Gaussian
 variates apply the inverse normal CDF (``scipy.special.ndtri``, the Cephes
 rational minimax approximation of the probit function, accurate to ~1e-16
 relative) to those uniforms.  This avoids rejection-based samplers whose
@@ -44,6 +46,7 @@ from numpy.random import Generator, Philox
 _U64 = np.uint64
 _SHIFT = _U64(11)
 _TWO53_INV = 2.0**-53
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def _check_u64(value: int, name: str) -> None:
@@ -68,16 +71,34 @@ def _block_uniforms(seed: int, lo: int, hi: int, n_words: int) -> np.ndarray:
     _check_u64(seed, "seed")
     if not 0 <= lo < hi <= 2**64:
         raise ValueError(f"stream ids must satisfy 0 <= lo < hi <= 2**64, got [{lo}, {hi})")
-    out = np.empty((hi - lo, n_words))
-    bitgen = Philox(key=np.array([seed, lo], dtype=_U64))
+    return _keyed_uniforms([seed, lo], 1, range(lo, hi), n_words)
+
+
+def _seed_uniforms(seeds: list[int], n_words: int) -> np.ndarray:
+    """Open uniforms, one row per seed: row i starts ``stream(seeds[i], 0)``."""
+    for seed in seeds:
+        _check_u64(seed, "seed")
+    return _keyed_uniforms([seeds[0], 0], 0, seeds, n_words)
+
+
+def _keyed_uniforms(key: list[int], slot: int, values, n_words: int) -> np.ndarray:
+    """Open uniforms, one row per entry of ``values``.
+
+    Row i holds the first n_words words of the stream whose key is ``key``
+    with ``key[slot]`` (0 the seed, 1 the stream id) set to ``values[i]``.
+    One Philox serves every row: its state is reset to the row's key at
+    counter 0, which is what a fresh ``stream`` of that key starts from.
+    """
+    out = np.empty((len(values), n_words))
+    bitgen = Philox(key=np.array(key, dtype=_U64))
     # a state of plain ints resets the generator about three times faster
     # than one of uint64 arrays
     fresh = bitgen.state
-    key = [seed, lo]
+    key = list(key)
     fresh["state"] = {"counter": fresh["state"]["counter"].tolist(), "key": key}
     fresh["buffer"] = fresh["buffer"].tolist()
-    for i in range(hi - lo):
-        key[1] = lo + i
+    for i, value in enumerate(values):
+        key[slot] = value
         bitgen.state = fresh
         r = bitgen.random_raw(n_words)
         r >>= _SHIFT
@@ -92,9 +113,15 @@ def uniform_open01(gen: Generator, size: int | tuple[int, ...]) -> np.ndarray:
 
 
 def _open01(top: np.ndarray) -> np.ndarray:
-    """(top + 0.5) * 2^-53 in place, for top = word >> 11 as float64."""
+    """(top + 0.5) * 2^-53 in place, for top = word >> 11 as float64.
+
+    For the all-ones word, top + 0.5 = 2^53 - 0.5 rounds to 2^53 and the
+    map gives 1.0; it is clamped to the largest float below 1.  No other
+    word reaches that float, so no other value moves.
+    """
     top += 0.5
     top *= _TWO53_INV
+    np.minimum(top, _BELOW_ONE, out=top)
     return top
 
 
@@ -119,8 +146,3 @@ def _categorical(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     # cdf is the inclusive cumulative sum of the probabilities; its last entry
     # may fall short of 1 by rounding, so the index is clamped to the last one
     return np.minimum(np.searchsorted(cdf, u, side="left"), cdf.size - 1)
-
-
-def normal_inverse_cdf(gen: Generator, size: int | tuple[int, ...]) -> np.ndarray:
-    """Standard normal draws via the inverse CDF applied to open uniforms."""
-    return _normals(uniform_open01(gen, size))

@@ -209,6 +209,16 @@ def test_cli_import_does_not_load_scipy_stats():
     assert _fresh_python(code) == "False"
 
 
+def test_rademacher_run_does_not_load_scipy_stats(tmp_path):
+    # the exact binomial tail is an integer sum, not scipy.stats' CDF
+    code = (
+        "import sys, lsalab.cli; code = lsalab.cli.main(sys.argv[1:]); "
+        "print(code, 'scipy.stats' in sys.modules)"
+    )
+    out = _fresh_python(code, "rademacher", "--out", str(tmp_path / "r"))
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_cli_import_loads_no_scipy_module():
     # scipy.special alone is about 0.3 s of cold start
     code = "import sys, lsalab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"

@@ -571,6 +571,24 @@ class TestRademacherOracles:
                 total, rel=1e-12, abs=1e-15
             )
 
+    def test_tail_is_the_correctly_rounded_binomial_cdf(self):
+        # q_a is read as the binary fraction it is, as the integer sum reads it
+        for q, alpha, n, t in (
+            (0.75, 0.1, 400, 0.05), (0.75, 0.1, 1000, 1.0), (0.6, 0.2, 12, 0.5),
+            (0.7, 0.05, 999, 0.3), (0.9, 0.3, 50, 2.0), (0.51, 0.01, 2000, 1.0),
+        ):
+            k_star = math.floor(
+                (n * math.log1p(alpha) - math.log(t)) / (math.log1p(alpha) - math.log1p(-alpha))
+            )
+            k_star = max(-1, min(n, k_star))
+            with mpmath.workdps(80):
+                qm = mpmath.mpf(q)
+                exact = mpmath.fsum(
+                    mpmath.binomial(n, i) * qm**i * (1 - qm) ** (n - i)
+                    for i in range(k_star + 1)
+                )
+            assert rademacher_exact_tail(q, alpha, n, t) == float(exact), (q, alpha, n, t)
+
     def test_tail_vs_monte_carlo(self):
         model = biased_rademacher_model(0.75)
         alpha, n, t = 0.1, 200, 1e-4

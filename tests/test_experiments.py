@@ -3,6 +3,7 @@ serialization, and scheduling-independence of results."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import json
 import math
@@ -37,12 +38,13 @@ from lsalab.experiments import (
 )
 from lsalab.linalg import (
     q_norm_mat,
+    solve_lyapunov,
     solve_riccati,
     solve_sigma,
     spectral_norm,
     spectral_profile,
 )
-from lsalab.rng import normal_inverse_cdf, stream, uniform_open01
+from lsalab.rng import _normals, stream, uniform_open01
 
 
 def tiny_config(experiment: str, **kw) -> ExperimentConfig:
@@ -308,7 +310,8 @@ class TestRun:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+        # run imports the pool class from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         cfg = ExperimentConfig(experiment="rademacher", seed=2)
         serial = run(cfg)
         assert started == []
@@ -427,15 +430,23 @@ class TestSimulateUnit:
         assert all(row.passed for row in rows), [row.note for row in rows]
 
 
-def _lyapunov_reference(cfg: ExperimentConfig, index: int) -> list[ResultRow]:
-    """A lyapunov unit's rows from the public solves, one call each, in order."""
+def _lyapunov_draws(cfg: ExperimentConfig, index: int):
+    """Unit ``index``'s seed, generator, mean matrix and noise covariance."""
     (trial,) = _unit(cfg, index)
     seed = (cfg.seed + index) % 2**64
     gen = stream(seed, 0)
     dim = 1 + trial % 8
-    g, r, w = (normal_inverse_cdf(gen, (dim, dim)) for _ in range(3))
+    g, r, w = (_normals(uniform_open01(gen, (dim, dim))) for _ in range(3))
     abar = g @ g.T / dim + 0.1 * np.eye(dim) + 0.5 * (r - r.T)
     sigma_eps = w @ w.T / dim + 0.1 * np.eye(dim)
+    return seed, gen, abar, sigma_eps
+
+
+def _lyapunov_reference(cfg: ExperimentConfig, index: int) -> list[ResultRow]:
+    """A lyapunov unit's rows from the public solves, one call each, in order."""
+    (trial,) = _unit(cfg, index)
+    dim = 1 + trial % 8
+    seed, gen, abar, sigma_eps = _lyapunov_draws(cfg, index)
     profile = spectral_profile(abar, 1.5 * spectral_norm(abar))
     alpha = float(uniform_open01(gen, 1)[0]) * profile.alpha_inf
     eye = np.eye(dim)
@@ -481,6 +492,9 @@ class TestLyapunovUnit:
             assert csv_text("lyapunov", rows) == csv_text("lyapunov", expected)
 
     def test_per_unit_call_budget(self, monkeypatch):
+        # a block makes one stacked call of each kind per dimension group:
+        # the 24 units share one block of eight groups, and with blocks of
+        # one each unit is its own group
         counts: dict[str, int] = {}
 
         def counting(owner, name):
@@ -492,16 +506,72 @@ class TestLyapunovUnit:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("eigvals", "eigh", "svd"):
+        for name in ("eigvals", "eigh", "svd", "solve"):
             counting(np.linalg, name)
-        counting(linalg, "solve_lyapunov")
-        for index in range(unit_count(self.CFG)):
-            counts.clear()
-            run_unit(self.CFG, index)
-            assert counts.get("eigvals") == 1, counts
-            assert counts.get("eigh") == 1, counts
-            assert counts.get("svd", 0) <= 13, counts
-            assert counts.get("solve_lyapunov") == 1, counts
+        record = experiments._EXPERIMENTS["lyapunov"]
+        for size, groups in ((256, 8), (1, 1)):
+            monkeypatch.setitem(experiments._EXPERIMENTS, "lyapunov", replace(record, block=size))
+            experiments._lyapunov_block.cache_clear()
+            for index in range(unit_count(self.CFG)):
+                counts.clear()
+                run_unit(self.CFG, index)
+                if index % size:
+                    assert counts == {}, counts
+                    continue
+                assert counts.get("eigvals") == groups, counts
+                assert counts.get("eigh") == groups, counts
+                assert counts.get("svd", 0) <= 10 * groups, counts
+                assert counts.get("solve") == 3 * groups, counts
+        experiments._lyapunov_block.cache_clear()
+
+    def test_rows_do_not_depend_on_block_or_worker_layout(self, monkeypatch):
+        # 600 units: two full blocks of 256 and a partial one
+        cfg = resolve(tiny_config("lyapunov", n_traj=600, seed=9))
+        expected = [row for index in (0, 255, 256, 599) for row in _lyapunov_reference(cfg, index)]
+        record = experiments._EXPERIMENTS["lyapunov"]
+        serial = None
+        for size in (1, 7, 256):
+            monkeypatch.setitem(experiments._EXPERIMENTS, "lyapunov", replace(record, block=size))
+            for workers in (1, 2, 3):
+                experiments._lyapunov_block.cache_clear()
+                rows = run(replace(cfg, workers=workers))
+                if serial is None:
+                    serial = rows
+                    assert [rows[i] for i in (0, 1, 510, 511, 512, 513, 1198, 1199)] == expected
+                assert rows == serial, (size, workers)
+        experiments._lyapunov_block.cache_clear()
+
+    def test_a_failing_trial_fails_only_its_own_rows(self, monkeypatch):
+        target = 13
+        succeeded = [run_unit(self.CFG, index) for index in range(unit_count(self.CFG))]
+        _, _, abar, _ = _lyapunov_draws(self.CFG, target)
+        d = len(abar)
+        # the Kronecker matrix of target's Lyapunov solve; np.kron has its bits
+        k_target = np.kron(np.eye(d), abar.T) + np.kron(abar.T, np.eye(d))
+        original = np.linalg.solve
+
+        def perturbed(a, b):
+            x = original(a, b)
+            if a.shape[-2:] == k_target.shape:
+                x[np.all(a == k_target, axis=(-2, -1))] += 1.0
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(linalg.SolverResidualError) as info:
+            solve_lyapunov(abar)
+        note = f"SolverResidualError: {info.value}"
+        experiments._lyapunov_block.cache_clear()
+        try:
+            for index, ok in enumerate(succeeded):
+                rows = run_unit(self.CFG, index)
+                if index != target:
+                    assert rows == ok
+                    continue
+                assert [row.note for row in rows] == [note, note]
+                assert not any(row.passed for row in rows)
+                assert all(math.isnan(row.empirical) for row in rows)
+        finally:
+            experiments._lyapunov_block.cache_clear()
 
 
 def _materialized_units(cfg: ExperimentConfig) -> list[tuple]:
@@ -641,6 +711,48 @@ class TestJsonText:
         assert [entry[k] for k in ("p", "empirical", "std_err", "oracle", "bound")] == [
             2.0, None, None, None, 2.0
         ]
+
+    def test_equals_the_standard_encoder(self):
+        # json_text writes rows line by line; the bytes must be those of
+        # json.dumps(payload, indent=2) with nan and inf as null
+        from lsalab import __version__
+
+        def row(params, **cells):
+            keys = PARAM_KEYS["rosenthal"]
+            return ResultRow(experiment="rosenthal", params=tuple(zip(keys, params)), **cells)
+
+        rows = [
+            row(("bsum", "", np.int64(3), 0.5, "", 7), empirical=math.nan, std_err=math.inf,
+                oracle=None, bound=-math.inf, passed=True, seed=2**64 - 1),
+            row(("ünï €", 2, 1, np.float64(1e-300), 'tab\t"q"\\', 0), empirical=-0.0,
+                std_err=0.1, oracle=np.float64(-math.inf), bound=1e300, passed=False, seed=0),
+        ]
+        cfg = tiny_config("rosenthal")
+
+        def clean(value):
+            if isinstance(value, np.generic):
+                value = value.item()
+            return None if isinstance(value, float) and not math.isfinite(value) else value
+
+        for chosen in (rows, rows[:1], []):
+            payload = {
+                "metadata": {
+                    "version": __version__, "experiment": "rosenthal",
+                    "config_hash": config_hash(cfg), "wall_time_s": 0.25,
+                },
+                "rows": [
+                    {
+                        "experiment": r.experiment,
+                        **{k: clean(v) for k, v in r.params},
+                        **dict(zip(("empirical", "std_err", "oracle", "bound", "pass", "seed"),
+                                   map(clean, (r.empirical, r.std_err, r.oracle, r.bound,
+                                               r.passed, r.seed)))),
+                    }
+                    for r in chosen
+                ],
+            }
+            expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+            assert json_text("rosenthal", chosen, cfg, 0.25) == expected
 
     def test_agreement_with_csv_values(self):
         cfg = tiny_config("bounds")

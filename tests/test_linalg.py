@@ -78,6 +78,9 @@ class TestSolveLyapunov:
         with pytest.raises(NotHurwitzError):
             # one eigenvalue on the imaginary axis
             solve_lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        # the message lists every eigenvalue of the rejected matrix
+        with pytest.raises(NotHurwitzError, match=r"eigenvalues \[ 1\. -1\.\]"):
+            solve_lyapunov(np.array([[1.0, 3.0], [0.0, -1.0]]))
 
 
 def _with_abar(abar: np.ndarray):
@@ -313,6 +316,17 @@ class TestSpectralProfile:
         assert prof.dim == 1
         # a * alpha_inf = 1 exactly for every scalar model
         assert prof.a * prof.alpha_inf == pytest.approx(1.0, rel=1e-13)
+
+    def test_alpha_inf_squares_the_q_norm_as_a_python_float(self):
+        # at these means numpy's array ** 2 (a multiply) and Python's float
+        # ** 2 (libm pow) round ||abar||_q^2 differently here; the stacked
+        # geometry keeps the scalar formula's bits
+        for v in (2.5540377991720398, 0.9365774958853861, 1.9857770930152059):
+            abar = np.array([[v]])
+            prof = spectral_profile(abar, c_a=2.0 * v)
+            root, inv_root = spd_sqrt(prof.q)
+            abar_qnorm = spectral_norm(root @ abar @ inv_root)
+            assert prof.alpha_inf == 0.5 / (abar_qnorm**2 * spectral_norm(prof.q))
 
     def test_rejects_small_c_a(self):
         with pytest.raises(ValueError):

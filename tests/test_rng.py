@@ -10,7 +10,8 @@ from lsalab.rng import (
     _block_uniforms,
     _categorical,
     _coins,
-    normal_inverse_cdf,
+    _normals,
+    _seed_uniforms,
     stream,
     uniform_open01,
 )
@@ -53,6 +54,15 @@ class TestBlockUniforms:
         for i in range(4):
             assert np.array_equal(block[i], uniform_open01(stream(seed, lo + i), 9))
 
+    def test_seed_rows_are_the_leading_words_of_each_seeds_stream(self):
+        seeds = [0, 5, 2**64 - 1, 17]
+        block = _seed_uniforms(seeds, 9)
+        assert block.shape == (4, 9)
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, uniform_open01(stream(seed, 0), 9))
+        with pytest.raises(ValueError):
+            _seed_uniforms([3, 2**64], 4)
+
     def test_key_range_validated(self):
         for seed, lo, hi in [(-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (0, 2**64 - 1, 2**64 + 1),
                              (0, 3, 3)]:
@@ -81,6 +91,25 @@ class TestUniformOpen01:
         assert u.min() > 0.0
         assert u.max() < 1.0
 
+    def test_all_ones_word_decodes_to_a_finite_normal(self):
+        # (2^53 - 1) + 0.5 rounds to 2^53, which would map to exactly 1.0
+        # and decode to +inf; the extreme words stay inside (0, 1)
+        class Words:
+            def random_raw(self, size):
+                return np.array([2**64 - 1, 0, 2**64 - 2**11 - 1], dtype=np.uint64)
+
+        class Gen:
+            bit_generator = Words()
+
+        u = uniform_open01(Gen(), 3)
+        assert u[0] == np.nextafter(1.0, 0.0)
+        assert u[1] == 0.5 * 2.0**-53
+        # the word below keeps its unclamped value
+        assert u[2] == ((2.0**53 - 2.0) + 0.5) * 2.0**-53
+        z = _normals(u)
+        assert np.all(np.isfinite(z))
+        assert z[0] > 8.0 and z[1] < -8.0
+
     def test_shape_and_mean(self):
         u = uniform_open01(stream(2, 0), (100, 50))
         assert u.shape == (100, 50)
@@ -94,13 +123,14 @@ class TestUniformOpen01:
 
 
 class TestNormalInverseCdf:
+    # the Gaussian decode: the inverse normal CDF of the open uniforms
     def test_gaussian_law(self):
-        z = normal_inverse_cdf(stream(4, 0), 50_000)
+        z = _normals(uniform_open01(stream(4, 0), 50_000))
         d = stats.kstest(z, "norm").statistic
         assert d < 1.63 / np.sqrt(z.size)
 
     def test_moments(self):
-        z = normal_inverse_cdf(stream(5, 0), 200_000)
+        z = _normals(uniform_open01(stream(5, 0), 200_000))
         n = z.size
         assert abs(z.mean()) < 5.0 / np.sqrt(n)
         assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
