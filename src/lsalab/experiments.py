@@ -388,8 +388,9 @@ def validate(config: ExperimentConfig) -> list[str]:
         # meaningless; report what we have.
         return errors
     if exp.special:
-        # load it here, so the CLI pays for it before the timed run and a
-        # pool's workers fork with it instead of each importing it
+        # load scipy.special's ufuncs (about 0.03 s; not the package, see
+        # lsalab.rng) here, so the CLI pays for them before the timed run
+        # and a pool's workers fork with them instead of each loading them
         _special()
     if exp.check is not None:
         exp.check(config, errors)
@@ -997,8 +998,8 @@ class _Experiment:
     cells.  ``grids`` holds the default of every grid the experiment reads,
     and ``model`` its default model, or None if it takes none; a config that
     supplies anything else is rejected.  ``special`` marks experiments whose
-    units call into scipy.special, which validate loads for them and every
-    other run never imports.
+    units call scipy.special's ufuncs, which validate loads for them and
+    every other run never imports.
 
     The units of a run are the descriptors ``head(config)`` followed by the
     points of the product of the sequences ``axes(config)``, last axis

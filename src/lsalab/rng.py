@@ -29,15 +29,27 @@ consumption pattern can change between library versions, so the mapping from
 counters to variates is a fixed pure function; the private ``_coins``,
 ``_normals`` and ``_categorical`` maps apply it to uniforms already drawn.
 
-``scipy.special`` costs about 0.3 s and 20 MiB to import, and a run that draws
-no Gaussian never needs it, so it is not imported with this module.
-``_special`` loads it on first use; ``lsalab.experiments.validate`` calls it
-for an experiment that decodes Gaussians (or, in clt, evaluates the normal
-CDF), so the import comes before the run and pool workers inherit it.
+The package needs only two compiled ufuncs of ``scipy.special``: ``ndtri``
+here and ``ndtr`` for clt's KS row.  ``import scipy.special`` costs about
+0.3 s and 13 MiB, nearly all of it in the package ``__init__``'s array-API
+backend layer (which imports ``numpy.f2py`` and ``numpy.testing``), so
+``_special`` loads the extension module ``scipy.special._ufuncs`` alone,
+under a bare stand-in for its package that is removed again, in about
+0.02-0.03 s.  Those are the very ufunc objects a later real ``import
+scipy.special`` exposes, so every draw is the same; should the extension not
+import that way, ``_special`` falls back to the full package, and
+``tests/test_rng.py`` fails if the installed scipy takes that path.  A run
+that draws no Gaussian never loads scipy at all.
+``lsalab.experiments.validate`` calls ``_special`` for an experiment that
+decodes Gaussians (or, in clt, evaluates the normal CDF), so the load comes
+before the run and pool workers inherit it.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+import types
 from functools import cache
 
 import numpy as np
@@ -127,10 +139,47 @@ def _open01(top: np.ndarray) -> np.ndarray:
 
 @cache
 def _special():
-    """The ``scipy.special`` module, imported on the first call."""
+    """A module holding scipy.special's ufuncs ``ndtri`` and ``ndtr``.
+
+    That is ``scipy.special._ufuncs``, loaded on the first call without
+    running the package ``__init__``, or the ``scipy.special`` package itself
+    if it is already imported or the extension does not load alone.
+    """
+    if "scipy.special" not in sys.modules:
+        try:
+            return _ufuncs_alone()
+        except ImportError:
+            pass
     import scipy.special
 
     return scipy.special
+
+
+def _ufuncs_alone():
+    """Import ``scipy.special._ufuncs`` under a bare stand-in package.
+
+    The stand-in carries only the real package's ``__path__``, so the
+    extension and the sibling extensions it imports load as they would under
+    the real package, and stay in ``sys.modules`` for it to reuse.  It is
+    removed again whatever happens, from ``sys.modules`` and from ``scipy``'s
+    namespace; the latter is read through ``vars``, since ``getattr(scipy,
+    "special")`` would import the real package.
+    """
+    import scipy
+
+    spec = importlib.util.find_spec("scipy.special")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy.special is not a package on the path")
+    stand_in = types.ModuleType("scipy.special")
+    stand_in.__path__ = list(spec.submodule_search_locations)
+    sys.modules["scipy.special"] = stand_in
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    finally:
+        if sys.modules.get("scipy.special") is stand_in:
+            del sys.modules["scipy.special"]
+        if vars(scipy).get("special") is stand_in:
+            del scipy.special
 
 
 def _normals(u: np.ndarray) -> np.ndarray:

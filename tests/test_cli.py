@@ -225,22 +225,27 @@ def test_cli_import_loads_no_scipy_module():
     assert _fresh_python(code) == "[]"
 
 
-# Whether scipy.special is loaded when experiments.run is entered and after
+# Which scipy modules are loaded when experiments.run is entered and after
 # the CLI returns, as JSON on the last line of output.
 _SPECIAL_PROBE = """
 import json, sys
 import lsalab.cli as cli
 
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
 seen = {}
 inner = cli.run
 
 def run(config):
-    seen["at_run"] = "scipy.special" in sys.modules
+    seen["at_run"] = scipy_modules()
     return inner(config)
 
 cli.run = run
 seen["code"] = cli.main(sys.argv[1:])
-seen["after"] = "scipy.special" in sys.modules
+seen["after"] = scipy_modules()
+seen["heavy"] = sorted(m for m in sys.modules if m in (
+    "scipy.special._support_alternative_backends", "numpy.f2py", "numpy.testing"))
 print(json.dumps(seen))
 """
 
@@ -254,14 +259,22 @@ print(json.dumps(seen))
         ("bounds", dict(alphas=[0.1], ns=[10], ps=[2.0], n_traj=200), False),
         ("wasserstein", dict(alphas=[0.1], ns=[20], n_traj=50), False),
         ("rosenthal", dict(alphas=[0.25], qs=[2], rhos=[0.5], n_traj=3), False),
+        ("rademacher", dict(alphas=[0.1], ns=[400], deltas=[0.1]), False),
     ],
 )
 def test_scipy_special_loads_before_run_only_where_used(
     tmp_path, experiment, fields, needs_special
 ):
+    # the Gaussian runs load scipy.special's compiled ufuncs alone: the
+    # package __init__ (0.3 s, via its array-API layer numpy.f2py and
+    # numpy.testing) never runs; the other runs load no scipy module at all
     cfg = write_config(tmp_path, out=str(tmp_path / "out"), **fields)
     out = _fresh_python(_SPECIAL_PROBE, experiment, "--config", cfg)
     seen = json.loads(out.splitlines()[-1])
     assert seen["code"] in (0, 3)
-    assert seen["at_run"] is needs_special
-    assert seen["after"] is needs_special
+    assert seen["heavy"] == []
+    if needs_special:
+        assert "scipy.special._ufuncs" in seen["at_run"]
+        assert "scipy.special" not in seen["after"]
+    else:
+        assert seen["at_run"] == seen["after"] == []

@@ -369,6 +369,40 @@ def test_failure_rows_carry_the_success_rows_params(name, monkeypatch):
             assert seen == expected
 
 
+# Small configs on which the layout varies: the budgets below split every
+# chunked Monte Carlo unit into several chunks, lyapunov's 20 trials into
+# blocks, and all but rademacher's and wasserstein's units over two workers.
+_LAYOUT = {
+    "lyapunov": dict(n_traj=20),
+    "bounds": dict(alphas=(0.1,), ns=(10, 50), ps=(2.0,), n_traj=300),
+    "simulate": dict(alphas=(0.1, 0.05), ns=(50,), n_traj=150),
+    "rademacher": dict(alphas=(0.1,), ns=(400,), deltas=(0.1,)),
+    "clt": dict(alphas=(0.1, 0.2), n_traj=30),
+    "wasserstein": dict(alphas=(0.1,), ns=(10, 20), n_traj=200),
+    "rosenthal": dict(alphas=(0.25,), qs=(2,), rhos=(0.5,), n_traj=3),
+}
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_csv_bytes_do_not_depend_on_chunk_block_or_worker_layout(name, monkeypatch):
+    # the reproducibility contract: chunk size, block size and worker count
+    # schedule the work and never change what it computes
+    cfg = resolve(ExperimentConfig(experiment=name, seed=1, **_LAYOUT[name]))
+    record = experiments._EXPERIMENTS[name]
+    blocks = (record.block, 3) if record.block > 1 else (1,)
+    expected = None
+    for budget, block, workers in itertools.product(
+        (engine._CHUNK_FLOAT_BUDGET, 20_000, 3_000), blocks, (1, 2)
+    ):
+        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
+        monkeypatch.setitem(experiments._EXPERIMENTS, name, replace(record, block=block))
+        experiments._lyapunov_block.cache_clear()
+        text = csv_text(name, run(replace(cfg, workers=workers)))
+        expected = expected or text
+        assert text == expected, (budget, block, workers)
+    experiments._lyapunov_block.cache_clear()
+
+
 _D2_FACTOR = {
     "kind": "bounded_factor", "abar": [[1.0, 0.3], [-0.2, 0.8]], "bbar": [1.0, -0.5],
     "m": [[0.5, 0.1], [0.1, 0.4]], "eta": 0.5, "sigma": 1.0,

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.special
 from scipy import stats
 
+import lsalab
 from lsalab.rng import (
     _block_uniforms,
     _categorical,
     _coins,
     _normals,
+    _open01,
     _seed_uniforms,
     stream,
     uniform_open01,
@@ -161,3 +170,74 @@ class TestCategorical:
         # draws above it clamp to the last index, and the empty bin 1 is never hit
         idx = _categorical(uniform_open01(stream(9, 0), 10_000), np.array([0.1, 0.1, 0.9]))
         assert set(np.unique(idx)) == {0, 2}
+
+
+# Loads the ufuncs in a fresh interpreter (this one has scipy.special
+# imported, so _special would return the package), decodes the uniforms in
+# argv[2] into argv[3], then imports the real package; prints what it saw as
+# JSON.  Mode "no_spec" makes the stand-in load fail, "preloaded" imports the
+# package first.
+_LOADER_PROBE = """
+import importlib.util, json, sys
+import numpy as np
+import scipy
+from lsalab import rng
+
+mode, words, draws = sys.argv[1:]
+if mode == "no_spec":
+    importlib.util.find_spec = lambda name, package=None: None
+elif mode == "preloaded":
+    import scipy.special
+mod = rng._special()
+seen = {
+    "name": mod.__name__,
+    "package_loaded": "scipy.special" in sys.modules,
+    "in_scipy": "special" in vars(scipy),
+}
+np.save(draws, rng._normals(np.load(words)))
+import scipy.special
+seen["same_ufuncs"] = mod.ndtri is scipy.special.ndtri and mod.ndtr is scipy.special.ndtr
+seen["cached"] = rng._special() is mod
+seen["package_is_real"] = vars(scipy)["special"] is sys.modules["scipy.special"]
+seen["logsumexp"] = float(scipy.special.logsumexp([0.0, 0.0]))
+print(json.dumps(seen))
+"""
+
+
+class TestSpecialLoader:
+    @staticmethod
+    def probe(tmp_path, mode):
+        # the extreme words (0, 1 and the all-ones word among them) and
+        # a stream block, about a quarter of which takes ndtri's tail branch
+        edge = np.array([0, 1, 2**11, 2**52, 2**63, 2**64 - 2**12, 2**64 - 1], dtype=np.uint64)
+        u = np.concatenate(
+            [_open01((edge >> np.uint64(11)).astype(np.float64)), _block_uniforms(3, 0, 4, 512).ravel()]
+        )
+        tail = np.exp(-2.0)
+        assert np.sum(u < tail) > 100 and np.sum(u > 1.0 - tail) > 100
+        words, draws = tmp_path / "u.npy", tmp_path / "z.npy"
+        np.save(words, u)
+        src = str(Path(lsalab.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", _LOADER_PROBE, mode, str(words), str(draws)],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        seen = json.loads(out.stdout.strip().splitlines()[-1])
+        assert np.load(draws).tobytes() == scipy.special.ndtri(u).tobytes()
+        assert seen["same_ufuncs"] and seen["cached"] and seen["package_is_real"]
+        assert seen["logsumexp"] == float(np.log(2.0))
+        return seen
+
+    def test_loads_the_packages_ufuncs_without_the_package(self, tmp_path):
+        # fails too if the installed scipy takes the fallback
+        seen = self.probe(tmp_path, "alone")
+        assert seen["name"] == "scipy.special._ufuncs"
+        assert not seen["package_loaded"]
+        assert not seen["in_scipy"]
+
+    @pytest.mark.parametrize("mode", ["no_spec", "preloaded"])
+    def test_falls_back_to_the_package(self, tmp_path, mode):
+        seen = self.probe(tmp_path, mode)
+        assert seen["name"] == "scipy.special"
+        assert seen["package_loaded"] and seen["in_scipy"]
