@@ -15,9 +15,11 @@ workers in contiguous chunks and reassembles them in index order, so a full
 run produces identical rows whatever the worker count, the chunk layout or
 the order in which workers finish.  An experiment may compute its units in
 blocks: ``lyapunov`` solves 256 units at a time, those of each dimension in
-one call of ``lsalab.linalg``'s stacked kernels, and its units read their
-rows from the block.  A pool chunk is a whole number of blocks, and a unit's
-rows are the same bits at any block size.  Failures inside a unit
+one call of ``lsalab.linalg``'s stacked kernels, and ``rosenthal`` draws its
+``bsum`` trials 256 units at a time and checks those of each length in one
+stacked call; the units read their rows from the block.  A pool chunk is a
+whole number of blocks, and a unit's rows are the same bits at any block
+size.  Failures inside a unit
 (simulation blow-ups, solver breakdowns) are recorded in the affected rows
 themselves -- empirical = nan, pass = false, with the message kept on the
 row's ``note`` field -- and never abort the run.
@@ -82,7 +84,7 @@ from lsalab.noise import (
     rademacher_gaussian_model,
     td_zero_model,
 )
-from lsalab.rng import _normals, _seed_uniforms, _special, stream, uniform_open01
+from lsalab.rng import _normals, _seed_uniforms, _special
 from lsalab.rosenthal import (
     ROOT_RESIDUAL_TOL,
     _delta_gap,
@@ -640,35 +642,52 @@ def _lyapunov_verdicts(seed: int, trials: range) -> list[tuple[float, float, flo
 
 
 @functools.lru_cache(maxsize=1)
-def _lyapunov_block(seed: int, lo: int, hi: int) -> list:
-    """``_lyapunov_verdicts`` of trials lo..hi-1, or an exception per trial.
+def _block(verdicts: Callable, seed: int, lo: int, hi: int) -> list:
+    """``verdicts(seed, range(lo, hi))``, or an exception per unit.
 
     Cached, because every unit of the block reads it; the pool hands out
     whole blocks, so each process computes a block once.  If the block
-    raises, each trial is computed as a block of one, so a failing trial
-    carries exactly the exception its own unit raises and no other trial
-    fails with it.
+    raises, each unit is computed as a block of one, so a failing unit
+    carries exactly the exception it raises alone and no other unit fails
+    with it.
     """
     try:
-        return _lyapunov_verdicts(seed, range(lo, hi))
-    except Exception:  # noqa: BLE001 - narrowed to the failing trial below
+        return verdicts(seed, range(lo, hi))
+    except Exception:  # noqa: BLE001 - narrowed to the failing unit below
         out: list = []
-        for trial in range(lo, hi):
+        for index in range(lo, hi):
             try:
-                out += _lyapunov_verdicts(seed, range(trial, trial + 1))
+                out += verdicts(seed, range(index, index + 1))
             except Exception as exc:  # noqa: BLE001 - becomes the unit's failure rows
                 out.append(exc)
         return out
 
 
-def _run_lyapunov_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
-    (trial,) = unit
-    size = _EXPERIMENTS["lyapunov"].block
-    lo = trial - trial % size
-    verdict = _lyapunov_block(config.seed, lo, min(lo + size, config.n_traj))[trial - lo]
+def _block_verdict(config: ExperimentConfig, verdicts: Callable, trial: int):
+    """The verdict of the run's unit ``len(head) + trial``, read from its block.
+
+    ``verdicts(seed, units)`` computes the units whose indices are in the
+    range ``units`` of a run with seed ``seed``; every unit after the head
+    is computed in blocks.  Blocks are aligned to unit indices, as pool
+    chunks are, and leave out the head units of the first block.  Raises
+    what the unit raises alone.
+    """
+    head, _, count = _plan(config)
+    size = _EXPERIMENTS[config.experiment].block
+    index = len(head) + trial
+    lo = index - index % size
+    lo, hi = max(lo, len(head)), min(lo + size, count)
+    verdict = _block(verdicts, config.seed, lo, hi)[index - lo]
     if isinstance(verdict, Exception):
         raise verdict.with_traceback(None)
-    alpha, worst, contraction, contraction_cap = verdict
+    return verdict
+
+
+def _run_lyapunov_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+    (trial,) = unit
+    alpha, worst, contraction, contraction_cap = _block_verdict(
+        config, _lyapunov_verdicts, trial
+    )
     dim = 1 + trial % _LYAPUNOV_MAX_DIM
     return [
         _row(
@@ -900,6 +919,29 @@ _ROSENTHAL_COLUMNS = {
 }
 
 
+def _bsum_verdicts(seed: int, units: range) -> list[float]:
+    """The geometric-sum residual of each ``bsum`` unit in ``units``.
+
+    Unit u reads the leading words of ``stream(seed + u, 0)``: three give
+    its sequence's length (5 to 64), ``a`` and first stepsize, and the next
+    length - 1 its decay factors.  The units of each length are checked in
+    one stacked ``geometric_sum_check`` call, which gives each row the bits
+    of its own 1-D call.  Raises what the first failing check raises.
+    """
+    words = _seed_uniforms([(seed + u) % 2**64 for u in units], 3 + 63)
+    length = 5 + (words[:, 0] * 60.0).astype(int)
+    a_val = 0.5 + 3.5 * words[:, 1]
+    start = 0.9 * words[:, 2] / a_val
+    out = np.empty(len(units))
+    for size in np.unique(length):
+        at = np.flatnonzero(length == size)
+        steps = np.ones((at.size, size))
+        steps[:, 1:] = np.cumprod(0.8 + 0.2 * words[at, 3 : size + 2], axis=1)
+        steps *= start[at, None]
+        out[at] = geometric_sum_check(steps, a_val[at])
+    return out.tolist()
+
+
 def _rosenthal_params(config: ExperimentConfig, unit: tuple) -> list[tuple]:
     kind, *values = unit
     cells = dict.fromkeys(PARAM_KEYS["rosenthal"][1:], "")
@@ -968,14 +1010,8 @@ def _run_rosenthal_unit(config: ExperimentConfig, unit: tuple, seed: int) -> lis
             note=f"horizon={m_h}",
         )
     else:  # bsum
-        gen = stream(seed, 0)
-        draws = uniform_open01(gen, 3)
-        length = 5 + int(draws[0] * 60.0)
-        a_val = 0.5 + 3.5 * draws[1]
-        start = 0.9 * draws[2] / a_val
-        decay = 0.8 + 0.2 * uniform_open01(gen, length - 1)
-        steps = start * np.concatenate(([1.0], np.cumprod(decay)))
-        residual = geometric_sum_check(steps, a_val)
+        _, trial = unit
+        residual = _block_verdict(config, _bsum_verdicts, trial)
         verdict = dict(
             empirical=residual,
             oracle=0.0,
@@ -1107,6 +1143,7 @@ _EXPERIMENTS = {
         params=_rosenthal_params,
         runner=_run_rosenthal_unit,
         check=_check_rosenthal,
+        block=256,
     ),
 }
 

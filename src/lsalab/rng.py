@@ -21,10 +21,12 @@ counter streams.
 
 Uniform variates are produced directly from the raw 64-bit counters as
 ``((word >> 11) + 0.5) * 2^-53``, clamped below 1 (the all-ones word would
-round to 1.0), so every uniform lies strictly inside (0, 1).  Gaussian
-variates apply the inverse normal CDF (``scipy.special.ndtri``, the Cephes
-rational minimax approximation of the probit function, accurate to ~1e-16
-relative) to those uniforms.  This avoids rejection-based samplers whose
+round to 1.0), so every uniform lies strictly inside (0, 1).  The words are
+read and filled in C by ``Generator.random``, whose double is exactly
+``(word >> 11) * 2^-53``; adding ``2^-54`` then gives the map's bits.
+Gaussian variates apply the inverse normal CDF (``scipy.special.ndtri``, the
+Cephes rational minimax approximation of the probit function, accurate to
+~1e-16 relative) to those uniforms.  This avoids rejection-based samplers whose
 consumption pattern can change between library versions, so the mapping from
 counters to variates is a fixed pure function; the private ``_coins``,
 ``_normals`` and ``_categorical`` maps apply it to uniforms already drawn.
@@ -56,8 +58,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 _U64 = np.uint64
-_SHIFT = _U64(11)
-_TWO53_INV = 2.0**-53
+_TWO54_INV = 2.0**-54
 _BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
@@ -103,6 +104,7 @@ def _keyed_uniforms(key: list[int], slot: int, values, n_words: int) -> np.ndarr
     """
     out = np.empty((len(values), n_words))
     bitgen = Philox(key=np.array(key, dtype=_U64))
+    gen = Generator(bitgen)
     # a state of plain ints resets the generator about three times faster
     # than one of uint64 arrays
     fresh = bitgen.state
@@ -112,27 +114,25 @@ def _keyed_uniforms(key: list[int], slot: int, values, n_words: int) -> np.ndarr
     for i, value in enumerate(values):
         key[slot] = value
         bitgen.state = fresh
-        r = bitgen.random_raw(n_words)
-        r >>= _SHIFT
-        out[i] = r
+        gen.random(out=out[i])
     return _open01(out)
 
 
 def uniform_open01(gen: Generator, size: int | tuple[int, ...]) -> np.ndarray:
     """Uniform draws strictly inside (0, 1), one 64-bit counter word each."""
-    raw = gen.bit_generator.random_raw(size)
-    return _open01((raw >> _SHIFT).astype(np.float64))
+    return _open01(gen.random(size))
 
 
 def _open01(top: np.ndarray) -> np.ndarray:
-    """(top + 0.5) * 2^-53 in place, for top = word >> 11 as float64.
+    """(word >> 11) * 2^-53 + 2^-54 in place, clamped below 1.
 
-    For the all-ones word, top + 0.5 = 2^53 - 0.5 rounds to 2^53 and the
-    map gives 1.0; it is clamped to the largest float below 1.  No other
-    word reaches that float, so no other value moves.
+    ``top`` holds Philox's doubles, ``(word >> 11) * 2^-53`` exactly, so
+    the sum is the rounding of ``((word >> 11) + 0.5) * 2^-53``: scaling by
+    a power of two is exact.  For the all-ones word that rounds to 1.0,
+    which is clamped to the largest float below 1.  No other word reaches
+    that float, so no other value moves.
     """
-    top += 0.5
-    top *= _TWO53_INV
+    top += _TWO54_INV
     np.minimum(top, _BELOW_ONE, out=top)
     return top
 

@@ -470,32 +470,57 @@ def rosenthal_bound(inputs: RosenthalInputs, constants: RosenthalConstants) -> f
 # ---------------------------------------------------------------------------
 
 
-def geometric_sum_check(stepsizes: np.ndarray, a: float) -> float:
+def geometric_sum_check(stepsizes: np.ndarray, a: float | np.ndarray) -> float | np.ndarray:
     """Residual of the weighted geometric-sum identity
 
         | sum_j alpha_j * prod_{l>j} (1 - alpha_l*a)
           - (1/a)*(1 - prod_l (1 - alpha_l*a)) |
 
     over a non-increasing stepsize sequence with alpha_0 < 1/a.
+
+    A (k, L) stack of sequences with a length-k vector ``a`` gives the k
+    residuals as an array, each with the bits of its row's own 1-D call.
+    Every check runs per row, and a stack raises the 1-D error of its first
+    failing row.
     """
     st = np.asarray(stepsizes, dtype=float)
-    if st.ndim != 1 or st.size == 0:
-        raise ValueError(f"stepsizes must be a nonempty 1-D sequence, got shape {st.shape}")
-    if a <= 0.0:
-        raise ValueError(f"a must be > 0, got {a}")
-    if np.any(st < 0.0):
-        raise ValueError("stepsizes must be >= 0")
-    if np.any(np.diff(st) > 0.0):
-        raise ValueError("stepsizes must be non-increasing")
-    if st[0] * a >= 1.0:
+    one = st.ndim == 1
+    if one and st.size:
+        rows, a_rows = st[None], np.reshape(np.asarray(a, dtype=float), 1)
+    elif st.ndim == 2 and st.size and np.shape(a) == st.shape[:1]:
+        rows, a_rows = st, np.asarray(a, dtype=float)
+    elif st.ndim == 2:
         raise ValueError(
-            f"largest stepsize {st[0]} must stay below 1/a = {1.0 / a:.6g}"
+            "a stack of stepsizes must have shape (k, L) with k, L >= 1 and a shape (k,), "
+            f"got {st.shape} and {np.shape(a)}"
         )
-    factors = 1.0 - a * st
-    # tail[j] = prod_{l > j} factors[l]
-    tail = np.ones_like(st)
-    if st.size > 1:
-        tail[:-1] = np.cumprod(factors[::-1])[::-1][1:]
-    lhs = float(np.sum(st * tail))
-    rhs = (1.0 - float(np.prod(factors))) / a
-    return abs(lhs - rhs)
+    else:
+        raise ValueError(f"stepsizes must be a nonempty 1-D sequence, got shape {st.shape}")
+    bad = np.stack([
+        a_rows <= 0.0,
+        np.any(rows < 0.0, axis=1),
+        np.any(np.diff(rows, axis=1) > 0.0, axis=1),
+        rows[:, 0] * a_rows >= 1.0,
+    ])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        check = int(np.argmax(bad[:, i]))
+        a_i = a if one else a_rows[i]
+        if check == 0:
+            raise ValueError(f"a must be > 0, got {a_i}")
+        if check == 1:
+            raise ValueError("stepsizes must be >= 0")
+        if check == 2:
+            raise ValueError("stepsizes must be non-increasing")
+        raise ValueError(
+            f"largest stepsize {rows[i, 0]} must stay below 1/a = {1.0 / a_i:.6g}"
+        )
+    factors = 1.0 - a_rows[:, None] * rows
+    # tail[:, j] = prod_{l > j} factors[:, l]; each row's sum and product
+    # reduce a contiguous row, as the 1-D call's do
+    tail = np.ones_like(rows)
+    tail[:, :-1] = np.cumprod(factors[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    lhs = np.sum(rows * tail, axis=1)
+    rhs = (1.0 - np.prod(factors, axis=1)) / a_rows
+    residuals = np.abs(lhs - rhs)
+    return float(residuals[0]) if one else residuals

@@ -45,6 +45,7 @@ from lsalab.linalg import (
     spectral_profile,
 )
 from lsalab.rng import _normals, stream, uniform_open01
+from lsalab.rosenthal import geometric_sum_check
 
 
 def tiny_config(experiment: str, **kw) -> ExperimentConfig:
@@ -370,8 +371,10 @@ def test_failure_rows_carry_the_success_rows_params(name, monkeypatch):
 
 
 # Small configs on which the layout varies: the budgets below split every
-# chunked Monte Carlo unit into several chunks, lyapunov's 20 trials into
-# blocks, and all but rademacher's and wasserstein's units over two workers.
+# chunked Monte Carlo unit into several chunks, lyapunov's 20 trials and
+# rosenthal's 10 into blocks (a block of 3 units holds the last head unit
+# and two trials), and all but rademacher's and wasserstein's units over two
+# workers.
 _LAYOUT = {
     "lyapunov": dict(n_traj=20),
     "bounds": dict(alphas=(0.1,), ns=(10, 50), ps=(2.0,), n_traj=300),
@@ -379,7 +382,7 @@ _LAYOUT = {
     "rademacher": dict(alphas=(0.1,), ns=(400,), deltas=(0.1,)),
     "clt": dict(alphas=(0.1, 0.2), n_traj=30),
     "wasserstein": dict(alphas=(0.1,), ns=(10, 20), n_traj=200),
-    "rosenthal": dict(alphas=(0.25,), qs=(2,), rhos=(0.5,), n_traj=3),
+    "rosenthal": dict(alphas=(0.25,), qs=(2,), rhos=(0.5,), n_traj=10),
 }
 
 
@@ -396,11 +399,11 @@ def test_csv_bytes_do_not_depend_on_chunk_block_or_worker_layout(name, monkeypat
     ):
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
         monkeypatch.setitem(experiments._EXPERIMENTS, name, replace(record, block=block))
-        experiments._lyapunov_block.cache_clear()
+        experiments._block.cache_clear()
         text = csv_text(name, run(replace(cfg, workers=workers)))
         expected = expected or text
         assert text == expected, (budget, block, workers)
-    experiments._lyapunov_block.cache_clear()
+    experiments._block.cache_clear()
 
 
 _D2_FACTOR = {
@@ -545,7 +548,7 @@ class TestLyapunovUnit:
         record = experiments._EXPERIMENTS["lyapunov"]
         for size, groups in ((256, 8), (1, 1)):
             monkeypatch.setitem(experiments._EXPERIMENTS, "lyapunov", replace(record, block=size))
-            experiments._lyapunov_block.cache_clear()
+            experiments._block.cache_clear()
             for index in range(unit_count(self.CFG)):
                 counts.clear()
                 run_unit(self.CFG, index)
@@ -556,24 +559,23 @@ class TestLyapunovUnit:
                 assert counts.get("eigh") == groups, counts
                 assert counts.get("svd", 0) <= 10 * groups, counts
                 assert counts.get("solve") == 3 * groups, counts
-        experiments._lyapunov_block.cache_clear()
+        experiments._block.cache_clear()
 
     def test_rows_do_not_depend_on_block_or_worker_layout(self, monkeypatch):
-        # 600 units: two full blocks of 256 and a partial one
+        # 600 units: two full blocks of 256 and a partial one, whose edges
+        # equal the reference in the default layout and in blocks of 7 over
+        # two workers; the layout grid itself is pinned for every experiment
+        # by test_csv_bytes_do_not_depend_on_chunk_block_or_worker_layout
         cfg = resolve(tiny_config("lyapunov", n_traj=600, seed=9))
         expected = [row for index in (0, 255, 256, 599) for row in _lyapunov_reference(cfg, index)]
         record = experiments._EXPERIMENTS["lyapunov"]
-        serial = None
-        for size in (1, 7, 256):
+        for size, workers in ((record.block, 1), (7, 2)):
             monkeypatch.setitem(experiments._EXPERIMENTS, "lyapunov", replace(record, block=size))
-            for workers in (1, 2, 3):
-                experiments._lyapunov_block.cache_clear()
-                rows = run(replace(cfg, workers=workers))
-                if serial is None:
-                    serial = rows
-                    assert [rows[i] for i in (0, 1, 510, 511, 512, 513, 1198, 1199)] == expected
-                assert rows == serial, (size, workers)
-        experiments._lyapunov_block.cache_clear()
+            experiments._block.cache_clear()
+            rows = run(replace(cfg, workers=workers))
+            assert len(rows) == 1200
+            assert [rows[i] for i in (0, 1, 510, 511, 512, 513, 1198, 1199)] == expected
+        experiments._block.cache_clear()
 
     def test_a_failing_trial_fails_only_its_own_rows(self, monkeypatch):
         target = 13
@@ -594,7 +596,7 @@ class TestLyapunovUnit:
         with pytest.raises(linalg.SolverResidualError) as info:
             solve_lyapunov(abar)
         note = f"SolverResidualError: {info.value}"
-        experiments._lyapunov_block.cache_clear()
+        experiments._block.cache_clear()
         try:
             for index, ok in enumerate(succeeded):
                 rows = run_unit(self.CFG, index)
@@ -605,7 +607,82 @@ class TestLyapunovUnit:
                 assert not any(row.passed for row in rows)
                 assert all(math.isnan(row.empirical) for row in rows)
         finally:
-            experiments._lyapunov_block.cache_clear()
+            experiments._block.cache_clear()
+
+
+def _bsum_reference(cfg: ExperimentConfig, index: int) -> ResultRow:
+    """A ``bsum`` unit's row from its own stream and one 1-D check call."""
+    (_, trial) = _unit(cfg, index)
+    seed = (cfg.seed + index) % 2**64
+    gen = stream(seed, 0)
+    draws = uniform_open01(gen, 3)
+    length = 5 + int(draws[0] * 60.0)
+    a_val = 0.5 + 3.5 * draws[1]
+    start = 0.9 * draws[2] / a_val
+    decay = 0.8 + 0.2 * uniform_open01(gen, length - 1)
+    residual = geometric_sum_check(start * np.concatenate(([1.0], np.cumprod(decay))), a_val)
+    params = dict.fromkeys(PARAM_KEYS["rosenthal"], "")
+    params.update(check="bsum", trial=trial)
+    tol = experiments.GEOMETRIC_SUM_TOL
+    return ResultRow(
+        experiment="rosenthal", params=tuple(params.items()), empirical=residual, std_err=0.0,
+        oracle=0.0, bound=tol, passed=residual <= tol, seed=seed,
+    )
+
+
+class TestBsumUnit:
+    # the default grid's 16 head units and 600 trials: block 0 holds the
+    # head and trials 0..239, block 1 trials 240..495, and the partial
+    # block 2 the rest
+    CFG = resolve(ExperimentConfig(experiment="rosenthal", n_traj=600, seed=9))
+    HEAD = 16
+
+    def test_rows_equal_the_per_unit_reference(self):
+        experiments._block.cache_clear()
+        rows = run(self.CFG)
+        assert len(rows) == self.HEAD + 600
+        for index in range(self.HEAD, len(rows)):
+            assert rows[index] == _bsum_reference(self.CFG, index), index
+        edges = [self.HEAD + t for t in (0, 239, 240, 495, 496, 599)]
+        assert [index % 256 for index in edges] == [16, 255, 0, 255, 0, 103]
+        text = csv_text("rosenthal", [rows[i] for i in edges])
+        assert text == csv_text("rosenthal", [_bsum_reference(self.CFG, i) for i in edges])
+
+    @pytest.mark.parametrize("seed", [7, 2**64 - 300])
+    def test_seeds_wrap_as_the_unit_seeds_do(self, seed):
+        cfg = resolve(ExperimentConfig(experiment="rosenthal", n_traj=400, seed=seed))
+        experiments._block.cache_clear()
+        rows = run(cfg)
+        for index in range(self.HEAD, len(rows)):
+            assert rows[index] == _bsum_reference(cfg, index), index
+
+    def test_a_failing_trial_fails_only_its_own_row(self, monkeypatch):
+        target = self.HEAD + 300
+        succeeded = run(self.CFG)
+        seed = (self.CFG.seed + target) % 2**64
+        a_target = 0.5 + 3.5 * float(uniform_open01(stream(seed, 0), 2)[1])
+        original = experiments.geometric_sum_check
+
+        def too_large_first_step(steps, a):
+            # the target trial's sequence starts above 1/a
+            steps = np.array(steps)
+            steps[np.asarray(a) == a_target, 0] = 10.0
+            return original(steps, a)
+
+        monkeypatch.setattr(experiments, "geometric_sum_check", too_large_first_step)
+        note = f"ValueError: largest stepsize 10.0 must stay below 1/a = {1.0 / a_target:.6g}"
+        experiments._block.cache_clear()
+        try:
+            rows = run(self.CFG)
+        finally:
+            experiments._block.cache_clear()
+        assert len(rows) == len(succeeded)
+        for index, (row, ok) in enumerate(zip(rows, succeeded)):
+            if index != target:
+                assert row == ok
+                continue
+            assert row.note == note
+            assert not row.passed and math.isnan(row.empirical)
 
 
 def _materialized_units(cfg: ExperimentConfig) -> list[tuple]:

@@ -95,6 +95,21 @@ class TestUniformOpen01:
                 assert got.tobytes() == expected.tobytes()
                 assert fast.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
 
+    @pytest.mark.parametrize("sizes", [(3, 1, 3), ((2, 5), 7, (1, 1)), (0, 66, (3, 0, 2))])
+    def test_generator_doubles_are_the_top_53_bits_of_each_word(self, sizes):
+        # the draws read words through Generator.random, whose double must be
+        # (word >> 11) * 2^-53 exactly: pinned word for word, with integers
+        # and standard_normal draws interleaved on both generators
+        for seed, stream_id in ((0, 0), (11, 3), (2**64 - 1, 2**64 - 1)):
+            gen, raw = stream(seed, stream_id), stream(seed, stream_id)
+            for size in sizes:
+                words = raw.bit_generator.random_raw(size)
+                expected = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+                got = gen.random(size)
+                assert got.tobytes() == expected.tobytes()
+                assert gen.integers(0, 10, 2).tolist() == raw.integers(0, 10, 2).tolist()
+                assert gen.standard_normal(3).tobytes() == raw.standard_normal(3).tobytes()
+
     def test_strictly_inside_unit_interval(self):
         u = uniform_open01(stream(1, 0), 200_000)
         assert u.min() > 0.0
@@ -102,13 +117,13 @@ class TestUniformOpen01:
 
     def test_all_ones_word_decodes_to_a_finite_normal(self):
         # (2^53 - 1) + 0.5 rounds to 2^53, which would map to exactly 1.0
-        # and decode to +inf; the extreme words stay inside (0, 1)
-        class Words:
-            def random_raw(self, size):
-                return np.array([2**64 - 1, 0, 2**64 - 2**11 - 1], dtype=np.uint64)
+        # and decode to +inf; the extreme words stay inside (0, 1).  The
+        # words reach uniform_open01 as Generator.random's doubles of them
+        words = np.array([2**64 - 1, 0, 2**64 - 2**11 - 1], dtype=np.uint64)
 
         class Gen:
-            bit_generator = Words()
+            def random(self, size):
+                return (words[:size] >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
         u = uniform_open01(Gen(), 3)
         assert u[0] == np.nextafter(1.0, 0.0)
@@ -211,7 +226,10 @@ class TestSpecialLoader:
         # a stream block, about a quarter of which takes ndtri's tail branch
         edge = np.array([0, 1, 2**11, 2**52, 2**63, 2**64 - 2**12, 2**64 - 1], dtype=np.uint64)
         u = np.concatenate(
-            [_open01((edge >> np.uint64(11)).astype(np.float64)), _block_uniforms(3, 0, 4, 512).ravel()]
+            [
+                _open01((edge >> np.uint64(11)).astype(np.float64) * 2.0**-53),
+                _block_uniforms(3, 0, 4, 512).ravel(),
+            ]
         )
         tail = np.exp(-2.0)
         assert np.sum(u < tail) > 100 and np.sum(u > 1.0 - tail) > 100

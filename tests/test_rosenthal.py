@@ -338,3 +338,57 @@ class TestGeometricSumCheck:
             geometric_sum_check(np.array([]), 1.0)
         with pytest.raises(ValueError):
             geometric_sum_check(np.array([0.1]), 0.0)
+
+    @staticmethod
+    def one_sequence_residual(steps, a):
+        """The residual of one sequence as a plain 1-D computation."""
+        factors = 1.0 - a * steps
+        tail = np.ones_like(steps)
+        tail[:-1] = np.cumprod(factors[::-1])[::-1][1:]
+        return abs(float(np.sum(steps * tail)) - (1.0 - float(np.prod(factors))) / a)
+
+    @given(
+        trial=st.integers(0, 10_000),
+        rows=st.integers(1, 12),
+        size=st.integers(1, 150),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_the_one_dimensional_calls(self, trial, rows, size):
+        gen = stream(41, trial)
+        a = gen.uniform(0.1, 4.0, size=rows)
+        start = gen.uniform(0.0, 0.99, size=rows) / a
+        steps = start[:, None] * np.cumprod(gen.uniform(0.8, 1.0, size=(rows, size)), axis=1)
+        stacked = geometric_sum_check(steps, a)
+        assert stacked.shape == (rows,)
+        for k in range(rows):
+            one = geometric_sum_check(steps[k], float(a[k]))
+            assert type(one) is float
+            assert one == self.one_sequence_residual(steps[k], float(a[k]))
+            assert np.float64(one).tobytes() == stacked[k].tobytes()
+
+    @pytest.mark.parametrize(
+        "row, a_row",
+        [
+            ([0.1, 0.2, 0.0], 1.0),  # increasing
+            ([-0.1, -0.2, -0.3], 1.0),  # negative
+            ([0.6, 0.5, 0.4], 2.0),  # first step above 1/a
+            ([0.1, 0.1, 0.1], -2.0),  # a <= 0, before any stepsize check
+        ],
+    )
+    def test_stack_raises_the_error_of_its_first_bad_row(self, row, a_row):
+        good = [0.2, 0.15, 0.1]
+        with pytest.raises(ValueError) as alone:
+            geometric_sum_check(np.array(row), a_row)
+        # a later bad row of another kind does not take precedence
+        steps = np.array([good, row, good, [0.1, 0.2, 0.3]])
+        with pytest.raises(ValueError) as stacked:
+            geometric_sum_check(steps, np.array([1.0, a_row, 1.0, 1.0]))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_stack_shape_validation(self):
+        with pytest.raises(ValueError, match="shape"):
+            geometric_sum_check(np.full((2, 3), 0.1), np.ones(3))
+        with pytest.raises(ValueError, match="shape"):
+            geometric_sum_check(np.empty((2, 0)), np.ones(2))
+        with pytest.raises(ValueError, match="1-D"):
+            geometric_sum_check(np.full((2, 2, 2), 0.1), 1.0)
