@@ -375,7 +375,6 @@ def composite_hp_bound(
     regime: str = "iid",
     *,
     u: np.ndarray | None = None,
-    sigma_alpha: np.ndarray | None = None,
 ) -> BoundReport:
     """Assembled high-probability bound on |u'(theta_n - theta_star)|.
 
@@ -391,9 +390,8 @@ def composite_hp_bound(
     with r = a, decay = 1 - a*alpha/4 in the ``iid`` regime and r = a_tilde,
     decay = (1 - alpha*a_tilde)^(1/2) in the ``contractive`` regime (which
     requires the model's contractive witness).  S^a is the stepsize-corrected
-    stationary covariance from ``solve_riccati`` (pass ``sigma_alpha`` to
-    reuse a precomputed one); u defaults to the first coordinate direction
-    and must be a unit vector.
+    stationary covariance from ``solve_riccati``; u defaults to the first
+    coordinate direction and must be a unit vector.
     """
     if regime not in ("iid", "contractive"):
         raise ValueError(f"regime must be 'iid' or 'contractive', got {regime!r}")
@@ -436,8 +434,7 @@ def composite_hp_bound(
         raise ValueError(f"alpha={alpha} outside (0, {cap:.6g}) (= {cap_name})")
 
     sige = model.sigma_eps_exact
-    if sigma_alpha is None:
-        sigma_alpha = solve_riccati(model.abar, sige, alpha)
+    sigma_alpha = solve_riccati(model.abar, sige, alpha)
     quad = float(u @ sigma_alpha @ u)
     scale = max(1.0, float(np.abs(sigma_alpha).max()))
     if quad < -1e-10 * scale:
@@ -450,7 +447,6 @@ def composite_hp_bound(
     sige_norm = spectral_norm(sige)
     theta0_err = float(np.linalg.norm(theta0 - model.theta_star))
     log2d = math.log(2.0 / delta)
-    log1d = math.log(1.0 / delta)
 
     j0_main, j0_rem = _j0_terms(alpha * quad, rate, alpha, d2, log2d)
     if regime == "iid":
@@ -497,34 +493,12 @@ def composite_hp_bound(
     if regime == "iid":
         d4, _ = d4_constant(profile, c_eps, alpha, p0)
         constants["d4"] = d4
-        # The remainder and transient envelopes on the sqrt(alpha) scale.
-        constants["q_remainder"] = (
-            math.e * d3 * log1d**2
-            + math.sqrt(1.0 + math.log(1.0 / (profile.a * alpha))) * d2 * log2d**1.5
-            + d4 * p0**2 * delta ** (-1.0 / p0)
-        )
-        constants["delta_transient"] = (
-            D1 * math.sqrt((profile.kappa_q / profile.a) * sige_norm * log2d)
-            + math.sqrt(profile.kappa_q)
-            * dim ** (1.0 / p0)
-            * theta0_err
-            * alpha**-0.5
-            * delta ** (-1.0 / p0)
-        )
     else:
         d5, _ = d5_constant(profile, ctr, c_eps, alpha)
         constants["d5"] = d5
         constants["a_tilde"] = ctr.a_tilde
         constants["kappa_q_tilde"] = kqt
         constants["alpha_tilde_inf"] = ctr.alpha_tilde_inf
-        constants["q_remainder"] = (
-            math.e * (d3 + d5) * log1d**2
-            + math.sqrt(1.0 + math.log(1.0 / (ctr.a_tilde * alpha))) * d2 * log2d**1.5
-        )
-        constants["delta_transient"] = (
-            D1 * math.sqrt((kqt / ctr.a_tilde) * sige_norm * log2d)
-            + math.sqrt(kqt) * theta0_err * alpha**-0.5
-        )
 
     flags = [FLAG_D1_EXPONENT, FLAG_CONFIDENCE]
     if d3_flag is not None:

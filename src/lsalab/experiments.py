@@ -1,9 +1,12 @@
 """Experiment drivers: validated configs, grid fan-out, rows with verdicts.
 
 Each experiment is one record in ``_EXPERIMENTS``: its parameter columns,
-default grids and model, its unit plan, the parameters of each unit's rows,
+default grids and model, its unit plan, the coordinates of each unit's rows,
 its runner and its validation hook.  Adding an experiment means adding a
-record and a runner; the driver reads everything else from the table.
+record and a runner; the driver reads everything else from the table.  A
+runner returns one verdict per row (value, pass, error, oracle, bound,
+note); ``run_unit`` is the one place that pairs the verdicts with the
+record's coordinates and builds the rows.
 
 Each experiment orders its parameter grid into work units.  Unit i's
 descriptor is computed arithmetically from ``(config, i)`` (a mixed-radix
@@ -46,6 +49,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,6 +111,8 @@ DECOMPOSITION_TOL = 1e-9
 GEOMETRIC_SUM_TOL = 1e-10
 DOMINANCE_REL_SLACK = 1e-12
 _LYAPUNOV_MAX_DIM = 8
+# the tails each rademacher unit checks, one row each
+_SIDES = ("upper", "lower")
 
 
 class ConfigError(ValueError):
@@ -171,6 +177,22 @@ class ResultRow:
     @property
     def param_dict(self) -> dict:
         return dict(self.params)
+
+
+class _Verdict(NamedTuple):
+    """What a runner finds for one row; ``run_unit`` builds the row from it.
+
+    ``params`` is set only where a unit draws a row coordinate itself
+    (lyapunov's alpha); ``run_unit`` then prefers it to the record's.
+    """
+
+    empirical: float
+    passed: bool
+    std_err: float = 0.0
+    oracle: float | None = None
+    bound: float | None = None
+    note: str = ""
+    params: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +463,7 @@ def _check_rademacher(config: ExperimentConfig, errors: list[str]) -> None:
     for (i, al), (j, n), (k, d) in itertools.product(
         enumerate(config.alphas), enumerate(config.ns), enumerate(config.deltas)
     ):
-        for side in ("upper", "lower"):
+        for side in _SIDES:
             try:
                 rademacher_tail_thresholds(q_a, al, n, d, side)
             except ValueError as exc:
@@ -520,13 +542,24 @@ def _rosenthal_head(qs: tuple, rhos: tuple, alphas: tuple) -> tuple[tuple, ...]:
     return tuple(head)
 
 
+_LAST_PLAN: list = [None, None, None]  # config, record, plan
+
+
 def _plan(config: ExperimentConfig) -> tuple[tuple, tuple, int]:
-    """The head units, the unit axes and the unit count of a resolved config."""
+    """The head units, the unit axes and the unit count of a resolved config.
+
+    The last plan is kept, by identity of the config and record it reads
+    (of the config, only immutable fields), as a blocked unit plans twice.
+    """
     exp = _EXPERIMENTS.get(config.experiment)
     if exp is None:
         raise ValueError(f"unknown experiment {config.experiment!r}")
+    if _LAST_PLAN[0] is config and _LAST_PLAN[1] is exp:
+        return _LAST_PLAN[2]
     head, axes = exp.head(config), exp.axes(config)
-    return head, axes, len(head) + math.prod(map(len, axes))
+    plan = head, axes, len(head) + math.prod(map(len, axes))
+    _LAST_PLAN[:] = config, exp, plan
+    return plan
 
 
 def unit_count(config: ExperimentConfig) -> int:
@@ -551,32 +584,6 @@ def _unit(config: ExperimentConfig, index: int) -> tuple:
         index, k = divmod(index, len(axis))
         point.append(axis[k])
     return tuple(reversed(point))
-
-
-def _row(
-    config: ExperimentConfig,
-    params: tuple,
-    *,
-    empirical: float,
-    std_err: float,
-    oracle: float | None,
-    bound: float | None,
-    passed: bool,
-    seed: int,
-    note: str = "",
-) -> ResultRow:
-    keys = PARAM_KEYS[config.experiment]
-    return ResultRow(
-        experiment=config.experiment,
-        params=tuple(zip(keys, params)),
-        empirical=float(empirical),
-        std_err=float(std_err),
-        oracle=None if oracle is None else float(oracle),
-        bound=None if bound is None else float(bound),
-        passed=bool(passed),
-        seed=seed,
-        note=note,
-    )
 
 
 def _dominates(value: float, bound: float) -> bool:
@@ -683,37 +690,21 @@ def _block_verdict(config: ExperimentConfig, verdicts: Callable, trial: int):
     return verdict
 
 
-def _run_lyapunov_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+def _run_lyapunov_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
     (trial,) = unit
-    alpha, worst, contraction, contraction_cap = _block_verdict(
-        config, _lyapunov_verdicts, trial
-    )
+    alpha, worst, contraction, cap = _block_verdict(config, _lyapunov_verdicts, trial)
     dim = 1 + trial % _LYAPUNOV_MAX_DIM
+    # positional (empirical, passed, std_err, oracle, bound, note, params), as
+    # in run_unit: thousands of these units run, and keywords cost each 3 %
+    tol = SOLVER_RESIDUAL_TOL
+    residuals, contracts = ("residuals", trial, dim, alpha), ("contraction", trial, dim, alpha)
     return [
-        _row(
-            config,
-            ("residuals", trial, dim, alpha),
-            empirical=worst,
-            std_err=0.0,
-            oracle=0.0,
-            bound=SOLVER_RESIDUAL_TOL,
-            passed=worst <= SOLVER_RESIDUAL_TOL,
-            seed=seed,
-        ),
-        _row(
-            config,
-            ("contraction", trial, dim, alpha),
-            empirical=contraction,
-            std_err=0.0,
-            oracle=None,
-            bound=contraction_cap,
-            passed=contraction <= contraction_cap,
-            seed=seed,
-        ),
+        _Verdict(worst, worst <= tol, 0.0, 0.0, tol, "", residuals),
+        _Verdict(contraction, contraction <= cap, 0.0, None, cap, "", contracts),
     ]
 
 
-def _run_bounds_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+def _run_bounds_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
     alpha, n, p = unit
     model = _build_model(config.model)
     profile = lyapunov_witness(model)
@@ -725,21 +716,10 @@ def _run_bounds_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[R
         abs(mc.value - oracle) <= config.se_mult * mc.std_err
         and _dominates(oracle, bound)
     )
-    return [
-        _row(
-            config,
-            unit,
-            empirical=mc.value,
-            std_err=mc.std_err,
-            oracle=oracle,
-            bound=bound,
-            passed=passed,
-            seed=seed,
-        )
-    ]
+    return [_Verdict(mc.value, passed, mc.std_err, oracle, bound)]
 
 
-def _run_simulate_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+def _run_simulate_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
     """One (alpha, n) row over n_traj decomposed trajectories.
 
     ``empirical`` is the worst relative residual of the identity
@@ -768,47 +748,29 @@ def _run_simulate_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list
     mismatch = float(np.max(gap)) / scale
     agrees = mismatch <= DECOMPOSITION_TOL
     return [
-        _row(
-            config,
-            unit,
-            empirical=worst,
-            std_err=0.0,
+        _Verdict(
+            worst,
+            worst <= DECOMPOSITION_TOL and agrees,
             oracle=0.0,
             bound=DECOMPOSITION_TOL,
-            passed=worst <= DECOMPOSITION_TOL and agrees,
-            seed=seed,
             note="" if agrees else f"theta_err differs from the recursion by {mismatch:.3e}",
         )
     ]
 
 
-def _rademacher_params(config: ExperimentConfig, unit: tuple) -> list[tuple]:
-    return [(config.model["q_a"], *unit, side) for side in ("upper", "lower")]
-
-
-def _run_rademacher_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
-    rows = []
-    for params in _rademacher_params(config, unit):
-        q_a, alpha, n, delta, side = params
+def _run_rademacher_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
+    q_a = config.model["q_a"]
+    alpha, n, delta = unit
+    verdicts = []
+    for side in _SIDES:
         t = rademacher_tail_thresholds(q_a, alpha, n, delta, side)
         tail = rademacher_exact_tail(q_a, alpha, n, t)
         passed = tail <= delta if side == "upper" else tail >= delta
-        rows.append(
-            _row(
-                config,
-                params,
-                empirical=tail,
-                std_err=0.0,
-                oracle=delta,
-                bound=t,
-                passed=passed,
-                seed=seed,
-            )
-        )
-    return rows
+        verdicts.append(_Verdict(tail, passed, oracle=delta, bound=t))
+    return verdicts
 
 
-def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
     (alpha,) = unit
     model = _build_model(config.model)
     profile = lyapunov_witness(model)
@@ -831,65 +793,29 @@ def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[Resu
     # the verdict does not hinge on noise at small sample counts.
     ks_cap = config.ks_tol + 1.36 / math.sqrt(n_s)
     return [
-        _row(
-            config,
-            ("variance", alpha),
-            empirical=v_hat,
-            std_err=v_se,
-            oracle=v_exact,
-            bound=None,
-            passed=abs(v_hat - v_exact) <= config.se_mult * v_se,
-            seed=seed,
-        ),
-        _row(
-            config,
-            ("gap", alpha),
-            empirical=gap,
-            std_err=0.0,
-            oracle=sig_limit,
-            bound=gap_cap,
-            passed=_dominates(gap, gap_cap),
-            seed=seed,
-        ),
-        _row(
-            config,
-            ("ks", alpha),
-            empirical=ks,
-            std_err=0.0,
-            oracle=0.0,
-            bound=ks_cap,
-            passed=ks <= ks_cap,
-            seed=seed,
-        ),
+        _Verdict(v_hat, abs(v_hat - v_exact) <= config.se_mult * v_se, v_se, v_exact),
+        _Verdict(gap, _dominates(gap, gap_cap), oracle=sig_limit, bound=gap_cap),
+        _Verdict(ks, ks <= ks_cap, oracle=0.0, bound=ks_cap),
     ]
 
 
-def _run_wasserstein_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
+def _run_wasserstein_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
     (alpha,) = unit
     model = _build_model(config.model)
     theta_a = model.theta_star + 1.0
     theta_b = model.theta_star - 1.0
     n_max = max(config.ns)
-    value, std_err = coupled_w2(
-        model, alpha, n_max, theta_a, theta_b, config.n_traj, seed
+    value, std_err = (
+        curve.tolist()
+        for curve in coupled_w2(model, alpha, n_max, theta_a, theta_b, config.n_traj, seed)
     )
-    exact = np.sqrt(coupled_exact_sq(model, alpha, n_max, theta_a - theta_b))
-    rows = []
-    for n in config.ns:
-        rows.append(
-            _row(
-                config,
-                (alpha, n),
-                empirical=float(value[n]),
-                std_err=float(std_err[n]),
-                oracle=float(exact[n]),
-                bound=None,
-                passed=abs(float(value[n]) - float(exact[n]))
-                <= config.se_mult * float(std_err[n]),
-                seed=seed,
-            )
+    exact = np.sqrt(coupled_exact_sq(model, alpha, n_max, theta_a - theta_b)).tolist()
+    return [
+        _Verdict(
+            value[n], abs(value[n] - exact[n]) <= config.se_mult * std_err[n], std_err[n], exact[n]
         )
-    return rows
+        for n in config.ns
+    ]
 
 
 def _count_compositions(total: int, parts: int) -> int:
@@ -949,76 +875,52 @@ def _rosenthal_params(config: ExperimentConfig, unit: tuple) -> list[tuple]:
     return [(kind, *cells.values())]
 
 
-def _run_rosenthal_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[ResultRow]:
-    (params,) = _rosenthal_params(config, unit)
-    kind = unit[0]
+def _run_rosenthal_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
+    kind, *values = unit
+    if kind == "bsum":
+        res = _block_verdict(config, _bsum_verdicts, values[0])
+        return [_Verdict(res, res <= GEOMETRIC_SUM_TOL, oracle=0.0, bound=GEOMETRIC_SUM_TOL)]
     if kind == "buq":
-        _, q, u, rho = unit
+        q, u, rho = values
         exact = b_uq_exact(u, q, rho)
         upper = b_uq_upper(u, q, rho)
-        verdict = dict(
-            empirical=exact, oracle=None, bound=upper, passed=_dominates(exact, upper)
-        )
-    elif kind == "count":
-        _, q, u = unit
+        return [_Verdict(exact, _dominates(exact, upper), bound=upper)]
+    if kind == "count":
+        q, u = values
         brute = _count_compositions(2 * q - u, u)
         closed = composition_count(u, q)
-        verdict = dict(
-            empirical=float(brute), oracle=float(closed), bound=None, passed=brute == closed
-        )
-    elif kind == "delta_root":
-        _, alpha = unit
-        spec = _drift_spec(config.model)
-        constants = v_geometric_constants(
-            spec["lambda"], spec["b"], spec["m"], spec["epsilon"], spec["d_level"]
-        )
-        full = attach_wasserstein(constants, alpha, c_a=spec["c_a"])
-        if full.delta_alpha is None:
-            verdict = dict(
-                empirical=math.nan,
-                passed=True,
-                note="no positive root; contraction rates undefined at this alpha",
-            )
-        else:
-            delta = full.delta_alpha
-            residual = abs(
-                _delta_gap(
-                    delta, constants.lambda_bar_m, constants.b_m, constants.d_bar,
-                    constants.epsilon, alpha,
-                )
-            )
-            verdict = dict(
-                empirical=residual,
-                passed=residual <= ROOT_RESIDUAL_TOL and 0.0 < full.rho_alpha < 1.0,
-                note=f"delta_alpha={delta:.9g}, rho_alpha={full.rho_alpha:.9g}",
-            )
-        verdict.update(oracle=0.0, bound=ROOT_RESIDUAL_TOL)
-    elif kind == "horizon":
-        _, alpha = unit
-        spec = _drift_spec(config.model)
+        return [_Verdict(brute, brute == closed, oracle=closed)]
+    (alpha,) = values
+    spec = _drift_spec(config.model)
+    if kind == "horizon":
         profile = spectral_profile(np.array([[spec["abar"]]]), spec["c_a"])
         m_h = contraction_horizon(profile, alpha, spec["epsilon"])
         rate = 1.0 - alpha * profile.a / 2.0
         reached = profile.kappa_q * rate ** (m_h / 2.0)
         target = 1.0 - spec["epsilon"]
         minimal = m_h == 1 or profile.kappa_q * rate ** ((m_h - 1) / 2.0) > target
-        verdict = dict(
-            empirical=reached,
-            oracle=None,
-            bound=target,
-            passed=reached <= target and minimal,
-            note=f"horizon={m_h}",
+        return [
+            _Verdict(reached, reached <= target and minimal, bound=target, note=f"horizon={m_h}")
+        ]
+    # delta_root
+    constants = v_geometric_constants(
+        spec["lambda"], spec["b"], spec["m"], spec["epsilon"], spec["d_level"]
+    )
+    full = attach_wasserstein(constants, alpha, c_a=spec["c_a"])
+    delta = full.delta_alpha
+    if delta is None:
+        residual, passed = math.nan, True
+        note = "no positive root; contraction rates undefined at this alpha"
+    else:
+        residual = abs(
+            _delta_gap(
+                delta, constants.lambda_bar_m, constants.b_m, constants.d_bar,
+                constants.epsilon, alpha,
+            )
         )
-    else:  # bsum
-        _, trial = unit
-        residual = _block_verdict(config, _bsum_verdicts, trial)
-        verdict = dict(
-            empirical=residual,
-            oracle=0.0,
-            bound=GEOMETRIC_SUM_TOL,
-            passed=residual <= GEOMETRIC_SUM_TOL,
-        )
-    return [_row(config, params, std_err=0.0, seed=seed, **verdict)]
+        passed = residual <= ROOT_RESIDUAL_TOL and 0.0 < full.rho_alpha < 1.0
+        note = f"delta_alpha={delta:.9g}, rho_alpha={full.rho_alpha:.9g}"
+    return [_Verdict(residual, passed, oracle=0.0, bound=ROOT_RESIDUAL_TOL, note=note)]
 
 
 # ---------------------------------------------------------------------------
@@ -1039,12 +941,15 @@ class _Experiment:
 
     The units of a run are the descriptors ``head(config)`` followed by the
     points of the product of the sequences ``axes(config)``, last axis
-    fastest.  ``params(config, unit)`` gives the parameter tuples of the
-    unit's rows, which its failure rows carry when ``runner(config, unit,
-    seed)`` raises.  ``check(config, errors)`` appends the per-point
-    problems of a config whose fields are otherwise valid.  ``block`` is
-    the number of consecutive units the runner computes together; a pool
-    chunk is a whole number of blocks.
+    fastest.  ``params(config, unit)`` gives the coordinate tuples of the
+    unit's rows, success and failure rows alike; ``runner(config, unit,
+    seed)`` returns one ``_Verdict`` per tuple, in the same order, and
+    ``run_unit`` builds the rows.  A verdict's own ``params`` replaces a
+    coordinate tuple where the unit draws a coordinate itself.
+    ``check(config, errors)`` appends the per-point problems of a config
+    whose fields are otherwise valid.  ``block`` is the number of
+    consecutive units the runner computes together; a pool chunk is a whole
+    number of blocks.
 
     Records hold private functions only: a public lsalab function stored
     here would escape the rebinding of module-level names that tracing uses.
@@ -1056,7 +961,7 @@ class _Experiment:
     special: bool
     axes: Callable[[ExperimentConfig], tuple]
     params: Callable[[ExperimentConfig, tuple], list[tuple]]
-    runner: Callable[[ExperimentConfig, tuple, int], list[ResultRow]]
+    runner: Callable[[ExperimentConfig, tuple, int], list[_Verdict]]
     check: Callable[[ExperimentConfig, list[str]], object] | None = None
     head: Callable[[ExperimentConfig], tuple] = lambda config: ()
     block: int = 1
@@ -1105,7 +1010,7 @@ _EXPERIMENTS = {
         model=_TWO_POINT,
         special=False,
         axes=lambda c: (c.alphas, c.ns, c.deltas),
-        params=_rademacher_params,
+        params=lambda c, unit: [(c.model["q_a"], *unit, side) for side in _SIDES],
         runner=_run_rademacher_unit,
         check=_check_rademacher,
     ),
@@ -1152,32 +1057,39 @@ PARAM_KEYS = {name: exp.keys for name, exp in _EXPERIMENTS.items()}
 
 
 def run_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
-    """Execute one work unit; failures become failed rows, never raises.
+    """Execute one work unit; failures become failed rows.
 
-    The broad catch is deliberate: a grid row whose computation breaks
-    (simulation blow-up, solver failure) must be reported as a failing row
-    while the rest of the run continues.
+    The one place a row is built: the record's ``params`` gives each row's
+    coordinates and the runner its verdict, in the same order.  The broad
+    catch is deliberate: a grid row whose computation breaks (simulation
+    blow-up, solver failure) must be reported as a failing row while the
+    rest of the run continues.  A runner that returns the wrong number of
+    verdicts is a bug, and raises rather than drop or invent rows.
     """
     unit = _unit(config, index)
     seed = _unit_seed(config, index)
     exp = _EXPERIMENTS[config.experiment]
+    coords = exp.params(config, unit)
     try:
-        return exp.runner(config, unit, seed)
+        verdicts = exp.runner(config, unit, seed)
     except Exception as exc:  # noqa: BLE001 - unit failures become rows
-        return [
-            _row(
-                config,
-                params,
-                empirical=math.nan,
-                std_err=math.nan,
-                oracle=None,
-                bound=None,
-                passed=False,
-                seed=seed,
-                note=f"{type(exc).__name__}: {exc}",
-            )
-            for params in exp.params(config, unit)
-        ]
+        failed = _Verdict(math.nan, False, math.nan, note=f"{type(exc).__name__}: {exc}")
+        verdicts = [failed] * len(coords)
+    # positional, in field order: keywords cost a lyapunov unit about 10 %
+    return [
+        ResultRow(
+            config.experiment,
+            tuple(zip(exp.keys, v.params or params)),
+            float(v.empirical),
+            float(v.std_err),
+            None if v.oracle is None else float(v.oracle),
+            None if v.bound is None else float(v.bound),
+            bool(v.passed),
+            seed,
+            v.note,
+        )
+        for params, v in zip(coords, verdicts, strict=True)
+    ]
 
 
 def run(config: ExperimentConfig) -> list[ResultRow]:

@@ -130,14 +130,14 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def hurwitz_check(abar: np.ndarray, margin: float = EIG_MARGIN) -> bool:
-    """True iff every eigenvalue of ``abar`` has real part > ``margin``.
+def hurwitz_check(abar: np.ndarray) -> bool:
+    """True iff every eigenvalue of ``abar`` has real part > ``EIG_MARGIN``.
 
     This is the stability convention used throughout: ``-abar`` is Hurwitz,
     so the fixed-stepsize recursion contracts for small alpha.
     """
     abar = _as_square(abar, "abar")
-    return bool(np.min(np.linalg.eigvals(abar).real) > margin)
+    return bool(np.min(np.linalg.eigvals(abar).real) > EIG_MARGIN)
 
 
 def _require_hurwitz(abar: np.ndarray) -> np.ndarray:

@@ -3,18 +3,22 @@ serialization, and scheduling-independence of results."""
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import itertools
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsalab
 import lsalab.engine as engine
 import lsalab.experiments as experiments
 import lsalab.linalg as linalg
+from lsalab.cli import main
 from lsalab.engine import final_errors, run_decomposed
 from lsalab.experiments import (
     EXPERIMENT_NAMES,
@@ -46,6 +50,15 @@ from lsalab.linalg import (
 )
 from lsalab.rng import _normals, stream, uniform_open01
 from lsalab.rosenthal import geometric_sum_check
+
+
+@pytest.fixture(autouse=True)
+def _fresh_blocks():
+    """Every test starts and ends with an empty block cache, so no test reads
+    a block that an earlier test computed, perhaps under a patch."""
+    experiments._block.cache_clear()
+    yield
+    experiments._block.cache_clear()
 
 
 def tiny_config(experiment: str, **kw) -> ExperimentConfig:
@@ -226,6 +239,12 @@ class TestValidate:
         cfg = resolve(tiny_config("simulate", model={"kind": "martian"}))
         assert any("model" in e for e in validate(cfg))
 
+    def test_a_non_string_model_kind_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"kind": ["bounded_factor"]}}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown model kind ['bounded_factor']" in capsys.readouterr().err
+
 
 class TestRun:
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -370,6 +389,35 @@ def test_failure_rows_carry_the_success_rows_params(name, monkeypatch):
             assert seen == expected
 
 
+def test_only_run_unit_builds_rows():
+    # runners return verdicts; a second place that builds a row would be a
+    # second place to pair coordinates with verdicts and coerce the cells
+    builders = set()
+    for path in sorted(Path(lsalab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if (getattr(func, "id", None) or getattr(func, "attr", None)) == "ResultRow":
+                    builders.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert builders == {"experiments.run_unit"}
+
+
+@pytest.mark.parametrize("change", [-1, 1], ids=["one_too_few", "one_too_many"])
+def test_a_runner_with_the_wrong_verdict_count_raises(change, monkeypatch):
+    # a row must never be dropped, or made up, silently
+    record = experiments._EXPERIMENTS["rademacher"]
+
+    def miscounted(config, unit, seed):
+        verdicts = record.runner(config, unit, seed)
+        return verdicts[:-1] if change < 0 else verdicts + verdicts[:1]
+
+    monkeypatch.setitem(experiments._EXPERIMENTS, "rademacher", replace(record, runner=miscounted))
+    with pytest.raises(ValueError, match="zip"):
+        run_unit(resolve(tiny_config("rademacher")), 0)
+
+
 # Small configs on which the layout varies: the budgets below split every
 # chunked Monte Carlo unit into several chunks, lyapunov's 20 trials and
 # rosenthal's 10 into blocks (a block of 3 units holds the last head unit
@@ -389,21 +437,22 @@ _LAYOUT = {
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
 def test_csv_bytes_do_not_depend_on_chunk_block_or_worker_layout(name, monkeypatch):
     # the reproducibility contract: chunk size, block size and worker count
-    # schedule the work and never change what it computes
+    # schedule the work and never change what it computes.  Two workers run
+    # before one, and block sizes alternate, so no run finds a block it needs
+    # in the cache the run before it left: a pool forks with the parent's
+    # cache, which then holds a block of the other size.
     cfg = resolve(ExperimentConfig(experiment=name, seed=1, **_LAYOUT[name]))
     record = experiments._EXPERIMENTS[name]
     blocks = (record.block, 3) if record.block > 1 else (1,)
     expected = None
     for budget, block, workers in itertools.product(
-        (engine._CHUNK_FLOAT_BUDGET, 20_000, 3_000), blocks, (1, 2)
+        (engine._CHUNK_FLOAT_BUDGET, 20_000, 3_000), blocks, (2, 1)
     ):
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
         monkeypatch.setitem(experiments._EXPERIMENTS, name, replace(record, block=block))
-        experiments._block.cache_clear()
         text = csv_text(name, run(replace(cfg, workers=workers)))
         expected = expected or text
         assert text == expected, (budget, block, workers)
-    experiments._block.cache_clear()
 
 
 _D2_FACTOR = {
@@ -548,7 +597,6 @@ class TestLyapunovUnit:
         record = experiments._EXPERIMENTS["lyapunov"]
         for size, groups in ((256, 8), (1, 1)):
             monkeypatch.setitem(experiments._EXPERIMENTS, "lyapunov", replace(record, block=size))
-            experiments._block.cache_clear()
             for index in range(unit_count(self.CFG)):
                 counts.clear()
                 run_unit(self.CFG, index)
@@ -559,7 +607,6 @@ class TestLyapunovUnit:
                 assert counts.get("eigh") == groups, counts
                 assert counts.get("svd", 0) <= 10 * groups, counts
                 assert counts.get("solve") == 3 * groups, counts
-        experiments._block.cache_clear()
 
     def test_rows_do_not_depend_on_block_or_worker_layout(self, monkeypatch):
         # 600 units: two full blocks of 256 and a partial one, whose edges
@@ -571,15 +618,15 @@ class TestLyapunovUnit:
         record = experiments._EXPERIMENTS["lyapunov"]
         for size, workers in ((record.block, 1), (7, 2)):
             monkeypatch.setitem(experiments._EXPERIMENTS, "lyapunov", replace(record, block=size))
-            experiments._block.cache_clear()
             rows = run(replace(cfg, workers=workers))
             assert len(rows) == 1200
             assert [rows[i] for i in (0, 1, 510, 511, 512, 513, 1198, 1199)] == expected
-        experiments._block.cache_clear()
 
     def test_a_failing_trial_fails_only_its_own_rows(self, monkeypatch):
         target = 13
-        succeeded = [run_unit(self.CFG, index) for index in range(unit_count(self.CFG))]
+        # the public-call reference, so that no block is cached before the
+        # solve is perturbed
+        succeeded = [_lyapunov_reference(self.CFG, i) for i in range(unit_count(self.CFG))]
         _, _, abar, _ = _lyapunov_draws(self.CFG, target)
         d = len(abar)
         # the Kronecker matrix of target's Lyapunov solve; np.kron has its bits
@@ -596,18 +643,14 @@ class TestLyapunovUnit:
         with pytest.raises(linalg.SolverResidualError) as info:
             solve_lyapunov(abar)
         note = f"SolverResidualError: {info.value}"
-        experiments._block.cache_clear()
-        try:
-            for index, ok in enumerate(succeeded):
-                rows = run_unit(self.CFG, index)
-                if index != target:
-                    assert rows == ok
-                    continue
-                assert [row.note for row in rows] == [note, note]
-                assert not any(row.passed for row in rows)
-                assert all(math.isnan(row.empirical) for row in rows)
-        finally:
-            experiments._block.cache_clear()
+        for index, ok in enumerate(succeeded):
+            rows = run_unit(self.CFG, index)
+            if index != target:
+                assert rows == ok
+                continue
+            assert [row.note for row in rows] == [note, note]
+            assert not any(row.passed for row in rows)
+            assert all(math.isnan(row.empirical) for row in rows)
 
 
 def _bsum_reference(cfg: ExperimentConfig, index: int) -> ResultRow:
@@ -638,7 +681,6 @@ class TestBsumUnit:
     HEAD = 16
 
     def test_rows_equal_the_per_unit_reference(self):
-        experiments._block.cache_clear()
         rows = run(self.CFG)
         assert len(rows) == self.HEAD + 600
         for index in range(self.HEAD, len(rows)):
@@ -651,14 +693,15 @@ class TestBsumUnit:
     @pytest.mark.parametrize("seed", [7, 2**64 - 300])
     def test_seeds_wrap_as_the_unit_seeds_do(self, seed):
         cfg = resolve(ExperimentConfig(experiment="rosenthal", n_traj=400, seed=seed))
-        experiments._block.cache_clear()
         rows = run(cfg)
         for index in range(self.HEAD, len(rows)):
             assert rows[index] == _bsum_reference(cfg, index), index
 
     def test_a_failing_trial_fails_only_its_own_row(self, monkeypatch):
         target = self.HEAD + 300
-        succeeded = run(self.CFG)
+        # the head units read no block, and the trials are checked against
+        # their references, so that no block is cached before the patch
+        head = [row for index in range(self.HEAD) for row in run_unit(self.CFG, index)]
         seed = (self.CFG.seed + target) % 2**64
         a_target = 0.5 + 3.5 * float(uniform_open01(stream(seed, 0), 2)[1])
         original = experiments.geometric_sum_check
@@ -671,15 +714,13 @@ class TestBsumUnit:
 
         monkeypatch.setattr(experiments, "geometric_sum_check", too_large_first_step)
         note = f"ValueError: largest stepsize 10.0 must stay below 1/a = {1.0 / a_target:.6g}"
-        experiments._block.cache_clear()
-        try:
-            rows = run(self.CFG)
-        finally:
-            experiments._block.cache_clear()
-        assert len(rows) == len(succeeded)
-        for index, (row, ok) in enumerate(zip(rows, succeeded)):
+        rows = run(self.CFG)
+        assert len(rows) == self.HEAD + 600
+        assert rows[: self.HEAD] == head
+        for index in range(self.HEAD, len(rows)):
+            row = rows[index]
             if index != target:
-                assert row == ok
+                assert row == _bsum_reference(self.CFG, index), index
                 continue
             assert row.note == note
             assert not row.passed and math.isnan(row.empirical)
