@@ -24,6 +24,7 @@ import numpy as np
 from lsalab.linalg import (
     SpectralProfile,
     alpha_p_inf,
+    q_norm_mat,
     solve_riccati,
     spectral_norm,
 )
@@ -186,13 +187,11 @@ def product_moment_bound(profile: SpectralProfile, p: float, alpha: float, n: in
         )
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    coeff = (p - 1.0) * profile.b_q**2
-    base = 1.0 - profile.a * alpha + coeff * alpha * alpha
+    base = 1.0 - profile.a * alpha + (p - 1.0) * profile.b_q**2 * alpha * alpha
     if base < 0.0:
-        cap = min(profile.alpha_inf, profile.a / (2.0 * coeff))
         raise ValueError(
             f"contraction base negative at alpha={alpha}; the p={p} moment "
-            f"stepsize cap is alpha_p_inf = {cap:.6g}"
+            f"stepsize cap is alpha_p_inf = {alpha_p_inf(profile, p):.6g}"
         )
     log_head = 0.5 * math.log(profile.kappa_q) + math.log(profile.dim) / p
     if n == 0:
@@ -536,7 +535,7 @@ def sigma_gap_bound(
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     abar = np.asarray(abar, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    return alpha / profile.a * profile._q_norm(abar @ sigma @ abar.T)
+    return alpha / profile.a * q_norm_mat(abar @ sigma @ abar.T, profile.q)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@
 
 The config file is a single JSON object of ExperimentConfig fields; flags
 override the corresponding file values.  Exit status: 0 when every row
-passes, 2 when the config fails validation (all problems are printed to
-stderr), 3 when any row fails.
+passes, 2 when the config fails validation or the output prefix names a
+directory that does not exist (all problems are printed to stderr, before
+any unit runs), 3 when any row fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -89,6 +91,10 @@ def main(argv: list[str] | None = None) -> int:
     # Structurally broken fields fall back to defaults, so semantic
     # validation still runs and the user sees every problem at once.
     errors.extend(validate(resolve(config)))
+    # checked before any unit runs, so a bad prefix does not cost the run
+    directory = os.path.dirname(config.out)
+    if directory and not os.path.isdir(directory):
+        errors.append(f"out: {directory!r} is not an existing directory")
     if errors:
         for problem in errors:
             print(f"config error: {problem}", file=sys.stderr)

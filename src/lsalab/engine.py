@@ -406,21 +406,14 @@ def _burn_in(model: LsaModel, profile: SpectralProfile, alpha: float) -> int:
     return stationary_horizon(profile, alpha, tol)
 
 
-def sample_stationary(
-    model: LsaModel,
-    alpha: float,
-    n_samples: int,
-    seed: int,
-    profile: SpectralProfile | None = None,
-) -> np.ndarray:
+def sample_stationary(model: LsaModel, alpha: float, n_samples: int, seed: int) -> np.ndarray:
     """Approximate stationary samples by forward burn-in from theta_star.
 
     Each sample is the endpoint of an independent trajectory of length
-    N(alpha, tol) started at theta_star, with tol = 1e-8 * (1 + ||theta_star||).
-    Returns shape (n_samples, d).
+    N(alpha, tol) started at theta_star, with tol = 1e-8 * (1 + ||theta_star||)
+    and N read from ``lyapunov_witness(model)``.  Returns shape (n_samples, d).
     """
-    if profile is None:
-        profile = lyapunov_witness(model)
+    profile = lyapunov_witness(model)
     return model.theta_star + final_errors(
         model, alpha, model.theta_star, _burn_in(model, profile, alpha), n_samples, seed
     )

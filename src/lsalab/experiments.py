@@ -12,20 +12,21 @@ Each experiment orders its parameter grid into work units.  Unit i's
 descriptor is computed arithmetically from ``(config, i)`` (a mixed-radix
 digit split over the grid axes), never by enumerating the grid, so a run
 plans in time linear in its unit count.  Unit i draws randomness only from
-streams keyed by the unit seed ``(config.seed + i) mod 2**64``, so a unit is
-a pure function of ``(config, i)``.  A pool run hands the units to its
-workers in contiguous chunks and reassembles them in index order, so a full
-run produces identical rows whatever the worker count, the chunk layout or
-the order in which workers finish.  An experiment may compute its units in
-blocks: ``lyapunov`` solves 256 units at a time, those of each dimension in
-one call of ``lsalab.linalg``'s stacked kernels, and ``rosenthal`` draws its
-``bsum`` trials 256 units at a time and checks those of each length in one
-stacked call; the units read their rows from the block.  A pool chunk is a
-whole number of blocks, and a unit's rows are the same bits at any block
-size.  Failures inside a unit
-(simulation blow-ups, solver breakdowns) are recorded in the affected rows
-themselves -- empirical = nan, pass = false, with the message kept on the
-row's ``note`` field -- and never abort the run.
+streams keyed by its unit seed ``(config.seed + i) mod 2**64``, so a unit is
+a pure function of ``(config, i)``; ``_unit_seed`` is the one place that
+rule is written, and blocked units read their seeds from it too.  A pool run
+hands the units to its workers in contiguous chunks and reassembles them in
+index order, so a full run produces identical rows whatever the worker
+count, the chunk layout or the order in which workers finish.  An experiment
+may compute its units in blocks: ``lyapunov`` solves 256 units at a time,
+those of each dimension in one call of ``lsalab.linalg``'s stacked kernels,
+and ``rosenthal`` draws its ``bsum`` trials 256 units at a time and checks
+those of each length in one stacked call; the units read their rows from the
+block.  A pool chunk is a whole number of blocks, and a unit's rows are the
+same bits at any block size.  Failures inside a unit (simulation blow-ups,
+solver breakdowns) are recorded in the affected rows themselves --
+empirical = nan, pass = false, with the message kept on the row's ``note``
+field -- and never abort the run.
 
 Emission: ``csv_text`` renders the fixed column schema
 
@@ -324,6 +325,9 @@ def _build_model(spec: dict) -> LsaModel:
         if kind == "rademacher_gaussian":
             return rademacher_gaussian_model(**params)
         if kind == "bounded_factor":
+            if "contractive" in params:
+                # only composite_hp_bound's contractive regime reads the witness
+                raise ValueError("no experiment reads the 'contractive' witness")
             return bounded_factor_model(
                 np.asarray(params.pop("abar"), dtype=float),
                 np.asarray(params.pop("bbar"), dtype=float),
@@ -525,20 +529,23 @@ def _check_rosenthal(config: ExperimentConfig, errors: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _unit_seed(config: ExperimentConfig, index: int) -> int:
-    return (config.seed + index) % 2**64
+def _unit_seed(seed: int, index: int) -> int:
+    """The seed of unit ``index`` of a run with seed ``seed``."""
+    return (seed + index) % 2**64
 
 
-@functools.lru_cache(maxsize=16)
-def _rosenthal_head(qs: tuple, rhos: tuple, alphas: tuple) -> tuple[tuple, ...]:
+def _rosenthal_head(config: ExperimentConfig) -> tuple[tuple, ...]:
     """The closed-form units that precede the n_traj ``bsum`` trials.
 
-    Cached, because every unit of a run plans from it.
+    Each is its row's ``(check, q, u, rho, alpha, trial)`` coordinates, with
+    "" for those its check does not use.
     """
-    head: list[tuple] = [("buq", q, u, rho) for q in qs for u in range(1, q) for rho in rhos]
-    head += [("count", q, u) for q in qs for u in range(1, q)]
-    for al in alphas:
-        head += [("delta_root", al), ("horizon", al)]
+    head: list[tuple] = [
+        ("buq", q, u, rho, "", "") for q in config.qs for u in range(1, q) for rho in config.rhos
+    ]
+    head += [("count", q, u, "", "", "") for q in config.qs for u in range(1, q)]
+    for al in config.alphas:
+        head += [("delta_root", "", "", "", al, ""), ("horizon", "", "", "", al, "")]
     return tuple(head)
 
 
@@ -597,15 +604,15 @@ def _lyapunov_params(config: ExperimentConfig, unit: tuple) -> list[tuple]:
     return [("residuals", trial, dim, math.nan), ("contraction", trial, dim, math.nan)]
 
 
-def _lyapunov_verdicts(seed: int, trials: range) -> list[tuple[float, float, float, float]]:
+def _lyapunov_verdicts(seeds: list[int], trials: range) -> list[tuple]:
     """(alpha, worst residual, contraction, contraction cap) of each trial.
 
-    Trial t is unit t of a run with seed ``seed``: its words are the leading
-    words of ``stream(seed + t, 0)``.  The trials of each dimension are
-    computed together, through the stacked kernels behind the public solves
-    and geometry, which make every check of those calls per matrix and give
-    each matrix the bits the public calls give it.  Raises what the first
-    failing check raises.
+    Trial ``trials[k]`` has the unit seed ``seeds[k]``: its words are the
+    leading words of ``stream(seeds[k], 0)``.  The trials of each dimension
+    are computed together, through the stacked kernels behind the public
+    solves and geometry, which make every check of those calls per matrix and
+    give each matrix the bits the public calls give it.  Raises what the
+    first failing check raises.
     """
     out: list = [None] * len(trials)
     for dim in range(1, _LYAPUNOV_MAX_DIM + 1):
@@ -613,7 +620,7 @@ def _lyapunov_verdicts(seed: int, trials: range) -> list[tuple[float, float, flo
         if not at:
             continue
         n = len(at)
-        words = _seed_uniforms([(seed + trials[i]) % 2**64 for i in at], 3 * dim * dim + 1)
+        words = _seed_uniforms([seeds[i] for i in at], 3 * dim * dim + 1)
         g, r, w = _normals(words[:, :-1]).reshape(n, 3, dim, dim).transpose(1, 0, 2, 3)
         eye = np.eye(dim)
         # positive-definite symmetric part keeps the spectrum in the right half
@@ -650,7 +657,8 @@ def _lyapunov_verdicts(seed: int, trials: range) -> list[tuple[float, float, flo
 
 @functools.lru_cache(maxsize=1)
 def _block(verdicts: Callable, seed: int, lo: int, hi: int) -> list:
-    """``verdicts(seed, range(lo, hi))``, or an exception per unit.
+    """``verdicts(seeds, range(lo, hi))`` with those units' seeds in a run
+    with seed ``seed``, or an exception per unit.
 
     Cached, because every unit of the block reads it; the pool hands out
     whole blocks, so each process computes a block once.  If the block
@@ -658,13 +666,14 @@ def _block(verdicts: Callable, seed: int, lo: int, hi: int) -> list:
     carries exactly the exception it raises alone and no other unit fails
     with it.
     """
+    seeds = [_unit_seed(seed, index) for index in range(lo, hi)]
     try:
-        return verdicts(seed, range(lo, hi))
+        return verdicts(seeds, range(lo, hi))
     except Exception:  # noqa: BLE001 - narrowed to the failing unit below
         out: list = []
-        for index in range(lo, hi):
+        for unit_seed, index in zip(seeds, range(lo, hi)):
             try:
-                out += verdicts(seed, range(index, index + 1))
+                out += verdicts([unit_seed], range(index, index + 1))
             except Exception as exc:  # noqa: BLE001 - becomes the unit's failure rows
                 out.append(exc)
         return out
@@ -673,8 +682,8 @@ def _block(verdicts: Callable, seed: int, lo: int, hi: int) -> list:
 def _block_verdict(config: ExperimentConfig, verdicts: Callable, trial: int):
     """The verdict of the run's unit ``len(head) + trial``, read from its block.
 
-    ``verdicts(seed, units)`` computes the units whose indices are in the
-    range ``units`` of a run with seed ``seed``; every unit after the head
+    ``verdicts(seeds, units)`` computes the units whose indices are in the
+    range ``units``, with the unit seeds ``seeds``; every unit after the head
     is computed in blocks.  Blocks are aligned to unit indices, as pool
     chunks are, and leave out the head units of the first block.  Raises
     what the unit raises alone.
@@ -774,7 +783,7 @@ def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Ver
     (alpha,) = unit
     model = _build_model(config.model)
     profile = lyapunov_witness(model)
-    samples = sample_stationary(model, alpha, config.n_traj, seed, profile=profile)
+    samples = sample_stationary(model, alpha, config.n_traj, seed)
     x = (samples[:, 0] - model.theta_star[0]) / math.sqrt(alpha)
     n_s = x.size
     v_hat = float(np.var(x, ddof=1))
@@ -834,27 +843,16 @@ def _count_compositions(total: int, parts: int) -> int:
     return table[total]
 
 
-# The columns each kind of rosenthal unit fills after "check"; the rest of
-# its row stays blank.
-_ROSENTHAL_COLUMNS = {
-    "buq": ("q", "u", "rho"),
-    "count": ("q", "u"),
-    "delta_root": ("alpha",),
-    "horizon": ("alpha",),
-    "bsum": ("trial",),
-}
-
-
-def _bsum_verdicts(seed: int, units: range) -> list[float]:
+def _bsum_verdicts(seeds: list[int], units: range) -> list[float]:
     """The geometric-sum residual of each ``bsum`` unit in ``units``.
 
-    Unit u reads the leading words of ``stream(seed + u, 0)``: three give
-    its sequence's length (5 to 64), ``a`` and first stepsize, and the next
-    length - 1 its decay factors.  The units of each length are checked in
-    one stacked ``geometric_sum_check`` call, which gives each row the bits
-    of its own 1-D call.  Raises what the first failing check raises.
+    Unit ``units[k]`` reads only the leading words of ``stream(seeds[k], 0)``:
+    three give its sequence's length (5 to 64), ``a`` and first stepsize, and
+    the next length - 1 its decay factors.  The units of each length are
+    checked in one stacked ``geometric_sum_check`` call, which gives each row
+    the bits of its own 1-D call.  Raises what the first failing check raises.
     """
-    words = _seed_uniforms([(seed + u) % 2**64 for u in units], 3 + 63)
+    words = _seed_uniforms(seeds, 3 + 63)
     length = 5 + (words[:, 0] * 60.0).astype(int)
     a_val = 0.5 + 3.5 * words[:, 1]
     start = 0.9 * words[:, 2] / a_val
@@ -868,29 +866,19 @@ def _bsum_verdicts(seed: int, units: range) -> list[float]:
     return out.tolist()
 
 
-def _rosenthal_params(config: ExperimentConfig, unit: tuple) -> list[tuple]:
-    kind, *values = unit
-    cells = dict.fromkeys(PARAM_KEYS["rosenthal"][1:], "")
-    cells.update(zip(_ROSENTHAL_COLUMNS[kind], values))
-    return [(kind, *cells.values())]
-
-
 def _run_rosenthal_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
-    kind, *values = unit
+    kind, q, u, rho, alpha, trial = unit
     if kind == "bsum":
-        res = _block_verdict(config, _bsum_verdicts, values[0])
+        res = _block_verdict(config, _bsum_verdicts, trial)
         return [_Verdict(res, res <= GEOMETRIC_SUM_TOL, oracle=0.0, bound=GEOMETRIC_SUM_TOL)]
     if kind == "buq":
-        q, u, rho = values
         exact = b_uq_exact(u, q, rho)
         upper = b_uq_upper(u, q, rho)
         return [_Verdict(exact, _dominates(exact, upper), bound=upper)]
     if kind == "count":
-        q, u = values
         brute = _count_compositions(2 * q - u, u)
         closed = composition_count(u, q)
         return [_Verdict(brute, brute == closed, oracle=closed)]
-    (alpha,) = values
     spec = _drift_spec(config.model)
     if kind == "horizon":
         profile = spectral_profile(np.array([[spec["abar"]]]), spec["c_a"])
@@ -1043,9 +1031,10 @@ _EXPERIMENTS = {
             "d_level": 9.0, "abar": 1.0, "c_a": 1.0,
         },
         special=False,
-        head=lambda c: _rosenthal_head(tuple(c.qs), tuple(c.rhos), tuple(c.alphas)),
-        axes=lambda c: (("bsum",), range(c.n_traj)),
-        params=_rosenthal_params,
+        head=_rosenthal_head,
+        # a trial's coordinates, padded as the head's are
+        axes=lambda c: (("bsum",), ("",), ("",), ("",), ("",), range(c.n_traj)),
+        params=lambda c, unit: [unit],
         runner=_run_rosenthal_unit,
         check=_check_rosenthal,
         block=256,
@@ -1067,7 +1056,7 @@ def run_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     verdicts is a bug, and raises rather than drop or invent rows.
     """
     unit = _unit(config, index)
-    seed = _unit_seed(config, index)
+    seed = _unit_seed(config.seed, index)
     exp = _EXPERIMENTS[config.experiment]
     coords = exp.params(config, unit)
     try:
@@ -1142,23 +1131,22 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
+def _cells(row: ResultRow, keys: tuple[str, ...]) -> list:
+    """A row's cells after ``experiment``, in column order: its coordinates
+    under ``keys`` ("" where it has none), then the ``_CSV_TAIL`` fields."""
+    pd = row.param_dict
+    return [
+        *(pd.get(k, "") for k in keys),
+        row.empirical, row.std_err, row.oracle, row.bound, row.passed, row.seed,
+    ]
+
+
 def csv_text(experiment: str, rows: list[ResultRow]) -> str:
     """Render rows in the fixed CSV schema, floats at 17 significant digits."""
     keys = PARAM_KEYS[experiment]
     lines = [",".join(("experiment",) + keys + _CSV_TAIL)]
     for row in rows:
-        pd = row.param_dict
-        cells = [row.experiment]
-        cells += [_fmt_cell(pd.get(k, "")) for k in keys]
-        cells += [
-            _fmt_cell(row.empirical),
-            _fmt_cell(row.std_err),
-            _fmt_cell(row.oracle),
-            _fmt_cell(row.bound),
-            _fmt_cell(row.passed),
-            _fmt_cell(row.seed),
-        ]
-        lines.append(",".join(cells))
+        lines.append(",".join([row.experiment, *map(_fmt_cell, _cells(row, keys))]))
     return "\n".join(lines) + "\n"
 
 
@@ -1227,9 +1215,7 @@ def json_text(
     ]
     entries = []
     for row in rows:
-        pd = row.param_dict
-        cells = [row.experiment, *(pd.get(k, "") for k in keys)]
-        cells += [row.empirical, row.std_err, row.oracle, row.bound, row.passed, row.seed]
+        cells = [row.experiment, *_cells(row, keys)]
         lines = ",\n".join(p + _json_cell(c) for p, c in zip(prefixes, cells))
         entries.append("    {\n" + lines + "\n    }")
     body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"

@@ -13,8 +13,8 @@ Validation lives at the public entries: ``solve_lyapunov``, ``solve_sigma``,
 ``solve_riccati`` and ``lsalab.noise.exact_stationary_cov`` each check their
 own inputs once (finite entries, then the stepsize, then the Hurwitz
 condition), and ``_solve_stationary`` assumes an already validated ``abar``.
-``spectral_profile`` gets Q through ``solve_lyapunov`` and keeps Q's square
-root factors, so a caller holding a profile never factors Q again.
+``spectral_profile`` gets Q through ``solve_lyapunov``, and a norm in a
+profile's geometry is ``q_norm_mat(m, profile.q)``.
 
 The private kernels (``_solve_stationary``, ``_kron``, ``_kron_sum``,
 ``_norms``, ``_spd_roots``, ``_geometry`` and the checks) take a stack of
@@ -39,7 +39,7 @@ unadorned norms are spectral (operator 2-) norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -310,12 +310,6 @@ def q_norm_mat(m: np.ndarray, q: np.ndarray) -> float:
 class SpectralProfile:
     """Lyapunov geometry of a driving matrix, with the derived step limits.
 
-    A profile from :func:`spectral_profile` also carries the factors
-    ``spd_sqrt(q)`` of q, so q-norms against it (``_q_norm``) never factor q
-    again; a profile assembled by hand leaves them out and ``_q_norm``
-    factors q on each call.  ``dataclasses.replace`` of q would keep the old
-    factors: build a new profile instead.
-
     Attributes
     ----------
     abar : mean driving matrix.
@@ -334,19 +328,10 @@ class SpectralProfile:
     kappa_q: float
     c_a: float
     b_q: float
-    _q_roots: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def dim(self) -> int:
         return self.abar.shape[0]
-
-    def _q_norm(self, m: np.ndarray) -> float:
-        """``q_norm_mat(m, self.q)``, bit for bit, from the carried factors."""
-        m = _as_square(m, "m")
-        root, inv_root = spd_sqrt(self.q) if self._q_roots is None else self._q_roots
-        return spectral_norm(root @ m @ inv_root)
 
 
 def _py_squares(x: np.ndarray) -> np.ndarray:
@@ -395,9 +380,7 @@ def spectral_profile(abar: np.ndarray, c_a: float) -> SpectralProfile:
     abar = _as_square(abar, "abar")
     q = solve_lyapunov(abar)
     stack = abar[None]
-    a, alpha_inf, kappa_q, b_q, root, inv_root = _geometry(
-        stack, q[None], c_a, _norms(stack)
-    )
+    a, alpha_inf, kappa_q, b_q, _, _ = _geometry(stack, q[None], c_a, _norms(stack))
     return SpectralProfile(
         abar=abar,
         q=q,
@@ -406,7 +389,6 @@ def spectral_profile(abar: np.ndarray, c_a: float) -> SpectralProfile:
         kappa_q=float(kappa_q[0]),
         c_a=float(c_a),
         b_q=float(b_q[0]),
-        _q_roots=(root[0], inv_root[0]),
     )
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import lsalab
+import lsalab.cli as cli
 from lsalab.cli import build_parser, main
 from lsalab.experiments import EXPERIMENT_NAMES
 
@@ -113,6 +114,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "experiment='clt'" in err
         assert "'bounds'" in err
+
+    def test_output_prefix_in_a_missing_directory_exits_two_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        missing = tmp_path / "missing"
+        ran = []
+        monkeypatch.setattr(cli, "run", ran.append)
+        assert main(["rademacher", "--out", str(missing / "x"), "--format", "both"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: out: {str(missing)!r} is not an existing directory" in err
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOverridesAndOutputs:

@@ -239,6 +239,20 @@ class TestValidate:
         cfg = resolve(tiny_config("simulate", model={"kind": "martian"}))
         assert any("model" in e for e in validate(cfg))
 
+    @pytest.mark.parametrize("contractive", [True, False])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_contractive_witness_is_a_config_error(self, dim, contractive):
+        # no experiment reads the witness, so the key is rejected by name,
+        # whatever its value and whether or not one could be built
+        model = {
+            "kind": "bounded_factor", "abar": np.eye(dim).tolist(), "bbar": [0.0] * dim,
+            "m": np.eye(dim).tolist(), "eta": 0.5, "sigma": 1.0, "contractive": contractive,
+        }
+        cfg = resolve(tiny_config("simulate", model=model))
+        assert validate(cfg) == [
+            "model kind 'bounded_factor': no experiment reads the 'contractive' witness"
+        ]
+
     def test_a_non_string_model_kind_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": {"kind": ["bounded_factor"]}}))
@@ -655,7 +669,7 @@ class TestLyapunovUnit:
 
 def _bsum_reference(cfg: ExperimentConfig, index: int) -> ResultRow:
     """A ``bsum`` unit's row from its own stream and one 1-D check call."""
-    (_, trial) = _unit(cfg, index)
+    trial = _unit(cfg, index)[-1]
     seed = (cfg.seed + index) % 2**64
     gen = stream(seed, 0)
     draws = uniform_open01(gen, 3)
@@ -726,6 +740,32 @@ class TestBsumUnit:
             assert not row.passed and math.isnan(row.empirical)
 
 
+@pytest.mark.parametrize("name", ["lyapunov", "rosenthal"])
+def test_blocked_units_read_their_seeds_from_unit_seed(name, monkeypatch):
+    # under another bijection of the unit index, each blocked unit's rows are
+    # still its reference's at the seed its own rows carry: 300 trials span
+    # two blocks
+    def rule(seed, index):
+        return (seed + 2 * index + 1) % 2**64
+
+    monkeypatch.setattr(experiments, "_unit_seed", rule)
+    cfg = resolve(ExperimentConfig(experiment=name, n_traj=300, seed=2**64 - 400))
+    rows = run(cfg)
+    per_unit = 2 if name == "lyapunov" else 1
+    head = len(rows) - 300 * per_unit
+    assert [row.seed for row in rows[::per_unit]] == [
+        rule(cfg.seed, index) for index in range(unit_count(cfg))
+    ]
+    reference = _lyapunov_reference if name == "lyapunov" else _bsum_reference
+    for index in range(head, unit_count(cfg)):
+        unit_rows = rows[index * per_unit : (index + 1) * per_unit]
+        # a config whose seed puts the reference's own seed arithmetic on
+        # the seed of this unit's rows
+        at_seed = replace(cfg, seed=(unit_rows[0].seed - index) % 2**64)
+        expected = reference(at_seed, index)
+        assert unit_rows == (expected if name == "lyapunov" else [expected]), index
+
+
 def _materialized_units(cfg: ExperimentConfig) -> list[tuple]:
     """The run's units as the fully enumerated grid, in row order."""
     exp = cfg.experiment
@@ -741,18 +781,19 @@ def _materialized_units(cfg: ExperimentConfig) -> list[tuple]:
         return [(al,) for al in cfg.alphas]
     if exp == "wasserstein":
         return [(al,) for al in cfg.alphas] if cfg.ns else []
+    # each rosenthal unit is its row's (check, q, u, rho, alpha, trial)
     units: list[tuple] = []
     for q in cfg.qs:
         for u in range(1, q):
             for rho in cfg.rhos:
-                units.append(("buq", q, u, rho))
+                units.append(("buq", q, u, rho, "", ""))
     for q in cfg.qs:
         for u in range(1, q):
-            units.append(("count", q, u))
+            units.append(("count", q, u, "", "", ""))
     for al in cfg.alphas:
-        units.append(("delta_root", al))
-        units.append(("horizon", al))
-    units.extend(("bsum", t) for t in range(cfg.n_traj))
+        units.append(("delta_root", "", "", "", al, ""))
+        units.append(("horizon", "", "", "", al, ""))
+    units.extend(("bsum", "", "", "", "", t) for t in range(cfg.n_traj))
     return units
 
 

@@ -21,10 +21,9 @@ import lsalab
 SRC = Path(lsalab.__file__).parent
 
 # Public names that no verdict reaches yet, each kept for a reason: the
-# targets of the planned high-probability, Rosenthal and +-1 tail verdicts,
-# the span name the benchmark meters (engine.product) and the reference the
-# carried-factor q-norm is checked against (linalg.q_norm_mat).  The list
-# may only shrink.
+# targets of the planned high-probability, Rosenthal and +-1 tail verdicts
+# and the span name the benchmark meters (engine.product).  The list may
+# only shrink.
 PENDING = {
     # the high-probability bound of Durmus et al. (2021) and its parts
     "bounds.composite_hp_bound",
@@ -40,7 +39,6 @@ PENDING = {
     "bounds.BoundReport",
     "engine.cov_j0",
     "engine.empirical_quantile",
-    "linalg.alpha_p_inf",
     "noise.eps_subgauss_const",
     # the Rosenthal-type moment bound
     "rosenthal.rosenthal_bound",
@@ -49,7 +47,6 @@ PENDING = {
     "bounds.rademacher_bounds",
     # kept on purpose
     "engine.product",
-    "linalg.q_norm_mat",
 }
 
 

@@ -1,0 +1,152 @@
+"""Check that the working tree's ``lsalab`` writes what a git revision writes.
+
+    python3 tools/same_outputs.py REV
+
+Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
+runs the same ``lsalab`` invocations on it and on the working tree's
+``src/``: the seven default runs at seeds 0, 2 and 3, and every invocation of
+the workloads in ``perfbench/workloads.py`` at seed 0 with ``--workers`` 1
+and 2, all with ``--format both``.  For each invocation it compares the CSV
+bytes, the JSON text with its ``wall_time_s`` value blanked, stdout and
+stderr with the output prefix replaced by a placeholder, and the exit code.
+It prints every difference and exits 1 if there is one, 0 if there is none
+and 2 if REV cannot be exported.
+
+All outputs go to the temporary directory and no bytecode is cached, so the
+repository, ``perfbench/`` included, is left as it was.  A full check takes
+about 20 s on two cores, two invocations at a time.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_SEEDS = (0, 2, 3)
+WORKLOAD_SEED = 0
+WORKERS = (1, 2)
+LANES = 2
+_MAIN = "import sys; from lsalab.cli import main; sys.exit(main())"
+_WALL_TIME = re.compile(r'"wall_time_s": [^,\n]*')
+
+
+def _jobs() -> list[tuple[str, str, dict, int, int]]:
+    """(label, experiment, config, seed, workers) of every invocation."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import DEFAULT_RUNS, WORKLOADS
+
+    jobs = [
+        (f"{inv.label} seed={seed}", inv.experiment, inv.config, seed, 1)
+        for inv in DEFAULT_RUNS
+        for seed in DEFAULT_SEEDS
+    ]
+    jobs += [
+        (f"{workload.name}/{inv.label} workers={workers}", inv.experiment, inv.config,
+         WORKLOAD_SEED, workers)
+        for workload in WORKLOADS.values()
+        for inv in workload.invocations
+        for workers in WORKERS
+    ]
+    return jobs
+
+
+def _export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+        capture_output=True, check=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def _outputs(src: Path, out: Path, job: tuple, config_path: Path | None) -> dict:
+    """Run one invocation against ``src``; what it wrote, normalized."""
+    _, experiment, _, seed, workers = job
+    out.mkdir(parents=True)
+    prefix = out / "run"
+    argv = [
+        sys.executable, "-c", _MAIN, experiment, "--seed", str(seed),
+        "--workers", str(workers), "--out", str(prefix), "--format", "both",
+    ]
+    if config_path is not None:
+        argv += ["--config", str(config_path)]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    # one BLAS thread per process, as the benchmark runs them
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    done = subprocess.run(argv, cwd=out, env=env, capture_output=True, check=False)
+
+    def read(path: Path) -> bytes | None:
+        return path.read_bytes() if path.exists() else None
+
+    json_text = read(prefix.with_suffix(".json"))
+    return {
+        "exit code": done.returncode,
+        "csv": read(prefix.with_suffix(".csv")),
+        "json": None if json_text is None
+        else _WALL_TIME.sub('"wall_time_s": -', json_text.decode("utf-8")),
+        "stdout": _normalized(done.stdout, out, src),
+        "stderr": _normalized(done.stderr, out, src),
+    }
+
+
+def _normalized(text: bytes, out: Path, src: Path) -> bytes:
+    """``text`` with the output directory and the source tree as placeholders."""
+    return text.replace(bytes(out), b"<out>").replace(bytes(src), b"<src>")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    (rev,) = argv
+    jobs = _jobs()
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        tmp = Path(tmp)
+        (tmp / "rev").mkdir()
+        try:
+            _export(rev, tmp / "rev")
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot export src/ of {rev!r}: {exc.stderr!r}", file=sys.stderr)
+            return 2
+        configs = []
+        for i, (_, _, config, _, _) in enumerate(jobs):
+            path = None
+            if config:
+                path = tmp / f"config-{i:02d}.json"
+                path.write_text(json.dumps(config), encoding="utf-8")
+            configs.append(path)
+        sides = {"rev": tmp / "rev" / "src", "tree": ROOT / "src"}
+        tasks = [(i, side) for i in range(len(jobs)) for side in sides]
+
+        def run(task: tuple[int, str]) -> dict:
+            i, side = task
+            return _outputs(sides[side], tmp / "out" / side / f"{i:02d}", jobs[i], configs[i])
+
+        with ThreadPoolExecutor(max_workers=LANES) as pool:
+            results = dict(zip(tasks, pool.map(run, tasks)))
+    differing = 0
+    for i, job in enumerate(jobs):
+        old, new = results[i, "rev"], results[i, "tree"]
+        fields = [name for name in old if old[name] != new[name]]
+        if fields:
+            differing += 1
+            print(f"DIFFERS {job[0]}: {', '.join(fields)}")
+            if "exit code" in fields:
+                print(f"  exit code {old['exit code']} at {rev}, {new['exit code']} here")
+    if differing:
+        print(f"{differing} of {len(jobs)} invocations differ from {rev}")
+        return 1
+    print(f"all {len(jobs)} invocations write the same outputs as {rev}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
