@@ -19,14 +19,14 @@ hands the units to its workers in contiguous chunks and reassembles them in
 index order, so a full run produces identical rows whatever the worker
 count, the chunk layout or the order in which workers finish.  An experiment
 may compute its units in blocks: ``lyapunov`` solves 256 units at a time,
-those of each dimension in one call of ``lsalab.linalg``'s stacked kernels,
-and ``rosenthal`` draws its ``bsum`` trials 256 units at a time and checks
-those of each length in one stacked call; the units read their rows from the
-block.  A pool chunk is a whole number of blocks, and a unit's rows are the
-same bits at any block size.  Failures inside a unit (simulation blow-ups,
-solver breakdowns) are recorded in the affected rows themselves --
-empirical = nan, pass = false, with the message kept on the row's ``note``
-field -- and never abort the run.
+those of each dimension in one call of ``lsalab.linalg``'s stacked kernels on
+one shared Kronecker sum, and ``rosenthal`` draws its ``bsum`` trials 512
+units at a time and checks those of each length in one stacked call; the
+units read their rows from the block.  A pool chunk is a whole number of
+blocks, and a unit's rows are the same bits at any block size.  Failures
+inside a unit (simulation blow-ups, solver breakdowns) are recorded in the
+affected rows themselves -- empirical = nan, pass = false, with the message
+kept on the row's ``note`` field -- and never abort the run.
 
 Emission: ``csv_text`` renders the fixed column schema
 
@@ -70,6 +70,7 @@ from lsalab.engine import (
 )
 from lsalab.linalg import (
     _geometry,
+    _kron_sum,
     _lyapunov_q,
     _norms,
     _require_finite,
@@ -555,8 +556,9 @@ _LAST_PLAN: list = [None, None, None]  # config, record, plan
 def _plan(config: ExperimentConfig) -> tuple[tuple, tuple, int]:
     """The head units, the unit axes and the unit count of a resolved config.
 
-    The last plan is kept, by identity of the config and record it reads
-    (of the config, only immutable fields), as a blocked unit plans twice.
+    The axes come last axis first, each as ``(axis, len(axis))``.  The last
+    plan is kept, by identity of the config and record it reads (of the
+    config, only immutable fields), as a blocked unit plans twice.
     """
     exp = _EXPERIMENTS.get(config.experiment)
     if exp is None:
@@ -564,7 +566,8 @@ def _plan(config: ExperimentConfig) -> tuple[tuple, tuple, int]:
     if _LAST_PLAN[0] is config and _LAST_PLAN[1] is exp:
         return _LAST_PLAN[2]
     head, axes = exp.head(config), exp.axes(config)
-    plan = head, axes, len(head) + math.prod(map(len, axes))
+    radix = tuple((axis, len(axis)) for axis in reversed(axes))
+    plan = head, radix, len(head) + math.prod(size for _, size in radix)
     _LAST_PLAN[:] = config, exp, plan
     return plan
 
@@ -580,27 +583,36 @@ def _unit(config: ExperimentConfig, index: int) -> tuple:
     Computed arithmetically, without enumerating the other units, so a run
     of N units plans in O(N) rather than O(N^2).
     """
-    head, axes, count = _plan(config)
+    head, radix, count = _plan(config)
     if not 0 <= index < count:
         raise IndexError(f"unit index {index} out of range for {config.experiment}")
     if index < len(head):
         return head[index]
     index -= len(head)
     point = []
-    for axis in reversed(axes):
-        index, k = divmod(index, len(axis))
+    for axis, size in radix:
+        if size == 1:
+            # a one-entry axis (rosenthal's "" pads) takes no digit
+            point.append(axis[0])
+            continue
+        index, k = divmod(index, size)
         point.append(axis[k])
-    return tuple(reversed(point))
+    return tuple(point[::-1])
 
 
 def _dominates(value: float, bound: float) -> bool:
     return value <= bound * (1.0 + DOMINANCE_REL_SLACK)
 
 
+def _lyapunov_dim(trial: int) -> int:
+    """The dimension of lyapunov trial ``trial``: 1, 2, ..., 8, 1, 2, ..."""
+    return 1 + trial % _LYAPUNOV_MAX_DIM
+
+
 def _lyapunov_params(config: ExperimentConfig, unit: tuple) -> list[tuple]:
     # alpha is drawn inside the unit, so the failure rows leave it nan
     (trial,) = unit
-    dim = 1 + trial % _LYAPUNOV_MAX_DIM
+    dim = _lyapunov_dim(trial)
     return [("residuals", trial, dim, math.nan), ("contraction", trial, dim, math.nan)]
 
 
@@ -615,10 +627,10 @@ def _lyapunov_verdicts(seeds: list[int], trials: range) -> list[tuple]:
     first failing check raises.
     """
     out: list = [None] * len(trials)
-    for dim in range(1, _LYAPUNOV_MAX_DIM + 1):
-        at = [i for i, trial in enumerate(trials) if 1 + trial % _LYAPUNOV_MAX_DIM == dim]
-        if not at:
-            continue
+    groups: dict[int, list[int]] = {}
+    for i, trial in enumerate(trials):
+        groups.setdefault(_lyapunov_dim(trial), []).append(i)
+    for dim, at in sorted(groups.items()):
         n = len(at)
         words = _seed_uniforms([seeds[i] for i in at], 3 * dim * dim + 1)
         g, r, w = _normals(words[:, :-1]).reshape(n, 3, dim, dim).transpose(1, 0, 2, 3)
@@ -630,14 +642,16 @@ def _lyapunov_verdicts(seeds: list[int], trials: range) -> list[tuple]:
         # spectral_profile(abar, 1.5 * ||abar||), with ||abar|| taken once
         abar_norm = _norms(abar)
         _require_hurwitz(_require_finite(abar, "abar"))
-        q, q_rel = _lyapunov_q(abar)
+        # one Kronecker sum serves Q (on its transposed view), Sigma and S^alpha
+        ksum = _kron_sum(abar)
+        q, q_rel = _lyapunov_q(abar, ksum)
         a, alpha_inf, _, _, root, inv_root = _geometry(abar, q, 1.5 * abar_norm, abar_norm)
         alpha = words[:, -1] * alpha_inf
         # Q's residual is its solve's own gate residual, and so is Sigma's;
         # S^alpha's is recomputed in matmul form, independently of the
         # Kronecker form it solved.
         sigma_norm = _norms(sigma_eps)
-        _, sig_a, sig_rel = _solve_sigma_pair(abar, sigma_eps, alpha, sigma_norm)
+        _, sig_a, sig_rel = _solve_sigma_pair(abar, sigma_eps, alpha, sigma_norm, ksum)
         al = alpha[:, None, None]
         lhs = abar @ sig_a + sig_a @ _t(abar) - al * (abar @ sig_a @ _t(abar))
         s_rel = _norms(lhs - sigma_eps) / (1.0 + sigma_norm)
@@ -702,11 +716,10 @@ def _block_verdict(config: ExperimentConfig, verdicts: Callable, trial: int):
 def _run_lyapunov_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
     (trial,) = unit
     alpha, worst, contraction, cap = _block_verdict(config, _lyapunov_verdicts, trial)
-    dim = 1 + trial % _LYAPUNOV_MAX_DIM
     # positional (empirical, passed, std_err, oracle, bound, note, params), as
     # in run_unit: thousands of these units run, and keywords cost each 3 %
     tol = SOLVER_RESIDUAL_TOL
-    residuals, contracts = ("residuals", trial, dim, alpha), ("contraction", trial, dim, alpha)
+    residuals, contracts = (c[:-1] + (alpha,) for c in _lyapunov_params(config, unit))
     return [
         _Verdict(worst, worst <= tol, 0.0, 0.0, tol, "", residuals),
         _Verdict(contraction, contraction <= cap, 0.0, None, cap, "", contracts),
@@ -1037,7 +1050,7 @@ _EXPERIMENTS = {
         params=lambda c, unit: [unit],
         runner=_run_rosenthal_unit,
         check=_check_rosenthal,
-        block=256,
+        block=512,
     ),
 }
 

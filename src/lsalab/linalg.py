@@ -14,7 +14,10 @@ Validation lives at the public entries: ``solve_lyapunov``, ``solve_sigma``,
 own inputs once (finite entries, then the stepsize, then the Hurwitz
 condition), and ``_solve_stationary`` assumes an already validated ``abar``.
 ``spectral_profile`` gets Q through ``solve_lyapunov``, and a norm in a
-profile's geometry is ``q_norm_mat(m, profile.q)``.
+profile's geometry is ``q_norm_mat(m, profile.q)``.  Q's Kronecker system
+(of ``abar.T``) is Sigma's (of ``abar``) transposed, entry for entry, so the
+lyapunov experiment's blocks build one Kronecker sum per dimension group and
+solve Q on its transposed view; the public solves build their own.
 
 The private kernels (``_solve_stationary``, ``_kron``, ``_kron_sum``,
 ``_norms``, ``_spd_roots``, ``_geometry`` and the checks) take a stack of
@@ -212,12 +215,20 @@ def _solve_stationary(
     return s, _check_residual(lhs, rhs, rhs_norm, what)
 
 
-def _lyapunov_q(abar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lyapunov_q(
+    abar: np.ndarray, ksum: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Q of every matrix of a validated stack, and the gate's relative residuals.
 
-    The residual is ``||abar.T q + q abar - I|| / 2``, since ``||I||`` is 1.
+    Q's system is ``_kron_sum(_t(abar))``, which is ``_t(_kron_sum(abar))``
+    entry for entry, so a caller that holds ``ksum = _kron_sum(abar)`` for
+    Sigma's solve may pass it and the transposed view is solved.  The
+    residual is ``||abar.T q + q abar - I|| / 2``, since ``||I||`` is 1.
     """
-    return _solve_stationary(_t(abar), np.eye(abar.shape[-1]), 0.0, None, "lyapunov solve")
+    return _solve_stationary(
+        _t(abar), np.eye(abar.shape[-1]), 0.0, None, "lyapunov solve",
+        None if ksum is None else _t(ksum),
+    )
 
 
 def solve_lyapunov(abar: np.ndarray) -> np.ndarray:
@@ -260,15 +271,14 @@ def solve_riccati(abar: np.ndarray, sigma_eps: np.ndarray, alpha: float) -> np.n
 
 
 def _solve_sigma_pair(
-    abar: np.ndarray, sigma_eps: np.ndarray, alpha, sigma_norm: np.ndarray
+    abar: np.ndarray, sigma_eps: np.ndarray, alpha, sigma_norm: np.ndarray, ksum: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``solve_sigma`` and ``solve_riccati`` of a validated stack, same bits.
 
-    ``sigma_norm`` is ``_norms(sigma_eps)``, and ``alpha`` one stepsize or
-    one per slice.  The two solves share one Kronecker sum.  Returns the
-    stacks Sigma and S^alpha and Sigma's relative gate residuals.
+    ``sigma_norm`` is ``_norms(sigma_eps)``, ``ksum`` is ``_kron_sum(abar)``,
+    which the two solves share, and ``alpha`` one stepsize or one per slice.
+    Returns the stacks Sigma and S^alpha and Sigma's relative gate residuals.
     """
-    ksum = _kron_sum(abar)
     sigma, sigma_rel = _solve_stationary(
         abar, sigma_eps, 0.0, None, "sigma solve", ksum, sigma_norm
     )

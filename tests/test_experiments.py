@@ -434,9 +434,10 @@ def test_a_runner_with_the_wrong_verdict_count_raises(change, monkeypatch):
 
 # Small configs on which the layout varies: the budgets below split every
 # chunked Monte Carlo unit into several chunks, lyapunov's 20 trials and
-# rosenthal's 10 into blocks (a block of 3 units holds the last head unit
-# and two trials), and all but rademacher's and wasserstein's units over two
-# workers.
+# rosenthal's 600 into blocks (rosenthal's 4 head units and 600 trials fill
+# one block of 512 and part of a second, and a block of 3 units holds the
+# last head unit and two trials), and all but rademacher's and wasserstein's
+# units over two workers.
 _LAYOUT = {
     "lyapunov": dict(n_traj=20),
     "bounds": dict(alphas=(0.1,), ns=(10, 50), ps=(2.0,), n_traj=300),
@@ -444,7 +445,7 @@ _LAYOUT = {
     "rademacher": dict(alphas=(0.1,), ns=(400,), deltas=(0.1,)),
     "clt": dict(alphas=(0.1, 0.2), n_traj=30),
     "wasserstein": dict(alphas=(0.1,), ns=(10, 20), n_traj=200),
-    "rosenthal": dict(alphas=(0.25,), qs=(2,), rhos=(0.5,), n_traj=10),
+    "rosenthal": dict(alphas=(0.25,), qs=(2,), rhos=(0.5,), n_traj=600),
 }
 
 
@@ -688,19 +689,20 @@ def _bsum_reference(cfg: ExperimentConfig, index: int) -> ResultRow:
 
 
 class TestBsumUnit:
-    # the default grid's 16 head units and 600 trials: block 0 holds the
-    # head and trials 0..239, block 1 trials 240..495, and the partial
+    # the default grid's 16 head units and 1100 trials: block 0 holds the
+    # head and trials 0..495, block 1 trials 496..1007, and the partial
     # block 2 the rest
-    CFG = resolve(ExperimentConfig(experiment="rosenthal", n_traj=600, seed=9))
+    CFG = resolve(ExperimentConfig(experiment="rosenthal", n_traj=1100, seed=9))
     HEAD = 16
 
     def test_rows_equal_the_per_unit_reference(self):
         rows = run(self.CFG)
-        assert len(rows) == self.HEAD + 600
+        assert len(rows) == self.HEAD + 1100
         for index in range(self.HEAD, len(rows)):
             assert rows[index] == _bsum_reference(self.CFG, index), index
-        edges = [self.HEAD + t for t in (0, 239, 240, 495, 496, 599)]
-        assert [index % 256 for index in edges] == [16, 255, 0, 255, 0, 103]
+        assert experiments._EXPERIMENTS["rosenthal"].block == 512
+        edges = [self.HEAD + t for t in (0, 495, 496, 1007, 1008, 1099)]
+        assert [index % 512 for index in edges] == [16, 511, 0, 511, 0, 91]
         text = csv_text("rosenthal", [rows[i] for i in edges])
         assert text == csv_text("rosenthal", [_bsum_reference(self.CFG, i) for i in edges])
 
@@ -712,7 +714,7 @@ class TestBsumUnit:
             assert rows[index] == _bsum_reference(cfg, index), index
 
     def test_a_failing_trial_fails_only_its_own_row(self, monkeypatch):
-        target = self.HEAD + 300
+        target = self.HEAD + 700
         # the head units read no block, and the trials are checked against
         # their references, so that no block is cached before the patch
         head = [row for index in range(self.HEAD) for row in run_unit(self.CFG, index)]
@@ -729,7 +731,7 @@ class TestBsumUnit:
         monkeypatch.setattr(experiments, "geometric_sum_check", too_large_first_step)
         note = f"ValueError: largest stepsize 10.0 must stay below 1/a = {1.0 / a_target:.6g}"
         rows = run(self.CFG)
-        assert len(rows) == self.HEAD + 600
+        assert len(rows) == self.HEAD + 1100
         assert rows[: self.HEAD] == head
         for index in range(self.HEAD, len(rows)):
             row = rows[index]

@@ -22,7 +22,10 @@ from lsalab.linalg import (
     NotSpdError,
     SolverResidualError,
     _kron,
+    _kron_sum,
     _logsumexp,
+    _lyapunov_q,
+    _t,
     alpha_p_inf,
     hurwitz_check,
     q_norm_mat,
@@ -301,6 +304,26 @@ class TestOneStationarySolver:
         assert solve_sigma(abar, sigma).tobytes() == _kronecker_solve(plain, sigma).tobytes()
         assert solve_riccati(abar, sigma, alpha).tobytes() == riccati.tobytes()
         assert solve_riccati(abar, sigma, 0.0).tobytes() == riccati_0.tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_kron_sum_of_the_transpose_is_the_transposed_kron_sum(self, d):
+        # Q's system (of abar.T) is read as the transposed view of Sigma's
+        # (of abar): the same bytes, signed zeros included
+        gen = stream(808, d)
+        a = gen.standard_normal((6, d, d))
+        a[0] = 0.0
+        a[1] = -0.0
+        cells = gen.integers(0, 3, size=(4, d, d))
+        a[2:] = np.where(cells == 0, 0.0, np.where(cells == 1, -0.0, a[2:]))
+        assert np.signbit(a[1]).all() and not np.signbit(a[0]).any()
+        assert _kron_sum(_t(a)).tobytes() == _t(_kron_sum(a)).copy().tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_q_on_the_shared_kron_sum_is_solve_lyapunov(self, d):
+        abar = np.stack([random_hurwitz(stream(909, 8 * d + k), d) for k in range(5)])
+        q, _ = _lyapunov_q(abar, _kron_sum(abar))
+        for i in range(len(abar)):
+            assert q[i].tobytes() == solve_lyapunov(abar[i]).tobytes(), i
 
 
 class TestSpectralProfile:
