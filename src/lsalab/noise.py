@@ -2,12 +2,13 @@
 
 A model packages the mean pair (abar, bbar), the target theta_star solving
 ``abar @ theta_star = bbar``, the scale constants used by the bound
-evaluators (c_a, sigma_b), the exact second moments its constructor computes
-in closed form -- the covariance ``sigma_eps_exact`` of the effective noise
+evaluators (c_a, sigma_b), the exact covariance ``sigma_eps_exact`` of the
+effective noise
 
     eps_n = (b_n - bbar) - (A_n - abar) @ theta_star
 
-and the kernel ``kernel_exact`` = E[kron(A_n, A_n)] -- and a sampler.  Each
+and a sampler, whose ``atoms`` and ``weights`` are the law of A; the kernel
+``kernel_exact`` = E[kron(A_n, A_n)] is derived from that table.  Each
 built-in sampler owns a fixed word layout: an n-step path reads the A-noise
 words of all n steps first, then all b-noise words, so a path is a pure
 function of ``(seed, stream_id, n)`` and never depends on batching or
@@ -15,19 +16,19 @@ scheduling.  A consumer that needs only the A draws reads only the A-word
 prefix.
 
 Every built-in law gives A_n finite support: two values for the +-1 chains,
-two matrices ``abar -+ eta*M`` for the bounded factor and at most S^2
-rank-one matrices for TD(0) on S states.  The +-1 chains and the bounded
-factor are one two-point law, A = atoms[1] with probability p_plus and
-atoms[0] otherwise, b = bbar + sigma*g, decoded by one sampler; a law with
-sigma == 0 has no b words.  A sampler carries these *atoms*,
-built once with the model, and decodes each step's A-words to an atom index
-with the ``u < p`` comparison or categorical lookup of ``lsalab.rng``; the
-word layout is the same as for a matrix decode.  One path
-(``sample_path``) is ``atoms[index]``; a block of trajectories at once (one
-row per trajectory, see ``lsalab.rng``) is decoded step by step to indices,
-so a batch kernel gathers whatever it needs per atom from small tables
-built from ``atoms``.  The atoms come from the same elementwise operations
-in the same order as a matrix decode, so they give the same bits.
+two matrices ``abar -+ eta*M`` for the bounded factor and the S^2 rank-one
+matrices of the transitions for TD(0) on S states.  The +-1 chains and the
+bounded factor are one two-point law, A = atoms[1] with probability
+weights[1] and atoms[0] otherwise, b = bbar + sigma*g, decoded by one
+sampler; a law with sigma == 0 has no b words.  Each step's A-words decode
+to an atom index with the ``u < p`` comparison or categorical lookup of
+``lsalab.rng``, in the word layout of a matrix decode.  One path
+(``sample_path``) is ``atoms[index]``; a block of trajectories (one row per
+trajectory, see ``lsalab.rng``) is decoded step by step to indices, so a
+batch kernel gathers what it needs per atom from small tables built from
+``atoms``.  The atoms, built once with the model, come from the same
+elementwise operations in the same order as a matrix decode, so they give
+the same bits.
 
 All built-in models satisfy the standing noise assumptions: ||A_n|| <= c_a
 almost surely, and ||b_n - bbar|| sub-Gaussian with scale sigma_b
@@ -45,6 +46,7 @@ from numpy.random import Generator
 from lsalab.linalg import (
     _as_square,
     _kron,
+    _require_finite,
     _require_hurwitz,
     _solve_stationary,
     hurwitz_check,
@@ -57,9 +59,10 @@ from lsalab.rng import _categorical, _coins, _normals, uniform_open01
 class _LayoutSampler:
     """Path and block decoding shared by the built-in samplers.
 
-    A sampler's ``atoms`` are the finite support of A, shape (K, d, d), and
-    ``_words(n, with_b)`` is the number of words per trajectory of an n-step
-    path: all of them, or only the A-word prefix.  Its ``_a_index(u, n, k)``
+    A sampler's ``atoms`` are the finite support of A, shape (K, d, d), with
+    probabilities ``weights``, shape (K,), and ``_words(n, with_b)`` is the
+    number of words per trajectory of an n-step path: all of them, or only
+    the A-word prefix.  Its ``_a_index(u, n, k)``
     maps open uniforms u, one row of words per trajectory, to the indices
     into ``atoms`` of the A draws of step k (an index or a slice of steps),
     shape (B, [steps]); ``_decode_b`` gives the b draws, shape
@@ -68,6 +71,7 @@ class _LayoutSampler:
     """
 
     atoms: np.ndarray
+    weights: np.ndarray
 
     def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         u = uniform_open01(gen, (1, self._words(n, with_b=True)))
@@ -116,11 +120,9 @@ class LsaModel:
 
     ``kernel_exact`` is E[kron(A, A)], shape (d^2, d^2).  With numpy's
     row-major vec, ``kron(A, A) @ vec(X) == vec(A @ X @ A.T)``, so this
-    kernel drives every exact second-moment recursion of the iterates.  Each
-    constructor computes it in closed form: the +-1 factors are
-    sign-invariant under the Kronecker square, the bounded-factor law is a
-    two-point mixture, and the finite-state pairs reduce to a weighted sum
-    over reachable transitions.
+    kernel drives every exact second-moment recursion of the iterates.  It
+    is derived from the sampler's law: the sum of ``weights[k] *
+    kron(atoms[k], atoms[k])`` over atoms of nonzero weight, in atom order.
     """
 
     name: str
@@ -131,9 +133,16 @@ class LsaModel:
     c_a: float
     sigma_b: float
     sigma_eps_exact: np.ndarray
-    kernel_exact: np.ndarray
+    kernel_exact: np.ndarray = field(init=False)
     sampler: _LayoutSampler
     contractive: ContractiveProfile | None = None
+
+    def __post_init__(self):
+        atoms, weights = self.sampler.atoms, self.sampler.weights
+        kernel = np.zeros((self.dim**2, self.dim**2))
+        for k in np.flatnonzero(weights):
+            kernel += weights[k] * _kron(atoms[k], atoms[k])
+        object.__setattr__(self, "kernel_exact", kernel)
 
     def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         return self.sampler.sample_path(gen, n)
@@ -152,14 +161,14 @@ def eps_subgauss_const(model: LsaModel) -> float:
 
 @dataclass(frozen=True)
 class _TwoPointSampler(_LayoutSampler):
-    """A = atoms[1] with probability p_plus, else atoms[0]; b = bbar + sigma * g.
+    """A = atoms[1] with probability weights[1], else atoms[0]; b = bbar + sigma * g.
 
     With sigma > 0 the n*d Gaussian words of b follow the n A-words; with
     sigma == 0 there are no b words and b = bbar.
     """
 
     atoms: np.ndarray
-    p_plus: float
+    weights: np.ndarray
     bbar: np.ndarray
     sigma: float
 
@@ -167,7 +176,7 @@ class _TwoPointSampler(_LayoutSampler):
         return n + n * self.bbar.size if with_b and self.sigma != 0.0 else n
 
     def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        return _coins(u[:, :n][:, k], self.p_plus)
+        return _coins(u[:, :n][:, k], self.weights[1])
 
     def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
         if self.sigma == 0.0:
@@ -185,8 +194,8 @@ def _sign_model(name: str, q_a: float, sigma: float) -> LsaModel:
     """Scalar recursion with A = +-1, P(A = +1) = q_a, and b ~ N(0, sigma^2)."""
     if not 0.5 < q_a < 1.0:
         raise ValueError(f"q_a must lie in (1/2, 1), got {q_a}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     return LsaModel(
         name=name,
         dim=1,
@@ -196,8 +205,7 @@ def _sign_model(name: str, q_a: float, sigma: float) -> LsaModel:
         c_a=1.0,
         sigma_b=float(sigma),
         sigma_eps_exact=np.array([[float(sigma) ** 2]]),
-        kernel_exact=np.ones((1, 1)),
-        sampler=_TwoPointSampler(_SIGN_ATOMS, q_a, np.zeros(1), float(sigma)),
+        sampler=_TwoPointSampler(_SIGN_ATOMS, np.array([1 - q_a, q_a]), np.zeros(1), float(sigma)),
     )
 
 
@@ -239,12 +247,13 @@ def bounded_factor_model(
     """
     abar = _as_square(abar, "abar")
     m = _as_square(m, "m")
-    bbar = np.asarray(bbar, dtype=float).reshape(-1)
+    bbar = _require_finite(np.asarray(bbar, dtype=float).reshape(-1), "bbar")
     d = abar.shape[0]
     if bbar.shape != (d,) or m.shape != (d, d):
         raise ValueError("abar, bbar, m have inconsistent shapes")
-    if eta < 0.0 or sigma < 0.0:
-        raise ValueError("eta and sigma must be >= 0")
+    for name, value in (("eta", eta), ("sigma", sigma)):
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if not hurwitz_check(abar):
         raise ValueError("abar must have eigenvalues with positive real part")
     theta_star = np.linalg.solve(abar, bbar)
@@ -272,10 +281,9 @@ def bounded_factor_model(
         c_a=float(spectral_norm(abar) + eta * spectral_norm(m)),
         sigma_b=float(sigma * np.sqrt(d)),
         sigma_eps_exact=sig_eps,
-        kernel_exact=_kron(abar, abar) + float(eta) ** 2 * _kron(m, m),
         # zeta = -1 (index 0) or +1 (index 1), each with probability 1/2
         sampler=_TwoPointSampler(
-            abar + (float(eta) * _SIGN_ATOMS[:, 0, 0])[:, None, None] * m, 0.5, bbar, float(sigma)
+            abar + eta * _SIGN_ATOMS * m, np.full(2, 0.5), bbar, float(sigma)
         ),
         contractive=profile,
     )
@@ -296,7 +304,7 @@ def stationary_law(p: np.ndarray) -> np.ndarray:
     """
     p = _as_square(p, "p")
     s = p.shape[0]
-    if np.any(p < 0) or not np.allclose(p.sum(axis=1), 1.0, atol=1e-12):
+    if np.any(p < 0) or not np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=1e-12):
         raise ValueError("p must be row-stochastic")
     system = p.T - np.eye(s)
     system[-1] = 1.0
@@ -314,11 +322,13 @@ class _TdZeroSampler(_LayoutSampler):
     gamma: float
     pi_cdf: np.ndarray
     p_cdf: np.ndarray
+    weights: np.ndarray
     atoms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # atom x * S + x' is phi(x) (phi(x) - gamma phi(x'))^T, for every pair
-        # of states: the clamp in _a_index can pick a successor of probability 0
+        # atom x * S + x' is phi(x) (phi(x) - gamma phi(x'))^T, of weight
+        # pi[x] p[x, x'], for every pair of states: the clamp in _a_index can
+        # pick a successor of probability 0
         s = self.pi_cdf.size
         f = self.phi[np.repeat(np.arange(s), s)]
         f_next = self.phi[np.tile(np.arange(s), s)]
@@ -360,8 +370,8 @@ def td_zero_model(
     effective-noise covariance are all finite sums over the state space.
     """
     p = _as_square(p, "p")
-    rewards = np.asarray(rewards, dtype=float).reshape(-1)
-    phi = np.asarray(phi, dtype=float)
+    rewards = _require_finite(np.asarray(rewards, dtype=float).reshape(-1), "rewards")
+    phi = _require_finite(np.asarray(phi, dtype=float), "phi")
     s = p.shape[0]
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
@@ -377,24 +387,20 @@ def td_zero_model(
             "positive-real-part spectrum; choose full-rank features and gamma < 1"
         )
     theta_star = np.linalg.solve(abar, bbar)
-    # exact noise covariance, E[kron(A, A)] and the almost-sure bound c_a
-    # over reachable transitions
+    sampler = _TdZeroSampler(
+        phi=phi, rewards=rewards, gamma=float(gamma), pi_cdf=np.cumsum(pi),
+        p_cdf=np.cumsum(p, axis=1), weights=(pi[:, None] * p).reshape(-1),
+    )
+    # exact noise covariance and the almost-sure bound c_a over reachable transitions
     d = phi.shape[1]
     sig_eps = np.zeros((d, d))
-    kernel = np.zeros((d * d, d * d))
     c_a = 0.0
-    for x in range(s):
-        fx = phi[x]
-        bx = rewards[x] * fx
-        for x_next in range(s):
-            w = pi[x] * p[x, x_next]
-            if w == 0.0:
-                continue
-            a_real = np.outer(fx, fx - gamma * phi[x_next])
-            eps = (bx - bbar) - (a_real - abar) @ theta_star
-            sig_eps += w * np.outer(eps, eps)
-            kernel += w * _kron(a_real, a_real)
-            c_a = max(c_a, float(np.linalg.norm(fx) * np.linalg.norm(fx - gamma * phi[x_next])))
+    for k in np.flatnonzero(sampler.weights):
+        x, x_next = divmod(k, s)
+        eps = (rewards[x] * phi[x] - bbar) - (sampler.atoms[k] - abar) @ theta_star
+        sig_eps += sampler.weights[k] * np.outer(eps, eps)
+        norm_next = np.linalg.norm(phi[x] - gamma * phi[x_next])
+        c_a = max(c_a, float(np.linalg.norm(phi[x]) * norm_next))
     sigma_b = float(max(np.linalg.norm(rewards[x] * phi[x] - bbar) for x in range(s)))
     return LsaModel(
         name="td_zero",
@@ -405,14 +411,7 @@ def td_zero_model(
         c_a=max(c_a, float(spectral_norm(abar))),
         sigma_b=sigma_b,
         sigma_eps_exact=0.5 * (sig_eps + sig_eps.T),
-        kernel_exact=kernel,
-        sampler=_TdZeroSampler(
-            phi=phi,
-            rewards=rewards,
-            gamma=float(gamma),
-            pi_cdf=np.cumsum(pi),
-            p_cdf=np.cumsum(p, axis=1),
-        ),
+        sampler=sampler,
     )
 
 

@@ -186,9 +186,9 @@ def _normals(u: np.ndarray) -> np.ndarray:
     return _special().ndtri(u)
 
 
-def _coins(u: np.ndarray, p_plus: float) -> np.ndarray:
-    # True where u < p_plus, as uint8 so that it indexes (0 = False, 1 = True)
-    return (u < p_plus).view(np.uint8)
+def _coins(u: np.ndarray, p: float) -> np.ndarray:
+    # True where u < p, as uint8 so that it indexes (0 = False, 1 = True)
+    return (u < p).view(np.uint8)
 
 
 def _categorical(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:

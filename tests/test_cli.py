@@ -92,6 +92,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("no unique stationary law" in err) == (code == 2)
 
+    @pytest.mark.parametrize("experiment,key,value", [
+        ("clt", "eta", float("nan")),
+        ("simulate", "sigma", float("inf")),
+        ("wasserstein", "bbar", [float("nan")]),
+    ])
+    def test_non_finite_model_parameter_exits_two(
+        self, tmp_path, capsys, experiment, key, value
+    ):
+        # json reads NaN and Infinity, so a config file can carry them
+        model = {"kind": "bounded_factor", "abar": [[1.0]], "bbar": [0.0], "m": [[1.0]],
+                 "eta": 0.5, "sigma": 1.0, key: value}
+        cfg = write_config(tmp_path, model=model, out=str(tmp_path / "r"))
+        assert main([experiment, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: model kind 'bounded_factor': {key}" in err
+
     def test_unreadable_config_exits_two(self, tmp_path, capsys):
         assert main(["clt", "--config", str(tmp_path / "absent.json")]) == 2
         assert "cannot read config file" in capsys.readouterr().err

@@ -142,6 +142,12 @@ class TestTdZero:
         with pytest.raises(ValueError):
             stationary_law(np.array([[0.5, 0.2], [0.3, 0.7]]))
 
+    def test_rows_must_sum_to_one_to_within_rounding(self):
+        # a row off by 4e-6 is within numpy's default relative tolerance
+        p = np.array([[0.5, 0.5 + 4e-6], [0.25, 0.75]])
+        with pytest.raises(ValueError, match="p must be row-stochastic"):
+            stationary_law(p)
+
     def test_stationary_law_of_a_periodic_chain(self):
         # period 2: a power iteration from the uniform law never settles
         p = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
@@ -251,6 +257,123 @@ class TestSecondMomentKernel:
                 a = np.outer(phi[x], phi[x] - 0.9 * phi[x_next])
                 brute += pi[x] * p[x, x_next] * np.kron(a, a)
         assert np.allclose(model.kernel_exact, brute, rtol=1e-14, atol=1e-15)
+
+
+def _td_reference(p, rewards, phi, gamma):
+    """Kernel, noise covariance and c_a of a TD(0) model, written out as a
+    double loop over the transitions with the model's mean pair."""
+    model = td_zero_model(p, rewards, phi, gamma)
+    pi = stationary_law(p)
+    d = phi.shape[1]
+    kernel, sig_eps, c_a = np.zeros((d * d, d * d)), np.zeros((d, d)), 0.0
+    for x in range(len(p)):
+        for x_next in range(len(p)):
+            w = pi[x] * p[x, x_next]
+            if w == 0.0:
+                continue
+            g = phi[x] - gamma * phi[x_next]
+            a = np.outer(phi[x], g)
+            eps = (rewards[x] * phi[x] - model.bbar) - (a - model.abar) @ model.theta_star
+            sig_eps += w * np.outer(eps, eps)
+            kernel += w * np.kron(a, a)
+            c_a = max(c_a, float(np.linalg.norm(phi[x]) * np.linalg.norm(g)))
+    c_a = max(c_a, float(spectral_norm(model.abar)))
+    return model, kernel, 0.5 * (sig_eps + sig_eps.T), c_a
+
+
+_TD_P = [
+    np.array([[0.1, 0.6, 0.3], [0.4, 0.4, 0.2], [0.5, 0.25, 0.25]]),
+    np.array([[0.0, 0.7, 0.3], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]),
+]
+_TD_REWARDS = np.array([1.0, -0.5, 2.0])
+_TD_PHI = np.array([[1.0, 0.0], [0.5, 1.0], [-0.5, 0.5]])
+
+
+def _factor_kernel(model, law):
+    """A bounded-factor model and its closed-form kernel."""
+    m = law["m"]
+    return model, np.kron(model.abar, model.abar) + law["eta"] ** 2 * np.kron(m, m)
+
+
+class TestKernelFromTheLaw:
+    """kernel_exact is derived from the sampler's (atoms, weights) table."""
+
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda q=q, sg=sg: (rademacher_gaussian_model(q, sg), np.ones((1, 1))),
+                       id=f"pm1-q{q}-sigma{sg}")
+          for q in (0.75, 0.6) for sg in (0.0, 1.0)),
+        pytest.param(lambda: _factor_kernel(*_factor(np.ones((1, 1)), np.ones((1, 1)), 0.5)),
+                     id="scalar_factor"),
+        pytest.param(lambda: _factor_kernel(*_banded_factor(8)), id="model_d8"),
+        *(pytest.param(lambda p=p: _td_reference(p, _TD_REWARDS, _TD_PHI, 0.9)[:2], id=name)
+          for p, name in zip(_TD_P, ("td_dense", "td_sparse"))),
+    ])
+    def test_bytes_equal_the_closed_form(self, make):
+        model, closed_form = make()
+        assert model.kernel_exact.tobytes() == closed_form.tobytes()
+
+    def test_random_factor_kernels_are_the_closed_form_to_the_last_bits(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            d = int(rng.integers(1, 5))
+            abar = (1.0 + rng.random()) * np.eye(d) + 0.2 * rng.normal(size=(d, d))
+            try:
+                model, closed_form = _factor_kernel(
+                    *_factor(abar, rng.normal(size=(d, d)), float(rng.random()))
+                )
+            except ValueError:
+                continue
+            gap = np.abs(model.kernel_exact - closed_form).max()
+            assert gap <= 1e-15 * np.abs(closed_form).max()
+
+    @pytest.mark.parametrize("p", _TD_P, ids=["td_dense", "td_sparse"])
+    def test_td_noise_covariance_and_c_a_bytes_equal_the_double_loop(self, p):
+        model, _, sig_eps, c_a = _td_reference(p, _TD_REWARDS, _TD_PHI, 0.9)
+        assert model.sigma_eps_exact.tobytes() == sig_eps.tobytes()
+        assert repr(model.c_a) == repr(c_a)
+
+    @pytest.mark.parametrize("make", [
+        lambda: biased_rademacher_model(0.75),
+        lambda: rademacher_gaussian_model(0.6, 1.0),
+        lambda: rademacher_gaussian_model(0.5 + 2.0**-20, 1.0),
+        lambda: _banded_factor(3)[0],
+    ], ids=["biased_rademacher", "pm1-q0.6", "pm1-q-just-above-half", "factor_d3"])
+    def test_two_point_weights_are_a_law_exactly(self, make):
+        weights = make().sampler.weights
+        assert weights.shape == (2,)
+        assert np.all(weights >= 0.0) and weights.sum() == 1.0
+
+    @pytest.mark.parametrize("p", _TD_P, ids=["td_dense", "td_sparse"])
+    def test_td_weights_are_the_transition_law(self, p):
+        weights = td_zero_model(p, _TD_REWARDS, _TD_PHI, 0.9).sampler.weights
+        assert weights.shape == (9,)
+        assert np.all(weights >= 0.0)
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        # a transition of probability 0 has weight 0, so its atom is skipped
+        assert np.array_equal(weights == 0.0, p.reshape(-1) == 0.0)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_sign_chain_sigma(self, value):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            rademacher_gaussian_model(0.75, value)
+
+    @pytest.mark.parametrize("name", ["eta", "sigma", "bbar"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_bounded_factor(self, name, value):
+        args = dict(abar=np.eye(2), bbar=np.ones(2), m=np.eye(2), eta=0.5, sigma=1.0)
+        args[name] = np.array([1.0, value]) if name == "bbar" else value
+        with pytest.raises(ValueError, match=name):
+            bounded_factor_model(**args)
+
+    @pytest.mark.parametrize("name", ["rewards", "phi"])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_td_zero(self, name, value):
+        args = dict(p=_TD_P[0], rewards=_TD_REWARDS.copy(), phi=_TD_PHI.copy(), gamma=0.9)
+        args[name].flat[1] = value
+        with pytest.raises(ValueError, match=f"{name} has non-finite entries"):
+            td_zero_model(**args)
 
 
 class TestExactStationaryCov:

@@ -1,6 +1,7 @@
 """Check that the working tree's ``lsalab`` writes what a git revision writes.
 
     python3 tools/same_outputs.py REV
+    python3 tools/same_outputs.py --golden [REV]
 
 Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
 runs the same ``lsalab`` invocations on it and on the working tree's
@@ -15,10 +16,18 @@ and 2 if REV cannot be exported.
 All outputs go to the temporary directory and no bytecode is cached, so the
 repository, ``perfbench/`` included, is left as it was.  A full check takes
 about 20 s on two cores, two invocations at a time.
+
+With ``--golden`` it instead runs only the seven default runs at seeds 0, 2
+and 3, on REV's ``src/`` or, without REV, on the working tree's, and writes
+``tests/golden_outputs.json``: a sha256 digest of each run's CSV bytes and
+of its JSON text with ``wall_time_s`` blanked, and the numpy and scipy
+versions that made them.  ``tests/test_golden_outputs.py`` recomputes the
+digests in-process.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -35,9 +44,26 @@ WORKERS = (1, 2)
 LANES = 2
 _MAIN = "import sys; from lsalab.cli import main; sys.exit(main())"
 _WALL_TIME = re.compile(r'"wall_time_s": [^,\n]*')
+GOLDEN = ROOT / "tests" / "golden_outputs.json"
 
 
-def _jobs() -> list[tuple[str, str, dict, int, int]]:
+def blank_wall_time(json_text: str) -> str:
+    return _WALL_TIME.sub('"wall_time_s": -', json_text)
+
+
+def golden_entry(csv: bytes, blanked_json: str) -> dict[str, str]:
+    """The digests of one default run: its CSV bytes and its blanked JSON."""
+    return {
+        "csv": hashlib.sha256(csv).hexdigest(),
+        "json": hashlib.sha256(blanked_json.encode("utf-8")).hexdigest(),
+    }
+
+
+def golden_key(experiment: str, seed: int) -> str:
+    return f"{experiment} seed={seed}"
+
+
+def _jobs(defaults_only: bool = False) -> list[tuple[str, str, dict, int, int]]:
     """(label, experiment, config, seed, workers) of every invocation."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT))
@@ -48,6 +74,8 @@ def _jobs() -> list[tuple[str, str, dict, int, int]]:
         for inv in DEFAULT_RUNS
         for seed in DEFAULT_SEEDS
     ]
+    if defaults_only:
+        return jobs
     jobs += [
         (f"{workload.name}/{inv.label} workers={workers}", inv.experiment, inv.config,
          WORKLOAD_SEED, workers)
@@ -90,8 +118,7 @@ def _outputs(src: Path, out: Path, job: tuple, config_path: Path | None) -> dict
     return {
         "exit code": done.returncode,
         "csv": read(prefix.with_suffix(".csv")),
-        "json": None if json_text is None
-        else _WALL_TIME.sub('"wall_time_s": -', json_text.decode("utf-8")),
+        "json": None if json_text is None else blank_wall_time(json_text.decode("utf-8")),
         "stdout": _normalized(done.stdout, out, src),
         "stderr": _normalized(done.stderr, out, src),
     }
@@ -102,36 +129,76 @@ def _normalized(text: bytes, out: Path, src: Path) -> bytes:
     return text.replace(bytes(out), b"<out>").replace(bytes(src), b"<src>")
 
 
+def _run_jobs(jobs: list, sides: dict[str, str | None], tmp: Path) -> dict | None:
+    """Each job's outputs on each side, keyed (job index, side).
+
+    A side names a revision whose ``src/`` is exported, or None for the
+    working tree's; None is returned if a revision cannot be exported.
+    """
+    roots = {}
+    for side, rev in sides.items():
+        if rev is None:
+            roots[side] = ROOT / "src"
+            continue
+        (tmp / side).mkdir()
+        try:
+            _export(rev, tmp / side)
+        except subprocess.CalledProcessError as exc:
+            print(f"cannot export src/ of {rev!r}: {exc.stderr!r}", file=sys.stderr)
+            return None
+        roots[side] = tmp / side / "src"
+    configs = []
+    for i, (_, _, config, _, _) in enumerate(jobs):
+        path = None
+        if config:
+            path = tmp / f"config-{i:02d}.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+        configs.append(path)
+    tasks = [(i, side) for i in range(len(jobs)) for side in sides]
+
+    def run(task: tuple[int, str]) -> dict:
+        i, side = task
+        return _outputs(roots[side], tmp / "out" / side / f"{i:02d}", jobs[i], configs[i])
+
+    with ThreadPoolExecutor(max_workers=LANES) as pool:
+        return dict(zip(tasks, pool.map(run, tasks)))
+
+
+def _write_golden(rev: str | None) -> int:
+    import numpy
+    import scipy
+
+    jobs = _jobs(defaults_only=True)
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        results = _run_jobs(jobs, {"src": rev}, Path(tmp))
+    if results is None:
+        return 2
+    runs = {}
+    for i, (label, experiment, _, seed, _) in enumerate(jobs):
+        out = results[i, "src"]
+        if out["csv"] is None or out["json"] is None:
+            print(f"{label} wrote no CSV or no JSON (exit code {out['exit code']})",
+                  file=sys.stderr)
+            return 1
+        runs[golden_key(experiment, seed)] = golden_entry(out["csv"], out["json"])
+    golden = {"numpy": numpy.__version__, "scipy": scipy.__version__, "runs": runs}
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote the digests of {len(runs)} default runs to {GOLDEN.relative_to(ROOT)}")
+    return 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if argv[:1] == ["--golden"] and len(argv) <= 2:
+        return _write_golden(argv[1] if len(argv) == 2 else None)
+    if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
         return 2
     (rev,) = argv
     jobs = _jobs()
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
-        tmp = Path(tmp)
-        (tmp / "rev").mkdir()
-        try:
-            _export(rev, tmp / "rev")
-        except subprocess.CalledProcessError as exc:
-            print(f"cannot export src/ of {rev!r}: {exc.stderr!r}", file=sys.stderr)
-            return 2
-        configs = []
-        for i, (_, _, config, _, _) in enumerate(jobs):
-            path = None
-            if config:
-                path = tmp / f"config-{i:02d}.json"
-                path.write_text(json.dumps(config), encoding="utf-8")
-            configs.append(path)
-        sides = {"rev": tmp / "rev" / "src", "tree": ROOT / "src"}
-        tasks = [(i, side) for i in range(len(jobs)) for side in sides]
-
-        def run(task: tuple[int, str]) -> dict:
-            i, side = task
-            return _outputs(sides[side], tmp / "out" / side / f"{i:02d}", jobs[i], configs[i])
-
-        with ThreadPoolExecutor(max_workers=LANES) as pool:
-            results = dict(zip(tasks, pool.map(run, tasks)))
+        results = _run_jobs(jobs, {"rev": rev, "tree": None}, Path(tmp))
+    if results is None:
+        return 2
     differing = 0
     for i, job in enumerate(jobs):
         old, new = results[i, "rev"], results[i, "tree"]
