@@ -25,7 +25,6 @@ from lsalab.linalg import (
 from lsalab.rng import stream, uniform_open01
 from lsalab.noise import (
     LsaModel,
-    ContractiveProfile,
     biased_rademacher_model,
     rademacher_gaussian_model,
     bounded_factor_model,

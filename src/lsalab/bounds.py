@@ -28,7 +28,7 @@ from lsalab.linalg import (
     solve_riccati,
     spectral_norm,
 )
-from lsalab.noise import ContractiveProfile, LsaModel, eps_subgauss_const
+from lsalab.noise import LsaModel, eps_subgauss_const
 
 # Gaussian-envelope constant.  The exponent 4/3 variant is used everywhere;
 # a weaker 2/3 variant of the same constant exists but is not evaluated.
@@ -98,7 +98,7 @@ def _check_delta(delta: float, hi: float, what: str, *, closed_hi: bool = False)
 
 
 # ---------------------------------------------------------------------------
-# Intermediate constants D2..D5 (D1 is the module constant above).
+# Intermediate constants D2..D4 (D1 is the module constant above).
 # ---------------------------------------------------------------------------
 
 
@@ -146,24 +146,6 @@ def d4_constant(
         * profile.dim ** (1.0 / p0)
         * d3
         / profile.a
-    )
-    return value, flag
-
-
-def d5_constant(
-    profile: SpectralProfile,
-    contractive: ContractiveProfile,
-    c_eps: float,
-    alpha: float,
-) -> tuple[float, str | None]:
-    """2*sqrt(kappa_q_tilde)*c_a*D3/a_tilde."""
-    d3, flag = d3_constant(profile, c_eps, alpha)
-    value = (
-        2.0
-        * math.sqrt(contractive.kappa_q_tilde)
-        * profile.c_a
-        * d3
-        / contractive.a_tilde
     )
     return value, flag
 
@@ -333,18 +315,10 @@ def j1_h1_bounds(
     alpha: float,
     delta: float,
     c_eps: float,
-    contractive: ContractiveProfile | None = None,
 ) -> tuple[float, float]:
-    """High-probability bounds on the two higher-order remainder terms.
-
-    Default (bounded-noise) variant:
+    """High-probability bounds on the two higher-order remainder terms:
 
         (e*D3*alpha*log(1/delta)^2,  D4*alpha*p0^2*delta^(-1/p0))
-
-    With a ``contractive`` witness the second term is replaced by the
-    geometric variant e*D5*alpha*log(1/delta)^2 (``p0`` is then unused).
-    The contractive witness doubles as the variant selector, so the
-    almost-sure-contraction variant cannot be requested without its data.
     """
     if p0 < 2.0:
         raise ValueError(f"p0 must be >= 2, got {p0}")
@@ -354,12 +328,8 @@ def j1_h1_bounds(
     d3, _ = d3_constant(profile, c_eps, alpha)
     log1d = math.log(1.0 / delta)
     j_part = math.e * d3 * alpha * log1d**2
-    if contractive is None:
-        d4, _ = d4_constant(profile, c_eps, alpha, p0)
-        h_part = d4 * alpha * p0**2 * delta ** (-1.0 / p0)
-    else:
-        d5, _ = d5_constant(profile, contractive, c_eps, alpha)
-        h_part = math.e * d5 * alpha * log1d**2
+    d4, _ = d4_constant(profile, c_eps, alpha, p0)
+    h_part = d4 * alpha * p0**2 * delta ** (-1.0 / p0)
     return j_part, h_part
 
 
@@ -371,7 +341,6 @@ def composite_hp_bound(
     n: int,
     theta0: np.ndarray,
     delta: float,
-    regime: str = "iid",
     *,
     u: np.ndarray | None = None,
 ) -> BoundReport:
@@ -381,19 +350,15 @@ def composite_hp_bound(
     sum of the four documented parts:
 
         j0_main      = D1*sqrt(alpha * u'S^a u * log(2/delta))
-        j0_remainder = alpha*sqrt(1+log(1/(r*alpha)))*D2*log(2/delta)^(3/2)
+        j0_remainder = alpha*sqrt(1+log(1/(a*alpha)))*D2*log(2/delta)^(3/2)
         j1_h1        = both remainder-term bounds from j1_h1_bounds
-        transient    = decay^n * [theta0 piece + D1*sqrt(alpha*kappa/r *
+        transient    = decay^n * [theta0 piece + D1*sqrt(alpha*kappa_q/a *
                        ||Sigma_eps||*log(2/delta)) piece]
 
-    with r = a, decay = 1 - a*alpha/4 in the ``iid`` regime and r = a_tilde,
-    decay = (1 - alpha*a_tilde)^(1/2) in the ``contractive`` regime (which
-    requires the model's contractive witness).  S^a is the stepsize-corrected
-    stationary covariance from ``solve_riccati``; u defaults to the first
-    coordinate direction and must be a unit vector.
+    with decay = 1 - a*alpha/4.  S^a is the stepsize-corrected stationary
+    covariance from ``solve_riccati``; u defaults to the first coordinate
+    direction and must be a unit vector.
     """
-    if regime not in ("iid", "contractive"):
-        raise ValueError(f"regime must be 'iid' or 'contractive', got {regime!r}")
     _check_delta(delta, 0.25, "composite_hp_bound")
     if p0 < 2.0:
         raise ValueError(f"p0 must be >= 2, got {p0}")
@@ -415,22 +380,11 @@ def composite_hp_bound(
         if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
             raise ValueError("u must be a unit vector")
 
-    if regime == "iid":
-        cap = alpha_p_inf(profile, p0)
-        cap_name = f"alpha_p_inf(p0={p0})"
-        rate = profile.a
-    else:
-        ctr = model.contractive
-        if ctr is None:
-            raise ValueError(
-                "model carries no contractive witness; the contractive regime "
-                "needs q_tilde geometry on the model"
-            )
-        cap = min(profile.alpha_inf, ctr.alpha_tilde_inf)
-        cap_name = "min(alpha_inf, alpha_tilde_inf)"
-        rate = ctr.a_tilde
+    cap = alpha_p_inf(profile, p0)
     if not 0.0 < alpha < cap:
-        raise ValueError(f"alpha={alpha} outside (0, {cap:.6g}) (= {cap_name})")
+        raise ValueError(
+            f"alpha={alpha} outside (0, {cap:.6g}) (= alpha_p_inf(p0={p0}))"
+        )
 
     sige = model.sigma_eps_exact
     sigma_alpha = solve_riccati(model.abar, sige, alpha)
@@ -447,22 +401,13 @@ def composite_hp_bound(
     theta0_err = float(np.linalg.norm(theta0 - model.theta_star))
     log2d = math.log(2.0 / delta)
 
-    j0_main, j0_rem = _j0_terms(alpha * quad, rate, alpha, d2, log2d)
-    if regime == "iid":
-        j1, h1 = j1_h1_bounds(profile, p0, alpha, delta, c_eps)
-        decay = 1.0 - profile.a * alpha / 4.0
-        tr_theta = transient_hp_bound(profile, p0, alpha, n, theta0_err, delta)
-        tr_noise = decay**n * D1 * math.sqrt(
-            alpha * (profile.kappa_q / profile.a) * sige_norm * log2d
-        )
-    else:
-        j1, h1 = j1_h1_bounds(profile, p0, alpha, delta, c_eps, contractive=ctr)
-        kqt = ctr.kappa_q_tilde
-        decay = (1.0 - alpha * ctr.a_tilde) ** 0.5
-        tr_theta = decay**n * math.sqrt(kqt) * theta0_err
-        tr_noise = decay**n * D1 * math.sqrt(
-            alpha * (kqt / ctr.a_tilde) * sige_norm * log2d
-        )
+    j0_main, j0_rem = _j0_terms(alpha * quad, profile.a, alpha, d2, log2d)
+    j1, h1 = j1_h1_bounds(profile, p0, alpha, delta, c_eps)
+    decay = 1.0 - profile.a * alpha / 4.0
+    tr_theta = transient_hp_bound(profile, p0, alpha, n, theta0_err, delta)
+    tr_noise = decay**n * D1 * math.sqrt(
+        alpha * (profile.kappa_q / profile.a) * sige_norm * log2d
+    )
 
     parts = {
         "j0_main": j0_main,
@@ -483,28 +428,19 @@ def composite_hp_bound(
         "a": profile.a,
         "alpha_inf": profile.alpha_inf,
         "alpha_cap": cap,
-        "rate": rate,
         "decay_base": decay,
         "sigma_quad": quad,
         "sigma_eps_norm": sige_norm,
         "theta0_err": theta0_err,
+        "d4": d4_constant(profile, c_eps, alpha, p0)[0],
     }
-    if regime == "iid":
-        d4, _ = d4_constant(profile, c_eps, alpha, p0)
-        constants["d4"] = d4
-    else:
-        d5, _ = d5_constant(profile, ctr, c_eps, alpha)
-        constants["d5"] = d5
-        constants["a_tilde"] = ctr.a_tilde
-        constants["kappa_q_tilde"] = kqt
-        constants["alpha_tilde_inf"] = ctr.alpha_tilde_inf
 
     flags = [FLAG_D1_EXPONENT, FLAG_CONFIDENCE]
     if d3_flag is not None:
         flags.append(d3_flag)
 
     return BoundReport(
-        name=f"composite_{regime}",
+        name="composite_iid",
         value=value,
         inputs={
             "alpha": alpha,

@@ -46,6 +46,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -326,9 +327,6 @@ def _build_model(spec: dict) -> LsaModel:
         if kind == "rademacher_gaussian":
             return rademacher_gaussian_model(**params)
         if kind == "bounded_factor":
-            if "contractive" in params:
-                # only composite_hp_bound's contractive regime reads the witness
-                raise ValueError("no experiment reads the 'contractive' witness")
             return bounded_factor_model(
                 np.asarray(params.pop("abar"), dtype=float),
                 np.asarray(params.pop("bbar"), dtype=float),
@@ -397,6 +395,9 @@ def validate(config: ExperimentConfig) -> list[str]:
         errors.append(f"ks_tol must be positive and finite, got {config.ks_tol}")
     if not config.out:
         errors.append("out must be a non-empty path prefix")
+    elif os.path.basename(_out_base(config.out)) in ("", ".", ".."):
+        # the files would be hidden dot-files such as "<dir>/.csv"
+        errors.append(f"out {config.out!r} names a directory, not a file prefix")
 
     # a grid or model the experiment does not read is an error, not a silent
     # ignore
@@ -645,7 +646,7 @@ def _lyapunov_verdicts(seeds: list[int], trials: range) -> list[tuple]:
         # one Kronecker sum serves Q (on its transposed view), Sigma and S^alpha
         ksum = _kron_sum(abar)
         q, q_rel = _lyapunov_q(abar, ksum)
-        a, alpha_inf, _, _, root, inv_root = _geometry(abar, q, 1.5 * abar_norm, abar_norm)
+        a, alpha_inf, root, inv_root = _geometry(abar, q, 1.5 * abar_norm, abar_norm)
         alpha = words[:, -1] * alpha_inf
         # Q's residual is its solve's own gate residual, and so is Sigma's;
         # S^alpha's is recomputed in matmul form, independently of the
@@ -1235,12 +1236,17 @@ def json_text(
     return head + ',\n  "rows": ' + body + "\n}\n"
 
 
+def _out_base(out: str) -> str:
+    """The output prefix ``out`` without a ``.csv`` or ``.json`` suffix."""
+    for suffix in (".csv", ".json"):
+        if out.endswith(suffix):
+            out = out[: -len(suffix)]
+    return out
+
+
 def output_paths(config: ExperimentConfig) -> list[str]:
     """File paths a run will write: ``<prefix>.csv`` / ``<prefix>.json``."""
-    base = config.out
-    for suffix in (".csv", ".json"):
-        if base.endswith(suffix):
-            base = base[: -len(suffix)]
+    base = _out_base(config.out)
     paths = []
     if config.format in ("csv", "both"):
         paths.append(base + ".csv")

@@ -355,13 +355,13 @@ def _py_squares(x: np.ndarray) -> np.ndarray:
 
 
 def _geometry(abar: np.ndarray, q: np.ndarray, c_a, abar_norm: np.ndarray) -> tuple:
-    """The arithmetic of ``spectral_profile`` on a stack, after Q's solve.
+    """``spectral_profile``'s a and alpha_inf on a stack, after Q's solve.
 
     ``abar`` is a validated stack, ``q`` its Lyapunov solutions, ``c_a``
     one bound or one per slice and ``abar_norm`` the stack's ``_norms``.
     Raises for the first slice whose ``c_a`` is not finite or is below
-    ``||abar||``.  Returns the stacks a, alpha_inf, kappa_q and b_q and the
-    factors ``spd_sqrt`` gives of each q.
+    ``||abar||``.  Returns the stacks a and alpha_inf and the factors
+    ``spd_sqrt`` gives of each q.
     """
     bad = ~np.isfinite(c_a) | (c_a < abar_norm)
     if bad.any():
@@ -374,10 +374,7 @@ def _geometry(abar: np.ndarray, q: np.ndarray, c_a, abar_norm: np.ndarray) -> tu
     a = 1.0 / (2.0 * q_norm)
     root, inv_root = _spd_roots(q)
     alpha_inf = 0.5 / (_py_squares(_norms(root @ abar @ inv_root)) * q_norm)
-    w = np.linalg.eigvalsh(q)
-    kappa_q = w[:, -1] / w[:, 0]
-    b_q = 2.0 * np.sqrt(kappa_q) * c_a
-    return a, alpha_inf, kappa_q, b_q, root, inv_root
+    return a, alpha_inf, root, inv_root
 
 
 def spectral_profile(abar: np.ndarray, c_a: float) -> SpectralProfile:
@@ -390,15 +387,17 @@ def spectral_profile(abar: np.ndarray, c_a: float) -> SpectralProfile:
     abar = _as_square(abar, "abar")
     q = solve_lyapunov(abar)
     stack = abar[None]
-    a, alpha_inf, kappa_q, b_q, _, _ = _geometry(stack, q[None], c_a, _norms(stack))
+    a, alpha_inf, _, _ = _geometry(stack, q[None], c_a, _norms(stack))
+    w = np.linalg.eigvalsh(q)
+    kappa_q = float(w[-1] / w[0])
     return SpectralProfile(
         abar=abar,
         q=q,
         a=float(a[0]),
         alpha_inf=float(alpha_inf[0]),
-        kappa_q=float(kappa_q[0]),
+        kappa_q=kappa_q,
         c_a=float(c_a),
-        b_q=float(b_q[0]),
+        b_q=float(2.0 * np.sqrt(kappa_q) * c_a),
     )
 
 

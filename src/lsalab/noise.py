@@ -97,24 +97,6 @@ class _LayoutSampler:
 
 
 @dataclass(frozen=True)
-class ContractiveProfile:
-    """Witness that every realization of A contracts in a common geometry.
-
-    ``||I - alpha*A||_{q_tilde}^2 <= 1 - a_tilde * alpha`` almost surely for
-    alpha in (0, alpha_tilde_inf].
-    """
-
-    q_tilde: np.ndarray
-    a_tilde: float
-    alpha_tilde_inf: float
-
-    @property
-    def kappa_q_tilde(self) -> float:
-        w = np.linalg.eigvalsh(self.q_tilde)
-        return float(w[-1] / w[0])
-
-
-@dataclass(frozen=True)
 class LsaModel:
     """A fully specified instance of the fixed-stepsize linear recursion.
 
@@ -135,7 +117,6 @@ class LsaModel:
     sigma_eps_exact: np.ndarray
     kernel_exact: np.ndarray = field(init=False)
     sampler: _LayoutSampler
-    contractive: ContractiveProfile | None = None
 
     def __post_init__(self):
         atoms, weights = self.sampler.atoms, self.sampler.weights
@@ -231,19 +212,12 @@ def bounded_factor_model(
     m: np.ndarray,
     eta: float,
     sigma: float,
-    contractive: bool = False,
 ) -> LsaModel:
     """A = abar + eta * zeta * M with a fair sign zeta; b = bbar + sigma * g.
 
     The multiplicative noise is bounded (two-point), the additive noise
     Gaussian.  ``c_a = ||abar|| + eta * ||M||`` and the effective-noise
     covariance is exactly ``sigma^2 * I + eta^2 * (M theta*) (M theta*)^T``.
-
-    With ``contractive=True`` (scalar models only) a common-geometry
-    contraction witness is attached, valid when both realizations
-    ``abar +- eta*M`` are positive: q_tilde = 1, a_tilde = min realization,
-    alpha_tilde_inf = a_tilde / max realization^2, since for alpha in that
-    range (1 - alpha*A)^2 <= 1 - alpha*a_tilde for both realizations.
     """
     abar = _as_square(abar, "abar")
     m = _as_square(m, "m")
@@ -259,19 +233,6 @@ def bounded_factor_model(
     theta_star = np.linalg.solve(abar, bbar)
     m_theta = m @ theta_star
     sig_eps = sigma**2 * np.eye(d) + eta**2 * np.outer(m_theta, m_theta)
-    profile = None
-    if contractive:
-        if d != 1:
-            raise ValueError("contractive witness is only constructed for scalar models")
-        lo = float(abar[0, 0] - eta * abs(m[0, 0]))
-        hi = float(abar[0, 0] + eta * abs(m[0, 0]))
-        if lo <= 0.0:
-            raise ValueError(
-                f"both realizations must be positive for the contraction witness, got {lo}"
-            )
-        profile = ContractiveProfile(
-            q_tilde=np.eye(1), a_tilde=lo, alpha_tilde_inf=lo / hi**2
-        )
     return LsaModel(
         name="bounded_factor",
         dim=d,
@@ -285,7 +246,6 @@ def bounded_factor_model(
         sampler=_TwoPointSampler(
             abar + eta * _SIGN_ATOMS * m, np.full(2, 0.5), bbar, float(sigma)
         ),
-        contractive=profile,
     )
 
 

@@ -20,7 +20,6 @@ from lsalab.bounds import (
     d2_constant,
     d3_constant,
     d4_constant,
-    d5_constant,
     j0_hp_bound,
     j1_h1_bounds,
     moments_to_hp,
@@ -97,11 +96,6 @@ class TestConstants:
         assert d4 == pytest.approx(
             4.0 * prof.c_a * math.sqrt(prof.kappa_q) * 1.0 * d3 / prof.a, rel=1e-12
         )
-        from lsalab.noise import ContractiveProfile
-
-        ctr = ContractiveProfile(q_tilde=np.eye(1), a_tilde=0.5, alpha_tilde_inf=0.2)
-        d5, _ = d5_constant(prof, ctr, 1.0, 0.1)
-        assert d5 == pytest.approx(2.0 * 1.0 * prof.c_a * d3 / 0.5, rel=1e-12)
 
 
 class TestProductMomentBound:
@@ -291,18 +285,6 @@ class TestPerTermBounds:
         assert j == pytest.approx(math.e * d3 * alpha * log1d**2, rel=1e-12)
         assert h == pytest.approx(d4 * alpha * p0**2 * delta ** (-1.0 / p0), rel=1e-12)
 
-    def test_j1_h1_contractive_variant(self):
-        from lsalab.noise import ContractiveProfile
-
-        prof = scalar_profile()
-        ctr = ContractiveProfile(q_tilde=np.eye(1), a_tilde=0.4, alpha_tilde_inf=0.25)
-        alpha, delta, c_eps = 0.1, 0.05, 1.5
-        _, h = j1_h1_bounds(prof, 2.0, alpha, delta, c_eps, contractive=ctr)
-        d5, _ = d5_constant(prof, ctr, c_eps, alpha)
-        assert h == pytest.approx(
-            math.e * d5 * alpha * math.log(1.0 / delta) ** 2, rel=1e-12
-        )
-
     def test_j1_h1_delta_window(self):
         prof = scalar_profile()
         with pytest.raises(ValueError):
@@ -348,30 +330,6 @@ class TestCompositeBound:
         with pytest.raises(ValueError, match=r"alpha_p_inf\(p0="):
             composite_hp_bound(profile, model, 4.0, 0.5, 100, np.array([1.0]), 0.01)
 
-    def test_contractive_regime_needs_witness(self):
-        model, profile = self.iid_setup()
-        with pytest.raises(ValueError, match="contractive witness"):
-            composite_hp_bound(
-                profile, model, 4.0, 0.05, 100, np.array([1.0]), 0.01,
-                regime="contractive",
-            )
-
-    def test_contractive_regime_constants(self):
-        model = bounded_factor_model(
-            np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), 0.5, 1.0,
-            contractive=True,
-        )
-        profile = spectral_profile(model.abar, model.c_a)
-        report = composite_hp_bound(
-            profile, model, 2.0, 0.1, 200, np.array([1.0]), 0.01,
-            regime="contractive",
-        )
-        assert report.name == "composite_contractive"
-        assert "d5" in report.constants
-        assert report.constants["a_tilde"] == pytest.approx(0.5)
-        assert report.constants["decay_base"] == pytest.approx(
-            math.sqrt(1.0 - 0.1 * 0.5), rel=1e-12
-        )
 
     def test_u_must_be_unit(self):
         model, profile = self.iid_setup()

@@ -143,6 +143,20 @@ class TestExitCodes:
         assert ran == []
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_prefix_naming_a_directory_exits_two_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # "<dir>/" would write "<dir>/.csv", and "." would write "..csv"
+        monkeypatch.chdir(tmp_path)
+        ran = []
+        monkeypatch.setattr(cli, "run", ran.append)
+        for out in (f"{tmp_path}/", f"{tmp_path}/.csv", f"{tmp_path}/..json", "."):
+            assert main(["rademacher", "--out", out, "--format", "both"]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: out {out!r} names a directory, not a file prefix" in err
+        assert ran == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOverridesAndOutputs:
     def test_flags_override_file_values(self, tmp_path):

@@ -242,15 +242,16 @@ class TestValidate:
     @pytest.mark.parametrize("contractive", [True, False])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_a_contractive_witness_is_a_config_error(self, dim, contractive):
-        # no experiment reads the witness, so the key is rejected by name,
-        # whatever its value and whether or not one could be built
+        # a key bounded_factor_model does not take is an unknown argument,
+        # whatever its value
         model = {
             "kind": "bounded_factor", "abar": np.eye(dim).tolist(), "bbar": [0.0] * dim,
             "m": np.eye(dim).tolist(), "eta": 0.5, "sigma": 1.0, "contractive": contractive,
         }
         cfg = resolve(tiny_config("simulate", model=model))
         assert validate(cfg) == [
-            "model kind 'bounded_factor': no experiment reads the 'contractive' witness"
+            "model kind 'bounded_factor': bounded_factor_model() got an unexpected "
+            "keyword argument 'contractive'"
         ]
 
     def test_a_non_string_model_kind_is_a_config_error(self, tmp_path, capsys):

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 from lsalab import linalg
 from lsalab.linalg import SolverResidualError, SpectralProfile, spectral_norm
 from lsalab.noise import (
-    ContractiveProfile,
     _second_moment_transfer,
     biased_rademacher_model,
     bounded_factor_model,
@@ -101,29 +100,6 @@ class TestBoundedFactor:
         t2 = float(model.theta_star @ model.theta_star)
         expected = np.sqrt(2.0 * model.sigma_b**2 + 8.0 * model.c_a**2 * t2)
         assert eps_subgauss_const(model) == pytest.approx(expected, rel=1e-13)
-
-    def test_contractive_witness_scalar(self):
-        model = bounded_factor_model(
-            np.array([[1.0]]), np.zeros(1), np.array([[1.0]]), eta=0.5, sigma=1.0,
-            contractive=True,
-        )
-        w = model.contractive
-        assert isinstance(w, ContractiveProfile)
-        # realizations 0.5 and 1.5: a_tilde = 0.5, alpha_tilde_inf = 0.5/2.25
-        assert w.a_tilde == pytest.approx(0.5)
-        assert w.alpha_tilde_inf == pytest.approx(0.5 / 2.25, rel=1e-13)
-        assert w.kappa_q_tilde == pytest.approx(1.0)
-        # the defining inequality holds for both realizations on the range
-        for alpha in (1e-6, 0.1, w.alpha_tilde_inf):
-            for a_real in (0.5, 1.5):
-                assert (1 - alpha * a_real) ** 2 <= 1 - w.a_tilde * alpha + 1e-15
-
-    def test_contractive_witness_requires_positive_realizations(self):
-        with pytest.raises(ValueError):
-            bounded_factor_model(
-                np.array([[1.0]]), np.zeros(1), np.array([[1.0]]),
-                eta=1.0, sigma=0.0, contractive=True,
-            )
 
     def test_rejects_unstable_mean(self):
         with pytest.raises(ValueError):

@@ -35,7 +35,6 @@ PENDING = {
     "bounds.d2_constant",
     "bounds.d3_constant",
     "bounds.d4_constant",
-    "bounds.d5_constant",
     "bounds.BoundReport",
     "engine.cov_j0",
     "engine.empirical_quantile",
