@@ -36,6 +36,12 @@ with every float at 17 significant digits; ``json_text`` mirrors the same
 rows as objects plus a metadata header (package version, a hash of the
 scientific config fields, wall time), with null for a nan or infinite cell.
 ``note`` is an in-memory diagnostic only and appears in neither format.
+Both write a row through a printf template cached per row shape, the tuple
+of its cells' types, so a row is one ``%`` operation; bool cells are passed
+as "true"/"false" and JSON strings already escaped, so a template holds no
+cell's value.  A row holding a numpy scalar, or in JSON a non-finite float,
+is written cell by cell by ``_fmt_cell`` or ``_json_cell``: the reference
+path, whose bytes the templates reproduce.
 """
 
 from __future__ import annotations
@@ -1134,9 +1140,11 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
 
 
 def _fmt_cell(value) -> str:
+    """A row cell as the CSV writes it; the reference that
+    ``_rendered_rows``' templates reproduce."""
     if value is None:
         return ""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -1146,27 +1154,98 @@ def _fmt_cell(value) -> str:
 
 
 def _cells(row: ResultRow, keys: tuple[str, ...]) -> list:
-    """A row's cells after ``experiment``, in column order: its coordinates
-    under ``keys`` ("" where it has none), then the ``_CSV_TAIL`` fields."""
+    """A row's cells in column order: ``experiment``, its coordinates under
+    ``keys`` ("" where it has none), then the ``_CSV_TAIL`` fields."""
     pd = row.param_dict
     return [
-        *(pd.get(k, "") for k in keys),
+        row.experiment, *map(pd.get, keys, repeat("")),
         row.empirical, row.std_err, row.oracle, row.bound, row.passed, row.seed,
     ]
+
+
+_BOOL_TEXT = ("false", "true")
+# Per built-in cell type: its printf conversion, and the function that turns
+# the cell into the text the conversion takes (None: the cell itself).  A
+# template holds no cell's value: bools and JSON strings are passed as text.
+# None is a literal; its "%.0s" takes the cell and prints nothing of it.
+_CSV_CELLS = {
+    float: ("%.17g", None),
+    int: ("%d", None),
+    str: ("%s", None),
+    bool: ("%s", _BOOL_TEXT.__getitem__),
+    type(None): ("%.0s", None),
+}
+_JSON_CELLS = {
+    float: ("%r", None),
+    int: ("%d", None),
+    str: ("%s", encode_basestring_ascii),
+    bool: ("%s", _BOOL_TEXT.__getitem__),
+    type(None): ("null%.0s", None),
+}
+
+
+def _rendered_rows(
+    rows: list[ResultRow],
+    keys: tuple[str, ...],
+    table: dict,
+    frame: Callable[[list[str]], str],
+    reference: Callable[[object], str],
+    finite_only: bool,
+) -> list[str]:
+    """Each row's text: ``frame`` of its cells rendered as ``reference``
+    renders them.
+
+    A row's shape is the tuple of its cells' types.  Each shape seen gets one
+    printf template, ``frame`` of its cells' conversions in ``table``, and its
+    rows are then one ``%`` each.  A row holding a type ``table`` lacks (a
+    numpy scalar) or, with ``finite_only``, a non-finite float is rendered
+    cell by cell with ``reference``.
+    """
+    by_cell = frame(["%s"] * (1 + len(keys) + len(_CSV_TAIL)))
+    plans: dict[tuple, tuple] = {}
+    texts = []
+    for row in rows:
+        cells = _cells(row, keys)
+        shape = tuple(map(type, cells))
+        plan = plans.get(shape)
+        if plan is None:
+            plan = plans[shape] = _template(shape, table, frame, finite_only)
+        template, floats, texted = plan
+        # a sum of floats is finite only if each is; one that overflows
+        # merely takes the per-cell path
+        if template is None or (floats and not math.isfinite(sum(map(cells.__getitem__, floats)))):
+            texts.append(by_cell % tuple(map(reference, cells)))
+            continue
+        for i, text in texted:
+            cells[i] = text(cells[i])
+        texts.append(template % tuple(cells))
+    return texts
+
+
+def _template(shape: tuple, table: dict, frame: Callable, finite_only: bool) -> tuple:
+    """``(template, float positions to check, (position, text) pairs)`` for
+    rows of ``shape``; the template is None where ``table`` lacks a type."""
+    if not all(kind in table for kind in shape):
+        return None, (), ()
+    template = frame([table[kind][0] for kind in shape])
+    floats = tuple(i for i, kind in enumerate(shape) if kind is float) if finite_only else ()
+    texted = tuple((i, table[kind][1]) for i, kind in enumerate(shape) if table[kind][1])
+    return template, floats, texted
 
 
 def csv_text(experiment: str, rows: list[ResultRow]) -> str:
     """Render rows in the fixed CSV schema, floats at 17 significant digits."""
     keys = PARAM_KEYS[experiment]
     lines = [",".join(("experiment",) + keys + _CSV_TAIL)]
-    for row in rows:
-        lines.append(",".join([row.experiment, *map(_fmt_cell, _cells(row, keys))]))
-    return "\n".join(lines) + "\n"
+    lines += _rendered_rows(rows, keys, _CSV_CELLS, ",".join, _fmt_cell, finite_only=False)
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _json_cell(value) -> str:
     """A row cell as ``json.dumps`` writes it: numpy scalars as Python ones,
-    nan and +-inf as null."""
+    nan and +-inf as null.  The reference that ``_rendered_rows``' templates
+    reproduce."""
     if isinstance(value, np.generic):
         value = value.item()
     if value is None:
@@ -1222,18 +1301,24 @@ def json_text(
     }
     # json.dumps(..., indent=2) of the whole payload, whose indented form
     # runs CPython's pure-Python encoder: the metadata goes through
-    # json.dumps, and each row cell is written after its key's prefix
+    # json.dumps, and each row cell is written after its key's prefix (a
+    # printf literal, so any % in it is doubled)
     head = json.dumps({"metadata": metadata}, indent=2, allow_nan=False)[:-2]
     prefixes = [
-        f"      {encode_basestring_ascii(name)}: " for name in ("experiment",) + keys + _CSV_TAIL
+        f"      {encode_basestring_ascii(name)}: ".replace("%", "%%")
+        for name in ("experiment",) + keys + _CSV_TAIL
     ]
-    entries = []
-    for row in rows:
-        cells = [row.experiment, *_cells(row, keys)]
-        lines = ",\n".join(p + _json_cell(c) for p, c in zip(prefixes, cells))
-        entries.append("    {\n" + lines + "\n    }")
-    body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
-    return head + ',\n  "rows": ' + body + "\n}\n"
+
+    def entry(cells: list[str]) -> str:
+        return "    {\n" + ",\n".join(map(str.__add__, prefixes, cells)) + "\n    }"
+
+    if not rows:
+        return head + ',\n  "rows": []\n}\n'
+    entries = ",\n".join(
+        _rendered_rows(rows, keys, _JSON_CELLS, entry, _json_cell, finite_only=True)
+    )
+    # one join, so that the rows' text is copied once
+    return "".join((head, ',\n  "rows": [\n', entries, "\n  ]\n}\n"))
 
 
 def _out_base(out: str) -> str:

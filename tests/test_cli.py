@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -15,6 +16,14 @@ import lsalab
 import lsalab.cli as cli
 from lsalab.cli import build_parser, main
 from lsalab.experiments import EXPERIMENT_NAMES
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze():
+    """``main`` freezes the heap it runs on; each test hands those objects
+    back to the collector, so the suite does not pin its cyclic garbage."""
+    yield
+    gc.unfreeze()
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -260,6 +269,24 @@ def test_rademacher_run_does_not_load_scipy_stats(tmp_path):
     )
     out = _fresh_python(code, "rademacher", "--out", str(tmp_path / "r"))
     assert out.splitlines()[-1] == "0 False"
+
+
+def test_only_the_cli_freezes_the_heap(tmp_path):
+    # main freezes what start-up left alive before it runs; the library's
+    # run leaves the collector alone
+    cfg = write_config(tmp_path, alphas=[0.25], qs=[2], rhos=[0.5], n_traj=3,
+                       out=str(tmp_path / "r"))
+    code = (
+        "import gc, sys, lsalab.cli; code = lsalab.cli.main(sys.argv[1:]); "
+        "print(code, gc.get_freeze_count() > 0)"
+    )
+    assert _fresh_python(code, "rosenthal", "--config", cfg).splitlines()[-1] == "0 True"
+    code = (
+        "import gc; from lsalab.experiments import ExperimentConfig, run; "
+        "rows = run(ExperimentConfig(experiment='rosenthal', alphas=(0.25,), qs=(2,), "
+        "rhos=(0.5,), n_traj=3)); print(len(rows) > 0, gc.get_freeze_count())"
+    )
+    assert _fresh_python(code) == "True 0"
 
 
 def test_cli_import_loads_no_scipy_module():

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lsalab
 import lsalab.engine as engine
@@ -75,6 +77,15 @@ def tiny_config(experiment: str, **kw) -> ExperimentConfig:
     base = dict(small[experiment])
     base.update(kw)
     return ExperimentConfig(experiment=experiment, **base)
+
+
+def _assert_built_in_cells(rows: list[ResultRow]) -> None:
+    """Every cell is a str, int, float, bool or None: the types the
+    renderer's templates take, so no row falls to its per-cell path."""
+    built_in = (str, int, float, bool, type(None))
+    for row in rows:
+        cells = experiments._cells(row, PARAM_KEYS[row.experiment])
+        assert [type(c) for c in cells if type(c) not in built_in] == [], row
 
 
 class TestConfigFromDict:
@@ -274,6 +285,10 @@ class TestRun:
             assert tuple(k for k, _ in row.params) == keys
             assert row.passed, (row.params, row.note)
             assert 0 <= row.seed < 2**64
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_rows_hold_only_built_in_cells(self, name):
+        _assert_built_in_cells(run(tiny_config(name)))
 
     def test_invalid_config_raises_with_full_list(self):
         cfg = tiny_config("clt", ns=(5,), workers=0)
@@ -667,6 +682,7 @@ class TestLyapunovUnit:
             assert [row.note for row in rows] == [note, note]
             assert not any(row.passed for row in rows)
             assert all(math.isnan(row.empirical) for row in rows)
+            _assert_built_in_cells(rows)
 
 
 def _bsum_reference(cfg: ExperimentConfig, index: int) -> ResultRow:
@@ -741,6 +757,7 @@ class TestBsumUnit:
                 continue
             assert row.note == note
             assert not row.passed and math.isnan(row.empirical)
+            _assert_built_in_cells([row])
 
 
 @pytest.mark.parametrize("name", ["lyapunov", "rosenthal"])
@@ -835,6 +852,34 @@ class TestUnitDescriptors:
                 _unit(cfg, index)
 
 
+def _clean(value):
+    """A cell as ``json.dumps`` takes it: numpy scalars as Python ones, nan
+    and +-inf as None."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _standard_json(rows: list[ResultRow], cfg: ExperimentConfig, wall_time_s: float) -> str:
+    """What ``json_text`` must write for rosenthal ``rows``: the payload
+    through ``json.dumps(indent=2)``."""
+    from lsalab import __version__
+
+    keys = PARAM_KEYS["rosenthal"]
+    payload = {
+        "metadata": {
+            "version": __version__, "experiment": "rosenthal",
+            "config_hash": config_hash(cfg), "wall_time_s": wall_time_s,
+        },
+        "rows": [
+            dict(zip(("experiment",) + keys + experiments._CSV_TAIL,
+                     map(_clean, experiments._cells(r, keys))))
+            for r in rows
+        ],
+    }
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 class TestCsvText:
     def test_header_and_formats(self):
         row = ResultRow(
@@ -860,6 +905,21 @@ class TestCsvText:
         assert cells[8] == "true"
         assert cells[9] == "7"
         assert "hidden" not in text  # notes are in-memory only
+
+    def test_numpy_bool_renders_as_bool(self):
+        # a numpy bool is written as CSV and JSON write a Python one
+        row = ResultRow(
+            experiment="bounds", params=(("alpha", 0.1), ("n", 10), ("p", np.bool_(True))),
+            empirical=0.5, std_err=0.0, oracle=None, bound=1.0, passed=np.bool_(False), seed=7,
+        )
+        plain = replace(row, params=(("alpha", 0.1), ("n", 10), ("p", True)), passed=False)
+        cells = csv_text("bounds", [row]).splitlines()[1].split(",")
+        assert [cells[3], cells[8]] == ["true", "false"]
+        assert csv_text("bounds", [row]) == csv_text("bounds", [plain])
+        cfg = tiny_config("bounds")
+        (entry,) = json.loads(json_text("bounds", [row], cfg, 0.0))["rows"]
+        assert [entry["p"], entry["pass"]] == [True, False]
+        assert json_text("bounds", [row], cfg, 0.0) == json_text("bounds", [plain], cfg, 0.0)
 
     def test_empty_rows_give_header_only(self):
         text = csv_text("clt", [])
@@ -911,8 +971,6 @@ class TestJsonText:
     def test_equals_the_standard_encoder(self):
         # json_text writes rows line by line; the bytes must be those of
         # json.dumps(payload, indent=2) with nan and inf as null
-        from lsalab import __version__
-
         def row(params, **cells):
             keys = PARAM_KEYS["rosenthal"]
             return ResultRow(experiment="rosenthal", params=tuple(zip(keys, params)), **cells)
@@ -924,31 +982,8 @@ class TestJsonText:
                 std_err=0.1, oracle=np.float64(-math.inf), bound=1e300, passed=False, seed=0),
         ]
         cfg = tiny_config("rosenthal")
-
-        def clean(value):
-            if isinstance(value, np.generic):
-                value = value.item()
-            return None if isinstance(value, float) and not math.isfinite(value) else value
-
         for chosen in (rows, rows[:1], []):
-            payload = {
-                "metadata": {
-                    "version": __version__, "experiment": "rosenthal",
-                    "config_hash": config_hash(cfg), "wall_time_s": 0.25,
-                },
-                "rows": [
-                    {
-                        "experiment": r.experiment,
-                        **{k: clean(v) for k, v in r.params},
-                        **dict(zip(("empirical", "std_err", "oracle", "bound", "pass", "seed"),
-                                   map(clean, (r.empirical, r.std_err, r.oracle, r.bound,
-                                               r.passed, r.seed)))),
-                    }
-                    for r in chosen
-                ],
-            }
-            expected = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-            assert json_text("rosenthal", chosen, cfg, 0.25) == expected
+            assert json_text("rosenthal", chosen, cfg, 0.25) == _standard_json(chosen, cfg, 0.25)
 
     def test_agreement_with_csv_values(self):
         cfg = tiny_config("bounds")
@@ -959,6 +994,87 @@ class TestJsonText:
             cells = line.split(",")
             assert float(cells[4]) == entry["empirical"]
             assert (cells[9]) == str(entry["seed"])
+
+
+# Cells of every type a row may hold, numpy scalars included, with the
+# edges of each: unicode, quotes, % and tabs in strings, the largest seed,
+# signed zero, +-1e+-300 and the non-finite floats.
+_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(),
+    st.integers(min_value=-(2**64), max_value=2**64 - 1),
+    st.floats(),
+    st.sampled_from(
+        [2**64 - 1, -0.0, 1e300, -1e300, 1e-300, -1e-300, math.nan, math.inf, -math.inf,
+         "%s", "100 %", 'tab\t"q"\\ ünï €']
+    ),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+@st.composite
+def _rosenthal_rows(draw):
+    """A rosenthal row of arbitrary cells; its params may skip columns."""
+    keys = PARAM_KEYS["rosenthal"]
+    used = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    return ResultRow(
+        experiment=draw(st.sampled_from(["rosenthal"]) | st.text()),
+        params=tuple((k, draw(_CELLS)) for k, u in zip(keys, used) if u),
+        empirical=draw(_CELLS), std_err=draw(_CELLS), oracle=draw(_CELLS),
+        bound=draw(_CELLS), passed=draw(_CELLS), seed=draw(_CELLS),
+    )
+
+
+def _edge_rows() -> list[ResultRow]:
+    """Rows of one shape whose bools differ, a bool param beside ``pass``,
+    and rows that leave the templates for the per-cell path."""
+    keys = PARAM_KEYS["rosenthal"]
+
+    def row(params, passed, **cells):
+        return ResultRow("rosenthal", tuple(zip(keys, params)), passed=passed, seed=2**64 - 1,
+                         **{"empirical": 0.5, "std_err": -0.0, "oracle": None, "bound": 1e300,
+                            **cells})
+
+    return [
+        row(("bsum", "", "", "", "", 3), True),
+        row(("bsum", "", "", "", "", 4), False),
+        row(("b%s", True, 1, 0.5, 'tab\t"q"\\ ünï €', False), True),
+        row(("b%s", False, 1, 0.5, 'tab\t"q"\\ ünï €', True), False),
+        row(("bsum", "", "", "", "", 5), True, empirical=math.nan),
+        row(("bsum", "", "", "", "", np.int64(6)), np.bool_(True)),
+        row(("bsum", "", "", "", "", 7), True, bound=-math.inf),
+    ]
+
+
+class TestTemplates:
+    """The per-shape templates write the bytes of the per-cell path, which
+    is the reference: ``_fmt_cell`` for CSV, ``_json_cell`` for JSON."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_rosenthal_rows(), max_size=8))
+    @example(_edge_rows())
+    def test_rows_render_as_their_cells(self, rows):
+        keys = PARAM_KEYS["rosenthal"]
+        columns = ("experiment",) + keys + experiments._CSV_TAIL
+        cells = [experiments._cells(row, keys) for row in rows]
+        lines = [",".join(columns)] + [",".join(map(experiments._fmt_cell, c)) for c in cells]
+        assert csv_text("rosenthal", rows) == "".join(line + "\n" for line in lines)
+
+        prefixes = [f"      {json.dumps(k)}: " for k in columns]
+        entries = [
+            "    {\n" + ",\n".join(p + experiments._json_cell(v) for p, v in zip(prefixes, c))
+            + "\n    }"
+            for c in cells
+        ]
+        body = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+        cfg = tiny_config("rosenthal")
+        text = json_text("rosenthal", rows, cfg, 0.25)
+        assert text.endswith('"rows": ' + body + "\n}\n")
+        assert text == _standard_json(rows, cfg, 0.25)
 
 
 class TestConfigHash:
