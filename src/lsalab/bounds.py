@@ -76,19 +76,6 @@ class BoundReport:
                     f"parts sum {total!r} does not reproduce value {self.value!r}"
                 )
 
-    def flat(self) -> dict[str, object]:
-        """Flat key-value record (for CSV/JSON rows)."""
-        rec: dict[str, object] = {"name": self.name, "value": self.value}
-        for prefix, mapping in (
-            ("in", self.inputs),
-            ("const", self.constants),
-            ("part", self.parts),
-        ):
-            for k, v in mapping.items():
-                rec[f"{prefix}_{k}"] = v
-        rec["flags"] = "|".join(self.flags)
-        return rec
-
 
 def _check_delta(delta: float, hi: float, what: str, *, closed_hi: bool = False) -> None:
     ok = 0.0 < delta <= hi if closed_hi else 0.0 < delta < hi

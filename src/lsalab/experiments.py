@@ -8,25 +8,26 @@ runner returns one verdict per row (value, pass, error, oracle, bound,
 note); ``run_unit`` is the one place that pairs the verdicts with the
 record's coordinates and builds the rows.
 
-Each experiment orders its parameter grid into work units.  Unit i's
-descriptor is computed arithmetically from ``(config, i)`` (a mixed-radix
-digit split over the grid axes), never by enumerating the grid, so a run
-plans in time linear in its unit count.  Unit i draws randomness only from
-streams keyed by its unit seed ``(config.seed + i) mod 2**64``, so a unit is
-a pure function of ``(config, i)``; ``_unit_seed`` is the one place that
-rule is written, and blocked units read their seeds from it too.  A pool run
-hands the units to its workers in contiguous chunks and reassembles them in
-index order, so a full run produces identical rows whatever the worker
-count, the chunk layout or the order in which workers finish.  An experiment
-may compute its units in blocks: ``lyapunov`` solves 256 units at a time,
-those of each dimension in one call of ``lsalab.linalg``'s stacked kernels on
-one shared Kronecker sum, and ``rosenthal`` draws its ``bsum`` trials 512
-units at a time and checks those of each length in one stacked call; the
-units read their rows from the block.  A pool chunk is a whole number of
-blocks, and a unit's rows are the same bits at any block size.  Failures
-inside a unit (simulation blow-ups, solver breakdowns) are recorded in the
-affected rows themselves -- empirical = nan, pass = false, with the message
-kept on the row's ``note`` field -- and never abort the run.
+Each experiment orders its work into units: the explicit units of its
+parameter grid, in row order, then, for ``lyapunov`` and ``rosenthal``,
+n_traj trials, each computed from its number, so a run never holds its
+trials and plans in time linear in its unit count.  Unit i draws randomness
+only from streams keyed by its unit seed ``(config.seed + i) mod 2**64``, so
+a unit is a pure function of ``(config, i)``; ``_unit_seed`` is the one
+place that rule is written, and blocked units read their seeds from it too.
+A pool run hands the units to its workers in contiguous chunks and
+reassembles them in index order, so a full run produces identical rows
+whatever the worker count, the chunk layout or the order in which workers
+finish.  An experiment may compute its trials in blocks: ``lyapunov`` solves
+256 trials at a time, those of each dimension in one call of
+``lsalab.linalg``'s stacked kernels on one shared Kronecker sum, and
+``rosenthal`` draws its ``bsum`` trials 512 at a time and checks those of
+each length in one stacked call; the units read their rows from the block.
+A pool chunk is a whole number of blocks, and a unit's rows are the same
+bits at any block size.  Failures inside a unit (simulation blow-ups, solver
+breakdowns) are recorded in the affected rows themselves -- empirical = nan,
+pass = false, with the message kept on the row's ``note`` field -- and never
+abort the run.
 
 Emission: ``csv_text`` renders the fixed column schema
 
@@ -53,7 +54,7 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -321,37 +322,32 @@ def resolve(config: ExperimentConfig) -> ExperimentConfig:
     return replace(config, **updates) if updates else config
 
 
+# Each model kind's builder, called with the spec's other keys.  The lambdas
+# look the builder up when called, so they see the rebinding of module-level
+# names that tracing uses.
+_MODEL_KINDS = {
+    "biased_rademacher": lambda **kw: biased_rademacher_model(**kw),
+    "rademacher_gaussian": lambda **kw: rademacher_gaussian_model(**kw),
+    "bounded_factor": lambda **kw: bounded_factor_model(**kw),
+    "td_zero": lambda **kw: td_zero_model(**kw),
+}
+
+
 def _build_model(spec: dict) -> LsaModel:
     """Instantiate a simulation model from its config dict."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("model must be an object with a 'kind' field")
     kind = spec["kind"]
-    params = {k: v for k, v in spec.items() if k != "kind"}
+    # a kind that is not a string (a list, say) may not even be hashable
+    builder = _MODEL_KINDS.get(kind) if isinstance(kind, str) else None
+    if builder is None:
+        raise ValueError(
+            f"unknown model kind {kind!r}; expected one of " + ", ".join(_MODEL_KINDS)
+        )
     try:
-        if kind == "biased_rademacher":
-            return biased_rademacher_model(**params)
-        if kind == "rademacher_gaussian":
-            return rademacher_gaussian_model(**params)
-        if kind == "bounded_factor":
-            return bounded_factor_model(
-                np.asarray(params.pop("abar"), dtype=float),
-                np.asarray(params.pop("bbar"), dtype=float),
-                np.asarray(params.pop("m"), dtype=float),
-                **params,
-            )
-        if kind == "td_zero":
-            return td_zero_model(
-                np.asarray(params.pop("p"), dtype=float),
-                np.asarray(params.pop("rewards"), dtype=float),
-                np.asarray(params.pop("phi"), dtype=float),
-                **params,
-            )
-    except (TypeError, ValueError, KeyError) as exc:
+        return builder(**{k: v for k, v in spec.items() if k != "kind"})
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"model kind {kind!r}: {exc}") from exc
-    raise ValueError(
-        f"unknown model kind {kind!r}; expected one of biased_rademacher, "
-        "rademacher_gaussian, bounded_factor, td_zero"
-    )
 
 
 _DRIFT_KEYS = ("lambda", "b", "m", "epsilon", "d_level", "abar", "c_a")
@@ -542,69 +538,56 @@ def _unit_seed(seed: int, index: int) -> int:
     return (seed + index) % 2**64
 
 
-def _rosenthal_head(config: ExperimentConfig) -> tuple[tuple, ...]:
+def _rosenthal_units(config: ExperimentConfig) -> list[tuple]:
     """The closed-form units that precede the n_traj ``bsum`` trials.
 
     Each is its row's ``(check, q, u, rho, alpha, trial)`` coordinates, with
     "" for those its check does not use.
     """
-    head: list[tuple] = [
+    units: list[tuple] = [
         ("buq", q, u, rho, "", "") for q in config.qs for u in range(1, q) for rho in config.rhos
     ]
-    head += [("count", q, u, "", "", "") for q in config.qs for u in range(1, q)]
+    units += [("count", q, u, "", "", "") for q in config.qs for u in range(1, q)]
     for al in config.alphas:
-        head += [("delta_root", "", "", "", al, ""), ("horizon", "", "", "", al, "")]
-    return tuple(head)
+        units += [("delta_root", "", "", "", al, ""), ("horizon", "", "", "", al, "")]
+    return units
 
 
-_LAST_PLAN: list = [None, None, None]  # config, record, plan
+_LAST_PLAN: list = [None, None, ()]  # config, record, explicit units
 
 
-def _plan(config: ExperimentConfig) -> tuple[tuple, tuple, int]:
-    """The head units, the unit axes and the unit count of a resolved config.
+def _plan(config: ExperimentConfig) -> tuple[_Experiment, tuple]:
+    """The record and the explicit units of a resolved config.
 
-    The axes come last axis first, each as ``(axis, len(axis))``.  The last
-    plan is kept, by identity of the config and record it reads (of the
-    config, only immutable fields), as a blocked unit plans twice.
+    The last plan is kept, by identity of the config and record it reads (of
+    the config, only immutable fields), as every unit of a run plans.
     """
     exp = _EXPERIMENTS.get(config.experiment)
     if exp is None:
         raise ValueError(f"unknown experiment {config.experiment!r}")
-    if _LAST_PLAN[0] is config and _LAST_PLAN[1] is exp:
-        return _LAST_PLAN[2]
-    head, axes = exp.head(config), exp.axes(config)
-    radix = tuple((axis, len(axis)) for axis in reversed(axes))
-    plan = head, radix, len(head) + math.prod(size for _, size in radix)
-    _LAST_PLAN[:] = config, exp, plan
-    return plan
+    if _LAST_PLAN[0] is not config or _LAST_PLAN[1] is not exp:
+        _LAST_PLAN[:] = config, exp, tuple(exp.units(config))
+    return exp, _LAST_PLAN[2]
 
 
 def unit_count(config: ExperimentConfig) -> int:
     """Number of work units of a resolved config."""
-    return _plan(config)[2]
+    exp, units = _plan(config)
+    return len(units) + (config.n_traj if exp.trial else 0)
 
 
 def _unit(config: ExperimentConfig, index: int) -> tuple:
     """Descriptor of unit ``index``; unit i of a run is row source i.
 
-    Computed arithmetically, without enumerating the other units, so a run
-    of N units plans in O(N) rather than O(N^2).
+    A trial's descriptor is computed from its number, so a run of n_traj
+    trials never holds them all.
     """
-    head, radix, count = _plan(config)
-    if not 0 <= index < count:
-        raise IndexError(f"unit index {index} out of range for {config.experiment}")
-    if index < len(head):
-        return head[index]
-    index -= len(head)
-    point = []
-    for axis, size in radix:
-        if size == 1:
-            # a one-entry axis (rosenthal's "" pads) takes no digit
-            point.append(axis[0])
-            continue
-        index, k = divmod(index, size)
-        point.append(axis[k])
-    return tuple(point[::-1])
+    exp, units = _plan(config)
+    if 0 <= index < len(units):
+        return units[index]
+    if exp.trial and 0 <= index - len(units) < config.n_traj:
+        return exp.trial(index - len(units))
+    raise IndexError(f"unit index {index} out of range for {config.experiment}")
 
 
 def _dominates(value: float, bound: float) -> bool:
@@ -701,19 +684,19 @@ def _block(verdicts: Callable, seed: int, lo: int, hi: int) -> list:
 
 
 def _block_verdict(config: ExperimentConfig, verdicts: Callable, trial: int):
-    """The verdict of the run's unit ``len(head) + trial``, read from its block.
+    """The verdict of trial ``trial``, read from its block.
 
     ``verdicts(seeds, units)`` computes the units whose indices are in the
-    range ``units``, with the unit seeds ``seeds``; every unit after the head
-    is computed in blocks.  Blocks are aligned to unit indices, as pool
-    chunks are, and leave out the head units of the first block.  Raises
-    what the unit raises alone.
+    range ``units``, with the unit seeds ``seeds``; the trials are computed
+    in blocks.  Blocks are aligned to unit indices, as pool chunks are, and
+    leave out the explicit units of the first block.  Raises what the unit
+    raises alone.
     """
-    head, _, count = _plan(config)
-    size = _EXPERIMENTS[config.experiment].block
-    index = len(head) + trial
-    lo = index - index % size
-    lo, hi = max(lo, len(head)), min(lo + size, count)
+    exp, units = _plan(config)
+    first = len(units)
+    index = first + trial
+    lo = index - index % exp.block
+    lo, hi = max(lo, first), min(lo + exp.block, first + config.n_traj)
     verdict = _block(verdicts, config.seed, lo, hi)[index - lo]
     if isinstance(verdict, Exception):
         raise verdict.with_traceback(None)
@@ -947,17 +930,17 @@ class _Experiment:
     units call scipy.special's ufuncs, which validate loads for them and
     every other run never imports.
 
-    The units of a run are the descriptors ``head(config)`` followed by the
-    points of the product of the sequences ``axes(config)``, last axis
-    fastest.  ``params(config, unit)`` gives the coordinate tuples of the
-    unit's rows, success and failure rows alike; ``runner(config, unit,
-    seed)`` returns one ``_Verdict`` per tuple, in the same order, and
-    ``run_unit`` builds the rows.  A verdict's own ``params`` replaces a
-    coordinate tuple where the unit draws a coordinate itself.
-    ``check(config, errors)`` appends the per-point problems of a config
-    whose fields are otherwise valid.  ``block`` is the number of
-    consecutive units the runner computes together; a pool chunk is a whole
-    number of blocks.
+    The units of a run are the descriptors ``units(config)``, in row order,
+    followed, if ``trial`` is set, by the n_traj trials ``trial(0)``,
+    ``trial(1)``, ...  ``params(config, unit)`` gives the coordinate tuples
+    of the unit's rows, success and failure rows alike (by default the unit
+    itself); ``runner(config, unit, seed)`` returns one ``_Verdict`` per
+    tuple, in the same order, and ``run_unit`` builds the rows.  A verdict's
+    own ``params`` replaces a coordinate tuple where the unit draws a
+    coordinate itself.  ``check(config, errors)`` appends the per-point
+    problems of a config whose fields are otherwise valid.  ``block`` is the
+    number of consecutive trials the runner computes together; a pool chunk
+    is a whole number of blocks.
 
     Records hold private functions only: a public lsalab function stored
     here would escape the rebinding of module-level names that tracing uses.
@@ -967,11 +950,11 @@ class _Experiment:
     grids: dict
     model: dict | None
     special: bool
-    axes: Callable[[ExperimentConfig], tuple]
-    params: Callable[[ExperimentConfig, tuple], list[tuple]]
+    units: Callable[[ExperimentConfig], Iterable[tuple]]
     runner: Callable[[ExperimentConfig, tuple, int], list[_Verdict]]
+    params: Callable[[ExperimentConfig, tuple], list[tuple]] = lambda config, unit: [unit]
     check: Callable[[ExperimentConfig, list[str]], object] | None = None
-    head: Callable[[ExperimentConfig], tuple] = lambda config: ()
+    trial: Callable[[int], tuple] | None = None
     block: int = 1
 
 
@@ -987,7 +970,8 @@ _EXPERIMENTS = {
         grids={},
         model=None,
         special=True,  # Gaussian random matrices
-        axes=lambda c: (range(c.n_traj),),
+        units=lambda c: (),
+        trial=lambda t: (t,),
         params=_lyapunov_params,
         runner=_run_lyapunov_unit,
         block=256,
@@ -997,8 +981,7 @@ _EXPERIMENTS = {
         grids={"alphas": (0.1,), "ns": (10, 50, 200), "ps": (2.0,)},
         model=_TWO_POINT,
         special=False,
-        axes=lambda c: (c.alphas, c.ns, c.ps),
-        params=lambda c, unit: [unit],
+        units=lambda c: itertools.product(c.alphas, c.ns, c.ps),
         runner=_run_bounds_unit,
         check=_check_bounds,
     ),
@@ -1007,8 +990,7 @@ _EXPERIMENTS = {
         grids={"alphas": (0.1, 0.05), "ns": (200,)},
         model=_SCALAR_FACTOR,
         special=True,  # Gaussian b noise
-        axes=lambda c: (c.alphas, c.ns),
-        params=lambda c, unit: [unit],
+        units=lambda c: itertools.product(c.alphas, c.ns),
         runner=_run_simulate_unit,
         check=_checked_model,
     ),
@@ -1017,7 +999,7 @@ _EXPERIMENTS = {
         grids={"alphas": (0.1,), "ns": (400, 1000), "deltas": (0.1, 0.05)},
         model=_TWO_POINT,
         special=False,
-        axes=lambda c: (c.alphas, c.ns, c.deltas),
+        units=lambda c: itertools.product(c.alphas, c.ns, c.deltas),
         params=lambda c, unit: [(c.model["q_a"], *unit, side) for side in _SIDES],
         runner=_run_rademacher_unit,
         check=_check_rademacher,
@@ -1027,7 +1009,7 @@ _EXPERIMENTS = {
         grids={"alphas": (0.1, 0.05)},
         model=_SCALAR_FACTOR,
         special=True,  # Gaussian b noise and the normal CDF
-        axes=lambda c: (c.alphas,),
+        units=lambda c: itertools.product(c.alphas),
         params=lambda c, unit: [(check, *unit) for check in ("variance", "gap", "ks")],
         runner=_run_clt_unit,
         check=_check_clt,
@@ -1038,7 +1020,7 @@ _EXPERIMENTS = {
         model=_TWO_POINT,
         special=False,
         # one unit emits the rows of every n, so no ns means no units
-        axes=lambda c: (c.alphas if c.ns else (),),
+        units=lambda c: itertools.product(c.alphas if c.ns else ()),
         params=lambda c, unit: [(*unit, n) for n in c.ns],
         runner=_run_wasserstein_unit,
         check=_checked_model,
@@ -1051,10 +1033,9 @@ _EXPERIMENTS = {
             "d_level": 9.0, "abar": 1.0, "c_a": 1.0,
         },
         special=False,
-        head=_rosenthal_head,
-        # a trial's coordinates, padded as the head's are
-        axes=lambda c: (("bsum",), ("",), ("",), ("",), ("",), range(c.n_traj)),
-        params=lambda c, unit: [unit],
+        units=_rosenthal_units,
+        # a trial's coordinates, padded as the closed-form units' are
+        trial=lambda t: ("bsum", "", "", "", "", t),
         runner=_run_rosenthal_unit,
         check=_check_rosenthal,
         block=512,

@@ -370,23 +370,6 @@ class TestBoundReport:
         with pytest.raises(ValueError):
             BoundReport(name="x", value=math.inf)
 
-    def test_flat_record_layout(self):
-        rep = BoundReport(
-            name="x",
-            value=3.0,
-            inputs={"alpha": 0.1},
-            constants={"d1": D1},
-            parts={"a": 1.0, "b": 2.0},
-            flags=("f1", "f2"),
-        )
-        flat = rep.flat()
-        assert flat["name"] == "x"
-        assert flat["value"] == 3.0
-        assert flat["in_alpha"] == 0.1
-        assert flat["const_d1"] == D1
-        assert flat["part_a"] == 1.0
-        assert flat["flags"] == "f1|f2"
-
 
 class TestSigmaGapBound:
     def test_scalar_closed_form_ratio(self):

@@ -271,6 +271,30 @@ class TestValidate:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "unknown model kind ['bounded_factor']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "model,reason",
+        [
+            (
+                {"kind": "bounded_factor", "bbar": [0.0], "m": [[1.0]], "eta": 0.5, "sigma": 1.0},
+                "model kind 'bounded_factor': bounded_factor_model() missing 1 required "
+                "positional argument: 'abar'",
+            ),
+            (
+                {"kind": "td_zero", "p": [[0.5, 0.5], [0.5, 0.5]], "rewards": [1.0, 0.0],
+                 "gamma": 0.9},
+                "model kind 'td_zero': td_zero_model() missing 1 required positional "
+                "argument: 'phi'",
+            ),
+            ({"kind": ["x"]}, "unknown model kind ['x']"),
+        ],
+        ids=["no-abar", "no-phi", "list-kind"],
+    )
+    def test_a_broken_model_spec_exits_two_with_its_reason(self, tmp_path, capsys, model, reason):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": model}))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert reason in capsys.readouterr().err
+
 
 class TestRun:
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -371,14 +395,17 @@ class TestRun:
         run(ExperimentConfig(experiment="lyapunov", n_traj=3, workers=8))
         assert started[-1] == 3
 
-    def test_last_unit_of_a_huge_run_plans_in_constant_space(self):
-        # materializing this grid would need tens of GiB; the descriptor of
-        # its last unit is arithmetic
-        cfg = resolve(tiny_config("rosenthal", n_traj=10**9))
-        (row,) = run_unit(cfg, unit_count(cfg) - 1)
-        assert row.param_dict["check"] == "bsum"
-        assert row.param_dict["trial"] == 10**9 - 1
-        assert row.passed, row.note
+    @pytest.mark.parametrize("experiment", ["lyapunov", "rosenthal"])
+    def test_last_unit_of_a_huge_run_plans_in_constant_space(self, experiment):
+        # materializing these trials would need tens of GiB; the descriptor
+        # of the last one is computed from its number
+        cfg = resolve(tiny_config(experiment, n_traj=10**9))
+        rows = run_unit(cfg, unit_count(cfg) - 1)
+        checks = {"lyapunov": ["residuals", "contraction"], "rosenthal": ["bsum"]}
+        assert [row.param_dict["check"] for row in rows] == checks[experiment]
+        for row in rows:
+            assert row.param_dict["trial"] == 10**9 - 1
+            assert row.passed, row.note
 
 
 # Small configs of several units, covering every kind of row.
