@@ -471,10 +471,11 @@ def coupled_exact_sq(
     """Exact E||Delta_k||^2, k = 0..n, for the synchronous coupling.
 
     vec(E[Delta_k Delta_k.T]) evolves by the one-step second-moment transfer
-    E[(I - alpha*A) (x) (I - alpha*A)] built from the model's closed-form
-    kernel E[A (x) A]; each entry of the returned curve is the trace of the
-    matrixized state.  This is the deterministic counterpart of the Monte
-    Carlo curve from :func:`coupled_w2` (squared scale).
+    E[(I - alpha*A) (x) (I - alpha*A)] built from the kernel E[A (x) A] that
+    the model derives from its sampler's ``(atoms, weights)``; each entry of
+    the returned curve is the trace of the matrixized state.  This is the
+    deterministic counterpart of the Monte Carlo curve from
+    :func:`coupled_w2` (squared scale).
     """
     _check_run_args(model, alpha, n)
     d = model.dim

@@ -113,13 +113,20 @@ from lsalab.rosenthal import (
 
 _CSV_TAIL = ("empirical", "std_err", "oracle", "bound", "pass", "seed")
 
-# Verdict tolerances that are properties of the checks themselves (not of the
-# Monte Carlo noise, which se_mult scales).
+# Verdict tolerances of the deterministic checks: rounding allowances of the
+# solves, sums and identities they compare.
 SOLVER_RESIDUAL_TOL = 1e-10
 CONTRACTION_SLACK = 1e-12
 DECOMPOSITION_TOL = 1e-9
 GEOMETRIC_SUM_TOL = 1e-10
 DOMINANCE_REL_SLACK = 1e-12
+# The Monte Carlo verdict band.  SE_MULT scales the |estimate - oracle|
+# acceptance band in standard errors for every Monte Carlo comparison;
+# KS_TOL caps the systematic part of the clt experiment's distribution
+# distance (a 1.36/sqrt(n_traj) sampling-fluctuation quantile is added on
+# top when the verdict is computed).
+SE_MULT = 4.0
+KS_TOL = 0.02
 _LYAPUNOV_MAX_DIM = 8
 # the tails each rademacher unit checks, one row each
 _SIDES = ("upper", "lower")
@@ -139,11 +146,7 @@ class ExperimentConfig:
 
     Grid fields left as ``None`` take the experiment's documented defaults;
     an explicit empty list stays empty and yields header-only output files.
-    ``se_mult`` scales the |estimate - oracle| acceptance band in standard
-    errors for every Monte Carlo comparison; ``ks_tol`` caps the systematic
-    part of the distribution-distance check of the clt experiment (a
-    1.36/sqrt(n_traj) sampling-fluctuation quantile is added on top when the
-    verdict is computed).
+    Every run is judged at the Monte Carlo band ``SE_MULT`` and ``KS_TOL``.
     """
 
     experiment: str
@@ -159,8 +162,6 @@ class ExperimentConfig:
     workers: int = 1
     out: str = "lsalab_results"
     format: str = "csv"
-    se_mult: float = 4.0
-    ks_tol: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -286,8 +287,6 @@ def config_from_dict(data: dict) -> tuple[ExperimentConfig, list[str]]:
         ("n_traj", _coerce_int),
         ("seed", _coerce_int),
         ("workers", _coerce_int),
-        ("se_mult", _coerce_float),
-        ("ks_tol", _coerce_float),
     ):
         if name in data:
             try:
@@ -391,10 +390,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         errors.append(f"n_traj must be >= 2, got {config.n_traj}")
     if not 0 <= config.seed < 2**64:
         errors.append(f"seed must be a 64-bit unsigned integer, got {config.seed}")
-    if not (math.isfinite(config.se_mult) and config.se_mult > 0):
-        errors.append(f"se_mult must be positive and finite, got {config.se_mult}")
-    if not (math.isfinite(config.ks_tol) and config.ks_tol > 0):
-        errors.append(f"ks_tol must be positive and finite, got {config.ks_tol}")
     if not config.out:
         errors.append("out must be a non-empty path prefix")
     elif os.path.basename(_out_base(config.out)) in ("", ".", ".."):
@@ -725,7 +720,7 @@ def _run_bounds_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_
     oracle = rademacher_exact_moment(q_a, alpha, p, n) ** (1.0 / p)
     bound = product_moment_bound(profile, p, alpha, n)
     passed = (
-        abs(mc.value - oracle) <= config.se_mult * mc.std_err
+        abs(mc.value - oracle) <= SE_MULT * mc.std_err
         and _dominates(oracle, bound)
     )
     return [_Verdict(mc.value, passed, mc.std_err, oracle, bound)]
@@ -800,12 +795,12 @@ def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Ver
     scale = math.sqrt(sig_alpha)
     ndtr = _special().ndtr
     ks = empirical_ks(x, lambda t: ndtr(t / scale))
-    # ks_tol caps the systematic distribution distance; the 1.36/sqrt(N)
+    # KS_TOL caps the systematic distribution distance; the 1.36/sqrt(N)
     # term is the 95% Kolmogorov quantile of pure sampling fluctuation, so
     # the verdict does not hinge on noise at small sample counts.
-    ks_cap = config.ks_tol + 1.36 / math.sqrt(n_s)
+    ks_cap = KS_TOL + 1.36 / math.sqrt(n_s)
     return [
-        _Verdict(v_hat, abs(v_hat - v_exact) <= config.se_mult * v_se, v_se, v_exact),
+        _Verdict(v_hat, abs(v_hat - v_exact) <= SE_MULT * v_se, v_se, v_exact),
         _Verdict(gap, _dominates(gap, gap_cap), oracle=sig_limit, bound=gap_cap),
         _Verdict(ks, ks <= ks_cap, oracle=0.0, bound=ks_cap),
     ]
@@ -824,7 +819,7 @@ def _run_wasserstein_unit(config: ExperimentConfig, unit: tuple, seed: int) -> l
     exact = np.sqrt(coupled_exact_sq(model, alpha, n_max, theta_a - theta_b)).tolist()
     return [
         _Verdict(
-            value[n], abs(value[n] - exact[n]) <= config.se_mult * std_err[n], std_err[n], exact[n]
+            value[n], abs(value[n] - exact[n]) <= SE_MULT * std_err[n], std_err[n], exact[n]
         )
         for n in config.ns
     ]
@@ -1094,8 +1089,10 @@ def run(config: ExperimentConfig) -> list[ResultRow]:
     if errors:
         raise ConfigError(errors)
     count = unit_count(cfg)
-    # a pool forks all its workers at once, so never more than there are units
-    workers = min(cfg.workers, count)
+    # a pool forks all its workers at once, so never more than there are
+    # units or CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cfg.workers, count, cpus or 1)
     if workers <= 1:
         units = [run_unit(cfg, i) for i in range(count)]
     else:
@@ -1257,8 +1254,9 @@ def config_hash(config: ExperimentConfig) -> str:
         **{name: list(getattr(cfg, name) or ()) for name in _GRID_FIELDS},
         "n_traj": cfg.n_traj,
         "seed": cfg.seed,
-        "se_mult": cfg.se_mult,
-        "ks_tol": cfg.ks_tol,
+        # the band stays in the payload, so that earlier runs' hashes still match
+        "se_mult": SE_MULT,
+        "ks_tol": KS_TOL,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -73,6 +73,15 @@ class TestExitCodes:
         assert len(lines) >= 3
         assert any("junk" in l for l in lines)
 
+    def test_a_bad_format_is_reported_beside_every_other_problem(self, tmp_path, capsys):
+        # validate, not the parser, rejects the format, so the seed is
+        # reported in the same pass
+        argv = ["rademacher", "--format", "xml", "--seed", "-1", "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "format must be csv, json or both" in err
+        assert "seed must be a 64-bit unsigned integer" in err
+
     def test_failed_rows_exit_three(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -8,6 +8,7 @@ import concurrent.futures
 import itertools
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -129,15 +130,26 @@ class TestConfigFromDict:
                 "experiment": "clt",
                 "seed": 9,
                 "workers": 4,
-                "se_mult": 5.0,
-                "ks_tol": 0.05,
                 "format": "both",
                 "out": "here",
             }
         )
         assert errors == []
-        assert (cfg.seed, cfg.workers, cfg.se_mult, cfg.ks_tol) == (9, 4, 5.0, 0.05)
+        assert (cfg.seed, cfg.workers) == (9, 4)
         assert (cfg.format, cfg.out) == ("both", "here")
+
+    @pytest.mark.parametrize("key", ["se_mult", "ks_tol"])
+    def test_the_monte_carlo_band_is_not_a_config_key(self, key, tmp_path, capsys):
+        # the band is the program's: SE_MULT and KS_TOL, set by no config
+        _, errors = config_from_dict({"experiment": "clt", key: 4.0})
+        assert errors == [f"unknown config key {key!r}"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "clt", key: 4.0}))
+        assert main(["clt", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+        with pytest.raises(TypeError):
+            ExperimentConfig("clt", **{key: 4.0})
 
 
 class TestResolve:
@@ -186,12 +198,11 @@ class TestValidate:
     def test_scalar_field_errors(self):
         cfg = resolve(
             tiny_config(
-                "simulate", n_traj=1, workers=0, se_mult=0.0, ks_tol=-1.0,
-                format="xml", out="",
+                "simulate", n_traj=1, workers=0, format="xml", out="",
             )
         )
         joined = "\n".join(validate(cfg))
-        for frag in ("format", "workers", "n_traj", "se_mult", "ks_tol", "out"):
+        for frag in ("format", "workers", "n_traj", "out"):
             assert frag in joined
 
     def test_unused_grid_is_an_error(self):
@@ -356,9 +367,11 @@ class TestRun:
         assert rows0[0].param_dict["n"] == 10
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_chunk_layout_does_not_change_rows(self, workers):
+    def test_chunk_layout_does_not_change_rows(self, workers, monkeypatch):
         # 41 rosenthal and 29 lyapunov units are not multiples of the chunk
-        # sizes at 2 or 3 workers, so the last chunk of each run is short
+        # sizes at 2 or 3 workers, so the last chunk of each run is short;
+        # the pool has that many workers whatever the host's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(workers), raising=False)
         for cfg in (
             tiny_config("rosenthal", n_traj=37, seed=11),
             tiny_config("lyapunov", n_traj=29, seed=11),
@@ -370,6 +383,8 @@ class TestRun:
     def test_pool_never_outnumbers_the_units(self, monkeypatch):
         # a fork pool starts all of its workers at the first submit
         started = []
+        cpus = 64
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus), raising=False)
 
         class InlinePool:
             def __init__(self, max_workers):
@@ -393,6 +408,9 @@ class TestRun:
             assert run(replace(cfg, workers=workers)) == serial
             assert started[-1] == pool_size
         run(ExperimentConfig(experiment="lyapunov", n_traj=3, workers=8))
+        assert started[-1] == 3
+        cpus = 3
+        assert run(replace(cfg, workers=64)) == serial
         assert started[-1] == 3
 
     @pytest.mark.parametrize("experiment", ["lyapunov", "rosenthal"])
@@ -674,6 +692,8 @@ class TestLyapunovUnit:
         cfg = resolve(tiny_config("lyapunov", n_traj=600, seed=9))
         expected = [row for index in (0, 255, 256, 599) for row in _lyapunov_reference(cfg, index)]
         record = experiments._EXPERIMENTS["lyapunov"]
+        # two workers even on a one-CPU host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(2), raising=False)
         for size, workers in ((record.block, 1), (7, 2)):
             monkeypatch.setitem(experiments._EXPERIMENTS, "lyapunov", replace(record, block=size))
             rows = run(replace(cfg, workers=workers))
