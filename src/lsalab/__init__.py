@@ -47,7 +47,7 @@ from lsalab.engine import (
     sample_stationary,
     coupled_w2,
     coupled_exact_sq,
-    rademacher_exact_moment,
+    exact_product_moment,
     rademacher_exact_tail,
     empirical_quantile,
     empirical_ks,

@@ -39,6 +39,14 @@ from lsalab.experiments import (
 _FLAG_OVERRIDES = ("seed", "workers", "out", "format")
 
 
+def _int_or_text(text: str) -> int | str:
+    """int(text), or the text itself for config_from_dict to report with the rest."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lsalab",
@@ -51,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENT_NAMES:
         one = sub.add_parser(name, help=f"run the {name} experiment")
         one.add_argument("--config", metavar="PATH", help="JSON config file")
-        one.add_argument("--seed", type=int, help="override the run seed")
-        one.add_argument("--workers", type=int, help="override the worker count")
+        one.add_argument("--seed", type=_int_or_text, help="override the run seed")
+        one.add_argument("--workers", type=_int_or_text, help="override the worker count")
         one.add_argument("--out", metavar="PATH", help="override the output prefix")
         # validate, not argparse, rejects a bad format, beside every other problem
         one.add_argument("--format", help="override the output format: csv, json or both")

@@ -11,7 +11,8 @@ each chunk and applies the caller's step to it, each row with a lone
 trajectory's arithmetic (``_matvec``).  Per-trajectory statistics are reduced
 in trajectory order with full-array numpy operations: results are
 bit-identical however trajectories are chunked or scheduled, so rows do not
-depend on the chunk budget.  A's law has finite support, so a batch routine
+depend on the chunk budget; one reducer, ``_mean_se``, gives a Monte Carlo
+mean and its standard error.  A's law has finite support, so a batch routine
 builds its A-dependent step matrices (such as I - alpha*A and A - abar) once
 per call, one per atom of the sampler, and each step gathers them by the
 decoded atom indices: the same numpy operations on the same values as a
@@ -339,6 +340,14 @@ def _decomposed_errors(
     return np.ascontiguousarray(end[:, :5, :, 0])
 
 
+def _mean_se(x: np.ndarray) -> tuple:
+    """Means over axis 0 of x and their SEs, np.std(ddof=1) / sqrt(N) in place over x."""
+    mean = np.mean(x, axis=0)
+    x -= mean
+    np.square(x, out=x)
+    return mean, np.sqrt(np.sum(x, axis=0) / (len(x) - 1)) / math.sqrt(len(x))
+
+
 def mc_norm_moment(
     model: LsaModel, alpha: float, n: int, p: float, n_traj: int, seed: int
 ) -> McEstimate:
@@ -362,8 +371,7 @@ def mc_norm_moment(
         x = np.abs(gamma[:, 0, 0]) ** p
     else:  # scalar powers, as for one product: numpy's array power rounds differently
         x = np.array([v**p for v in np.linalg.norm(gamma, 2, axis=(1, 2)).tolist()])
-    mean = float(np.mean(x))
-    se_mean = float(np.std(x, ddof=1) / math.sqrt(n_traj))
+    mean, se_mean = map(float, _mean_se(x))
     if mean <= 0.0:
         return McEstimate(value=0.0, std_err=0.0, n_samples=n_traj)
     value = mean ** (1.0 / p)
@@ -433,8 +441,7 @@ def coupled_w2(
     Two copies of the recursion share every (A, b) draw, so their difference
     satisfies Delta_{k+1} = (I - alpha*A_{k+1}) Delta_k.  Returns the per-step
     estimates of E^(1/2) ||Delta_k||^2 for k = 0..n and their delta-method
-    standard errors, each of shape (n+1,).  The standard errors need
-    n_traj >= 2.
+    standard errors, each of shape (n+1,), from n_traj >= 2 coupled pairs.
     """
     _check_run_args(model, alpha, n)
     if n_traj < 2:
@@ -454,15 +461,10 @@ def coupled_w2(
         model, n, delta0[:, None], lambda x, index, _: _matvec(factors.take(index, axis=0), x),
         seed, n_traj, with_b=False, observe=observe,
     )
-    mean = np.mean(sq, axis=0)
-    # np.std(sq, axis=0, ddof=1)'s two passes, in place of a second array
-    sq -= mean
-    np.square(sq, out=sq)
-    se_mean = np.sqrt(np.sum(sq, axis=0) / (n_traj - 1)) / math.sqrt(n_traj)
+    mean, se_mean = _mean_se(sq)
     value = np.sqrt(mean)
     with np.errstate(divide="ignore", invalid="ignore"):
-        std_err = np.where(mean > 0.0, se_mean / (2.0 * np.sqrt(mean)), 0.0)
-    return value, std_err
+        return value, np.where(mean > 0.0, se_mean / (2.0 * value), 0.0)
 
 
 def coupled_exact_sq(
@@ -492,27 +494,26 @@ def coupled_exact_sq(
 
 
 # ---------------------------------------------------------------------------
-# Exact scalar oracles for the biased Rademacher recursion.
+# Exact scalar oracles: product moments of any scalar law, tails of the +-1 chain.
 # ---------------------------------------------------------------------------
 
 
-def rademacher_exact_moment(q_a: float, alpha: float, p: float, n: int) -> float:
-    """Exact E|theta_n|^p for theta_{k+1} = (1 - alpha*A_{k+1}) theta_k, theta_0 = 1.
+def exact_product_moment(model: LsaModel, alpha: float, p: float, n: int) -> float:
+    """Exact E|Gamma_{1:n}|^p of a one-dimensional model, from A's atom table.
 
-    Equals {q_a (1-alpha)^p + (1-q_a) (1+alpha)^p}^n, evaluated in log-space
-    so large p / n do not overflow intermediate terms (the result itself may
-    still be inf-large for extreme inputs).
+    That is (sum_k w_k |1 - alpha*a_k|^p)^n over the sampler's atoms a_k and
+    weights w_k, as exp(n * logsumexp_k(log w_k + p log|1 - alpha*a_k|)) so
+    that no intermediate term overflows; a zero weight or factor adds no term.
     """
-    if not 0.0 < q_a < 1.0:
-        raise ValueError(f"q_a must lie in (0, 1), got {q_a}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if n < 0 or p <= 0.0:
-        raise ValueError(f"need n >= 0 and p > 0, got n={n}, p={p}")
-    log_base = _logsumexp(
-        [math.log(q_a) + p * math.log1p(-alpha), math.log1p(-q_a) + p * math.log1p(alpha)]
-    )
-    return float(np.exp(n * log_base))
+    _check_run_args(model, alpha, n)
+    if model.dim != 1 or not p > 0.0:
+        raise ValueError(f"need a one-dimensional model and p > 0, got dim={model.dim}, p={p}")
+    step = alpha * model.sampler.atoms[:, 0, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # log1p keeps small steps' last bits; past step 1 the factor is -(step - 1)
+        log_factor = np.where(step <= 1.0, np.log1p(-step), np.log(step - 1.0))
+        terms = np.log(model.sampler.weights) + p * log_factor
+    return float(np.exp(n * _logsumexp(terms))) if n else 1.0
 
 
 def rademacher_exact_tail(q_a: float, alpha: float, n: int, t: float) -> float:

@@ -70,9 +70,9 @@ from lsalab.engine import (
     coupled_exact_sq,
     coupled_w2,
     empirical_ks,
+    exact_product_moment,
     final_errors,
     mc_norm_moment,
-    rademacher_exact_moment,
     rademacher_exact_tail,
     sample_stationary,
 )
@@ -120,11 +120,8 @@ CONTRACTION_SLACK = 1e-12
 DECOMPOSITION_TOL = 1e-9
 GEOMETRIC_SUM_TOL = 1e-10
 DOMINANCE_REL_SLACK = 1e-12
-# The Monte Carlo verdict band.  SE_MULT scales the |estimate - oracle|
-# acceptance band in standard errors for every Monte Carlo comparison;
-# KS_TOL caps the systematic part of the clt experiment's distribution
-# distance (a 1.36/sqrt(n_traj) sampling-fluctuation quantile is added on
-# top when the verdict is computed).
+# The Monte Carlo verdict band: SE_MULT standard errors, applied by _band
+# alone, and KS_TOL, the cap on the systematic part of clt's KS distance.
 SE_MULT = 4.0
 KS_TOL = 0.02
 _LYAPUNOV_MAX_DIM = 8
@@ -283,14 +280,10 @@ def config_from_dict(data: dict) -> tuple[ExperimentConfig, list[str]]:
                 ok = False
         if ok:
             values[name] = tuple(items)
-    for name, coerce in (
-        ("n_traj", _coerce_int),
-        ("seed", _coerce_int),
-        ("workers", _coerce_int),
-    ):
+    for name in ("n_traj", "seed", "workers"):
         if name in data:
             try:
-                values[name] = coerce(data[name])
+                values[name] = _coerce_int(data[name])
             except TypeError as exc:
                 errors.append(f"{name}: {exc}")
     for name in ("out", "format"):
@@ -424,9 +417,7 @@ def validate(config: ExperimentConfig) -> list[str]:
     return errors
 
 
-def _checked_model(
-    config: ExperimentConfig, errors: list[str], two_point: bool = False
-) -> LsaModel | None:
+def _checked_model(config: ExperimentConfig, errors: list[str]) -> LsaModel | None:
     """The config's model, or None with the reason appended to ``errors``.
 
     Any positive stepsize suits simulate and wasserstein, which use this as
@@ -434,22 +425,18 @@ def _checked_model(
     curve oracle is exact for all alpha; instability shows up in the rows.
     """
     try:
-        model = _build_model(config.model)
+        return _build_model(config.model)
     except ValueError as exc:
         errors.append(str(exc))
         return None
-    if two_point and model.name != "biased_rademacher":
-        errors.append(
-            f"{config.experiment} needs the two-point factor model with exact "
-            f"closed-form oracles (kind biased_rademacher), got {model.name}"
-        )
-        return None
-    return model
 
 
 def _check_bounds(config: ExperimentConfig, errors: list[str]) -> None:
-    model = _checked_model(config, errors, two_point=True)
+    model = _checked_model(config, errors)
     if model is None:
+        return
+    if model.dim != 1:
+        errors.append(f"bounds needs a one-dimensional model, got dim={model.dim}")
         return
     profile = lyapunov_witness(model)
     for (i, al), (j, p) in itertools.product(enumerate(config.alphas), enumerate(config.ps)):
@@ -460,7 +447,13 @@ def _check_bounds(config: ExperimentConfig, errors: list[str]) -> None:
 
 
 def _check_rademacher(config: ExperimentConfig, errors: list[str]) -> None:
-    if _checked_model(config, errors, two_point=True) is None:
+    if _checked_model(config, errors) is None:
+        return
+    if config.model["kind"] != "biased_rademacher":
+        errors.append(
+            "rademacher needs the two-point factor model with exact closed-form "
+            f"oracles (kind biased_rademacher), got {config.model['kind']}"
+        )
         return
     q_a = config.model["q_a"]
     for (i, al), (j, n), (k, d) in itertools.product(
@@ -583,6 +576,11 @@ def _unit(config: ExperimentConfig, index: int) -> tuple:
     if exp.trial and 0 <= index - len(units) < config.n_traj:
         return exp.trial(index - len(units))
     raise IndexError(f"unit index {index} out of range for {config.experiment}")
+
+
+def _band(value: float, std_err: float, oracle: float) -> bool:
+    """Whether a Monte Carlo estimate lies within SE_MULT standard errors of its oracle."""
+    return abs(value - oracle) <= SE_MULT * std_err
 
 
 def _dominates(value: float, bound: float) -> bool:
@@ -714,15 +712,10 @@ def _run_lyapunov_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list
 def _run_bounds_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
     alpha, n, p = unit
     model = _build_model(config.model)
-    profile = lyapunov_witness(model)
-    q_a = config.model["q_a"]
     mc = mc_norm_moment(model, alpha, n, p, config.n_traj, seed)
-    oracle = rademacher_exact_moment(q_a, alpha, p, n) ** (1.0 / p)
-    bound = product_moment_bound(profile, p, alpha, n)
-    passed = (
-        abs(mc.value - oracle) <= SE_MULT * mc.std_err
-        and _dominates(oracle, bound)
-    )
+    oracle = exact_product_moment(model, alpha, p, n) ** (1.0 / p)
+    bound = product_moment_bound(lyapunov_witness(model), p, alpha, n)
+    passed = _band(mc.value, mc.std_err, oracle) and _dominates(oracle, bound)
     return [_Verdict(mc.value, passed, mc.std_err, oracle, bound)]
 
 
@@ -800,7 +793,7 @@ def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Ver
     # the verdict does not hinge on noise at small sample counts.
     ks_cap = KS_TOL + 1.36 / math.sqrt(n_s)
     return [
-        _Verdict(v_hat, abs(v_hat - v_exact) <= SE_MULT * v_se, v_se, v_exact),
+        _Verdict(v_hat, _band(v_hat, v_se, v_exact), v_se, v_exact),
         _Verdict(gap, _dominates(gap, gap_cap), oracle=sig_limit, bound=gap_cap),
         _Verdict(ks, ks <= ks_cap, oracle=0.0, bound=ks_cap),
     ]
@@ -818,9 +811,7 @@ def _run_wasserstein_unit(config: ExperimentConfig, unit: tuple, seed: int) -> l
     )
     exact = np.sqrt(coupled_exact_sq(model, alpha, n_max, theta_a - theta_b)).tolist()
     return [
-        _Verdict(
-            value[n], abs(value[n] - exact[n]) <= SE_MULT * std_err[n], std_err[n], exact[n]
-        )
+        _Verdict(value[n], _band(value[n], std_err[n], exact[n]), std_err[n], exact[n])
         for n in config.ns
     ]
 
@@ -1254,7 +1245,7 @@ def config_hash(config: ExperimentConfig) -> str:
         **{name: list(getattr(cfg, name) or ()) for name in _GRID_FIELDS},
         "n_traj": cfg.n_traj,
         "seed": cfg.seed,
-        # the band stays in the payload, so that earlier runs' hashes still match
+        # the band stays in the payload: changing it changes every hash
         "se_mult": SE_MULT,
         "ks_tol": KS_TOL,
     }

@@ -32,13 +32,13 @@ from lsalab import (
     delta_alpha_root,
     empirical_ks,
     empirical_quantile,
+    exact_product_moment,
     final_errors,
     geometric_sum_check,
     mc_norm_moment,
     product_moment_bound,
     q_norm_mat,
     rademacher_bounds,
-    rademacher_exact_moment,
     rademacher_exact_tail,
     rademacher_tail_thresholds,
     run,
@@ -204,8 +204,9 @@ def test_05_moment_blowup_base(acceptance):
         qm, am = mpmath.mpf("0.75"), mpmath.mpf("0.1")
         oracle_2 = float(qm * (1 - am) ** 2 + (1 - qm) * (1 + am) ** 2)
         oracle_41 = float(qm * (1 - am) ** 41 + (1 - qm) * (1 + am) ** 41)
-    base_2 = rademacher_exact_moment(q_a, alpha, 2.0, 1)
-    base_41 = rademacher_exact_moment(q_a, alpha, 41.0, 1)
+    chain = biased_rademacher_model(q_a)
+    base_2 = exact_product_moment(chain, alpha, 2.0, 1)
+    base_41 = exact_product_moment(chain, alpha, 41.0, 1)
     _, _, p_bar = rademacher_bounds(q_a, alpha)
 
     def sig4(x: float) -> str:

@@ -30,7 +30,7 @@ from lsalab.bounds import (
     sigma_gap_bound,
     transient_hp_bound,
 )
-from lsalab.engine import rademacher_exact_moment, rademacher_exact_tail
+from lsalab.engine import exact_product_moment, rademacher_exact_tail
 from lsalab.linalg import (
     q_norm_mat,
     solve_riccati,
@@ -38,7 +38,7 @@ from lsalab.linalg import (
     spectral_norm,
     spectral_profile,
 )
-from lsalab.noise import bounded_factor_model, eps_subgauss_const
+from lsalab.noise import biased_rademacher_model, bounded_factor_model, eps_subgauss_const
 from lsalab.rng import stream
 
 
@@ -119,10 +119,11 @@ class TestProductMomentBound:
         # q(1-alpha)^p + (1-q)(1+alpha)^p; the bound must sit above it for
         # every admissible stepsize and horizon.
         prof = scalar_profile()
+        chain = biased_rademacher_model(0.75)
         for p in (2.0, 4.0):
             for alpha in (0.02, 0.05, 0.1):
                 for n in (1, 10, 100, 1000):
-                    exact = rademacher_exact_moment(0.75, alpha, p, n) ** (1.0 / p)
+                    exact = exact_product_moment(chain, alpha, p, n) ** (1.0 / p)
                     bound = product_moment_bound(prof, p, alpha, n)
                     assert exact <= bound * (1 + 1e-12)
 
@@ -419,9 +420,10 @@ class TestRademacherBounds:
         # the exact divergence root of the one-step base sits between 12 and
         # 13 for (0.75, 0.1); the closed-form order 41 is a conservative
         # certificate, and the base there is deep in the growth regime.
-        assert rademacher_exact_moment(0.75, 0.1, 12.0, 1) < 1.0
-        assert rademacher_exact_moment(0.75, 0.1, 13.0, 1) > 1.0
-        assert rademacher_exact_moment(0.75, 0.1, 41.0, 1) == pytest.approx(
+        chain = biased_rademacher_model(0.75)
+        assert exact_product_moment(chain, 0.1, 12.0, 1) < 1.0
+        assert exact_product_moment(chain, 0.1, 13.0, 1) > 1.0
+        assert exact_product_moment(chain, 0.1, 41.0, 1) == pytest.approx(
             12.456272377233862, rel=1e-12
         )
 

@@ -82,6 +82,14 @@ class TestExitCodes:
         assert "format must be csv, json or both" in err
         assert "seed must be a 64-bit unsigned integer" in err
 
+    def test_a_non_integer_seed_is_reported_beside_every_other_problem(self, tmp_path, capsys):
+        argv = ["rademacher", "--seed", "x", "--format", "xml", "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: seed: expected an integer, got 'x'" in err
+        assert "format must be csv, json or both" in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_failed_rows_exit_three(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -4,6 +4,7 @@ chunking invariance, stationary sampling, and the coupled contraction curve."""
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -24,17 +25,17 @@ from lsalab.engine import (
     coupled_w2,
     empirical_ks,
     empirical_quantile,
+    exact_product_moment,
     final_errors,
     mc_norm_moment,
     product,
-    rademacher_exact_moment,
     rademacher_exact_tail,
     run_decomposed,
     run_trajectory,
     sample_stationary,
     stationary_horizon,
 )
-from lsalab.linalg import solve_riccati
+from lsalab.linalg import _logsumexp, solve_riccati
 from lsalab.noise import (
     biased_rademacher_model,
     bounded_factor_model,
@@ -376,7 +377,7 @@ class TestMcNormMoment:
     def test_estimates_exact_product_moment(self):
         model = biased_rademacher_model(0.75)
         est = mc_norm_moment(model, 0.1, 50, 2.0, n_traj=40_000, seed=15)
-        exact = rademacher_exact_moment(0.75, 0.1, 2.0, 50) ** 0.5
+        exact = exact_product_moment(model, 0.1, 2.0, 50) ** 0.5
         assert isinstance(est, McEstimate)
         assert abs(est.value - exact) <= 4.0 * est.std_err
 
@@ -532,19 +533,44 @@ class TestCoupling:
             coupled_w2(model, 0.1, 10, np.ones(1), np.zeros(1), n_traj, 0)
 
 
+def _sign_chain_moment(q_a, alpha, p, n):
+    """The +-1 chain's closed form {q_a (1-alpha)^p + (1-q_a) (1+alpha)^p}^n,
+    in log space: the reference that the atom-table moment reproduces."""
+    log_base = _logsumexp(
+        [math.log(q_a) + p * math.log1p(-alpha), math.log1p(-q_a) + p * math.log1p(alpha)]
+    )
+    return float(np.exp(n * log_base))
+
+
 class TestRademacherOracles:
     def test_one_step_base_decay_value(self):
         # q(1-alpha)^2 + (1-q)(1+alpha)^2 = 0.91 at (q, alpha) = (0.75, 0.1)
-        assert rademacher_exact_moment(0.75, 0.1, 2.0, 1) == pytest.approx(
-            0.91, rel=1e-12
+        chain = biased_rademacher_model(0.75)
+        assert exact_product_moment(chain, 0.1, 2.0, 1) == pytest.approx(0.91, rel=1e-12)
+
+    def test_atom_table_moment_is_the_closed_form_bit_for_bit(self):
+        grid = itertools.product(
+            (0.55, 0.6, 0.7, 0.75, 0.9), (0.01, 0.05, 0.1, 0.3), (2, 3, 4, 12.07, 41),
+            (1, 10, 50, 200, 1000),
         )
+        with np.errstate(over="ignore"):  # the largest p and n overflow to inf in both
+            for q, alpha, p, n in grid:
+                got = exact_product_moment(biased_rademacher_model(q), alpha, p, n)
+                assert got == _sign_chain_moment(q, alpha, p, n), (q, alpha, p, n)
+
+    def test_moment_needs_a_scalar_model_and_a_positive_order(self):
+        square = bounded_factor_model(np.eye(2), np.zeros(2), np.eye(2), 0.5, 1.0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            exact_product_moment(square, 0.1, 2.0, 3)
+        with pytest.raises(ValueError, match="p > 0"):
+            exact_product_moment(biased_rademacher_model(0.75), 0.1, 0.0, 3)
 
     def test_high_precision_base_at_blowup_order(self):
         # at p = 41 the one-step base exceeds 1: growth in n
         with mpmath.workdps(60):
             q = mpmath.mpf(3) / 4
             base = q * mpmath.mpf("0.9") ** 41 + (1 - q) * mpmath.mpf("1.1") ** 41
-        got = rademacher_exact_moment(0.75, 0.1, 41.0, 1)
+        got = exact_product_moment(biased_rademacher_model(0.75), 0.1, 41.0, 1)
         assert got == pytest.approx(float(base), rel=1e-12)
         assert float(base) > 1.0
 
@@ -555,7 +581,7 @@ class TestRademacherOracles:
         for k in range(n + 1):
             weight = math.comb(n, k) * q**k * (1 - q) ** (n - k)
             total += weight * ((1 - alpha) ** k * (1 + alpha) ** (n - k)) ** p
-        assert rademacher_exact_moment(q, alpha, p, n) == pytest.approx(
+        assert exact_product_moment(biased_rademacher_model(q), alpha, p, n) == pytest.approx(
             total, rel=1e-12
         )
 

@@ -27,6 +27,7 @@ from lsalab.experiments import (
     EXPERIMENT_NAMES,
     _build_model,
     _unit,
+    _unit_seed,
     PARAM_KEYS,
     ConfigError,
     ExperimentConfig,
@@ -219,17 +220,20 @@ class TestValidate:
         assert "alphas" in joined
         assert "ps" in joined
 
-    def test_bounds_requires_sign_flip_model(self):
-        cfg = resolve(
-            tiny_config(
-                "bounds",
-                model={
-                    "kind": "bounded_factor", "abar": [[1.0]], "bbar": [0.0],
-                    "m": [[1.0]], "eta": 0.5, "sigma": 1.0,
-                },
-            )
-        )
-        assert any("biased_rademacher" in e for e in validate(cfg))
+    def test_bounds_takes_any_one_dimensional_model(self):
+        # the exact moment reads the atom table of any scalar law
+        square = {
+            "kind": "bounded_factor", "abar": np.eye(2).tolist(), "bbar": [0.0, 0.0],
+            "m": np.eye(2).tolist(), "eta": 0.5, "sigma": 1.0,
+        }
+        cfg = resolve(ExperimentConfig(experiment="bounds", model=square))
+        assert validate(cfg) == ["bounds needs a one-dimensional model, got dim=2"]
+        scalar = experiments._EXPERIMENTS["simulate"].model
+        for seed in range(10):
+            rows = run(resolve(ExperimentConfig(experiment="bounds", model=scalar, seed=seed)))
+            assert len(rows) == 3
+            for row in rows:
+                assert row.passed, (seed, row)
 
     def test_clt_needs_scalar_model(self):
         cfg = resolve(
@@ -464,19 +468,45 @@ def test_failure_rows_carry_the_success_rows_params(name, monkeypatch):
             assert seen == expected
 
 
-def test_only_run_unit_builds_rows():
-    # runners return verdicts; a second place that builds a row would be a
-    # second place to pair coordinates with verdicts and coerce the cells
-    builders = set()
+def _top_level_nodes():
+    """(qualified top-level name, node) for every node of lsalab's modules."""
     for path in sorted(Path(lsalab.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             for node in ast.walk(top):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if (getattr(func, "id", None) or getattr(func, "attr", None)) == "ResultRow":
-                    builders.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+                yield f"{path.stem}.{getattr(top, 'name', '<module>')}", node
+
+
+def test_only_run_unit_builds_rows():
+    # runners return verdicts; a second place that builds a row would be a
+    # second place to pair coordinates with verdicts and coerce the cells
+    builders = {
+        name for name, node in _top_level_nodes()
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "ResultRow"
+    }
     assert builders == {"experiments.run_unit"}
+
+
+def test_only_the_band_reads_se_mult():
+    # one Monte Carlo band: a runner that wrote |v - oracle| <= SE_MULT * se
+    # itself would be a second place to change it.  config_hash records the
+    # band's value, so that changing it changes every hash, and applies it nowhere.
+    readers = {
+        name for name, node in _top_level_nodes()
+        if isinstance(node, ast.Name) and node.id == "SE_MULT" and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"experiments._band", "experiments.config_hash"}
+
+
+def test_only_the_rademacher_runner_reads_q_a():
+    # every other runner reads its oracle from the model's law, not from a
+    # parameter of one kind of model
+    runners = {f"experiments.{exp.runner.__name__}" for exp in experiments._EXPERIMENTS.values()}
+    readers = {
+        name for name, node in _top_level_nodes()
+        if isinstance(node, ast.Constant) and node.value == "q_a"
+    }
+    assert readers & runners == {"experiments._run_rademacher_unit"}
 
 
 @pytest.mark.parametrize("change", [-1, 1], ids=["one_too_few", "one_too_many"])
@@ -544,7 +574,7 @@ class TestSimulateUnit:
                                   **({"model": model} if model else {})))
         for index in range(unit_count(cfg)):
             alpha, n = _unit(cfg, index)
-            seed = (cfg.seed + index) % 2**64
+            seed = _unit_seed(cfg.seed, index)
             built = _build_model(cfg.model)
             theta0 = built.theta_star + 1.0
             worst = 0.0
@@ -595,7 +625,7 @@ class TestSimulateUnit:
 def _lyapunov_draws(cfg: ExperimentConfig, index: int):
     """Unit ``index``'s seed, generator, mean matrix and noise covariance."""
     (trial,) = _unit(cfg, index)
-    seed = (cfg.seed + index) % 2**64
+    seed = _unit_seed(cfg.seed, index)
     gen = stream(seed, 0)
     dim = 1 + trial % 8
     g, r, w = (_normals(uniform_open01(gen, (dim, dim))) for _ in range(3))
@@ -735,7 +765,7 @@ class TestLyapunovUnit:
 def _bsum_reference(cfg: ExperimentConfig, index: int) -> ResultRow:
     """A ``bsum`` unit's row from its own stream and one 1-D check call."""
     trial = _unit(cfg, index)[-1]
-    seed = (cfg.seed + index) % 2**64
+    seed = _unit_seed(cfg.seed, index)
     gen = stream(seed, 0)
     draws = uniform_open01(gen, 3)
     length = 5 + int(draws[0] * 60.0)
@@ -782,7 +812,7 @@ class TestBsumUnit:
         # the head units read no block, and the trials are checked against
         # their references, so that no block is cached before the patch
         head = [row for index in range(self.HEAD) for row in run_unit(self.CFG, index)]
-        seed = (self.CFG.seed + target) % 2**64
+        seed = _unit_seed(self.CFG.seed, target)
         a_target = 0.5 + 3.5 * float(uniform_open01(stream(seed, 0), 2)[1])
         original = experiments.geometric_sum_check
 
@@ -815,6 +845,7 @@ def test_blocked_units_read_their_seeds_from_unit_seed(name, monkeypatch):
     def rule(seed, index):
         return (seed + 2 * index + 1) % 2**64
 
+    # the references read the rule bound at this file's import, not the patch
     monkeypatch.setattr(experiments, "_unit_seed", rule)
     cfg = resolve(ExperimentConfig(experiment=name, n_traj=300, seed=2**64 - 400))
     rows = run(cfg)
@@ -831,6 +862,12 @@ def test_blocked_units_read_their_seeds_from_unit_seed(name, monkeypatch):
         at_seed = replace(cfg, seed=(unit_rows[0].seed - index) % 2**64)
         expected = reference(at_seed, index)
         assert unit_rows == (expected if name == "lyapunov" else [expected]), index
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (9, 700), (2**64 - 1, 1), (2**64 - 400, 599)])
+def test_unit_seed_is_the_run_seed_plus_the_unit_index(seed, index):
+    # the one test that pins the rule; the references above call _unit_seed
+    assert _unit_seed(seed, index) == (seed + index) % 2**64
 
 
 def _materialized_units(cfg: ExperimentConfig) -> list[tuple]:

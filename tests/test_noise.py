@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lsalab import linalg
+from lsalab.engine import coupled_exact_sq, exact_product_moment
 from lsalab.linalg import SolverResidualError, SpectralProfile, spectral_norm
 from lsalab.noise import (
     _second_moment_transfer,
@@ -544,3 +545,98 @@ class TestAtoms:
         expected = _closed_form_a(model, u, 1)
         assert model.sampler._decode_a(u, 1, slice(None)).tobytes() == expected.tobytes()
         assert np.array_equal(expected[0, 0], np.outer(phi[0], phi[0] - 0.9 * phi[3]))
+
+
+def _paths(sampler, n, alpha=None):
+    """Every path of k = 0..n steps of the law of A, by exhaustive enumeration.
+
+    Yields, for each k, the products F_k ... F_1 of the K**k paths over the
+    atoms of nonzero weight (F = A, or I - alpha*A given ``alpha``), shape
+    (K**k, d, d), and their probabilities, each the product of its steps'
+    weights.  Reads only the sampler's ``atoms`` and ``weights``.
+    """
+    keep = sampler.weights > 0.0
+    atoms, weights = sampler.atoms[keep], sampler.weights[keep]
+    d = atoms.shape[-1]
+    factors = atoms if alpha is None else np.eye(d) - alpha * atoms
+    prods, probs = np.eye(d)[None], np.ones(1)
+    yield prods, probs
+    for _ in range(n):
+        prods = (factors[:, None] @ prods[None]).reshape(-1, d, d)
+        probs = np.multiply.outer(weights, probs).reshape(-1)
+        yield prods, probs
+
+
+def _rel_gap(got, expected) -> float:
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+def _sparse_td():
+    return td_zero_model(_TD_P[1], _TD_REWARDS, _TD_PHI, 0.9)
+
+
+# Models with non-symmetric atoms, so that a transposed Kronecker product
+# changes their maps, and how many steps each enumeration takes.
+_ENUMERATED = {
+    "factor_d2": (lambda: _banded_factor(2)[0], 12),
+    "factor_d3": (lambda: _banded_factor(3)[0], 12),
+    "factor_d4": (lambda: _banded_factor(4)[0], 12),
+    "td_dense": (three_state_td, 6),
+    "td_sparse": (_sparse_td, 6),
+}
+
+
+class TestExhaustiveEnumeration:
+    """The exact maps against every path of the atom table, to 1e-12 relative."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: biased_rademacher_model(0.75),
+        lambda: _factor(np.array([[0.9]]), np.array([[0.7]]), 0.3)[0],
+        *(make for make, _ in _ENUMERATED.values()),
+    ], ids=["biased_rademacher", "scalar_factor", *_ENUMERATED])
+    def test_kernel_is_the_one_step_enumeration(self, make):
+        model = make()
+        _, (atoms, probs) = _paths(model.sampler, 1)
+        expected = sum(w * np.kron(a, a) for a, w in zip(atoms, probs))
+        assert _rel_gap(model.kernel_exact, expected) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(_ENUMERATED))
+    def test_coupled_curve_and_frobenius_moment_are_the_path_averages(self, name):
+        make, n = _ENUMERATED[name]
+        model = make()
+        alpha, d = 0.1, model.dim
+        delta0 = np.linspace(1.0, -0.5, d)
+        sq, frob = np.empty(n + 1), np.empty(n + 1)
+        for k, (prods, probs) in enumerate(_paths(model.sampler, n, alpha)):
+            sq[k] = probs @ np.sum((prods @ delta0) ** 2, axis=1)
+            frob[k] = probs @ np.sum(prods**2, axis=(1, 2))
+        assert _rel_gap(coupled_exact_sq(model, alpha, n, delta0), sq) <= 1e-12
+        # E||Gamma_k||_F^2 = vec(I) . T^k vec(I) for the second-moment transfer T
+        transfer = _second_moment_transfer(model, alpha)
+        state, exact = np.eye(d).reshape(-1), np.empty(n + 1)
+        for k in range(n + 1):
+            exact[k] = np.trace(state.reshape(d, d))
+            state = transfer @ state
+        assert _rel_gap(exact, frob) <= 1e-12
+
+    # alpha_inf is 2 for the +-1 chain at q_a = 0.75, so validation accepts
+    # alpha = 1, where the +1 atom's factor is exactly 0, and alpha = 1.5,
+    # where it is -0.5
+    @pytest.mark.parametrize("make, alpha", [
+        (lambda: biased_rademacher_model(0.75), 0.1),
+        (lambda: biased_rademacher_model(0.75), 1.0),
+        (lambda: biased_rademacher_model(0.75), 1.5),
+        (lambda: rademacher_gaussian_model(0.6, 1.0), 0.3),
+        (lambda: _factor(np.array([[1.0]]), np.array([[1.0]]), 0.5)[0], 0.1),
+        (lambda: _factor(np.array([[0.9]]), np.array([[0.7]]), 0.3)[0], 1.2),
+        # every factor is exactly 0: Gamma_0 = 1 and Gamma_k = 0 after
+        (lambda: _factor(np.array([[1.0]]), np.array([[1.0]]), 0.0)[0], 1.0),
+    ], ids=["pm1", "pm1-alpha1", "pm1-alpha1.5", "pm1-q0.6", "scalar_factor", "factor-alpha1.2",
+            "noise_free-alpha1"])
+    def test_scalar_product_moment_is_the_path_average(self, make, alpha):
+        model, n = make(), 12
+        for p in (2.0, 3.5):
+            for k, (prods, probs) in enumerate(_paths(model.sampler, n, alpha)):
+                expected = probs @ np.abs(prods[:, 0, 0]) ** p
+                got = exact_product_moment(model, alpha, p, k)
+                assert abs(got - expected) <= 1e-12 * expected, (p, k)
