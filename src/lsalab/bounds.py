@@ -142,6 +142,12 @@ def d4_constant(
 # ---------------------------------------------------------------------------
 
 
+def _check_alpha(profile: SpectralProfile, alpha: float) -> None:
+    """Raise unless alpha lies in [0, alpha_inf], the stepsizes these bounds cover."""
+    if not 0.0 <= alpha <= profile.alpha_inf:
+        raise ValueError(f"alpha={alpha} outside [0, alpha_inf={profile.alpha_inf:.6g}]")
+
+
 def product_moment_bound(profile: SpectralProfile, p: float, alpha: float, n: int) -> float:
     """p-th moment bound on the n-step product of (I - alpha*A_k) factors.
 
@@ -150,10 +156,7 @@ def product_moment_bound(profile: SpectralProfile, p: float, alpha: float, n: in
     """
     if not p >= 2.0:
         raise ValueError(f"p must be >= 2, got {p}")
-    if not 0.0 <= alpha <= profile.alpha_inf:
-        raise ValueError(
-            f"alpha={alpha} outside [0, alpha_inf={profile.alpha_inf:.6g}]"
-        )
+    _check_alpha(profile, alpha)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     base = 1.0 - profile.a * alpha + (p - 1.0) * profile.b_q**2 * alpha * alpha
@@ -179,10 +182,7 @@ def product_hp_bound(
                         + b_q*alpha*sqrt(2*n*log(d/delta))).
     """
     _check_delta(delta, 1.0, "product_hp_bound", closed_hi=True)
-    if not 0.0 <= alpha <= profile.alpha_inf:
-        raise ValueError(
-            f"alpha={alpha} outside [0, alpha_inf={profile.alpha_inf:.6g}]"
-        )
+    _check_alpha(profile, alpha)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     log_ratio = math.log(profile.dim / delta)
@@ -452,10 +452,9 @@ def sigma_gap_bound(
 ) -> float:
     """Distance of the stepsize-corrected covariance from its alpha->0 limit:
 
-    alpha * a^-1 * ||abar @ sigma @ abar.T||_q.
+    alpha * a^-1 * ||abar @ sigma @ abar.T||_q, for 0 <= alpha <= alpha_inf.
     """
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    _check_alpha(profile, alpha)
     abar = np.asarray(abar, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     return alpha / profile.a * q_norm_mat(abar @ sigma @ abar.T, profile.q)

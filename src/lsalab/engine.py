@@ -12,14 +12,17 @@ trajectory's arithmetic (``_matvec``).  Per-trajectory statistics are reduced
 in trajectory order with full-array numpy operations: results are
 bit-identical however trajectories are chunked or scheduled, so rows do not
 depend on the chunk budget; one reducer, ``_mean_se``, gives a Monte Carlo
-mean and its standard error.  A's law has finite support, so a batch routine
-builds its A-dependent step matrices (such as I - alpha*A and A - abar) once
-per call, one per atom of the sampler, and each step gathers them by the
-decoded atom indices: the same numpy operations on the same values as a
-per-step computation, hence the same bits.  ``run_trajectory``,
-``run_decomposed`` and ``product`` are the single-trajectory references;
-``run_decomposed`` runs the batch decomposition's step (``_decomposition``)
-through the driver on one row drawn from its own generator.
+mean and its standard error.  ``mc_norm_moment`` and ``coupled_w2`` take
+their random products from one product kernel, ``_products``, the only
+caller of the driver that reads A's words alone.  A's law has finite
+support, so a batch routine builds its A-dependent step matrices (such as
+I - alpha*A and A - abar) once per call, one per atom of the sampler, and
+each step gathers them by the decoded atom indices: the same numpy
+operations on the same values as a per-step computation, hence the same
+bits.  ``run_trajectory``, ``run_decomposed`` and ``product`` are the
+single-trajectory references; ``run_decomposed`` runs the batch
+decomposition's step (``_decomposition``) through the driver on one row
+drawn from its own generator.
 """
 
 from __future__ import annotations
@@ -348,6 +351,36 @@ def _mean_se(x: np.ndarray) -> tuple:
     return mean, np.sqrt(np.sum(x, axis=0) / (len(x) - 1)) / math.sqrt(len(x))
 
 
+def _products(
+    model: LsaModel, alpha: float, n: int, start: np.ndarray, n_traj: int, seed: int, observe=None
+) -> np.ndarray:
+    """Products (I - alpha*A_n) ... (I - alpha*A_1) @ start of n_traj >= 2 trajectories.
+
+    The one product kernel: it checks its arguments before any work and
+    builds I - alpha*A once per atom.  Returns the final states, or with
+    ``observe``, a map of a stack of states to one float each, its values
+    at steps k = 0..n, shape (n_traj, n + 1).
+    """
+    _check_run_args(model, alpha, n)
+    if n_traj < 2:
+        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
+    factors = np.eye(model.dim) - alpha * model.sampler.atoms
+    if observe is None:
+        meter = seen = None
+    else:
+        seen = np.empty((n_traj, n + 1))
+        seen[:, 0] = observe(start[None])
+
+        def meter(rows, k, state):
+            seen[rows, k] = observe(state)
+
+    end = _drive(
+        model, n, start, lambda x, index, _: _matvec(factors.take(index, axis=0), x),
+        seed, n_traj, with_b=False, observe=meter,
+    )
+    return end if observe is None else seen
+
+
 def mc_norm_moment(
     model: LsaModel, alpha: float, n: int, p: float, n_traj: int, seed: int
 ) -> McEstimate:
@@ -356,18 +389,10 @@ def mc_norm_moment(
     The standard error comes from the delta method applied to the sample mean
     of X_j = ||Gamma_j||^p: se(est) = (1/p) * mean^(1/p - 1) * se(mean).
     """
-    _check_run_args(model, alpha, n)
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    if n_traj < 2:
-        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
-    d = model.dim
-    factors = np.eye(d) - alpha * model.sampler.atoms
-    gamma = _drive(
-        model, n, np.eye(d), lambda x, index, _: _matvec(factors.take(index, axis=0), x),
-        seed, n_traj, with_b=False,
-    )
-    if d == 1:
+    gamma = _products(model, alpha, n, np.eye(model.dim), n_traj, seed)
+    if model.dim == 1:
         x = np.abs(gamma[:, 0, 0]) ** p
     else:  # scalar powers, as for one product: numpy's array power rounds differently
         x = np.array([v**p for v in np.linalg.norm(gamma, 2, axis=(1, 2)).tolist()])
@@ -443,24 +468,11 @@ def coupled_w2(
     estimates of E^(1/2) ||Delta_k||^2 for k = 0..n and their delta-method
     standard errors, each of shape (n+1,), from n_traj >= 2 coupled pairs.
     """
-    _check_run_args(model, alpha, n)
-    if n_traj < 2:
-        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
     d = model.dim
     delta0 = np.asarray(theta0_a, dtype=float).reshape(d) - np.asarray(
         theta0_b, dtype=float
     ).reshape(d)
-    factors = np.eye(d) - alpha * model.sampler.atoms
-    sq = np.empty((n_traj, n + 1))
-    sq[:, 0] = _sq_norms(delta0[None, :, None])
-
-    def observe(rows, k, delta):
-        sq[rows, k] = _sq_norms(delta)
-
-    _drive(
-        model, n, delta0[:, None], lambda x, index, _: _matvec(factors.take(index, axis=0), x),
-        seed, n_traj, with_b=False, observe=observe,
-    )
+    sq = _products(model, alpha, n, delta0[:, None], n_traj, seed, observe=_sq_norms)
     mean, se_mean = _mean_se(sq)
     value = np.sqrt(mean)
     with np.errstate(divide="ignore", invalid="ignore"):

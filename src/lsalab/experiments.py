@@ -78,12 +78,13 @@ from lsalab.engine import (
 )
 from lsalab.linalg import (
     _geometry,
+    _kron,
     _kron_sum,
     _lyapunov_q,
     _norms,
     _require_finite,
     _require_hurwitz,
-    _solve_sigma_pair,
+    _solve_stationary,
     _t,
     solve_riccati,
     solve_sigma,
@@ -476,10 +477,12 @@ def _check_clt(config: ExperimentConfig, errors: list[str]) -> None:
         errors.append(f"clt needs a one-dimensional model, got dim={model.dim}")
         return
     profile = lyapunov_witness(model)
+    sig = solve_sigma(model.abar, model.sigma_eps_exact)
     for i, al in enumerate(config.alphas):
         try:
             exact_stationary_cov(model, al)
             _burn_in(model, profile, al)
+            sigma_gap_bound(model.abar, sig, profile, al)
         except ValueError as exc:
             errors.append(f"alphas[{i}]={al}: {exc}")
 
@@ -579,8 +582,8 @@ def _unit(config: ExperimentConfig, index: int) -> tuple:
 
 
 def _band(value: float, std_err: float, oracle: float) -> bool:
-    """Whether a Monte Carlo estimate lies within SE_MULT standard errors of its oracle."""
-    return abs(value - oracle) <= SE_MULT * std_err
+    """Whether a Monte Carlo estimate lies within SE_MULT finite standard errors of its oracle."""
+    return math.isfinite(std_err) and abs(value - oracle) <= SE_MULT * std_err
 
 
 def _dominates(value: float, bound: float) -> bool:
@@ -634,7 +637,10 @@ def _lyapunov_verdicts(seeds: list[int], trials: range) -> list[tuple]:
         # S^alpha's is recomputed in matmul form, independently of the
         # Kronecker form it solved.
         sigma_norm = _norms(sigma_eps)
-        _, sig_a, sig_rel = _solve_sigma_pair(abar, sigma_eps, alpha, sigma_norm, ksum)
+        _, sig_rel = _solve_stationary(abar, sigma_eps, 0.0, None, "sigma solve", ksum, sigma_norm)
+        sig_a, _ = _solve_stationary(
+            abar, sigma_eps, alpha, _kron(abar, abar), "riccati solve", ksum, sigma_norm
+        )
         al = alpha[:, None, None]
         lhs = abar @ sig_a + sig_a @ _t(abar) - al * (abar @ sig_a @ _t(abar))
         s_rel = _norms(lhs - sigma_eps) / (1.0 + sigma_norm)

@@ -270,24 +270,6 @@ def solve_riccati(abar: np.ndarray, sigma_eps: np.ndarray, alpha: float) -> np.n
     )[0][0]
 
 
-def _solve_sigma_pair(
-    abar: np.ndarray, sigma_eps: np.ndarray, alpha, sigma_norm: np.ndarray, ksum: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``solve_sigma`` and ``solve_riccati`` of a validated stack, same bits.
-
-    ``sigma_norm`` is ``_norms(sigma_eps)``, ``ksum`` is ``_kron_sum(abar)``,
-    which the two solves share, and ``alpha`` one stepsize or one per slice.
-    Returns the stacks Sigma and S^alpha and Sigma's relative gate residuals.
-    """
-    sigma, sigma_rel = _solve_stationary(
-        abar, sigma_eps, 0.0, None, "sigma solve", ksum, sigma_norm
-    )
-    s_alpha, _ = _solve_stationary(
-        abar, sigma_eps, alpha, _kron(abar, abar), "riccati solve", ksum, sigma_norm
-    )
-    return sigma, s_alpha, sigma_rel
-
-
 def _spd_roots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``spd_sqrt`` of every matrix of a finite stack; raises for the first non-SPD one."""
     q = 0.5 * (q + _t(q))

@@ -404,6 +404,17 @@ class TestSigmaGapBound:
                 cap = sigma_gap_bound(abar, sig, prof, alpha)
                 assert gap <= cap * (1 + 1e-9)
 
+    def test_rejects_stepsizes_outside_zero_to_alpha_inf(self):
+        # past alpha_inf the cap no longer dominates: at alpha = 1.5 on the
+        # scalar profile the gap is 1.5 against a cap of 0.75
+        prof = spectral_profile(np.array([[1.0]]), 1.0)
+        sig = solve_sigma(prof.abar, np.eye(1))
+        for alpha in (-0.1, np.nextafter(prof.alpha_inf, np.inf), 1.5):
+            with pytest.raises(ValueError, match=r"outside \[0, alpha_inf=1\]"):
+                sigma_gap_bound(prof.abar, sig, prof, alpha)
+        assert sigma_gap_bound(prof.abar, sig, prof, 0.0) == 0.0
+        assert sigma_gap_bound(prof.abar, sig, prof, prof.alpha_inf) == pytest.approx(0.5)
+
 
 class TestRademacherBounds:
     def test_drift_exponent_anchor(self):

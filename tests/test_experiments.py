@@ -52,6 +52,7 @@ from lsalab.linalg import (
     spectral_norm,
     spectral_profile,
 )
+from lsalab.noise import lyapunov_witness
 from lsalab.rng import _normals, stream, uniform_open01
 from lsalab.rosenthal import geometric_sum_check
 
@@ -250,6 +251,24 @@ class TestValidate:
             )
         )
         assert any("one-dimensional" in e or "dim" in e for e in validate(cfg))
+
+    def test_clt_stepsizes_past_the_gap_bounds_range_exit_two(self, tmp_path, capsys):
+        # past alpha_inf the gap bound does not hold: at alpha = 1.5 its row
+        # failed and the run exited 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alphas": [1.5]}))
+        assert main(["clt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "alphas[0]=1.5: alpha=1.5 outside [0, alpha_inf=1]" in capsys.readouterr().err
+
+    def test_clt_takes_its_gap_bounds_largest_stepsize(self):
+        # at alpha_inf the gap row passes with equality, 0.5 <= 0.5
+        model = _build_model(experiments._EXPERIMENTS["clt"].model)
+        alpha_inf = lyapunov_witness(model).alpha_inf
+        cfg = resolve(tiny_config("clt", alphas=(alpha_inf,), n_traj=50))
+        assert validate(cfg) == []
+        gap = run(cfg)[1]
+        assert gap.params == (("check", "gap"), ("alpha", alpha_inf))
+        assert gap.passed and gap.empirical == gap.bound == 0.5
 
     def test_rademacher_window_errors_name_the_grid_point(self):
         cfg = resolve(tiny_config("rademacher", ns=(10,), deltas=(0.1,)))
@@ -496,6 +515,61 @@ def test_only_the_band_reads_se_mult():
         if isinstance(node, ast.Name) and node.id == "SE_MULT" and isinstance(node.ctx, ast.Load)
     }
     assert readers == {"experiments._band", "experiments.config_hash"}
+
+
+def test_one_product_kernel():
+    # a function that drives A's words alone beside engine._products would be
+    # a second factor table and a second set of checks to keep in step
+    callers = {
+        name for name, node in _top_level_nodes()
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_drive"
+        and any(
+            kw.arg == "with_b" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+            for kw in node.keywords
+        )
+    }
+    assert callers == {"engine._products"}
+
+
+def test_the_band_fails_a_non_finite_se():
+    assert experiments._band(1.0, 0.25, 2.0)
+    assert not experiments._band(1.0, math.inf, 2.0)
+    assert not experiments._band(1.0, math.nan, 2.0)
+
+
+def test_an_overflowing_coupling_row_fails():
+    # the squared norms reach 1e170, so the SE's squared deviations overflow
+    # while the estimate stays finite; |v - oracle| <= SE_MULT * inf passed it
+    with np.errstate(over="ignore", invalid="ignore"):
+        (row,) = run(resolve(ExperimentConfig("wasserstein", alphas=(50.0,), ns=(50,), n_traj=5)))
+    assert math.isfinite(row.empirical) and math.isfinite(row.oracle)
+    assert row.std_err == math.inf
+    assert not row.passed
+
+
+# Configs at the edges of the stepsize and horizon grids: coupled copies that
+# overflow, n = 0, the gap bound's largest stepsize, a diverging simulation,
+# an n = 0 moment and a stepsize just below rosenthal's cap.
+_EDGE_CONFIGS = {
+    "wasserstein-overflow": {"experiment": "wasserstein", "alphas": [50], "ns": [50, 100],
+                             "n_traj": 5},
+    "wasserstein-n0": {"experiment": "wasserstein", "ns": [0, 0]},
+    "clt-alpha-inf": {"experiment": "clt", "alphas": [1.0], "n_traj": 50},
+    "simulate-diverging": {"experiment": "simulate", "alphas": [5.0], "n_traj": 5},
+    "bounds-n0": {"experiment": "bounds", "ns": [0]},
+    "rosenthal-alpha-near-1": {"experiment": "rosenthal", "alphas": [0.999999], "n_traj": 2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_CONFIGS))
+def test_edge_configs_pass_only_finite_rows(name):
+    cfg, errors = config_from_dict(dict(_EDGE_CONFIGS[name], seed=0))
+    assert errors == []
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = run(cfg)
+    for row in rows:
+        values = [row.empirical, row.std_err] + [v for v in (row.oracle, row.bound) if v is not None]
+        assert not row.passed or all(map(math.isfinite, values)), row
 
 
 def test_only_the_rademacher_runner_reads_q_a():
