@@ -152,7 +152,7 @@ def product_moment_bound(profile: SpectralProfile, p: float, alpha: float, n: in
     """p-th moment bound on the n-step product of (I - alpha*A_k) factors.
 
     sqrt(kappa_q) * d^(1/p) * (1 - a*alpha + (p-1)*b_q^2*alpha^2)^(n/2),
-    for moment orders p >= 2.
+    for moment orders p >= 2.  Raises ValueError past the float range.
     """
     if not p >= 2.0:
         raise ValueError(f"p must be >= 2, got {p}")
@@ -170,7 +170,11 @@ def product_moment_bound(profile: SpectralProfile, p: float, alpha: float, n: in
         return math.exp(log_head)
     if base == 0.0:
         return 0.0
-    return math.exp(log_head + 0.5 * n * math.log(base))
+    log_value = log_head + 0.5 * n * math.log(base)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"bound at n={n} is exp({log_value:.6g}), past the float range") from None
 
 
 def product_hp_bound(

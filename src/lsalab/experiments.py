@@ -440,11 +440,12 @@ def _check_bounds(config: ExperimentConfig, errors: list[str]) -> None:
         errors.append(f"bounds needs a one-dimensional model, got dim={model.dim}")
         return
     profile = lyapunov_witness(model)
-    for (i, al), (j, p) in itertools.product(enumerate(config.alphas), enumerate(config.ps)):
+    grid = itertools.product(enumerate(config.alphas), enumerate(config.ns), enumerate(config.ps))
+    for (i, al), (k, n), (j, p) in grid:
         try:
-            product_moment_bound(profile, p, al, 0)
+            product_moment_bound(profile, p, al, n)
         except ValueError as exc:
-            errors.append(f"alphas[{i}]={al}, ps[{j}]={p}: {exc}")
+            errors.append(f"alphas[{i}]={al}, ns[{k}]={n}, ps[{j}]={p}: {exc}")
 
 
 def _check_rademacher(config: ExperimentConfig, errors: list[str]) -> None:
@@ -1053,7 +1054,9 @@ def run_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     exp = _EXPERIMENTS[config.experiment]
     coords = exp.params(config, unit)
     try:
-        verdicts = exp.runner(config, unit, seed)
+        # an overflow reaches the row and its note, not stderr
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            verdicts = exp.runner(config, unit, seed)
     except Exception as exc:  # noqa: BLE001 - unit failures become rows
         failed = _Verdict(math.nan, False, math.nan, note=f"{type(exc).__name__}: {exc}")
         verdicts = [failed] * len(coords)

@@ -22,13 +22,13 @@ bounded factor are one two-point law, A = atoms[1] with probability
 weights[1] and atoms[0] otherwise, b = bbar + sigma*g, decoded by one
 sampler; a law with sigma == 0 has no b words.  Each step's A-words decode
 to an atom index with the ``u < p`` comparison or categorical lookup of
-``lsalab.rng``, in the word layout of a matrix decode.  One path
+``lsalab.rng``, in the word layout of a matrix decode; one method per
+sampler (``_decode``) gives a window's indices and b draws.  One path
 (``sample_path``) is ``atoms[index]``; a block of trajectories (one row per
-trajectory, see ``lsalab.rng``) is decoded step by step to indices, so a
-batch kernel gathers what it needs per atom from small tables built from
-``atoms``.  The atoms, built once with the model, come from the same
-elementwise operations in the same order as a matrix decode, so they give
-the same bits.
+trajectory, see ``lsalab.rng``) is decoded to indices, so a batch kernel
+gathers what it needs per atom from small tables built from ``atoms``.
+The atoms, built once with the model, come from the same elementwise
+operations in the same order as a matrix decode, so they give the same bits.
 
 All built-in models satisfy the standing noise assumptions: ||A_n|| <= c_a
 almost surely, and ||b_n - bbar|| sub-Gaussian with scale sigma_b
@@ -62,12 +62,12 @@ class _LayoutSampler:
     A sampler's ``atoms`` are the finite support of A, shape (K, d, d), with
     probabilities ``weights``, shape (K,), and ``_words(n, with_b)`` is the
     number of words per trajectory of an n-step path: all of them, or only
-    the A-word prefix.  Its ``_a_index(u, n, k)``
-    maps open uniforms u, one row of words per trajectory, to the indices
-    into ``atoms`` of the A draws of step k (an index or a slice of steps),
-    shape (B, [steps]); ``_decode_b`` gives the b draws, shape
-    (B, [steps,] d), and needs all the words, not only the A prefix.  The
-    word layout is that of a matrix decode.
+    the A-word prefix.  Its ``_decode(u, n, k, with_b)`` maps open uniforms
+    u, one row of words per trajectory, to the draws of step k (an index or
+    a slice of steps): the indices into ``atoms`` of the A draws, shape
+    (B, [steps]), and the b draws, shape (B, [steps,] d), or None unless
+    with_b, which needs all the words, not only the A prefix.  The word
+    layout is that of a matrix decode.
     """
 
     atoms: np.ndarray
@@ -75,12 +75,8 @@ class _LayoutSampler:
 
     def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         u = uniform_open01(gen, (1, self._words(n, with_b=True)))
-        every = slice(None)
-        return self._decode_a(u, n, every)[0], self._decode_b(u, n, every)[0]
-
-    def _decode_a(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        """The A draws of step k, shape (B, [steps,] d, d)."""
-        return self.atoms[self._a_index(u, n, k)]
+        index, b = self._decode(u, n, slice(None), with_b=True)
+        return self.atoms[index[0]], b[0]
 
     def _steps(self, u: np.ndarray, n: int, window: int, with_b: bool):
         """Yield (index_k, b_k), shapes (B,) and (B, d, 1), for k = 0..n-1.
@@ -89,11 +85,9 @@ class _LayoutSampler:
         Draws are decoded a window of steps at a time.
         """
         for k0 in range(0, n, window):
-            ks = slice(k0, min(k0 + window, n))
-            index = self._a_index(u, n, ks)
-            b = self._decode_b(u, n, ks)[..., None] if with_b else None
+            index, b = self._decode(u, n, slice(k0, min(k0 + window, n)), with_b)
             for i in range(index.shape[1]):
-                yield index[:, i], None if b is None else b[:, i]
+                yield index[:, i], None if b is None else b[:, i, :, None]
 
 
 @dataclass(frozen=True)
@@ -156,14 +150,14 @@ class _TwoPointSampler(_LayoutSampler):
     def _words(self, n: int, with_b: bool) -> int:
         return n + n * self.bbar.size if with_b and self.sigma != 0.0 else n
 
-    def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        return _coins(u[:, :n][:, k], self.weights[1])
-
-    def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
+    def _decode(self, u: np.ndarray, n: int, k: int | slice, with_b: bool):
+        index = _coins(u[:, :n][:, k], self.weights[1])
+        if not with_b:
+            return index, None
         if self.sigma == 0.0:
-            return np.broadcast_to(self.bbar, u[:, :n][:, k].shape + self.bbar.shape).copy()
+            return index, np.broadcast_to(self.bbar, index.shape + self.bbar.shape).copy()
         g = _normals(u[:, n:].reshape(len(u), n, self.bbar.size)[:, k])
-        return self.bbar + self.sigma * g
+        return index, self.bbar + self.sigma * g
 
 
 # A = -1 (index 0) or +1 (index 1)
@@ -287,7 +281,7 @@ class _TdZeroSampler(_LayoutSampler):
 
     def __post_init__(self):
         # atom x * S + x' is phi(x) (phi(x) - gamma phi(x'))^T, of weight
-        # pi[x] p[x, x'], for every pair of states: the clamp in _a_index can
+        # pi[x] p[x, x'], for every pair of states: the clamp in _decode can
         # pick a successor of probability 0
         s = self.pi_cdf.size
         f = self.phi[np.repeat(np.arange(s), s)]
@@ -298,7 +292,7 @@ class _TdZeroSampler(_LayoutSampler):
         # A needs both the state words and the successor words
         return 2 * n
 
-    def _a_index(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
+    def _decode(self, u: np.ndarray, n: int, k: int | slice, with_b: bool):
         x = _categorical(u[:, :n][:, k], self.pi_cdf)
         u_next = u[:, n:][:, k]
         # the successor counts the entries of row x of p_cdf below u_next,
@@ -307,11 +301,8 @@ class _TdZeroSampler(_LayoutSampler):
         for column in self.p_cdf.T:
             x_next += u_next > column[x]
         s = self.pi_cdf.size
-        return x * s + np.minimum(x_next, s - 1)
-
-    def _decode_b(self, u: np.ndarray, n: int, k: int | slice) -> np.ndarray:
-        x = _categorical(u[:, :n][:, k], self.pi_cdf)
-        return self.rewards[x][..., None] * self.phi[x]
+        b = self.rewards[x][..., None] * self.phi[x] if with_b else None
+        return x * s + np.minimum(x_next, s - 1), b
 
 
 def td_zero_model(

@@ -136,6 +136,14 @@ class TestProductMomentBound:
         with pytest.raises(ValueError, match="n must be >= 0"):
             product_moment_bound(prof, 2.0, 0.1, -1)
 
+    def test_a_bound_past_the_float_range_raises_naming_n(self):
+        # base 1 - 0.05 + 3 * 4 * 0.01 = 1.07: the log-value 0.5 * n * log(1.07)
+        # passes log(float max) ~ 709.8 near n = 20980
+        prof = scalar_profile()
+        assert math.isfinite(product_moment_bound(prof, 4.0, 0.1, 20_000))
+        with pytest.raises(ValueError, match=r"n=30000 .*past the float range"):
+            product_moment_bound(prof, 4.0, 0.1, 30_000)
+
     def test_negative_base_names_the_stepsize_cap(self):
         # profiles built from real models keep the base non-negative (b_q
         # dominates a), so drive the defensive branch with a hand-assembled

@@ -26,6 +26,9 @@ def _unfreeze():
     gc.unfreeze()
 
 
+_MAIN = "import sys; from lsalab.cli import main; sys.exit(main())"
+
+
 def write_config(tmp_path, name="cfg.json", **fields):
     path = tmp_path / name
     path.write_text(json.dumps(fields))
@@ -101,6 +104,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "note [" in captured.err
         assert "failed" in captured.out
+
+    def test_a_bound_past_the_float_range_exits_two_naming_n(self, tmp_path, capsys):
+        # validation evaluates the bound at every (alpha, n, p) a unit uses
+        cfg = write_config(tmp_path, ps=[3], ns=[50000], out=str(tmp_path / "b"))
+        assert main(["bounds", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: alphas[0]=0.1, ns[0]=50000, ps[0]=3.0: bound at n=50000" in err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_overflowing_rows_print_no_numpy_warnings(self, tmp_path):
+        # the rows fail with inf and nan cells, in pool workers too, but
+        # numpy's overflow warnings stay off stderr
+        csvs = set()
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            cfg = write_config(tmp_path, alphas=[50], ns=[50, 100], n_traj=5, out=str(out))
+            done = _fresh_process(_MAIN, "wasserstein", "--config", cfg, "--workers", str(workers))
+            assert done.returncode == 3
+            assert "RuntimeWarning" not in done.stderr
+            assert all(line.startswith("note [") for line in done.stderr.splitlines())
+            csvs.add(out.with_suffix(".csv").read_bytes())
+        assert len(csvs) == 1
 
     @pytest.mark.parametrize("p,code", [
         ([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]], 0),  # periodic: law [1/4, 1/2, 1/4]
@@ -261,15 +286,21 @@ class TestOverridesAndOutputs:
         assert results[1] == results[8]
 
 
-def _fresh_python(code: str, *args: str) -> str:
-    """Standard output of ``code`` run in a fresh interpreter on this package."""
+def _fresh_process(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run to its end in a fresh interpreter on this package."""
     src = str(Path(lsalab.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=False,
         env={**os.environ, "PYTHONPATH": path},
     )
-    return out.stdout.strip()
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this package."""
+    done = _fresh_process(code, *args)
+    done.check_returncode()
+    return done.stdout.strip()
 
 
 def test_cli_import_does_not_load_scipy_stats():

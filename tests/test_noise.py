@@ -460,12 +460,16 @@ class TestWordLayout:
         sampler, n, seed = model.sampler, 11, 9
         full = _block_uniforms(seed, 2, 7, sampler._words(n, with_b=True))
         prefix = _block_uniforms(seed, 2, 7, sampler._words(n, with_b=False))
-        for j in range(2, 7):
-            a_seq, b_seq = model.sample_path(stream(seed, j), n)
-            for k in range(n):
-                assert np.array_equal(sampler._decode_a(full, n, k)[j - 2], a_seq[k])
-                assert np.array_equal(sampler._decode_a(prefix, n, k)[j - 2], a_seq[k])
-                assert np.array_equal(sampler._decode_b(full, n, k)[j - 2], b_seq[k])
+        paths = [model.sample_path(stream(seed, j), n) for j in range(2, 7)]
+        for k in range(n):
+            index, b = sampler._decode(full, n, k, with_b=True)
+            for words in (full, prefix):
+                a_only, no_b = sampler._decode(words, n, k, with_b=False)
+                assert no_b is None
+                assert np.array_equal(a_only, index)
+            for row, (a_seq, b_seq) in enumerate(paths):
+                assert np.array_equal(sampler.atoms[index[row]], a_seq[k])
+                assert np.array_equal(b[row], b_seq[k])
 
     @pytest.mark.parametrize("make", _NOISELESS_B)
     def test_noiseless_b_reads_only_the_a_words(self, make):
@@ -526,10 +530,9 @@ class TestAtoms:
         model, law = make()
         n = 40
         u = _block_uniforms(13, 0, 25, model.sampler._words(n, with_b=False))
-        index = model.sampler._a_index(u, n, slice(None))
+        index, _ = model.sampler._decode(u, n, slice(None), with_b=False)
         expected = _closed_form_a(model, u, n, **law)
         assert model.sampler.atoms[index].tobytes() == expected.tobytes()
-        assert model.sampler._decode_a(u, n, slice(None)).tobytes() == expected.tobytes()
 
     def test_td_atoms_cover_a_clamped_successor_of_probability_zero(self):
         # row 0's cumulative sum ends at 1 - 2^-53, below the largest open
@@ -540,10 +543,10 @@ class TestAtoms:
         model = td_zero_model(p, np.ones(4), phi, gamma=0.9)
         assert model.sampler.p_cdf[0, -1] < 1.0 - 2.0**-54
         u = np.array([[0.01, 1.0 - 2.0**-54]])  # state 0, then successor words
-        index = model.sampler._a_index(u, 1, slice(None))
+        index, _ = model.sampler._decode(u, 1, slice(None), with_b=False)
         assert index.tolist() == [[0 * 4 + 3]]
         expected = _closed_form_a(model, u, 1)
-        assert model.sampler._decode_a(u, 1, slice(None)).tobytes() == expected.tobytes()
+        assert model.sampler.atoms[index].tobytes() == expected.tobytes()
         assert np.array_equal(expected[0, 0], np.outer(phi[0], phi[0] - 0.9 * phi[3]))
 
 

@@ -5,9 +5,12 @@
 
 Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
 runs the same ``lsalab`` invocations on it and on the working tree's
-``src/``: the seven default runs at seeds 0, 2 and 3, and every invocation of
+``src/``: the seven default runs at seeds 0, 2 and 3; every invocation of
 the workloads in ``perfbench/workloads.py`` at seed 0 with ``--workers`` 1
-and 2, all with ``--format both``.  For each invocation it compares the CSV
+and 2; and ``simulate`` and ``wasserstein`` on the TD(0) model of
+``tests/test_engine.py::small_td`` at seed 0 with ``--workers`` 1 and 2,
+since no default run or workload decodes a TD(0) law.  All run with
+``--format both``.  For each invocation it compares the CSV
 bytes, the JSON text with its ``wall_time_s`` value blanked, stdout and
 stderr with the output prefix replaced by a placeholder, and the exit code.
 It prints every difference and exits 1 if there is one, 0 if there is none
@@ -45,6 +48,10 @@ LANES = 2
 _MAIN = "import sys; from lsalab.cli import main; sys.exit(main())"
 _WALL_TIME = re.compile(r'"wall_time_s": [^,\n]*')
 GOLDEN = ROOT / "tests" / "golden_outputs.json"
+TD_MODEL = {
+    "kind": "td_zero", "p": [[0.2, 0.8], [0.6, 0.4]], "rewards": [1, -1],
+    "phi": [[1, 0.2], [0.3, 1]], "gamma": 0.8,
+}
 
 
 def blank_wall_time(json_text: str) -> str:
@@ -81,6 +88,12 @@ def _jobs(defaults_only: bool = False) -> list[tuple[str, str, dict, int, int]]:
          WORKLOAD_SEED, workers)
         for workload in WORKLOADS.values()
         for inv in workload.invocations
+        for workers in WORKERS
+    ]
+    jobs += [
+        (f"td_zero/{experiment} workers={workers}", experiment, {"model": TD_MODEL},
+         WORKLOAD_SEED, workers)
+        for experiment in ("simulate", "wasserstein")
         for workers in WORKERS
     ]
     return jobs
