@@ -5,10 +5,12 @@ Determinism contract: trajectory j reads its own counter stream
 of ``(model, alpha, seed, j)``.  The batch routines (``final_errors``,
 ``mc_norm_moment``, ``coupled_w2`` and the error decomposition
 ``_decomposed_errors``) all step through one driver, ``_drive``: it runs the
-trajectories in fixed chunks, sized so that a chunk's words, decoded window
-and step temporaries stay under a float budget, tiles the start state over
-each chunk and applies the caller's step to it, each row with a lone
-trajectory's arithmetic (``_matvec``).  Per-trajectory statistics are reduced
+trajectories in fixed chunks, sized so that a chunk's words and step
+temporaries stay under a float budget, decodes each chunk's draws once for
+the whole path into one word buffer per drive (atom indices, then b in
+place over its words), tiles the start state over each chunk and applies
+the caller's step to it, each row with a lone trajectory's arithmetic
+(``_matvec``).  Per-trajectory statistics are reduced
 in trajectory order with full-array numpy operations: results are
 bit-identical however trajectories are chunked or scheduled, so rows do not
 depend on the chunk budget; one reducer, ``_mean_se``, gives a Monte Carlo
@@ -39,10 +41,8 @@ from lsalab.noise import LsaModel, _second_moment_transfer, lyapunov_witness
 from lsalab.rng import _block_uniforms, stream, uniform_open01
 
 # A chunk's buffers stay under roughly this many floats.  Per trajectory: its
-# stream words, a window of decoded steps (an atom index and a b draw each,
-# ~_WINDOW_FLOATS) and a step's temporaries (see _traj_floats).
+# stream words and a step's temporaries (see _traj_floats).
 _CHUNK_FLOAT_BUDGET = 4_000_000
-_WINDOW_FLOATS = 256
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -229,19 +229,19 @@ def product(model: LsaModel, alpha: float, n: int, gen: Generator) -> np.ndarray
     return gamma
 
 
-def _window(d: int) -> int:
-    """Steps decoded at a time: an atom index and a b draw of d floats each."""
-    return max(1, _WINDOW_FLOATS // (d + 1))
-
-
 def _traj_floats(model: LsaModel, n: int, with_b: bool, state_floats: int) -> int:
-    """Floats a chunk holds per trajectory: words, decoded window, step temporaries.
+    """Floats a chunk holds per trajectory: its words, and a step's temporaries.
 
-    A step on a state of ``state_floats`` floats holds the state, its update
-    and the gathered (d, d) step matrices: at most d floats per state float.
+    A chunk's words share one buffer, as wide as the larger of the A words
+    and the b words; where that width and the decoded draws held beside it
+    come to more than the words, they count instead.  A step on a state of
+    ``state_floats`` floats holds the state, its update and the gathered
+    (d, d) step matrices: at most d floats per state float.
     """
-    d = model.dim
-    return model.sampler._words(n, with_b) + _window(d) * (d + 1) + (d + 2) * state_floats
+    sampler = model.sampler
+    n_a, words = sampler._words(n, False), sampler._words(n, with_b)
+    held = max(n_a, words - n_a) + sampler._held(n, with_b)
+    return max(words, held) + (model.dim + 2) * state_floats
 
 
 def _drive(
@@ -252,32 +252,50 @@ def _drive(
 
     Trajectory j reads stream(seed, j), or with ``words`` the one row of
     words given, shape (1, words); with_b=False reads only the A words.
-    Trajectories run in fixed chunks whose words, decoded window and step
-    temporaries stay in budget (``_traj_floats``); a chunk's words are held
-    only by the decoder, so one chunk's words are alive at a time.  Each
-    chunk starts from ``start`` tiled, and ``step(state, index_k, b_k)``
-    returns the chunk's next state from the step's atom indices and b draws
-    (see ``_LayoutSampler._steps``).  ``observe(rows, k, state)`` sees the
-    state of trajectories ``rows`` (a slice) after each step k = 1..n.
-    With ``reference``, a function of a trajectory's generator that raises
-    TrajectoryBlowup at its first non-finite step, a final iterate (the
-    leading d floats of a state) that is not finite raises TrajectoryBlowup
-    with the first such trajectory and the step its reference names.
+    Trajectories run in fixed chunks whose words and step temporaries stay
+    in budget (``_traj_floats``).  One word buffer serves the whole drive:
+    a chunk's A words are drawn into it and decoded to atom indices, then
+    its b words are drawn into it and decoded in place, so one chunk's draws
+    are alive at a time.  Each chunk starts from ``start`` tiled, and
+    ``step(state, index_k, b_k)`` returns the chunk's next state from the
+    step's atom indices and b draws (see ``_LayoutSampler._steps``).
+    ``observe(rows, k, state)`` sees the state of trajectories ``rows`` (a
+    slice) after each step k = 1..n.  With ``reference``, a function of a
+    trajectory's generator that raises TrajectoryBlowup at its first
+    non-finite step, a final iterate (the leading d floats of a state) that
+    is not finite raises TrajectoryBlowup with the first such trajectory and
+    the step its reference names.
     """
-    n_words = model.sampler._words(n, with_b)
-    window = _window(model.dim)
+    sampler = model.sampler
+    n_a = sampler._words(n, False)
+    width = max(n_a, sampler._words(n, with_b) - n_a)
     chunk = max(1, min(4096, _CHUNK_FLOAT_BUDGET // _traj_floats(model, n, with_b, start.size)))
     out = np.empty((n_traj,) + start.shape)
-    for lo in range(0, n_traj, chunk):
-        hi = min(lo + chunk, n_traj)
+    buffer = np.empty(min(chunk, n_traj) * width)
+
+    def run(lo, hi):
+        def draw(n_words, first):
+            # a (rows, n_words) block of words [first, first + n_words) sits
+            # at its place in a row of the buffer's width, or, past that
+            # width, at the start: b's words take the place of A's
+            at = (hi - lo) * (first if first + n_words <= width else 0)
+            u = buffer[at : at + (hi - lo) * n_words].reshape(hi - lo, n_words)
+            if words is None:
+                return _block_uniforms(seed, lo, hi, n_words, first, out=u)
+            u[...] = words[:, first : first + n_words]
+            return u
+
+        # the chunk's decoded draws die with this frame, before the next chunk's
         state = np.tile(start, (hi - lo,) + (1,) * start.ndim)
-        steps = model.sampler._steps(
-            _block_uniforms(seed, lo, hi, n_words) if words is None else words, n, window, with_b
-        )
-        for k, (index, b_k) in enumerate(steps, 1):
+        for k, (index, b_k) in enumerate(sampler._steps(draw, n, with_b), 1):
             state = step(state, index, b_k)
             if observe is not None:
                 observe(slice(lo, hi), k, state)
+        return state
+
+    for lo in range(0, n_traj, chunk):
+        hi = min(lo + chunk, n_traj)
+        state = out[lo:hi] = run(lo, hi)
         if reference is not None:
             bad = ~np.all(np.isfinite(state.reshape(hi - lo, -1)[:, : model.dim]), axis=1)
             if np.any(bad):
@@ -287,7 +305,6 @@ def _drive(
                 except TrajectoryBlowup as exc:
                     raise TrajectoryBlowup(exc.step, trajectory=j) from None
                 raise TrajectoryBlowup(n, trajectory=j)
-        out[lo:hi] = state
     return out
 
 

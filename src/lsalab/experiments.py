@@ -587,6 +587,23 @@ def _band(value: float, std_err: float, oracle: float) -> bool:
     return math.isfinite(std_err) and abs(value - oracle) <= SE_MULT * std_err
 
 
+def _band_note(value: float, std_err: float, oracle: float) -> str:
+    """Why a band row's Monte Carlo statistics are unusable, or "" if they are not.
+
+    Names each of the estimate, its standard error and the oracle that is
+    not finite; otherwise, an estimate of 0 against a nonzero oracle has
+    underflowed, and the note names the statistics that are 0.
+    """
+    named = {"empirical": value, "std_err": std_err, "oracle": oracle}
+    overflowed = [f"{name}={v}" for name, v in named.items() if not math.isfinite(v)]
+    if overflowed:
+        return f"non-finite statistics: {', '.join(overflowed)}"
+    if value == 0.0 and oracle != 0.0:
+        zero = " and ".join(name for name in ("empirical", "std_err") if named[name] == 0.0)
+        return f"Monte Carlo {zero} underflowed to 0 against oracle {oracle:.6g}"
+    return ""
+
+
 def _dominates(value: float, bound: float) -> bool:
     return value <= bound * (1.0 + DOMINANCE_REL_SLACK)
 
@@ -723,7 +740,8 @@ def _run_bounds_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_
     oracle = exact_product_moment(model, alpha, p, n) ** (1.0 / p)
     bound = product_moment_bound(lyapunov_witness(model), p, alpha, n)
     passed = _band(mc.value, mc.std_err, oracle) and _dominates(oracle, bound)
-    return [_Verdict(mc.value, passed, mc.std_err, oracle, bound)]
+    note = _band_note(mc.value, mc.std_err, oracle)
+    return [_Verdict(mc.value, passed, mc.std_err, oracle, bound, note)]
 
 
 def _run_simulate_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
@@ -800,7 +818,10 @@ def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Ver
     # the verdict does not hinge on noise at small sample counts.
     ks_cap = KS_TOL + 1.36 / math.sqrt(n_s)
     return [
-        _Verdict(v_hat, _band(v_hat, v_se, v_exact), v_se, v_exact),
+        _Verdict(
+            v_hat, _band(v_hat, v_se, v_exact), v_se, v_exact,
+            note=_band_note(v_hat, v_se, v_exact),
+        ),
         _Verdict(gap, _dominates(gap, gap_cap), oracle=sig_limit, bound=gap_cap),
         _Verdict(ks, ks <= ks_cap, oracle=0.0, bound=ks_cap),
     ]
@@ -818,7 +839,10 @@ def _run_wasserstein_unit(config: ExperimentConfig, unit: tuple, seed: int) -> l
     )
     exact = np.sqrt(coupled_exact_sq(model, alpha, n_max, theta_a - theta_b)).tolist()
     return [
-        _Verdict(value[n], _band(value[n], std_err[n], exact[n]), std_err[n], exact[n])
+        _Verdict(
+            value[n], _band(value[n], std_err[n], exact[n]), std_err[n], exact[n],
+            note=_band_note(value[n], std_err[n], exact[n]),
+        )
         for n in config.ns
     ]
 

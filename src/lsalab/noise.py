@@ -22,11 +22,14 @@ bounded factor are one two-point law, A = atoms[1] with probability
 weights[1] and atoms[0] otherwise, b = bbar + sigma*g, decoded by one
 sampler; a law with sigma == 0 has no b words.  Each step's A-words decode
 to an atom index with the ``u < p`` comparison or categorical lookup of
-``lsalab.rng``, in the word layout of a matrix decode; one method per
-sampler (``_decode``) gives a window's indices and b draws.  One path
-(``sample_path``) is ``atoms[index]``; a block of trajectories (one row per
-trajectory, see ``lsalab.rng``) is decoded to indices, so a batch kernel
-gathers what it needs per atom from small tables built from ``atoms``.
+``lsalab.rng``, in the word layout of a matrix decode.  Each sampler decodes
+a whole path at once in two methods: ``_index`` turns the A words into atom
+indices, and ``_b`` then gives the b draws, decoded in place over their
+words where there are any, so the b words can be drawn into the memory the
+A words held.  One path (``sample_path``) is ``atoms[index]``; a block of
+trajectories (one row per trajectory, see ``lsalab.rng``) is decoded to
+indices, so a batch kernel gathers what it needs per atom from small tables
+built from ``atoms``.
 The atoms, built once with the model, come from the same elementwise
 operations in the same order as a matrix decode, so they give the same bits.
 
@@ -62,12 +65,15 @@ class _LayoutSampler:
     A sampler's ``atoms`` are the finite support of A, shape (K, d, d), with
     probabilities ``weights``, shape (K,), and ``_words(n, with_b)`` is the
     number of words per trajectory of an n-step path: all of them, or only
-    the A-word prefix.  Its ``_decode(u, n, k, with_b)`` maps open uniforms
-    u, one row of words per trajectory, to the draws of step k (an index or
-    a slice of steps): the indices into ``atoms`` of the A draws, shape
-    (B, [steps]), and the b draws, shape (B, [steps,] d), or None unless
-    with_b, which needs all the words, not only the A prefix.  The word
-    layout is that of a matrix decode.
+    the A-word prefix.  A path of B trajectories is decoded from
+    ``draw(n_words, start)``, which returns words [start, start + n_words)
+    of each trajectory, shape (B, n_words), and may reuse the memory of the
+    words it returned before: ``_index(draw, n)`` gives the indices into
+    ``atoms`` of the n A draws, shape (B, n), and then ``_b(index, draw, n)``
+    the b draws, shape (B, n, d), decoded in place over their words where
+    there are any.  ``_held(n, with_b)`` is the floats per trajectory that
+    the decoded draws hold outside the words.  The word layout is that of a
+    matrix decode.
     """
 
     atoms: np.ndarray
@@ -75,19 +81,22 @@ class _LayoutSampler:
 
     def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         u = uniform_open01(gen, (1, self._words(n, with_b=True)))
-        index, b = self._decode(u, n, slice(None), with_b=True)
-        return self.atoms[index[0]], b[0]
 
-    def _steps(self, u: np.ndarray, n: int, window: int, with_b: bool):
+        def draw(n_words, start):
+            return u[:, start : start + n_words]
+
+        index = self._index(draw, n)
+        return self.atoms[index[0]], np.array(self._b(index, draw, n)[0])
+
+    def _steps(self, draw, n: int, with_b: bool):
         """Yield (index_k, b_k), shapes (B,) and (B, d, 1), for k = 0..n-1.
 
         A_k of row i is ``atoms[index_k[i]]``; b_k is None unless with_b.
-        Draws are decoded a window of steps at a time.
         """
-        for k0 in range(0, n, window):
-            index, b = self._decode(u, n, slice(k0, min(k0 + window, n)), with_b)
-            for i in range(index.shape[1]):
-                yield index[:, i], None if b is None else b[:, i, :, None]
+        index = self._index(draw, n)
+        b = self._b(index, draw, n) if with_b else None
+        for k in range(n):
+            yield index[:, k], None if b is None else b[:, k, :, None]
 
 
 @dataclass(frozen=True)
@@ -150,14 +159,22 @@ class _TwoPointSampler(_LayoutSampler):
     def _words(self, n: int, with_b: bool) -> int:
         return n + n * self.bbar.size if with_b and self.sigma != 0.0 else n
 
-    def _decode(self, u: np.ndarray, n: int, k: int | slice, with_b: bool):
-        index = _coins(u[:, :n][:, k], self.weights[1])
-        if not with_b:
-            return index, None
+    def _held(self, n: int, with_b: bool) -> int:
+        # one byte an index; b is decoded over its words, or a view of bbar
+        return -(-n // 8)
+
+    def _index(self, draw, n: int) -> np.ndarray:
+        return _coins(draw(n, 0), self.weights[1])
+
+    def _b(self, index: np.ndarray, draw, n: int) -> np.ndarray:
         if self.sigma == 0.0:
-            return index, np.broadcast_to(self.bbar, index.shape + self.bbar.shape).copy()
-        g = _normals(u[:, n:].reshape(len(u), n, self.bbar.size)[:, k])
-        return index, self.bbar + self.sigma * g
+            return np.broadcast_to(self.bbar, index.shape + self.bbar.shape)
+        # bbar + sigma * g, rounded as that expression rounds it
+        g = draw(n * self.bbar.size, n)
+        g = _normals(g, out=g).reshape(len(g), n, self.bbar.size)
+        g *= self.sigma
+        g += self.bbar
+        return g
 
 
 # A = -1 (index 0) or +1 (index 1)
@@ -278,31 +295,45 @@ class _TdZeroSampler(_LayoutSampler):
     p_cdf: np.ndarray
     weights: np.ndarray
     atoms: np.ndarray = field(init=False, repr=False, compare=False)
+    b_atoms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # atom x * S + x' is phi(x) (phi(x) - gamma phi(x'))^T, of weight
-        # pi[x] p[x, x'], for every pair of states: the clamp in _decode can
-        # pick a successor of probability 0
+        # pi[x] p[x, x'], for every pair of states: the clamp of the successor can
+        # pick a successor of probability 0; b_atoms[x * S + x'] = r(x) phi(x)
         s = self.pi_cdf.size
-        f = self.phi[np.repeat(np.arange(s), s)]
+        states = np.repeat(np.arange(s), s)
+        f = self.phi[states]
         f_next = self.phi[np.tile(np.arange(s), s)]
         object.__setattr__(self, "atoms", f[:, :, None] * (f - self.gamma * f_next)[:, None, :])
+        object.__setattr__(self, "b_atoms", self.rewards[states][:, None] * f)
 
     def _words(self, n: int, with_b: bool) -> int:
-        # A needs both the state words and the successor words
+        # A needs both the state words and the successor words; b none
         return 2 * n
 
-    def _decode(self, u: np.ndarray, n: int, k: int | slice, with_b: bool):
-        x = _categorical(u[:, :n][:, k], self.pi_cdf)
-        u_next = u[:, n:][:, k]
-        # the successor counts the entries of row x of p_cdf below u_next,
-        # column by column so that no (..., n_states) array is held
-        x_next = np.zeros(x.shape, dtype=np.intp)
-        for column in self.p_cdf.T:
-            x_next += u_next > column[x]
+    def _held(self, n: int, with_b: bool) -> int:
+        index = -(-n * np.min_scalar_type(self.atoms.shape[0] - 1).itemsize // 8)
+        return index + n * self.phi.shape[1] if with_b else index
+
+    def _index(self, draw, n: int) -> np.ndarray:
         s = self.pi_cdf.size
-        b = self.rewards[x][..., None] * self.phi[x] if with_b else None
-        return x * s + np.minimum(x_next, s - 1), b
+        index = _categorical(draw(n, 0), self.pi_cdf)
+        index = index.astype(np.min_scalar_type(s * s - 1), copy=False)
+        u_next = draw(n, n)
+        # the successor is the categorical draw of u_next on row x of p_cdf.
+        # State by state from the last, index turns from x into x * S + x' in
+        # place: a turned value is at least S * x >= S, above every state
+        # still to come, and no float array of the draws' size is held
+        for state in range(s - 1, -1, -1):
+            at = index == state
+            np.add(index, state * (s - 1), out=index, where=at)
+            for entry in self.p_cdf[state, :-1]:
+                np.add(index, (u_next > entry).view(np.uint8), out=index, where=at)
+        return index
+
+    def _b(self, index: np.ndarray, draw, n: int) -> np.ndarray:
+        return self.b_atoms[index]
 
 
 def td_zero_model(

@@ -12,12 +12,16 @@ consequences the rest of the package relies on:
 * re-running with the same seed reproduces every stream bit-for-bit.
 
 Batch consumers read many streams at once through a block draw: one Philox
-whose state is reset to key ``(seed, j)`` at counter 0 for each row j, so row
-j holds exactly the leading words of ``stream(seed, j)`` and a block is the
-same no matter how the stream ids are split into blocks; a block of streams
-``(seed_i, 0)`` is read the same way with the seed varying.  Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3" (SC 2011) describe such keyed
-counter streams.
+whose state is reset to key ``(seed, j)`` for each row j, so row j holds
+exactly the words of ``stream(seed, j)`` from a word offset ``start`` on and
+a block is the same no matter how the stream ids are split into blocks; a
+block of streams ``(seed_i, 0)`` is read the same way with the seed varying.
+Philox makes four words per counter value, and the counter is incremented
+before each four are made, so a fresh stream's word w comes from counter
+``w // 4 + 1``: a row starting at word ``start`` is reset to counter
+``start // 4`` and discards ``start % 4`` words.  Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3" (SC 2011) describe such keyed counter
+streams.
 
 Uniform variates are produced directly from the raw 64-bit counters as
 ``((word >> 11) + 0.5) * 2^-53``, clamped below 1 (the all-ones word would
@@ -75,16 +79,18 @@ def stream(seed: int, stream_id: int) -> Generator:
     return Generator(Philox(key=key))
 
 
-def _block_uniforms(seed: int, lo: int, hi: int, n_words: int) -> np.ndarray:
+def _block_uniforms(
+    seed: int, lo: int, hi: int, n_words: int, start: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
     """Open uniforms of streams lo..hi-1, shape (hi - lo, n_words).
 
-    Row i holds the first n_words words of ``stream(seed, lo + i)``, mapped
-    as :func:`uniform_open01` maps them.
+    Row i holds words ``[start, start + n_words)`` of ``stream(seed, lo + i)``,
+    mapped as :func:`uniform_open01` maps them, written into ``out`` if given.
     """
     _check_u64(seed, "seed")
     if not 0 <= lo < hi <= 2**64:
         raise ValueError(f"stream ids must satisfy 0 <= lo < hi <= 2**64, got [{lo}, {hi})")
-    return _keyed_uniforms([seed, lo], 1, range(lo, hi), n_words)
+    return _keyed_uniforms([seed, lo], 1, range(lo, hi), n_words, start, out)
 
 
 def _seed_uniforms(seeds: list[int], n_words: int) -> np.ndarray:
@@ -94,26 +100,34 @@ def _seed_uniforms(seeds: list[int], n_words: int) -> np.ndarray:
     return _keyed_uniforms([seeds[0], 0], 0, seeds, n_words)
 
 
-def _keyed_uniforms(key: list[int], slot: int, values, n_words: int) -> np.ndarray:
-    """Open uniforms, one row per entry of ``values``.
+def _keyed_uniforms(
+    key: list[int], slot: int, values, n_words: int, start: int = 0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Open uniforms, one row per entry of ``values``, into ``out`` if given.
 
-    Row i holds the first n_words words of the stream whose key is ``key``
-    with ``key[slot]`` (0 the seed, 1 the stream id) set to ``values[i]``.
-    One Philox serves every row: its state is reset to the row's key at
-    counter 0, which is what a fresh ``stream`` of that key starts from.
+    Row i holds words ``[start, start + n_words)`` of the stream whose key
+    is ``key`` with ``key[slot]`` (0 the seed, 1 the stream id) set to
+    ``values[i]``.  One Philox serves every row: its state is reset to the
+    row's key at counter ``start // 4`` with no buffered words, and
+    ``start % 4`` words are discarded.
     """
-    out = np.empty((len(values), n_words))
+    if out is None:
+        out = np.empty((len(values), n_words))
     bitgen = Philox(key=np.array(key, dtype=_U64))
     gen = Generator(bitgen)
     # a state of plain ints resets the generator about three times faster
     # than one of uint64 arrays
     fresh = bitgen.state
     key = list(key)
-    fresh["state"] = {"counter": fresh["state"]["counter"].tolist(), "key": key}
+    fresh["state"] = {"counter": [start // 4, 0, 0, 0], "key": key}
     fresh["buffer"] = fresh["buffer"].tolist()
+    skip = start % 4
     for i, value in enumerate(values):
         key[slot] = value
         bitgen.state = fresh
+        if skip:
+            bitgen.random_raw(skip)
         gen.random(out=out[i])
     return _open01(out)
 
@@ -182,8 +196,8 @@ def _ufuncs_alone():
             del scipy.special
 
 
-def _normals(u: np.ndarray) -> np.ndarray:
-    return _special().ndtri(u)
+def _normals(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return _special().ndtri(u, out=out)
 
 
 def _coins(u: np.ndarray, p: float) -> np.ndarray:
@@ -192,6 +206,12 @@ def _coins(u: np.ndarray, p: float) -> np.ndarray:
 
 
 def _categorical(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    # cdf is the inclusive cumulative sum of the probabilities; its last entry
-    # may fall short of 1 by rounding, so the index is clamped to the last one
-    return np.minimum(np.searchsorted(cdf, u, side="left"), cdf.size - 1)
+    # cdf is the inclusive cumulative sum of the probabilities.  The index
+    # counts the entries of cdf below u but the last (numpy's searchsorted,
+    # side="left", clamped to the last index, since the last entry may fall
+    # short of 1 by rounding), an entry at a time in the smallest type that
+    # holds it, so that no array of u's size is held but one comparison
+    index = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size - 1))
+    for entry in cdf[:-1]:
+        index += (u > entry).view(np.uint8)
+    return index

@@ -296,64 +296,93 @@ class TestFinalErrors:
         assert info.value.step >= 1
 
 
-# Each batch estimator on a scalar model, whether it reads the b words, and
-# the floats of its start state (engine._traj_floats sizes chunks by both).
+# Each batch estimator, whether it reads the b words, and the floats of its
+# start state at dimension d (engine._traj_floats sizes chunks by both).
 _ESTIMATORS = {
     "final_errors": (
-        lambda model, n, n_traj: final_errors(model, 0.1, np.zeros(1), n, n_traj, 7), True, 1
+        lambda model, n, n_traj: final_errors(model, 0.1, np.zeros(model.dim), n, n_traj, 7),
+        True,
+        lambda d: d,
     ),
     "decomposed_errors": (
         lambda model, n, n_traj: engine._decomposed_errors(
-            model, 0.1, np.zeros(1), n, n_traj, 7
+            model, 0.1, np.zeros(model.dim), n, n_traj, 7
         ),
         True,
-        7,
+        lambda d: 7 * d,
     ),
     "mc_norm_moment": (
-        lambda model, n, n_traj: mc_norm_moment(model, 0.1, n, 2.0, n_traj, 7), False, 1
+        lambda model, n, n_traj: mc_norm_moment(model, 0.1, n, 2.0, n_traj, 7),
+        False,
+        lambda d: d * d,
     ),
     "coupled_w2": (
-        lambda model, n, n_traj: coupled_w2(model, 0.1, n, np.ones(1), np.zeros(1), n_traj, 7),
+        lambda model, n, n_traj: coupled_w2(
+            model, 0.1, n, np.ones(model.dim), np.zeros(model.dim), n_traj, 7
+        ),
         False,
-        1,
+        lambda d: d,
     ),
 }
 
 
 class TestChunkMemory:
+    @pytest.mark.parametrize("maker", [gm_model, small_td, d8_model])
     @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
-    def test_one_chunk_of_words_alive_at_a_time(self, name, monkeypatch):
+    def test_one_buffer_and_one_chunk_of_draws_alive_at_a_time(self, name, maker, monkeypatch):
         estimate, with_b, state_floats = _ESTIMATORS[name]
-        model = gm_model()
+        model = maker()
         n, n_traj = 2000, 35
         # ten trajectories a chunk, so 10, 10, 10, 5
-        budget = 10 * engine._traj_floats(model, n, with_b, state_floats)
+        budget = 10 * engine._traj_floats(model, n, with_b, state_floats(model.dim))
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
-        word_bytes, earlier_alive, held, chunks = [], [], [], []
+        chunks, buffers, held, decoded, alive, earlier_alive = [], set(), [], [], [], []
         draw = engine._block_uniforms
+        sampler = type(model.sampler)
+        index_of, b_of = sampler._index, sampler._b
 
-        def spy(seed, lo, hi, n_words):
-            earlier_alive.append(sum(ref() is not None for ref in chunks))
-            if not chunks:
+        def spy(seed, lo, hi, n_words, start=0, out=None):
+            buffers.add(id(out.base))
+            if start == 0:
+                chunks.append((lo, hi))
+                earlier_alive.append(sum(ref() is not None for ref in alive))
+            if not held:
                 # what the estimator holds before its first chunk, such as
-                # its output arrays, is not chunk memory
-                held.append(tracemalloc.get_traced_memory()[0])
+                # its output arrays, is not chunk memory; the buffer is
+                buffer_bytes = out.base.nbytes
+                held.append((tracemalloc.get_traced_memory()[0] - buffer_bytes, buffer_bytes))
                 tracemalloc.reset_peak()
-            u = draw(seed, lo, hi, n_words)
-            chunks.append(weakref.ref(u))
-            word_bytes.append(u.nbytes)
-            return u
+            return draw(seed, lo, hi, n_words, start, out=out)
+
+        def index_spy(self, u, n):
+            index = index_of(self, u, n)
+            alive.append(weakref.ref(index))
+            decoded.append(index.nbytes)
+            return index
+
+        def b_spy(self, index, u, n):
+            b = b_of(self, index, u, n)
+            # b decoded over its words, or a view of bbar, holds no memory of
+            # its own
+            if b.flags.owndata:
+                alive.append(weakref.ref(b))
+                decoded[-1] += b.nbytes
+            return b
 
         monkeypatch.setattr(engine, "_block_uniforms", spy)
+        monkeypatch.setattr(sampler, "_index", index_spy)
+        monkeypatch.setattr(sampler, "_b", b_spy)
         tracemalloc.start()
         try:
             estimate(model, n, n_traj)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(word_bytes) == 4
+        assert chunks == [(0, 10), (10, 20), (20, 30), (30, 35)]
+        assert len(buffers) == 1  # every chunk draws into the drive's one buffer
         assert earlier_alive == [0, 0, 0, 0]
-        assert peak - held[0] <= 1.5 * max(word_bytes), (peak, held, word_bytes)
+        (before, buffer_bytes), = held
+        assert peak - before <= 1.25 * (buffer_bytes + max(decoded)), (peak, held, decoded)
 
 
 class TestOneLoop:

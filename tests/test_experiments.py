@@ -547,6 +547,47 @@ def test_an_overflowing_coupling_row_fails():
     assert not row.passed
 
 
+def test_the_band_note_names_what_overflowed_or_underflowed():
+    assert experiments._band_note(1.0, 0.25, 2.0) == ""
+    assert experiments._band_note(0.0, 0.0, 0.0) == ""
+    assert experiments._band_note(1.0, math.inf, 2.0) == "non-finite statistics: std_err=inf"
+    assert experiments._band_note(math.inf, math.nan, math.inf) == (
+        "non-finite statistics: empirical=inf, std_err=nan, oracle=inf"
+    )
+    assert experiments._band_note(0.0, 0.0, 1.5e-8) == (
+        "Monte Carlo empirical and std_err underflowed to 0 against oracle 1.5e-08"
+    )
+    assert experiments._band_note(0.0, 0.5, 1.5e-8) == (
+        "Monte Carlo empirical underflowed to 0 against oracle 1.5e-08"
+    )
+
+
+@pytest.mark.parametrize("config,notes", [
+    # the coupled squared norms overflow: first the SE, then every statistic
+    (
+        {"experiment": "wasserstein", "alphas": [50], "ns": [50, 100], "n_traj": 5},
+        ["non-finite statistics: std_err=inf",
+         "non-finite statistics: empirical=inf, std_err=nan, oracle=inf"],
+    ),
+    # the coupled squared norms underflow, the exact curve does not
+    (
+        {"experiment": "wasserstein", "alphas": [0.9], "ns": [400], "n_traj": 2},
+        ["Monte Carlo empirical and std_err underflowed to 0 against oracle 1.2862e-08"],
+    ),
+    # every product moment underflows: mc_norm_moment's zero-mean estimate
+    (
+        {"experiment": "bounds", "alphas": [0.9], "ns": [400], "n_traj": 4},
+        ["Monte Carlo empirical and std_err underflowed to 0 against oracle 6.431e-09"],
+    ),
+], ids=["wasserstein-overflow", "wasserstein-underflow", "bounds-underflow"])
+def test_rows_whose_statistics_overflow_or_underflow_carry_a_note(config, notes):
+    cfg, errors = config_from_dict(dict(config, seed=0))
+    assert errors == []
+    rows = run(cfg)
+    assert [row.note for row in rows] == notes
+    assert not any(row.passed for row in rows)
+
+
 # Configs at the edges of the stepsize and horizon grids: coupled copies that
 # overflow, n = 0, the gap bound's largest stepsize, a diverging simulation,
 # an n = 0 moment and a stepsize just below rosenthal's cap.

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -455,21 +456,50 @@ class TestWordLayout:
     ] + _NOISELESS_B[1:])
     def test_block_decode_matches_sample_path(self, make):
         # step k of row j of a block draw is step k of stream(seed, j)'s path,
-        # and the A draws need only the A-word prefix
+        # the A draws need only the A-word prefix, and a draw of words at an
+        # offset reads the same words as a slice of the whole block
         model = make()
         sampler, n, seed = model.sampler, 11, 9
         full = _block_uniforms(seed, 2, 7, sampler._words(n, with_b=True))
         prefix = _block_uniforms(seed, 2, 7, sampler._words(n, with_b=False))
         paths = [model.sample_path(stream(seed, j), n) for j in range(2, 7)]
-        for k in range(n):
-            index, b = sampler._decode(full, n, k, with_b=True)
-            for words in (full, prefix):
-                a_only, no_b = sampler._decode(words, n, k, with_b=False)
+
+        def sliced(words):
+            # copies: _b decodes its words in place
+            return lambda n_words, start: words[:, start : start + n_words].copy()
+
+        def offset(n_words, start):
+            return _block_uniforms(seed, 2, 7, n_words, start)
+
+        index = sampler._index(sliced(full), n)
+        b = sampler._b(index, sliced(full), n)
+        for draw in (sliced(full), offset):
+            steps = list(sampler._steps(draw, n, with_b=True))
+            assert len(steps) == n
+            for k, (index_k, b_k) in enumerate(steps):
+                assert np.array_equal(index_k, index[:, k])
+                assert np.array_equal(b_k[..., 0], b[:, k])
+        for draw in (sliced(full), sliced(prefix), offset):
+            for k, (a_only, no_b) in enumerate(sampler._steps(draw, n, with_b=False)):
                 assert no_b is None
-                assert np.array_equal(a_only, index)
+                assert np.array_equal(a_only, index[:, k])
+        for k in range(n):
             for row, (a_seq, b_seq) in enumerate(paths):
-                assert np.array_equal(sampler.atoms[index[row]], a_seq[k])
-                assert np.array_equal(b[row], b_seq[k])
+                assert np.array_equal(sampler.atoms[index[row, k]], a_seq[k])
+                assert np.array_equal(b[row, k], b_seq[k])
+
+    @pytest.mark.parametrize("make", [
+        lambda: rademacher_gaussian_model(0.7, 1.3),
+        lambda: bounded_factor_model(np.eye(3) + 0.1, np.ones(3), 0.5 * np.eye(3), 0.5, 1.0),
+    ])
+    def test_gaussian_b_is_decoded_over_its_words(self, make):
+        sampler, n = make().sampler, 7
+        words = _block_uniforms(3, 0, 4, sampler._words(n, with_b=True))
+        u_b = words[:, n:].copy()
+        expected = sampler.bbar + sampler.sigma * scipy.special.ndtri(u_b).reshape(4, n, -1)
+        b = sampler._b(None, lambda n_words, start: u_b, n)
+        assert np.shares_memory(b, u_b)
+        assert b.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("make", _NOISELESS_B)
     def test_noiseless_b_reads_only_the_a_words(self, make):
@@ -530,7 +560,7 @@ class TestAtoms:
         model, law = make()
         n = 40
         u = _block_uniforms(13, 0, 25, model.sampler._words(n, with_b=False))
-        index, _ = model.sampler._decode(u, n, slice(None), with_b=False)
+        index = model.sampler._index(lambda n_words, start: u[:, start : start + n_words], n)
         expected = _closed_form_a(model, u, n, **law)
         assert model.sampler.atoms[index].tobytes() == expected.tobytes()
 
@@ -543,7 +573,7 @@ class TestAtoms:
         model = td_zero_model(p, np.ones(4), phi, gamma=0.9)
         assert model.sampler.p_cdf[0, -1] < 1.0 - 2.0**-54
         u = np.array([[0.01, 1.0 - 2.0**-54]])  # state 0, then successor words
-        index, _ = model.sampler._decode(u, 1, slice(None), with_b=False)
+        index = model.sampler._index(lambda n_words, start: u[:, start : start + n_words], 1)
         assert index.tolist() == [[0 * 4 + 3]]
         expected = _closed_form_a(model, u, 1)
         assert model.sampler.atoms[index].tobytes() == expected.tobytes()

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import lsalab
@@ -62,6 +64,33 @@ class TestBlockUniforms:
         assert block.shape == (4, 9)
         for i in range(4):
             assert np.array_equal(block[i], uniform_open01(stream(seed, lo + i), 9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 2**64 - 3), rows=st.integers(1, 3),
+        n_words=st.integers(0, 11), start=st.integers(0, 70), into=st.booleans(),
+    )
+    @example(seed=3, lo=0, rows=2, n_words=5, start=0, into=True)
+    @example(seed=3, lo=0, rows=2, n_words=5, start=1, into=False)
+    @example(seed=3, lo=0, rows=2, n_words=5, start=2, into=True)
+    @example(seed=3, lo=0, rows=2, n_words=5, start=3, into=False)
+    @example(seed=3, lo=0, rows=2, n_words=5, start=4, into=True)
+    @example(seed=3, lo=0, rows=2, n_words=5, start=7, into=False)
+    @example(seed=2**64 - 1, lo=2**64 - 3, rows=3, n_words=9, start=719, into=True)
+    def test_rows_are_the_words_of_each_stream_from_an_offset(
+        self, seed, lo, rows, n_words, start, into
+    ):
+        # row i is words [start, start + n_words) of stream(seed, lo + i), and
+        # a given out, here a view of a larger buffer, is filled and returned
+        buffer = np.full(rows * n_words + 3, np.nan)
+        out = buffer[: rows * n_words].reshape(rows, n_words) if into else None
+        block = _block_uniforms(seed, lo, lo + rows, n_words, start, out=out)
+        assert block.shape == (rows, n_words)
+        if into:
+            assert block is out and np.isnan(buffer[rows * n_words :]).all()
+        for i in range(rows):
+            whole = uniform_open01(stream(seed, lo + i), start + n_words)
+            assert block[i].tobytes() == whole[start:].tobytes()
 
     def test_seed_rows_are_the_leading_words_of_each_seeds_stream(self):
         seeds = [0, 5, 2**64 - 1, 17]
