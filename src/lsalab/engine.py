@@ -258,7 +258,7 @@ def _drive(
     its b words are drawn into it and decoded in place, so one chunk's draws
     are alive at a time.  Each chunk starts from ``start`` tiled, and
     ``step(state, index_k, b_k)`` returns the chunk's next state from the
-    step's atom indices and b draws (see ``_LayoutSampler._steps``).
+    step's atom indices and b draws (see ``noise._TableSampler._steps``).
     ``observe(rows, k, state)`` sees the state of trajectories ``rows`` (a
     slice) after each step k = 1..n.  With ``reference``, a function of a
     trajectory's generator that raises TrajectoryBlowup at its first

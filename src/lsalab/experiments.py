@@ -120,7 +120,8 @@ SOLVER_RESIDUAL_TOL = 1e-10
 CONTRACTION_SLACK = 1e-12
 DECOMPOSITION_TOL = 1e-9
 GEOMETRIC_SUM_TOL = 1e-10
-DOMINANCE_REL_SLACK = 1e-12
+# relative to the oracle or bound: the rounding allowance of _band and _dominates
+REL_SLACK = 1e-12
 # The Monte Carlo verdict band: SE_MULT standard errors, applied by _band
 # alone, and KS_TOL, the cap on the systematic part of clt's KS distance.
 SE_MULT = 4.0
@@ -583,8 +584,15 @@ def _unit(config: ExperimentConfig, index: int) -> tuple:
 
 
 def _band(value: float, std_err: float, oracle: float) -> bool:
-    """Whether a Monte Carlo estimate lies within SE_MULT finite standard errors of its oracle."""
-    return math.isfinite(std_err) and abs(value - oracle) <= SE_MULT * std_err
+    """Whether a Monte Carlo estimate lies within SE_MULT finite standard errors of its oracle.
+
+    A non-finite standard error or oracle fails.  The band is widened by
+    REL_SLACK of the oracle, a rounding allowance: the estimate of a law
+    without randomness has a standard error of about 0, and it and the
+    oracle are one number computed by different arithmetic.
+    """
+    allowed = SE_MULT * std_err + REL_SLACK * abs(oracle)
+    return math.isfinite(allowed) and abs(value - oracle) <= allowed
 
 
 def _band_note(value: float, std_err: float, oracle: float) -> str:
@@ -605,7 +613,7 @@ def _band_note(value: float, std_err: float, oracle: float) -> str:
 
 
 def _dominates(value: float, bound: float) -> bool:
-    return value <= bound * (1.0 + DOMINANCE_REL_SLACK)
+    return value <= bound * (1.0 + REL_SLACK)
 
 
 def _lyapunov_dim(trial: int) -> int:

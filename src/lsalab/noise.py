@@ -17,16 +17,14 @@ prefix.
 
 Every built-in law gives A_n finite support: two values for the +-1 chains,
 two matrices ``abar -+ eta*M`` for the bounded factor and the S^2 rank-one
-matrices of the transitions for TD(0) on S states.  The +-1 chains and the
-bounded factor are one two-point law, A = atoms[1] with probability
-weights[1] and atoms[0] otherwise, b = bbar + sigma*g, decoded by one
-sampler; a law with sigma == 0 has no b words.  Each step's A-words decode
-to an atom index with the ``u < p`` comparison or categorical lookup of
-``lsalab.rng``, in the word layout of a matrix decode.  Each sampler decodes
-a whole path at once in two methods: ``_index`` turns the A words into atom
-indices, and ``_b`` then gives the b draws, decoded in place over their
-words where there are any, so the b words can be drawn into the memory the
-A words held.  One path (``sample_path``) is ``atoms[index]``; a block of
+matrices of the state pairs for TD(0) on S states.  One sampler decodes
+them all from the law's table: each step's A word decodes to an atom index
+by inversion of ``(atoms, weights)`` (``lsalab.rng._inverse``), so the
+two-point laws compare ``u < weights[1]``, no atom of weight 0 is drawn and
+``replace(sampler, weights=w)`` draws by w.  b is the atom's row of a b
+table plus sigma*g: the two-point laws share one row, bbar, TD(0) has
+r(x) phi(x) for each pair and sigma == 0, and a law with sigma == 0 has no
+b words.  One path (``sample_path``) is ``atoms[index]``; a block of
 trajectories (one row per trajectory, see ``lsalab.rng``) is decoded to
 indices, so a batch kernel gathers what it needs per atom from small tables
 built from ``atoms``.
@@ -56,28 +54,32 @@ from lsalab.linalg import (
     spectral_norm,
     spectral_profile,
 )
-from lsalab.rng import _categorical, _coins, _normals, uniform_open01
+from lsalab.rng import _inverse, _normals, uniform_open01
 
 
-class _LayoutSampler:
-    """Path and block decoding shared by the built-in samplers.
+@dataclass(frozen=True)
+class _TableSampler:
+    """The law of (A, b) as a table: A = atoms[k] with probability weights[k].
 
-    A sampler's ``atoms`` are the finite support of A, shape (K, d, d), with
-    probabilities ``weights``, shape (K,), and ``_words(n, with_b)`` is the
-    number of words per trajectory of an n-step path: all of them, or only
-    the A-word prefix.  A path of B trajectories is decoded from
-    ``draw(n_words, start)``, which returns words [start, start + n_words)
-    of each trajectory, shape (B, n_words), and may reuse the memory of the
-    words it returned before: ``_index(draw, n)`` gives the indices into
-    ``atoms`` of the n A draws, shape (B, n), and then ``_b(index, draw, n)``
-    the b draws, shape (B, n, d), decoded in place over their words where
-    there are any.  ``_held(n, with_b)`` is the floats per trajectory that
-    the decoded draws hold outside the words.  The word layout is that of a
-    matrix decode.
+    ``atoms`` has shape (K, d, d) and ``weights`` shape (K,); b = b_atoms[k]
+    + sigma * g with g a standard Gaussian vector, where ``b_atoms`` has one
+    row per atom, shape (K, d), or one row shared by all, shape (1, d).
+    With sigma > 0 the n*d Gaussian words of b follow the n A words.
+    ``_words(n, with_b)`` is the number of words per trajectory of an n-step
+    path: all of them, or only the A-word prefix.  A path of B trajectories
+    is decoded from ``draw(n_words, start)``, which returns words [start,
+    start + n_words) of each trajectory, shape (B, n_words), and may reuse
+    the memory of the words it returned before: ``_index(draw, n)`` gives
+    the indices into ``atoms`` of the n A draws, shape (B, n), and then
+    ``_b(index, draw, n)`` the b draws, shape (B, n, d), decoded in place
+    over their words where there are any.  ``_held(n, with_b)`` is the
+    floats per trajectory that the decoded draws hold outside the words.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
+    b_atoms: np.ndarray
+    sigma: float
 
     def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         u = uniform_open01(gen, (1, self._words(n, with_b=True)))
@@ -97,6 +99,32 @@ class _LayoutSampler:
         b = self._b(index, draw, n) if with_b else None
         for k in range(n):
             yield index[:, k], None if b is None else b[:, k, :, None]
+
+    def _words(self, n: int, with_b: bool) -> int:
+        return n + n * self.b_atoms.shape[1] if with_b and self.sigma != 0.0 else n
+
+    def _held(self, n: int, with_b: bool) -> int:
+        # the index, and b where it is gathered: b decoded over its words, or
+        # a view of a shared row, holds nothing more
+        index = -(-n * np.min_scalar_type(self.weights.size - 1).itemsize // 8)
+        return index + n * self.b_atoms.shape[1] if with_b and len(self.b_atoms) > 1 else index
+
+    def _index(self, draw, n: int) -> np.ndarray:
+        return _inverse(draw(n, 0), self.weights)
+
+    def _b(self, index: np.ndarray, draw, n: int) -> np.ndarray:
+        d = self.b_atoms.shape[1]
+        # a shared row is broadcast, so nothing is gathered
+        shared = len(self.b_atoms) == 1
+        mean = self.b_atoms[0] if shared else self.b_atoms[index]
+        if self.sigma == 0.0:
+            return np.broadcast_to(mean, index.shape + (d,)) if shared else mean
+        # mean + sigma * g, rounded as that expression rounds it
+        g = draw(n * d, n)
+        g = _normals(g, out=g).reshape(len(g), n, d)
+        g *= self.sigma
+        g += mean
+        return g
 
 
 @dataclass(frozen=True)
@@ -119,7 +147,7 @@ class LsaModel:
     sigma_b: float
     sigma_eps_exact: np.ndarray
     kernel_exact: np.ndarray = field(init=False)
-    sampler: _LayoutSampler
+    sampler: _TableSampler
 
     def __post_init__(self):
         atoms, weights = self.sampler.atoms, self.sampler.weights
@@ -143,40 +171,6 @@ def eps_subgauss_const(model: LsaModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _TwoPointSampler(_LayoutSampler):
-    """A = atoms[1] with probability weights[1], else atoms[0]; b = bbar + sigma * g.
-
-    With sigma > 0 the n*d Gaussian words of b follow the n A-words; with
-    sigma == 0 there are no b words and b = bbar.
-    """
-
-    atoms: np.ndarray
-    weights: np.ndarray
-    bbar: np.ndarray
-    sigma: float
-
-    def _words(self, n: int, with_b: bool) -> int:
-        return n + n * self.bbar.size if with_b and self.sigma != 0.0 else n
-
-    def _held(self, n: int, with_b: bool) -> int:
-        # one byte an index; b is decoded over its words, or a view of bbar
-        return -(-n // 8)
-
-    def _index(self, draw, n: int) -> np.ndarray:
-        return _coins(draw(n, 0), self.weights[1])
-
-    def _b(self, index: np.ndarray, draw, n: int) -> np.ndarray:
-        if self.sigma == 0.0:
-            return np.broadcast_to(self.bbar, index.shape + self.bbar.shape)
-        # bbar + sigma * g, rounded as that expression rounds it
-        g = draw(n * self.bbar.size, n)
-        g = _normals(g, out=g).reshape(len(g), n, self.bbar.size)
-        g *= self.sigma
-        g += self.bbar
-        return g
-
-
 # A = -1 (index 0) or +1 (index 1)
 _SIGN_ATOMS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
 _SIGN_ATOMS.setflags(write=False)
@@ -197,7 +191,9 @@ def _sign_model(name: str, q_a: float, sigma: float) -> LsaModel:
         c_a=1.0,
         sigma_b=float(sigma),
         sigma_eps_exact=np.array([[float(sigma) ** 2]]),
-        sampler=_TwoPointSampler(_SIGN_ATOMS, np.array([1 - q_a, q_a]), np.zeros(1), float(sigma)),
+        sampler=_TableSampler(
+            _SIGN_ATOMS, np.array([1 - q_a, q_a]), np.zeros((1, 1)), float(sigma)
+        ),
     )
 
 
@@ -254,8 +250,8 @@ def bounded_factor_model(
         sigma_b=float(sigma * np.sqrt(d)),
         sigma_eps_exact=sig_eps,
         # zeta = -1 (index 0) or +1 (index 1), each with probability 1/2
-        sampler=_TwoPointSampler(
-            abar + eta * _SIGN_ATOMS * m, np.full(2, 0.5), bbar, float(sigma)
+        sampler=_TableSampler(
+            abar + eta * _SIGN_ATOMS * m, np.full(2, 0.5), bbar[None], float(sigma)
         ),
     )
 
@@ -286,63 +282,14 @@ def stationary_law(p: np.ndarray) -> np.ndarray:
     return np.maximum(pi, 0.0)
 
 
-@dataclass(frozen=True)
-class _TdZeroSampler(_LayoutSampler):
-    phi: np.ndarray
-    rewards: np.ndarray
-    gamma: float
-    pi_cdf: np.ndarray
-    p_cdf: np.ndarray
-    weights: np.ndarray
-    atoms: np.ndarray = field(init=False, repr=False, compare=False)
-    b_atoms: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # atom x * S + x' is phi(x) (phi(x) - gamma phi(x'))^T, of weight
-        # pi[x] p[x, x'], for every pair of states: the clamp of the successor can
-        # pick a successor of probability 0; b_atoms[x * S + x'] = r(x) phi(x)
-        s = self.pi_cdf.size
-        states = np.repeat(np.arange(s), s)
-        f = self.phi[states]
-        f_next = self.phi[np.tile(np.arange(s), s)]
-        object.__setattr__(self, "atoms", f[:, :, None] * (f - self.gamma * f_next)[:, None, :])
-        object.__setattr__(self, "b_atoms", self.rewards[states][:, None] * f)
-
-    def _words(self, n: int, with_b: bool) -> int:
-        # A needs both the state words and the successor words; b none
-        return 2 * n
-
-    def _held(self, n: int, with_b: bool) -> int:
-        index = -(-n * np.min_scalar_type(self.atoms.shape[0] - 1).itemsize // 8)
-        return index + n * self.phi.shape[1] if with_b else index
-
-    def _index(self, draw, n: int) -> np.ndarray:
-        s = self.pi_cdf.size
-        index = _categorical(draw(n, 0), self.pi_cdf)
-        index = index.astype(np.min_scalar_type(s * s - 1), copy=False)
-        u_next = draw(n, n)
-        # the successor is the categorical draw of u_next on row x of p_cdf.
-        # State by state from the last, index turns from x into x * S + x' in
-        # place: a turned value is at least S * x >= S, above every state
-        # still to come, and no float array of the draws' size is held
-        for state in range(s - 1, -1, -1):
-            at = index == state
-            np.add(index, state * (s - 1), out=index, where=at)
-            for entry in self.p_cdf[state, :-1]:
-                np.add(index, (u_next > entry).view(np.uint8), out=index, where=at)
-        return index
-
-    def _b(self, index: np.ndarray, draw, n: int) -> np.ndarray:
-        return self.b_atoms[index]
-
-
 def td_zero_model(
     p: np.ndarray, rewards: np.ndarray, phi: np.ndarray, gamma: float
 ) -> LsaModel:
     """Temporal-difference(0) evaluation pairs on a finite reward process.
 
-    States x_n are drawn i.i.d. from the stationary law of ``p`` and the
-    successor x_n' from ``p[x_n]``; then
+    Pairs (x_n, x_n') are drawn i.i.d., the state from the stationary law
+    pi of ``p`` and the successor from ``p[x_n]``, as one atom of weight
+    ``pi[x] p[x, x']``; then
 
         A_n = phi(x_n) (phi(x_n) - gamma * phi(x_n'))^T,
         b_n = r(x_n) * phi(x_n).
@@ -369,20 +316,25 @@ def td_zero_model(
             "positive-real-part spectrum; choose full-rank features and gamma < 1"
         )
     theta_star = np.linalg.solve(abar, bbar)
-    sampler = _TdZeroSampler(
-        phi=phi, rewards=rewards, gamma=float(gamma), pi_cdf=np.cumsum(pi),
-        p_cdf=np.cumsum(p, axis=1), weights=(pi[:, None] * p).reshape(-1),
+    # atom x * S + x' is phi(x) (phi(x) - gamma phi(x'))^T, of weight
+    # pi[x] p[x, x'], with b row r(x) phi(x), for every pair of states
+    states = np.repeat(np.arange(s), s)
+    f, f_next = phi[states], phi[np.tile(np.arange(s), s)]
+    sampler = _TableSampler(
+        atoms=f[:, :, None] * (f - gamma * f_next)[:, None, :],
+        weights=(pi[:, None] * p).reshape(-1),
+        b_atoms=rewards[states][:, None] * f,
+        sigma=0.0,
     )
     # exact noise covariance and the almost-sure bound c_a over reachable transitions
     d = phi.shape[1]
     sig_eps = np.zeros((d, d))
     c_a = 0.0
     for k in np.flatnonzero(sampler.weights):
-        x, x_next = divmod(k, s)
-        eps = (rewards[x] * phi[x] - bbar) - (sampler.atoms[k] - abar) @ theta_star
+        eps = (sampler.b_atoms[k] - bbar) - (sampler.atoms[k] - abar) @ theta_star
         sig_eps += sampler.weights[k] * np.outer(eps, eps)
-        norm_next = np.linalg.norm(phi[x] - gamma * phi[x_next])
-        c_a = max(c_a, float(np.linalg.norm(phi[x]) * norm_next))
+        norm_next = np.linalg.norm(f[k] - gamma * f_next[k])
+        c_a = max(c_a, float(np.linalg.norm(f[k]) * norm_next))
     sigma_b = float(max(np.linalg.norm(rewards[x] * phi[x] - bbar) for x in range(s)))
     return LsaModel(
         name="td_zero",

@@ -32,8 +32,13 @@ Gaussian variates apply the inverse normal CDF (``scipy.special.ndtri``, the
 Cephes rational minimax approximation of the probit function, accurate to
 ~1e-16 relative) to those uniforms.  This avoids rejection-based samplers whose
 consumption pattern can change between library versions, so the mapping from
-counters to variates is a fixed pure function; the private ``_coins``,
-``_normals`` and ``_categorical`` maps apply it to uniforms already drawn.
+counters to variates is a fixed pure function; the private ``_normals`` and
+``_inverse`` maps apply it to uniforms already drawn.  ``_inverse`` decodes a
+finite law by inverting its ``(atoms, weights)`` table (Devroye,
+*Non-Uniform Random Variate Generation*, 1986, ch. III): atom k takes the
+interval of u between the top-down cumulative weights of atoms k + 1 and k,
+so a two-point law is the comparison ``u < weights[1]`` and an atom of
+weight 0 is never decoded.
 
 The package needs only two compiled ufuncs of ``scipy.special``: ``ndtri``
 here and ``ndtr`` for clt's KS row.  ``import scipy.special`` costs about
@@ -200,18 +205,22 @@ def _normals(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _special().ndtri(u, out=out)
 
 
-def _coins(u: np.ndarray, p: float) -> np.ndarray:
-    # True where u < p, as uint8 so that it indexes (0 = False, 1 = True)
-    return (u < p).view(np.uint8)
-
-
-def _categorical(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    # cdf is the inclusive cumulative sum of the probabilities.  The index
-    # counts the entries of cdf below u but the last (numpy's searchsorted,
-    # side="left", clamped to the last index, since the last entry may fall
-    # short of 1 by rounding), an entry at a time in the smallest type that
-    # holds it, so that no array of u's size is held but one comparison
-    index = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.size - 1))
-    for entry in cdf[:-1]:
-        index += (u > entry).view(np.uint8)
+def _inverse(u: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # The index of the atom whose interval holds u, by inversion of the
+    # (atoms, weights) table: atom k takes [T[k + 1], T[k]), where T[k] is the
+    # top-down cumulative weight weights[k] + ... + weights[-1] and T[K] = 0,
+    # so the index counts the T[k], k >= 1, above u, and for two atoms it is
+    # u < weights[1].  An atom of weight 0 has T[k] == T[k + 1], an empty
+    # interval; the atoms up to the first of nonzero weight count as above
+    # every u, so that the first takes what rounding leaves of the top of (0, 1).
+    tail = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
+    tail[: np.flatnonzero(weights)[0] + 1] = np.inf
+    # the count starts in the index itself, in the smallest type that holds
+    # it, and every later comparison reuses one mask: no array of u's size
+    # is held but those two
+    index = np.less(u, tail[1], out=np.empty(u.shape, np.min_scalar_type(weights.size - 1)))
+    above = None
+    for t in tail[2:-1]:
+        above = np.less(u, t, out=above)
+        index += above.view(np.uint8)
     return index

@@ -127,6 +127,28 @@ class TestExitCodes:
             csvs.add(out.with_suffix(".csv").read_bytes())
         assert len(csvs) == 1
 
+    @pytest.mark.parametrize("experiment,fields", [
+        ("wasserstein", {"eta": 0.0, "sigma": 0.0, "abar": [[0.7]], "ns": [20], "n_traj": 50}),
+        ("bounds", {"eta": 0.0, "sigma": 1.0, "abar": [[1.0]]}),
+    ], ids=["wasserstein-sigma0", "bounds-eta0"])
+    def test_band_rows_of_a_law_without_randomness_pass(
+        self, tmp_path, capsys, experiment, fields
+    ):
+        # with eta = 0 the products are deterministic, so the Monte Carlo
+        # value and its oracle are one number computed by different
+        # arithmetic, and the standard error is about 0: the rows differ in
+        # their last bits alone
+        fields = dict(fields)
+        abar = fields.pop("abar")
+        model = {"kind": "bounded_factor", "abar": abar, "bbar": [0.0], "m": [[1.0]],
+                 "eta": fields.pop("eta"), "sigma": fields.pop("sigma")}
+        out = tmp_path / "r"
+        cfg = write_config(tmp_path, model=model, out=str(out), **fields)
+        assert main([experiment, "--config", cfg]) == 0
+        assert "0 failed" in capsys.readouterr().out
+        rows = out.with_suffix(".csv").read_text().splitlines()[1:]
+        assert rows and all(",true," in row for row in rows)
+
     @pytest.mark.parametrize("p,code", [
         ([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]], 0),  # periodic: law [1/4, 1/2, 1/4]
         ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2),  # every law is stationary

@@ -535,6 +535,19 @@ def test_the_band_fails_a_non_finite_se():
     assert experiments._band(1.0, 0.25, 2.0)
     assert not experiments._band(1.0, math.inf, 2.0)
     assert not experiments._band(1.0, math.nan, 2.0)
+    assert not experiments._band(1.0, 0.25, math.inf)
+    assert not experiments._band(1.0, 0.25, math.nan)
+
+
+def test_the_band_allows_the_rounding_of_its_oracle_and_no_more():
+    # an SE of 0 leaves REL_SLACK of the oracle, the allowance _dominates uses
+    oracle = 0.34867844010000004
+    assert experiments._band(0.34867844010000021, 0.0, oracle)
+    assert experiments._band(oracle * (1.0 + 0.9e-12), 0.0, oracle)
+    assert not experiments._band(oracle * (1.0 + 1.1e-12), 0.0, oracle)
+    # an estimate that underflowed to 0 against a nonzero oracle still fails
+    assert not experiments._band(0.0, 0.0, 1.5e-8)
+    assert experiments._band(0.0, 0.0, 0.0)
 
 
 def test_an_overflowing_coupling_row_fails():

@@ -3,6 +3,8 @@ stationary covariance, and the contraction witness."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.special
@@ -27,11 +29,17 @@ from lsalab.noise import (
 from lsalab.rng import _block_uniforms, stream
 
 
+# p, rewards, phi and gamma of a three-state TD(0) model
+_THREE_STATE = (
+    np.array([[0.1, 0.6, 0.3], [0.4, 0.4, 0.2], [0.5, 0.25, 0.25]]),
+    np.array([1.0, -0.5, 2.0]),
+    np.array([[1.0, 0.0], [0.5, 1.0], [-0.5, 0.5]]),
+    0.9,
+)
+
+
 def three_state_td():
-    p = np.array([[0.1, 0.6, 0.3], [0.4, 0.4, 0.2], [0.5, 0.25, 0.25]])
-    rewards = np.array([1.0, -0.5, 2.0])
-    phi = np.array([[1.0, 0.0], [0.5, 1.0], [-0.5, 0.5]])
-    return td_zero_model(p, rewards, phi, gamma=0.9)
+    return td_zero_model(*_THREE_STATE)
 
 
 class TestBiasedRademacher:
@@ -496,7 +504,8 @@ class TestWordLayout:
         sampler, n = make().sampler, 7
         words = _block_uniforms(3, 0, 4, sampler._words(n, with_b=True))
         u_b = words[:, n:].copy()
-        expected = sampler.bbar + sampler.sigma * scipy.special.ndtri(u_b).reshape(4, n, -1)
+        bbar = sampler.b_atoms[0]
+        expected = bbar + sampler.sigma * scipy.special.ndtri(u_b).reshape(4, n, -1)
         b = sampler._b(None, lambda n_words, start: u_b, n)
         assert np.shares_memory(b, u_b)
         assert b.tobytes() == expected.tobytes()
@@ -526,23 +535,37 @@ def _banded_factor(d):
     return _factor(np.eye(d) + 0.25 * (band - band.T), 0.5 * np.eye(d) + 0.25 * (band + band.T), 0.5)
 
 
-def _closed_form_a(model, u, n, q_a=None, eta=None, m=None):
+def _closed_form_a(model, u, n, q_a=None, eta=None, m=None, td=None):
     """A draws of every step, shape (B, n, d, d), decoded as matrices from the words.
 
-    A two-point law is decoded from its construction arguments (q_a, or eta
-    and m), not from the sampler under test; TD(0) from its sampler's tables.
+    Each law is decoded from its construction arguments, not from the
+    sampler under test: a two-point law from q_a, or eta and m; TD(0) from
+    ``td = (p, phi, gamma)``, whose pair (x, x') is the ``searchsorted``
+    inversion of the pair law pi[x] p[x, x'] over its pairs of nonzero
+    weight, the last pair at the bottom of (0, 1).
     """
     if q_a is not None:
         return ((u[:, :n] < q_a) * 2.0 - 1.0)[..., None, None]
     if eta is not None:
         zeta = (u[:, :n] < 0.5) * 2.0 - 1.0
         return model.abar + eta * zeta[..., None, None] * m
-    sampler = model.sampler
-    s = sampler.pi_cdf.size
-    x = np.minimum(np.searchsorted(sampler.pi_cdf, u[:, :n], side="left"), s - 1)
-    x_next = np.minimum((u[:, n:, None] > sampler.p_cdf[x]).sum(axis=-1), s - 1)
-    f, f_next = sampler.phi[x], sampler.phi[x_next]
-    return f[..., :, None] * (f - sampler.gamma * f_next)[..., None, :]
+    p, phi, gamma = td
+    pair = (stationary_law(p)[:, None] * p).reshape(-1)
+    keep = np.flatnonzero(pair)
+    tail = np.cumsum(pair[keep][::-1])
+    pairs = keep[len(keep) - 1 - np.searchsorted(tail[:-1], u[:, :n], side="right")]
+    x, x_next = np.divmod(pairs, len(p))
+    f, f_next = phi[x], phi[x_next]
+    return f[..., :, None] * (f - gamma * f_next)[..., None, :]
+
+
+def _td(p, rewards, phi, gamma):
+    """A TD(0) model and its law's construction arguments."""
+    return td_zero_model(p, rewards, phi, gamma), dict(td=(p, phi, gamma))
+
+
+# the largest open uniform, from the all-ones word
+_TOP = 1.0 - 2.0**-54
 
 
 class TestAtoms:
@@ -552,32 +575,74 @@ class TestAtoms:
         lambda: _factor(np.array([[0.9]]), np.array([[0.7]]), 0.3),
         lambda: _banded_factor(3),
         lambda: _banded_factor(8),
-        pytest.param(lambda: (three_state_td(), {}), id="three_state_td"),
+        pytest.param(lambda: _td(*_THREE_STATE), id="three_state_td"),
         lambda: _sign(0.7, sigma=0.0),
         lambda: _factor(np.array([[0.9]]), np.array([[0.7]]), 0.3, sigma=0.0),
     ])
     def test_atoms_at_the_decoded_index_are_the_closed_form_draws(self, make):
         model, law = make()
         n = 40
-        u = _block_uniforms(13, 0, 25, model.sampler._words(n, with_b=False))
+        assert model.sampler._words(n, with_b=False) == n  # one A word a step
+        u = _block_uniforms(13, 0, 25, n)
         index = model.sampler._index(lambda n_words, start: u[:, start : start + n_words], n)
         expected = _closed_form_a(model, u, n, **law)
         assert model.sampler.atoms[index].tobytes() == expected.tobytes()
 
-    def test_td_atoms_cover_a_clamped_successor_of_probability_zero(self):
-        # row 0's cumulative sum ends at 1 - 2^-53, below the largest open
-        # uniform 1 - 2^-54, so that uniform counts past every column and the
-        # clamp picks state 3, which row 0 reaches with probability 0
+    def test_td_never_draws_a_successor_of_probability_zero(self):
+        # row 0 reaches state 3 with probability 0, so pair 0 * 4 + 3 has an
+        # empty interval, also at both ends of (0, 1) and at every boundary
+        # between the pairs' intervals
         p = np.array([[0.7, 0.2, 0.1, 0.0], [0.25] * 4, [0.25] * 4, [0.25] * 4])
         phi = np.array([[1.0, 0.0], [0.5, 1.0], [-0.5, 0.5], [2.0, -1.0]])
-        model = td_zero_model(p, np.ones(4), phi, gamma=0.9)
-        assert model.sampler.p_cdf[0, -1] < 1.0 - 2.0**-54
-        u = np.array([[0.01, 1.0 - 2.0**-54]])  # state 0, then successor words
-        index = model.sampler._index(lambda n_words, start: u[:, start : start + n_words], 1)
-        assert index.tolist() == [[0 * 4 + 3]]
-        expected = _closed_form_a(model, u, 1)
+        model, law = _td(p, np.ones(4), phi, 0.9)
+        tail = np.cumsum(model.sampler.weights[::-1])[::-1]
+        u = np.concatenate([
+            _block_uniforms(5, 0, 1, 20_000)[0], tail, np.nextafter(tail, 0.0), [2.0**-54, _TOP],
+        ]).clip(2.0**-54, _TOP)[None]
+        index = model.sampler._index(lambda n_words, start: u[:, start : start + n_words], u.size)
+        assert 0 * 4 + 3 not in index
+        assert set(np.flatnonzero(model.sampler.weights)) == set(index[0].tolist())
+        assert model.sampler._index(lambda n_words, start: np.array([[_TOP]]), 1).tolist() == [[0]]
+        expected = _closed_form_a(model, u, u.size, **law)
         assert model.sampler.atoms[index].tobytes() == expected.tobytes()
-        assert np.array_equal(expected[0, 0], np.outer(phi[0], phi[0] - 0.9 * phi[3]))
+
+
+_KINDS = {
+    "biased_rademacher": lambda: biased_rademacher_model(0.75),
+    "rademacher_gaussian": lambda: rademacher_gaussian_model(0.7, 1.3),
+    "bounded_factor": lambda: _banded_factor(3)[0],
+    "td_zero": three_state_td,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_a_law_with_other_weights_decodes_and_kernels_by_them(kind):
+    # the law has one home, the (atoms, weights) table: a model whose
+    # sampler carries other weights draws by them, and its kernel follows
+    model = _KINDS[kind]()
+    sampler = model.sampler
+    k = sampler.weights.size
+    w = np.linspace(1.0, 2.0, k)
+    w[1 : k // 2] = 0.0
+    w /= w.sum()
+    tilted = replace(model, sampler=replace(sampler, weights=w))
+    # atom j takes exactly [T[j + 1], T[j]) of (0, 1), T the top-down
+    # cumulative weights of w; the first atom of nonzero weight takes the top
+    tail = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+    kept = np.flatnonzero(w)
+    lo = np.maximum(tail[kept + 1], 2.0**-54)
+    hi = np.nextafter(tail[kept], 0.0)
+    hi[0] = _TOP
+    u = np.concatenate([lo, hi])[None]
+    index = tilted.sampler._index(lambda n_words, start: u[:, start : start + n_words], u.size)
+    assert index[0].tolist() == kept.tolist() * 2
+    below = np.nextafter(lo[:-1], 0.0)[None]  # the top of the next atom down
+    index = tilted.sampler._index(
+        lambda n_words, start: below[:, start : start + n_words], below.size
+    )
+    assert index[0].tolist() == kept[1:].tolist()
+    kernel = sum(w[j] * np.kron(sampler.atoms[j], sampler.atoms[j]) for j in kept)
+    assert np.allclose(tilted.kernel_exact, kernel, rtol=1e-14, atol=0.0)
 
 
 def _paths(sampler, n, alpha=None):

@@ -18,8 +18,7 @@ from scipy import stats
 import lsalab
 from lsalab.rng import (
     _block_uniforms,
-    _categorical,
-    _coins,
+    _inverse,
     _normals,
     _open01,
     _seed_uniforms,
@@ -189,31 +188,78 @@ class TestNormalInverseCdf:
         assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
 
 
-class TestRademacher:
-    def test_values_and_bias(self):
-        s = _coins(uniform_open01(stream(6, 0), 100_000), 0.75)
-        assert set(np.unique(s)) == {0, 1}
-        p_hat = s.mean()
-        assert abs(p_hat - 0.75) < 5.0 * np.sqrt(0.75 * 0.25 / s.size)
-
-    def test_degenerate_probabilities(self):
-        assert np.all(_coins(uniform_open01(stream(7, 0), 100), 1.0) == 1)
-        assert np.all(_coins(uniform_open01(stream(7, 1), 100), 0.0) == 0)
+# the largest open uniform, from the all-ones word
+_TOP = 1.0 - 2.0**-54
 
 
-class TestCategorical:
+def _searchsorted_index(u, weights):
+    """Inversion of the table by ``searchsorted``, over the atoms of nonzero weight.
+
+    Atom k takes [T[k + 1], T[k]) of (0, 1), T the top-down cumulative
+    weights, so u counts how many T of the atoms below the first it is at or
+    above, from the last atom up; the first atom takes the rest of the top.
+    """
+    keep = np.flatnonzero(weights)
+    tail = np.cumsum(weights[keep][::-1])  # ascending, the last atom's first
+    return keep[len(keep) - 1 - np.searchsorted(tail[:-1], u, side="right")]
+
+
+def _boundaries(weights):
+    """Every top-down cumulative weight, the float below each, and both ends of (0, 1)."""
+    tail = np.cumsum(weights[::-1])[::-1]
+    ends = [2.0**-54, 0.5, _TOP]
+    return np.concatenate([tail, np.nextafter(tail, 0.0), ends]).clip(2.0**-54, _TOP)
+
+
+class TestInverse:
+    def test_two_atoms_compare_u_with_the_second_weight(self):
+        u = uniform_open01(stream(6, 0), 100_000)
+        for q in (0.75, 0.5, 0.3):
+            s = _inverse(u, np.array([1.0 - q, q]))
+            assert s.dtype == np.uint8
+            assert np.array_equal(s, (u < q).view(np.uint8))
+            assert abs(s.mean() - q) < 5.0 * np.sqrt(q * (1.0 - q) / s.size)
+
     def test_law_matches_weights(self):
         probs = np.array([0.2, 0.5, 0.3])
-        idx = _categorical(uniform_open01(stream(8, 0), 100_000), np.cumsum(probs))
+        idx = _inverse(uniform_open01(stream(8, 0), 100_000), probs)
         counts = np.bincount(idx, minlength=3) / idx.size
         for k in range(3):
             assert abs(counts[k] - probs[k]) < 5.0 * np.sqrt(probs[k] / idx.size)
 
-    def test_indices_in_range(self):
-        # the last entry falls short of 1, as a rounded cumulative sum can:
-        # draws above it clamp to the last index, and the empty bin 1 is never hit
-        idx = _categorical(uniform_open01(stream(9, 0), 10_000), np.array([0.1, 0.1, 0.9]))
+    def test_atoms_of_weight_one_and_zero(self):
+        u = np.concatenate([uniform_open01(stream(7, 0), 100), [2.0**-54, _TOP]])
+        assert np.all(_inverse(u, np.array([0.0, 1.0])) == 1)
+        assert np.all(_inverse(u, np.array([1.0, 0.0])) == 0)
+        assert np.all(_inverse(u, np.array([0.0, 1.0, 0.0])) == 1)
+        assert np.all(_inverse(u, np.array([1.0])) == 0)
+
+    def test_weights_summing_below_one_never_decode_an_atom_of_weight_zero(self):
+        # 0.7 + 0.2 + 0.1 rounds to 1 - 2^-53, below the largest open uniform
+        weights = np.array([0.0, 0.1, 0.2, 0.7])
+        assert np.cumsum(weights[::-1])[-1] < _TOP
+        u = np.concatenate([uniform_open01(stream(9, 0), 10_000), _boundaries(weights)])
+        idx = _inverse(u, weights)
+        assert set(np.unique(idx)) == {1, 2, 3}
+        assert _inverse(np.array([_TOP]), weights).tolist() == [1]
+        # a rounded sum short of 1 leaves the rest of the top to the first atom
+        idx = _inverse(u, np.array([0.1, 0.0, 0.8]))
         assert set(np.unique(idx)) == {0, 2}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=300
+        ).filter(any),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_index_is_the_searchsorted_inversion(self, raw, seed):
+        weights = np.array(raw) / sum(raw)
+        u = np.concatenate([uniform_open01(stream(seed, 0), 500), _boundaries(weights)])
+        idx = _inverse(u, weights)
+        assert idx.dtype == np.min_scalar_type(weights.size - 1)
+        assert np.array_equal(idx, _searchsorted_index(u, weights))
+        assert np.all(weights[idx] > 0.0)
 
 
 # Loads the ufuncs in a fresh interpreter (this one has scipy.special
