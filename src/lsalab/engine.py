@@ -10,18 +10,21 @@ temporaries stay under a float budget, decodes each chunk's draws once for
 the whole path into one word buffer per drive (atom indices, then b in
 place over its words), tiles the start state over each chunk and applies
 the caller's step to it, each row with a lone trajectory's arithmetic
-(``_matvec``).  Per-trajectory statistics are reduced
-in trajectory order with full-array numpy operations: results are
-bit-identical however trajectories are chunked or scheduled, so rows do not
-depend on the chunk budget; one reducer, ``_mean_se``, gives a Monte Carlo
-mean and its standard error.  ``mc_norm_moment`` and ``coupled_w2`` take
-their random products from one product kernel, ``_products``, the only
-caller of the driver that reads A's words alone.  A's law has finite
-support, so a batch routine builds its A-dependent step matrices (such as
-I - alpha*A and A - abar) once per call, one per atom of the sampler, and
-each step gathers them by the decoded atom indices: the same numpy
-operations on the same values as a per-step computation, hence the same
-bits.  ``run_trajectory``, ``run_decomposed`` and ``product`` are the
+(``_matvec``).  One streaming reducer, ``_Moments``, gives every Monte
+Carlo mean and sample variance: it reduces fixed granules of _GRANULE
+trajectories, aligned to the trajectory index, and merges them in a fixed
+pairwise tree (Chan, Golub & LeVeque), so results are bit-identical however
+trajectories are chunked or scheduled and rows do not depend on the chunk
+budget.  ``coupled_w2`` reduces its per-step values, a batch of steps at a
+time, as the driver produces them, so no estimator holds an (n_traj, n + 1)
+array.  Equal values give a variance of exactly 0.  ``mc_norm_moment`` and
+``coupled_w2`` take their random products from one product kernel,
+``_products``, the only caller of the driver that reads A's words alone.
+A's law has finite support, so a batch routine builds its A-dependent step
+matrices (such as I - alpha*A and A - abar) once per call, one per atom of
+the sampler, and each step gathers them by the decoded atom indices: the
+same numpy operations on the same values as a per-step computation, hence
+the same bits.  ``run_trajectory``, ``run_decomposed`` and ``product`` are the
 single-trajectory references; ``run_decomposed`` runs the batch
 decomposition's step (``_decomposition``) through the driver on one row
 drawn from its own generator.
@@ -43,6 +46,10 @@ from lsalab.rng import _block_uniforms, stream, uniform_open01
 # A chunk's buffers stay under roughly this many floats.  Per trajectory: its
 # stream words and a step's temporaries (see _traj_floats).
 _CHUNK_FLOAT_BUDGET = 4_000_000
+
+# Monte Carlo statistics are reduced in granules of this many trajectories,
+# aligned to the trajectory index (see _Moments).
+_GRANULE = 256
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -163,7 +170,8 @@ def run_decomposed(
     if not np.all(np.isfinite(end[0, 0])):
         # a non-finite iterate stays non-finite: re-run to name the step
         def check(rows, k, state):
-            if not np.all(np.isfinite(state[:, 0])):
+            # as in run_trajectory, a non-finite start is named at step 1
+            if k and not np.all(np.isfinite(state[:, 0])):
                 raise TrajectoryBlowup(step=k)
 
         _drive(model, n, start, step, words=words, observe=check)
@@ -244,6 +252,11 @@ def _traj_floats(model: LsaModel, n: int, with_b: bool, state_floats: int) -> in
     return max(words, held) + (model.dim + 2) * state_floats
 
 
+def _chunk_rows(model: LsaModel, n: int, with_b: bool, state_floats: int) -> int:
+    """Trajectories in each of ``_drive``'s chunks but the last (see _traj_floats)."""
+    return max(1, min(4096, _CHUNK_FLOAT_BUDGET // _traj_floats(model, n, with_b, state_floats)))
+
+
 def _drive(
     model: LsaModel, n: int, start: np.ndarray, step, seed: int = 0, n_traj: int = 1, *,
     with_b: bool = True, words: np.ndarray | None = None, observe=None, reference=None,
@@ -260,16 +273,16 @@ def _drive(
     ``step(state, index_k, b_k)`` returns the chunk's next state from the
     step's atom indices and b draws (see ``noise._TableSampler._steps``).
     ``observe(rows, k, state)`` sees the state of trajectories ``rows`` (a
-    slice) after each step k = 1..n.  With ``reference``, a function of a
-    trajectory's generator that raises TrajectoryBlowup at its first
-    non-finite step, a final iterate (the leading d floats of a state) that
-    is not finite raises TrajectoryBlowup with the first such trajectory and
-    the step its reference names.
+    slice) at each step k = 0..n, the tiled start at k = 0.  With
+    ``reference``, a function of a trajectory's generator that raises
+    TrajectoryBlowup at its first non-finite step, a final iterate (the
+    leading d floats of a state) that is not finite raises TrajectoryBlowup
+    with the first such trajectory and the step its reference names.
     """
     sampler = model.sampler
     n_a = sampler._words(n, False)
     width = max(n_a, sampler._words(n, with_b) - n_a)
-    chunk = max(1, min(4096, _CHUNK_FLOAT_BUDGET // _traj_floats(model, n, with_b, start.size)))
+    chunk = _chunk_rows(model, n, with_b, start.size)
     out = np.empty((n_traj,) + start.shape)
     buffer = np.empty(min(chunk, n_traj) * width)
 
@@ -287,6 +300,8 @@ def _drive(
 
         # the chunk's decoded draws die with this frame, before the next chunk's
         state = np.tile(start, (hi - lo,) + (1,) * start.ndim)
+        if observe is not None:
+            observe(slice(lo, hi), 0, state)
         for k, (index, b_k) in enumerate(sampler._steps(draw, n, with_b), 1):
             state = step(state, index, b_k)
             if observe is not None:
@@ -360,12 +375,124 @@ def _decomposed_errors(
     return np.ascontiguousarray(end[:, :5, :, 0])
 
 
-def _mean_se(x: np.ndarray) -> tuple:
-    """Means over axis 0 of x and their SEs, np.std(ddof=1) / sqrt(N) in place over x."""
-    mean = np.mean(x, axis=0)
-    x -= mean
-    np.square(x, out=x)
-    return mean, np.sqrt(np.sum(x, axis=0) / (len(x) - 1)) / math.sqrt(len(x))
+class _Moments:
+    """Count, mean and M2 of per-trajectory values in ``width`` columns, streamed.
+
+    Trajectories fall in granules of _GRANULE consecutive indices from 0
+    (the last may be shorter).  A granule's column is reduced from its
+    values shifted by its first value: their mean d, one numpy sum, then
+    M2 = the sum of (shifted - d)^2, with mean = first + d, so equal values
+    give their own value and an M2 of exactly 0.  Granules are merged in
+    index order on a binary-counter stack by Chan, Golub & LeVeque's update,
+    so the tree depends on n_traj alone.  ``add`` takes the trajectories in
+    blocks of consecutive rows, column by column from 0 to width - 1; a
+    granule split across blocks is staged, _GRANULE floats a column, and a
+    block's columns are batched so that one reduction serves several.  Each
+    column is reduced alone, so the bits depend only on the trajectory
+    indices, not on the blocks or the batches.  For blocks of at most
+    ``rows`` trajectories it holds O((_GRANULE + rows / _GRANULE +
+    log n_traj) * width) floats.
+    """
+
+    def __init__(self, n_traj: int, width: int, rows: int):
+        granules, rows = -(-n_traj // _GRANULE), min(rows, n_traj)
+        self.n_traj, self.width = n_traj, width
+        self.stage = np.empty((width, min(_GRANULE, n_traj)))
+        # a batch of columns is no larger than the stage, and its reduction's
+        # temporaries stay small beside a chunk's draws
+        self.batch = np.empty((max(1, min(64, width, self.stage.size // rows)), rows))
+        self.first = 0  # the batch's first column
+        # a block completes at most rows // G + 2 granules (a staged one, its
+        # whole ones and the shorter last one); their columns wait here until
+        # the block's last column is added
+        leaves = min(granules, rows // _GRANULE + 2)
+        self.leaf_mean, self.leaf_m2 = np.empty((2, leaves, width))
+        self.leaf_n = [0] * leaves
+        self.mean, self.m2 = np.empty((2, granules.bit_length() + 1, width))
+        self.counts: list[int] = []
+
+    def add(self, rows: slice, k: int, values: np.ndarray) -> None:
+        """Column k's values, shape (hi - lo,), of trajectories rows = lo:hi."""
+        lo, hi = rows.start, rows.stop
+        self.batch[k - self.first, : hi - lo] = values
+        if k - self.first + 1 < len(self.batch) and k < self.width - 1:
+            return
+        # columns first..k of the block, reduced in place (v, its rows) by granule
+        cols, v = slice(self.first, k + 1), self.batch[: k + 1 - self.first, : hi - lo]
+        self.first = (k + 1) % self.width
+        leaf, at = 0, lo
+        if lo % _GRANULE:  # the rest of a staged granule, or more of it
+            start = lo - lo % _GRANULE
+            end = min(start + _GRANULE, self.n_traj)
+            take = min(end, hi)
+            self.stage[cols, lo - start : take - start] = v[:, : take - lo]
+            if take == end:
+                leaf = self._reduce(self.stage[cols, None, : end - start], leaf, cols)
+            at = take
+        whole = (hi - at) // _GRANULE * _GRANULE
+        if whole:
+            block = v[:, at - lo : at - lo + whole].reshape(len(v), -1, _GRANULE)
+            leaf = self._reduce(block, leaf, cols)
+            at += whole
+        if at < hi:
+            if hi == self.n_traj:  # the last granule, shorter, whole in this block
+                leaf = self._reduce(v[:, None, at - lo :], leaf, cols)
+            else:
+                self.stage[cols, : hi - at] = v[:, at - lo :]
+        if k == self.width - 1:
+            for i in range(leaf):
+                self._push(i)
+
+    def _reduce(self, v: np.ndarray, leaf: int, cols: slice) -> int:
+        """Columns ``cols`` of granules v (columns, m, count), in place, into
+        leaves leaf..leaf+m; the next leaf."""
+        _, m, count = v.shape
+        # an overflowed first value shifts by 0, so that the mean is inf, not nan
+        shift = np.where(np.isfinite(v[:, :, :1]), v[:, :, :1], 0.0)
+        v -= shift
+        d = v.sum(axis=2) / count
+        v -= d[:, :, None]
+        np.square(v, out=v)
+        self.leaf_m2[leaf : leaf + m, cols] = v.sum(axis=2).T
+        self.leaf_mean[leaf : leaf + m, cols] = (shift[:, :, 0] + d).T
+        self.leaf_n[leaf : leaf + m] = [count] * m
+        return leaf + m
+
+    def _push(self, i: int) -> None:
+        top = len(self.counts)
+        self.mean[top], self.m2[top] = self.leaf_mean[i], self.leaf_m2[i]
+        self.counts.append(self.leaf_n[i])
+        while len(self.counts) > 1 and self.counts[-1] == self.counts[-2]:
+            self._merge()
+
+    def _merge(self) -> None:
+        """Merge the top node of the stack into the one below it."""
+        n_b = self.counts.pop()
+        n_a = self.counts[-1]
+        j, total = len(self.counts) - 1, n_a + n_b
+        a, b = self.mean[j], self.mean[j + 1]
+        delta = b - a
+        # a mean that overflowed adds as itself: inf + a finite mean is inf
+        a += np.where(np.isfinite(a) & np.isfinite(b), delta * (n_b / total), b)
+        self.m2[j] += self.m2[j + 1]
+        self.m2[j] += delta * delta * (n_a * n_b / total)
+        self.counts[-1] = total
+
+    def mean_var(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each column's mean and sample variance M2 / (N - 1), shape (width,) each."""
+        while len(self.counts) > 1:
+            self._merge()
+        if self.counts != [self.n_traj]:
+            raise ValueError(f"reduced {sum(self.counts)} of {self.n_traj} trajectories")
+        return self.mean[0], self.m2[0] / (self.n_traj - 1)
+
+
+def _mean_var(x: np.ndarray) -> tuple[float, float]:
+    """Mean and sample variance of a sample x of shape (N,), N >= 2 (see _Moments)."""
+    moments = _Moments(len(x), 1, len(x))
+    moments.add(slice(0, len(x)), 0, x)
+    mean, var = moments.mean_var()
+    return float(mean[0]), float(var[0])
 
 
 def _products(
@@ -375,27 +502,27 @@ def _products(
 
     The one product kernel: it checks its arguments before any work and
     builds I - alpha*A once per atom.  Returns the final states, or with
-    ``observe``, a map of a stack of states to one float each, its values
-    at steps k = 0..n, shape (n_traj, n + 1).
+    ``observe``, a map of a stack of states to one float each, the mean and
+    sample variance of its values at steps k = 0..n, each shape (n + 1,),
+    reduced step by step (``_Moments``).
     """
     _check_run_args(model, alpha, n)
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
     factors = np.eye(model.dim) - alpha * model.sampler.atoms
     if observe is None:
-        meter = seen = None
+        meter = moments = None
     else:
-        seen = np.empty((n_traj, n + 1))
-        seen[:, 0] = observe(start[None])
+        moments = _Moments(n_traj, n + 1, _chunk_rows(model, n, False, start.size))
 
         def meter(rows, k, state):
-            seen[rows, k] = observe(state)
+            moments.add(rows, k, observe(state))
 
     end = _drive(
         model, n, start, lambda x, index, _: _matvec(factors.take(index, axis=0), x),
         seed, n_traj, with_b=False, observe=meter,
     )
-    return end if observe is None else seen
+    return end if observe is None else moments.mean_var()
 
 
 def mc_norm_moment(
@@ -413,7 +540,8 @@ def mc_norm_moment(
         x = np.abs(gamma[:, 0, 0]) ** p
     else:  # scalar powers, as for one product: numpy's array power rounds differently
         x = np.array([v**p for v in np.linalg.norm(gamma, 2, axis=(1, 2)).tolist()])
-    mean, se_mean = map(float, _mean_se(x))
+    mean, var = _mean_var(x)
+    se_mean = math.sqrt(var) / math.sqrt(n_traj)
     if mean <= 0.0:
         return McEstimate(value=0.0, std_err=0.0, n_samples=n_traj)
     value = mean ** (1.0 / p)
@@ -489,8 +617,8 @@ def coupled_w2(
     delta0 = np.asarray(theta0_a, dtype=float).reshape(d) - np.asarray(
         theta0_b, dtype=float
     ).reshape(d)
-    sq = _products(model, alpha, n, delta0[:, None], n_traj, seed, observe=_sq_norms)
-    mean, se_mean = _mean_se(sq)
+    mean, var = _products(model, alpha, n, delta0[:, None], n_traj, seed, observe=_sq_norms)
+    se_mean = np.sqrt(var) / math.sqrt(n_traj)
     value = np.sqrt(mean)
     with np.errstate(divide="ignore", invalid="ignore"):
         return value, np.where(mean > 0.0, se_mean / (2.0 * value), 0.0)

@@ -67,6 +67,7 @@ from lsalab.engine import (
     _burn_in,
     _decomposed_errors,
     _decomposition_residuals,
+    _mean_var,
     coupled_exact_sq,
     coupled_w2,
     empirical_ks,
@@ -810,7 +811,7 @@ def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Ver
     samples = sample_stationary(model, alpha, config.n_traj, seed)
     x = (samples[:, 0] - model.theta_star[0]) / math.sqrt(alpha)
     n_s = x.size
-    v_hat = float(np.var(x, ddof=1))
+    _, v_hat = _mean_var(x)
     v_se = v_hat * math.sqrt(2.0 / (n_s - 1))
     v_exact = exact_stationary_cov(model, alpha)[0, 0] / alpha
     sig = solve_sigma(model.abar, model.sigma_eps_exact)

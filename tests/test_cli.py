@@ -149,6 +149,19 @@ class TestExitCodes:
         rows = out.with_suffix(".csv").read_text().splitlines()[1:]
         assert rows and all(",true," in row for row in rows)
 
+    def test_identical_products_have_a_standard_error_of_0(self, tmp_path, capsys):
+        # with eta = 0 every trajectory's product is the same number, so the
+        # sample has no spread at any n
+        model = {"kind": "bounded_factor", "abar": [[1.0]], "bbar": [0.0], "m": [[1.0]],
+                 "eta": 0.0, "sigma": 1.0}
+        out = tmp_path / "r"
+        assert main(["bounds", "--config", write_config(tmp_path, model=model, out=str(out))]) == 0
+        header, *rows = out.with_suffix(".csv").read_text().splitlines()
+        names = header.split(",")
+        cells = [dict(zip(names, row.split(","))) for row in rows]
+        assert [int(cell["n"]) for cell in cells] == [10, 50, 200]
+        assert [float(cell["std_err"]) for cell in cells] == [0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("p,code", [
         ([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]], 0),  # periodic: law [1/4, 1/2, 1/4]
         ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2),  # every law is stationary

@@ -13,6 +13,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import lsalab
@@ -384,6 +386,34 @@ class TestChunkMemory:
         (before, buffer_bytes), = held
         assert peak - before <= 1.25 * (buffer_bytes + max(decoded)), (peak, held, decoded)
 
+    @pytest.mark.parametrize("maker", [gm_model, small_td])
+    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+    def test_what_an_estimator_holds_before_its_first_chunk(self, name, maker, monkeypatch):
+        # with n_traj >> _GRANULE an (n_traj, n + 1) array of per-step values
+        # exceeds the bound: what is held besides the drive's buffer is
+        # O(_GRANULE * n) floats of statistics and O(d * d) floats per
+        # trajectory of states
+        estimate, _, _ = _ESTIMATORS[name]
+        model = maker()
+        n, n_traj = 200, 16 * engine._GRANULE
+        held = []
+        draw = engine._block_uniforms
+
+        def spy(seed, lo, hi, n_words, start=0, out=None):
+            if not held:
+                held.append(tracemalloc.get_traced_memory()[0] - out.base.nbytes)
+            return draw(seed, lo, hi, n_words, start, out=out)
+
+        monkeypatch.setattr(engine, "_block_uniforms", spy)
+        tracemalloc.start()
+        try:
+            estimate(model, n, n_traj)
+        finally:
+            tracemalloc.stop()
+        (before,) = held
+        floats = 2 * engine._GRANULE * (n + 1) + 8 * n_traj * model.dim**2
+        assert before <= 8 * floats < 8 * n_traj * (n + 1), (before, floats)
+
 
 class TestOneLoop:
     def test_only_the_driver_draws_and_steps_chunks(self):
@@ -425,9 +455,9 @@ class TestMcNormMoment:
             np.linalg.norm(product(model, 0.05, n, stream(seed, j)), 2) ** p
             for j in range(n_traj)
         ])
-        mean = float(np.mean(x))
+        mean = math.fsum(x) / n_traj
         est = mc_norm_moment(model, 0.05, n, p, n_traj, seed)
-        assert est.value == mean ** (1.0 / p)
+        assert est.value == pytest.approx(mean ** (1.0 / p), rel=1e-13, abs=0.0)
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 2000)
         assert mc_norm_moment(model, 0.05, n, p, n_traj, seed) == est
 
@@ -437,6 +467,56 @@ class TestMcNormMoment:
             mc_norm_moment(model, 0.1, 10, 0.0, 100, 0)
         with pytest.raises(ValueError):
             mc_norm_moment(model, 0.1, 10, 2.0, 1, 0)
+
+
+def _reduce_in_blocks(values: np.ndarray, cuts: list[int], granule: int):
+    """engine._Moments over values (n_traj, width) in granules of ``granule``,
+    in blocks split at ``cuts``."""
+    n_traj, width = values.shape
+    edges = sorted({0, n_traj, *(c for c in cuts if 0 < c < n_traj)})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_GRANULE", granule)
+        moments = engine._Moments(n_traj, width, max(np.diff(edges)))
+        for lo, hi in zip(edges, edges[1:]):
+            for k in range(width):
+                moments.add(slice(lo, hi), k, values[lo:hi, k].copy())
+        return moments.mean_var()
+
+
+class TestMoments:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_traj=st.integers(2, 70), width=st.integers(1, 3), granule=st.sampled_from([1, 3, 4, 256]),
+        cuts=st.lists(st.integers(1, 69), max_size=8), seed=st.integers(0, 2**32 - 1),
+        constant=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_blocks_do_not_change_the_bits_and_a_constant_has_no_spread(
+        self, n_traj, width, granule, cuts, seed, constant
+    ):
+        if constant is None:
+            gen = np.random.default_rng(seed)
+            values = gen.standard_normal((n_traj, width)) * 10.0 ** gen.integers(-3, 4, width)
+        else:
+            values = np.full((n_traj, width), constant)
+        mean, var = _reduce_in_blocks(values, [], granule)
+        split_mean, split_var = _reduce_in_blocks(values, cuts, granule)
+        assert (split_mean.tobytes(), split_var.tobytes()) == (mean.tobytes(), var.tobytes())
+        if constant is not None:
+            assert np.all(mean == constant) and np.all(var == 0.0)
+        else:
+            for k, col in enumerate(values.T):
+                ref = math.fsum(col) / n_traj
+                ref_var = math.fsum((col - ref) ** 2) / (n_traj - 1)
+                assert mean[k] == pytest.approx(ref, rel=1e-13, abs=1e-13 * np.abs(col).max())
+                assert var[k] == pytest.approx(ref_var, rel=1e-12)
+
+    @pytest.mark.parametrize("cuts", [[], [1], [2, 3]])
+    @pytest.mark.parametrize("granule", [1, 2, 256])
+    def test_an_overflowed_value_makes_the_mean_inf(self, granule, cuts):
+        values = np.array([[1.0], [math.inf], [2.0], [3.0], [math.inf]])
+        with np.errstate(invalid="ignore"):
+            mean, var = _reduce_in_blocks(values, cuts, granule)
+        assert mean[0] == math.inf and math.isnan(var[0])
 
 
 class TestCovJ0:
@@ -530,8 +610,11 @@ class TestCoupling:
         assert np.array_equal(value, tiny_value)
         assert np.array_equal(std_err, tiny_err)
 
+    @pytest.mark.parametrize("granule", [engine._GRANULE, 4])
     @pytest.mark.parametrize("maker", [gm_model, small_td])
-    def test_std_err_is_the_numpy_std_of_the_squared_norms(self, maker, monkeypatch):
+    def test_curve_is_a_two_pass_fsum_of_per_trajectory_squared_norms(
+        self, maker, granule, monkeypatch
+    ):
         model = maker()
         alpha, n, n_traj, seed = 0.05, 20, 23, 35
         delta0 = np.ones(model.dim)
@@ -544,15 +627,19 @@ class TestCoupling:
             for k in range(n):
                 delta = engine._matvec((eye - alpha * a_seq[k])[None], delta)
                 sq[j, k + 1] = engine._sq_norms(delta)[0]
-        mean = np.mean(sq, axis=0)
-        se_mean = np.std(sq, axis=0, ddof=1) / math.sqrt(n_traj)
-        expected = np.where(mean > 0.0, se_mean / (2.0 * np.sqrt(mean)), 0.0)
-        # uneven chunks: 23 trajectories in chunks of 5
+        mean = np.array([math.fsum(col) / n_traj for col in sq.T])
+        var = np.array([math.fsum((col - m) ** 2) / (n_traj - 1) for col, m in zip(sq.T, mean)])
+        expected = np.sqrt(var / n_traj) / (2.0 * np.sqrt(mean))
+        # uneven chunks: 23 trajectories in chunks of 5, and with granules of
+        # 4 a granule split across chunks and granules merged
         per_traj = engine._traj_floats(model, n, False, model.dim)
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 5 * per_traj)
+        monkeypatch.setattr(engine, "_GRANULE", granule)
         value, std_err = coupled_w2(model, alpha, n, delta0, np.zeros(model.dim), n_traj, seed)
-        assert std_err.tobytes() == expected.tobytes()
-        assert value.tobytes() == np.sqrt(mean).tobytes()
+        assert np.allclose(value, np.sqrt(mean), rtol=1e-13, atol=0.0)
+        assert np.allclose(std_err, expected, rtol=1e-13, atol=0.0)
+        # every trajectory starts at delta0: step 0 has no spread
+        assert (value[0], std_err[0]) == (math.sqrt(sq[0, 0]), 0.0)
 
     @pytest.mark.parametrize("n_traj", [0, 1])
     def test_rejects_fewer_than_two_trajectories(self, n_traj):
