@@ -252,11 +252,6 @@ def _traj_floats(model: LsaModel, n: int, with_b: bool, state_floats: int) -> in
     return max(words, held) + (model.dim + 2) * state_floats
 
 
-def _chunk_rows(model: LsaModel, n: int, with_b: bool, state_floats: int) -> int:
-    """Trajectories in each of ``_drive``'s chunks but the last (see _traj_floats)."""
-    return max(1, min(4096, _CHUNK_FLOAT_BUDGET // _traj_floats(model, n, with_b, state_floats)))
-
-
 def _drive(
     model: LsaModel, n: int, start: np.ndarray, step, seed: int = 0, n_traj: int = 1, *,
     with_b: bool = True, words: np.ndarray | None = None, observe=None, reference=None,
@@ -282,7 +277,7 @@ def _drive(
     sampler = model.sampler
     n_a = sampler._words(n, False)
     width = max(n_a, sampler._words(n, with_b) - n_a)
-    chunk = _chunk_rows(model, n, with_b, start.size)
+    chunk = max(1, min(4096, _CHUNK_FLOAT_BUDGET // _traj_floats(model, n, with_b, start.size)))
     out = np.empty((n_traj,) + start.shape)
     buffer = np.empty(min(chunk, n_traj) * width)
 
@@ -389,31 +384,38 @@ class _Moments:
     granule split across blocks is staged, _GRANULE floats a column, and a
     block's columns are batched so that one reduction serves several.  Each
     column is reduced alone, so the bits depend only on the trajectory
-    indices, not on the blocks or the batches.  For blocks of at most
-    ``rows`` trajectories it holds O((_GRANULE + rows / _GRANULE +
-    log n_traj) * width) floats.
+    indices, not on the blocks or the batches.  For blocks of at most R
+    trajectories it holds O((_GRANULE + R / _GRANULE + log n_traj) * width)
+    floats.
     """
 
-    def __init__(self, n_traj: int, width: int, rows: int):
-        granules, rows = -(-n_traj // _GRANULE), min(rows, n_traj)
+    def __init__(self, n_traj: int, width: int):
         self.n_traj, self.width = n_traj, width
         self.stage = np.empty((width, min(_GRANULE, n_traj)))
+        self.batch = np.empty((0, 0))  # sized by _fit from the first block
+        self.first = 0  # the batch's first column
+        self.mean, self.m2 = np.empty((2, (-(-n_traj // _GRANULE)).bit_length() + 1, width))
+        self.counts: list[int] = []
+
+    def _fit(self, rows: int) -> None:
+        """Size the batch and the leaves for blocks of ``rows`` trajectories."""
         # a batch of columns is no larger than the stage, and its reduction's
         # temporaries stay small beside a chunk's draws
-        self.batch = np.empty((max(1, min(64, width, self.stage.size // rows)), rows))
-        self.first = 0  # the batch's first column
+        self.batch = np.empty((max(1, min(64, self.width, self.stage.size // rows)), rows))
         # a block completes at most rows // G + 2 granules (a staged one, its
         # whole ones and the shorter last one); their columns wait here until
         # the block's last column is added
-        leaves = min(granules, rows // _GRANULE + 2)
-        self.leaf_mean, self.leaf_m2 = np.empty((2, leaves, width))
+        leaves = rows // _GRANULE + 2
+        self.leaf_mean, self.leaf_m2 = np.empty((2, leaves, self.width))
         self.leaf_n = [0] * leaves
-        self.mean, self.m2 = np.empty((2, granules.bit_length() + 1, width))
-        self.counts: list[int] = []
 
     def add(self, rows: slice, k: int, values: np.ndarray) -> None:
         """Column k's values, shape (hi - lo,), of trajectories rows = lo:hi."""
         lo, hi = rows.start, rows.stop
+        # the driver's first block is its largest; a larger block resizes at
+        # its column 0, when no batched column or leaf is pending
+        if hi - lo > self.batch.shape[1]:
+            self._fit(hi - lo)
         self.batch[k - self.first, : hi - lo] = values
         if k - self.first + 1 < len(self.batch) and k < self.width - 1:
             return
@@ -489,7 +491,7 @@ class _Moments:
 
 def _mean_var(x: np.ndarray) -> tuple[float, float]:
     """Mean and sample variance of a sample x of shape (N,), N >= 2 (see _Moments)."""
-    moments = _Moments(len(x), 1, len(x))
+    moments = _Moments(len(x), 1)
     moments.add(slice(0, len(x)), 0, x)
     mean, var = moments.mean_var()
     return float(mean[0]), float(var[0])
@@ -513,7 +515,7 @@ def _products(
     if observe is None:
         meter = moments = None
     else:
-        moments = _Moments(n_traj, n + 1, _chunk_rows(model, n, False, start.size))
+        moments = _Moments(n_traj, n + 1)
 
         def meter(rows, k, state):
             moments.add(rows, k, observe(state))

@@ -455,8 +455,10 @@ class TestMcNormMoment:
             np.linalg.norm(product(model, 0.05, n, stream(seed, j)), 2) ** p
             for j in range(n_traj)
         ])
-        mean = math.fsum(x) / n_traj
         est = mc_norm_moment(model, 0.05, n, p, n_traj, seed)
+        # the batch products have the single-trajectory bits
+        assert est.value == engine._mean_var(x)[0] ** (1.0 / p)
+        mean = math.fsum(x) / n_traj
         assert est.value == pytest.approx(mean ** (1.0 / p), rel=1e-13, abs=0.0)
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 2000)
         assert mc_norm_moment(model, 0.05, n, p, n_traj, seed) == est
@@ -476,7 +478,7 @@ def _reduce_in_blocks(values: np.ndarray, cuts: list[int], granule: int):
     edges = sorted({0, n_traj, *(c for c in cuts if 0 < c < n_traj)})
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_GRANULE", granule)
-        moments = engine._Moments(n_traj, width, max(np.diff(edges)))
+        moments = engine._Moments(n_traj, width)
         for lo, hi in zip(edges, edges[1:]):
             for k in range(width):
                 moments.add(slice(lo, hi), k, values[lo:hi, k].copy())
@@ -636,6 +638,15 @@ class TestCoupling:
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 5 * per_traj)
         monkeypatch.setattr(engine, "_GRANULE", granule)
         value, std_err = coupled_w2(model, alpha, n, delta0, np.zeros(model.dim), n_traj, seed)
+        # the chunked reduction has the bits of one block of the reference
+        moments = engine._Moments(n_traj, n + 1)
+        for k, col in enumerate(sq.T):
+            moments.add(slice(0, n_traj), k, col)
+        ref_mean, ref_var = moments.mean_var()
+        ref_value = np.sqrt(ref_mean)
+        assert value.tobytes() == ref_value.tobytes()
+        ref_err = np.sqrt(ref_var) / math.sqrt(n_traj) / (2.0 * ref_value)
+        assert std_err.tobytes() == ref_err.tobytes()
         assert np.allclose(value, np.sqrt(mean), rtol=1e-13, atol=0.0)
         assert np.allclose(std_err, expected, rtol=1e-13, atol=0.0)
         # every trajectory starts at delta0: step 0 has no spread
