@@ -636,7 +636,8 @@ def coupled_exact_sq(
     the model derives from its sampler's ``(atoms, weights)``; each entry of
     the returned curve is the trace of the matrixized state.  This is the
     deterministic counterpart of the Monte Carlo curve from
-    :func:`coupled_w2` (squared scale).
+    :func:`coupled_w2` (squared scale).  Once the state overflows, the
+    curve stays +inf.
     """
     _check_run_args(model, alpha, n)
     d = model.dim
@@ -648,7 +649,13 @@ def coupled_exact_sq(
     out[0] = float(np.sum(state[idx]))
     for k in range(n):
         state = transfer @ state
-        out[k + 1] = float(np.sum(state[idx]))
+        trace = float(np.sum(state[idx]))
+        if not math.isfinite(trace):
+            # the moment overflowed; zero transfer entries times its inf
+            # entries would make the later traces nan
+            out[k + 1 :] = math.inf
+            break
+        out[k + 1] = trace
     return out
 
 

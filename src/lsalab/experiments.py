@@ -37,12 +37,17 @@ with every float at 17 significant digits; ``json_text`` mirrors the same
 rows as objects plus a metadata header (package version, a hash of the
 scientific config fields, wall time), with null for a nan or infinite cell.
 ``note`` is an in-memory diagnostic only and appears in neither format.
-Both write a row through a printf template cached per row shape, the tuple
-of its cells' types, so a row is one ``%`` operation; bool cells are passed
-as "true"/"false" and JSON strings already escaped, so a template holds no
-cell's value.  A row holding a numpy scalar, or in JSON a non-finite float,
-is written cell by cell by ``_fmt_cell`` or ``_json_cell``: the reference
-path, whose bytes the templates reproduce.
+One renderer serves both texts and ``write_outputs``: it renders the rows
+``_BATCH_ROWS`` at a time into pieces (the head, one joined batch each, the
+tail), which the texts join and the writer streams to its file, so a run
+holds one batch's text rather than a whole file's.  A row whose ``params``
+are the experiment's keys in order has its cells read by position and is
+written through a printf template cached per row shape, the tuple of its
+cells' types, so a row is one ``%`` operation; bool cells are passed as
+"true"/"false" and JSON strings already escaped, so a template holds no
+cell's value.  Any other row, and one holding a numpy scalar or, in JSON, a
+non-finite float, is written cell by cell by ``_fmt_cell`` or
+``_json_cell``: the reference path, whose bytes the templates reproduce.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -886,7 +891,8 @@ def _bsum_verdicts(seeds: list[int], units: range) -> list[float]:
     a_val = 0.5 + 3.5 * words[:, 1]
     start = 0.9 * words[:, 2] / a_val
     out = np.empty(len(units))
-    for size in np.unique(length):
+    # np.unique would import numpy.ma mid-run; these are the same sorted lengths
+    for size in np.flatnonzero(np.bincount(length)):
         at = np.flatnonzero(length == size)
         steps = np.ones((at.size, size))
         steps[:, 1:] = np.cumprod(0.8 + 0.2 * words[at, 3 : size + 2], axis=1)
@@ -1193,6 +1199,8 @@ _JSON_CELLS = {
     bool: ("%s", _BOOL_TEXT.__getitem__),
     type(None): ("null%.0s", None),
 }
+# Rows rendered at a time: a writer holds one batch's text, not the file's.
+_BATCH_ROWS = 512
 
 
 def _rendered_rows(
@@ -1202,35 +1210,70 @@ def _rendered_rows(
     frame: Callable[[list[str]], str],
     reference: Callable[[object], str],
     finite_only: bool,
-) -> list[str]:
-    """Each row's text: ``frame`` of its cells rendered as ``reference``
-    renders them.
+) -> Iterator[list[str]]:
+    """Each row's text, ``frame`` of its cells rendered as ``reference``
+    renders them, in lists of up to ``_BATCH_ROWS`` rows.
 
-    A row's shape is the tuple of its cells' types.  Each shape seen gets one
-    printf template, ``frame`` of its cells' conversions in ``table``, and its
-    rows are then one ``%`` each.  A row holding a type ``table`` lacks (a
-    numpy scalar) or, with ``finite_only``, a non-finite float is rendered
-    cell by cell with ``reference``.
+    A row whose ``params`` name ``keys`` in order has its cells read by
+    position.  Its shape is the tuple of its cells' types.  Each shape seen
+    gets one printf template, ``frame`` of its cells' conversions in
+    ``table``, and its rows are then one ``%`` each.  Any other row, and a
+    row holding a type ``table`` lacks (a numpy scalar) or, with
+    ``finite_only``, a non-finite float, is rendered cell by cell with
+    ``reference``.
     """
     by_cell = frame(["%s"] * (1 + len(keys) + len(_CSV_TAIL)))
     plans: dict[tuple, tuple] = {}
-    texts = []
-    for row in rows:
-        cells = _cells(row, keys)
-        shape = tuple(map(type, cells))
-        plan = plans.get(shape)
-        if plan is None:
-            plan = plans[shape] = _template(shape, table, frame, finite_only)
-        template, floats, texted = plan
-        # a sum of floats is finite only if each is; one that overflows
-        # merely takes the per-cell path
-        if template is None or (floats and not math.isfinite(sum(map(cells.__getitem__, floats)))):
-            texts.append(by_cell % tuple(map(reference, cells)))
-            continue
-        for i, text in texted:
-            cells[i] = text(cells[i])
-        texts.append(template % tuple(cells))
-    return texts
+    for lo in range(0, len(rows), _BATCH_ROWS):
+        texts = []
+        for row in rows[lo : lo + _BATCH_ROWS]:
+            names, values = zip(*row.params) if row.params else ((), ())
+            if names != keys:
+                texts.append(by_cell % tuple(map(reference, _cells(row, keys))))
+                continue
+            cells = [
+                row.experiment, *values,
+                row.empirical, row.std_err, row.oracle, row.bound, row.passed, row.seed,
+            ]
+            shape = tuple(map(type, cells))
+            plan = plans.get(shape)
+            if plan is None:
+                plan = plans[shape] = _template(shape, table, frame, finite_only)
+            template, floats, texted = plan
+            # a sum of floats is finite only if each is; one that overflows
+            # merely takes the per-cell path
+            if template is None or (
+                floats and not math.isfinite(sum(map(cells.__getitem__, floats)))
+            ):
+                texts.append(by_cell % tuple(map(reference, cells)))
+                continue
+            for i, text in texted:
+                cells[i] = text(cells[i])
+            texts.append(template % tuple(cells))
+        yield texts
+
+
+def _joined(
+    head: str, batches: Iterator[list[str]], sep: str, tail: str, empty: str
+) -> Iterator[str]:
+    """``head + sep.join(texts) + tail`` over every batch's texts, or
+    ``empty`` if there are none, as one piece per batch.
+
+    A batch's row texts are freed once joined, and its piece once it has
+    been taken, so a writer holds one batch's text at a time.
+    """
+    seen = False
+    for texts in batches:
+        if seen:
+            texts.insert(0, "")  # the separator after the previous batch
+        else:
+            yield head
+            seen = True
+        piece = sep.join(texts)
+        texts.clear()
+        yield piece
+        del piece
+    yield tail if seen else empty
 
 
 def _template(shape: tuple, table: dict, frame: Callable, finite_only: bool) -> tuple:
@@ -1244,13 +1287,16 @@ def _template(shape: tuple, table: dict, frame: Callable, finite_only: bool) -> 
     return template, floats, texted
 
 
+def _csv_pieces(experiment: str, rows: list[ResultRow]) -> Iterator[str]:
+    keys = PARAM_KEYS[experiment]
+    header = ",".join(("experiment",) + keys + _CSV_TAIL) + "\n"
+    batches = _rendered_rows(rows, keys, _CSV_CELLS, ",".join, _fmt_cell, finite_only=False)
+    return _joined(header, batches, "\n", "\n", header)
+
+
 def csv_text(experiment: str, rows: list[ResultRow]) -> str:
     """Render rows in the fixed CSV schema, floats at 17 significant digits."""
-    keys = PARAM_KEYS[experiment]
-    lines = [",".join(("experiment",) + keys + _CSV_TAIL)]
-    lines += _rendered_rows(rows, keys, _CSV_CELLS, ",".join, _fmt_cell, finite_only=False)
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+    return "".join(_csv_pieces(experiment, rows))
 
 
 def _json_cell(value) -> str:
@@ -1295,13 +1341,9 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def json_text(
-    experiment: str,
-    rows: list[ResultRow],
-    config: ExperimentConfig,
-    wall_time_s: float,
-) -> str:
-    """Render rows plus metadata as JSON mirroring the CSV columns."""
+def _json_pieces(
+    experiment: str, rows: list[ResultRow], config: ExperimentConfig, wall_time_s: float
+) -> Iterator[str]:
     from lsalab import __version__
 
     keys = PARAM_KEYS[experiment]
@@ -1324,13 +1366,20 @@ def json_text(
     def entry(cells: list[str]) -> str:
         return "    {\n" + ",\n".join(map(str.__add__, prefixes, cells)) + "\n    }"
 
-    if not rows:
-        return head + ',\n  "rows": []\n}\n'
-    entries = ",\n".join(
-        _rendered_rows(rows, keys, _JSON_CELLS, entry, _json_cell, finite_only=True)
+    batches = _rendered_rows(rows, keys, _JSON_CELLS, entry, _json_cell, finite_only=True)
+    return _joined(
+        head + ',\n  "rows": [\n', batches, ",\n", "\n  ]\n}\n", head + ',\n  "rows": []\n}\n'
     )
-    # one join, so that the rows' text is copied once
-    return "".join((head, ',\n  "rows": [\n', entries, "\n  ]\n}\n"))
+
+
+def json_text(
+    experiment: str,
+    rows: list[ResultRow],
+    config: ExperimentConfig,
+    wall_time_s: float,
+) -> str:
+    """Render rows plus metadata as JSON mirroring the CSV columns."""
+    return "".join(_json_pieces(experiment, rows, config, wall_time_s))
 
 
 def _out_base(out: str) -> str:
@@ -1355,15 +1404,26 @@ def output_paths(config: ExperimentConfig) -> list[str]:
 def write_outputs(
     config: ExperimentConfig, rows: list[ResultRow], wall_time_s: float
 ) -> list[str]:
-    """Write the configured output files; returns the paths written."""
+    """Write the configured output files; returns the paths written.
+
+    Each file is written a batch of rows at a time, as ``csv_text`` and
+    ``json_text`` join it.  A file whose rendering raises is removed.
+    """
     cfg = resolve(config)
     written = []
     for path in output_paths(cfg):
         if path.endswith(".csv"):
-            text = csv_text(cfg.experiment, rows)
+            pieces = _csv_pieces(cfg.experiment, rows)
         else:
-            text = json_text(cfg.experiment, rows, cfg, wall_time_s)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            pieces = _json_pieces(cfg.experiment, rows, cfg, wall_time_s)
+        handle = open(path, "w", encoding="utf-8", newline="")
+        try:
+            with handle:
+                # each piece is freed before the next is rendered
+                handle.writelines(pieces)
+        except BaseException:
+            # a partial file would pass for a whole one
+            os.remove(path)
+            raise
         written.append(path)
     return written

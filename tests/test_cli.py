@@ -354,6 +354,17 @@ def test_rademacher_run_does_not_load_scipy_stats(tmp_path):
     assert out.splitlines()[-1] == "0 False"
 
 
+def test_rosenthal_run_does_not_load_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call; the bsum lengths are
+    # grouped without it
+    code = (
+        "import sys, lsalab.cli; code = lsalab.cli.main(sys.argv[1:]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    out = _fresh_python(code, "rosenthal", "--out", str(tmp_path / "r"))
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_only_the_cli_freezes_the_heap(tmp_path):
     # main freezes what start-up left alive before it runs; the library's
     # run leaves the collector alone

@@ -601,6 +601,21 @@ def test_rows_whose_statistics_overflow_or_underflow_carry_a_note(config, notes)
     assert not any(row.passed for row in rows)
 
 
+def test_an_overflowing_exact_curve_stays_inf():
+    # the transfer matrix of a diagonal model has zero entries, and zero
+    # times an overflowed state entry would make every later trace nan
+    model = {"kind": "bounded_factor", "abar": [[1, 0], [0, 1]], "bbar": [0, 0],
+             "m": [[0.9, 0], [0, 0.9]], "eta": 1.0, "sigma": 0.0}
+    cfg, errors = config_from_dict({"experiment": "wasserstein", "model": model, "alphas": [50],
+                                    "ns": [50, 100, 200], "n_traj": 5, "seed": 0})
+    assert errors == []
+    rows = run(cfg)
+    oracles = [line.split(",")[5] for line in csv_text("wasserstein", rows).splitlines()[1:]]
+    assert math.isfinite(float(oracles[0]))
+    assert oracles[1:] == ["inf", "inf"]
+    assert [row.note.rsplit(", ", 1)[-1] for row in rows[1:]] == ["oracle=inf"] * 2
+
+
 # Configs at the edges of the stepsize and horizon grids: coupled copies that
 # overflow, n = 0, the gap bound's largest stepsize, a diverging simulation,
 # an n = 0 moment and a stepsize just below rosenthal's cap.
@@ -1344,3 +1359,103 @@ class TestOutputs:
         assert csv_body == csv_text("wasserstein", rows)
         payload = json.loads((tmp_path / "w.json").read_text())
         assert len(payload["rows"]) == len(rows)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+    def test_files_are_the_texts_at_every_batch_edge(self, tmp_path, fmt):
+        # a numpy scalar row takes the per-cell path, and in JSON so does a
+        # non-finite one; one of each sits on either side of every batch
+        # boundary
+        batch = experiments._BATCH_ROWS
+        keys = PARAM_KEYS["rosenthal"]
+        rows = [
+            ResultRow("rosenthal", tuple(zip(keys, ("bsum", "", "", "", "", i))),
+                      i / 7, 0.0, 0.0, 1e-10, i % 3 > 0, i)
+            for i in range(2 * batch + 1)
+        ]
+        for i in (0, batch - 1, 2 * batch - 1):
+            rows[i] = replace(rows[i], empirical=np.float64(rows[i].empirical))
+        for i in (1, batch, 2 * batch):
+            rows[i] = replace(rows[i], std_err=math.inf)
+        out = str(tmp_path / "w")
+        cfg = tiny_config("rosenthal", out=out, format=fmt)
+        for count in (0, 1, batch - 1, batch, batch + 1, 2 * batch + 1):
+            chosen = rows[:count]
+            expected = {
+                out + ".csv": csv_text("rosenthal", chosen),
+                out + ".json": json_text("rosenthal", chosen, cfg, 0.5),
+            }
+            written = write_outputs(cfg, chosen, 0.5)
+            assert written == output_paths(cfg)
+            for path in written:
+                assert Path(path).read_bytes() == expected[path].encode("utf-8"), (path, count)
+
+    def test_writing_holds_a_few_batches_of_text(self, tmp_path):
+        # the writer's peak above what its caller holds, on JSON, the larger
+        # text: built whole, 6000 rows' JSON peaked at about 3.9 MB
+        import tracemalloc
+
+        keys = PARAM_KEYS["lyapunov"]
+        cfg = tiny_config("lyapunov", out=str(tmp_path / "w"), format="json")
+        rng = np.random.default_rng(0)
+        rows = [
+            ResultRow("lyapunov", tuple(zip(keys, ("residuals", i, 1 + i % 8, alpha))),
+                      err, 0.0, 0.0, 1e-10, True, i)
+            for i, (alpha, err) in enumerate(rng.random((24000, 2)).tolist())
+        ]
+        batch_text = len(json_text("lyapunov", rows[: experiments._BATCH_ROWS], cfg, 0.5))
+        # a first write fills the interpreter's tuple free lists, which
+        # tracemalloc counts as held
+        write_outputs(cfg, rows[:1000], 0.5)
+        peaks = []
+        for chosen in (rows[:6000], rows):
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                write_outputs(cfg, chosen, 0.5)
+                peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 3 * batch_text, (peaks, batch_text)
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_render_error_leaves_no_file(self, tmp_path, fmt):
+        class Unwritable:
+            def __str__(self):
+                raise RuntimeError("no text")
+
+        keys = PARAM_KEYS["rosenthal"]
+        rows = [
+            ResultRow("rosenthal", tuple(zip(keys, ("bsum", "", "", "", "", i))),
+                      0.5, 0.0, 0.0, 1e-10, True, i)
+            for i in range(experiments._BATCH_ROWS + 2)
+        ]
+        # after a whole batch, so the file has been written to
+        rows[-1] = replace(rows[-1], oracle=Unwritable())
+        cfg = tiny_config("rosenthal", out=str(tmp_path / "w"), format=fmt)
+        with pytest.raises((RuntimeError, TypeError)):
+            write_outputs(cfg, rows, 0.5)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_out_of_column_order_render_by_name(self):
+        # a row whose params are not the columns in order takes the
+        # per-cell path, which reads them by name
+        keys = PARAM_KEYS["lyapunov"]
+        ordered = ResultRow("lyapunov", tuple(zip(keys, ("residuals", 3, 4, 0.25))),
+                            1e-12, 0.0, 0.0, 1e-10, True, 9)
+        reordered = replace(ordered, params=ordered.params[::-1])
+        partial = replace(ordered, params=ordered.params[:2])
+        assert csv_text("lyapunov", [reordered]) == csv_text("lyapunov", [ordered])
+        assert csv_text("lyapunov", [partial]).splitlines()[1] == (
+            "lyapunov,residuals,3,,,9.9999999999999998e-13,0,0,1e-10,true,9"
+        )
+        cfg = tiny_config("lyapunov")
+        entries = [
+            json.loads(json_text("lyapunov", [row], cfg, 0.0))["rows"][0]
+            for row in (ordered, reordered, partial)
+        ]
+        assert entries[0] == entries[1]
+        assert json_text("lyapunov", [reordered], cfg, 0.0) == json_text(
+            "lyapunov", [ordered], cfg, 0.0
+        )
+        assert entries[2] == {**entries[0], "dim": "", "alpha": ""}

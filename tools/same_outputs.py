@@ -13,8 +13,9 @@ since no default run or workload decodes a TD(0) law.  All run with
 ``--format both``.  For each invocation it compares the CSV
 bytes, the JSON text with its ``wall_time_s`` value blanked, stdout and
 stderr with the output prefix replaced by a placeholder, and the exit code.
-It prints every difference and exits 1 if there is one, 0 if there is none
-and 2 if REV cannot be exported.
+It prints each invocation's peak RSS (``ru_maxrss``, from ``os.wait4``) on
+REV and on the working tree side by side, then every difference, and exits
+1 if there is one, 0 if there is none and 2 if REV cannot be exported.
 
 All outputs go to the temporary directory and no bytecode is cached, so the
 repository, ``perfbench/`` included, is left as it was.  A full check takes
@@ -48,6 +49,27 @@ LANES = 2
 _MAIN = "import sys; from lsalab.cli import main; sys.exit(main())"
 _WALL_TIME = re.compile(r'"wall_time_s": [^,\n]*')
 GOLDEN = ROOT / "tests" / "golden_outputs.json"
+# measured, not compared
+PEAK_RSS = "peak RSS MiB"
+# Runs sys.argv[2:] and writes its peak RSS in KiB, ru_maxrss from os.wait4,
+# to the file sys.argv[1]; exits as the command did.  A spawned process's
+# ru_maxrss also counts the peak of the process that spawned it, so each
+# invocation is spawned by this small process, not by this tool, which holds
+# every output it compares.
+_LAUNCH = """
+import os, signal, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.argv[2], sys.argv[2:])
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as f:
+    f.write(str(usage.ru_maxrss))
+code = os.waitstatus_to_exitcode(status)
+if code < 0:
+    signal.signal(-code, signal.SIG_DFL)
+    os.kill(os.getpid(), -code)
+sys.exit(code)
+"""
 TD_MODEL = {
     "kind": "td_zero", "p": [[0.2, 0.8], [0.6, 0.4]], "rewards": [1, -1],
     "phi": [[1, 0.2], [0.3, 1]], "gamma": 0.8,
@@ -122,7 +144,9 @@ def _outputs(src: Path, out: Path, job: tuple, config_path: Path | None) -> dict
     # one BLAS thread per process, as the benchmark runs them
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[name] = "1"
-    done = subprocess.run(argv, cwd=out, env=env, capture_output=True, check=False)
+    rss_path = out / "peak_rss_kib"
+    launch = [sys.executable, "-c", _LAUNCH, str(rss_path), *argv]
+    done = subprocess.run(launch, cwd=out, env=env, capture_output=True, check=False)
 
     def read(path: Path) -> bytes | None:
         return path.read_bytes() if path.exists() else None
@@ -134,6 +158,7 @@ def _outputs(src: Path, out: Path, job: tuple, config_path: Path | None) -> dict
         "json": None if json_text is None else blank_wall_time(json_text.decode("utf-8")),
         "stdout": _normalized(done.stdout, out, src),
         "stderr": _normalized(done.stderr, out, src),
+        PEAK_RSS: int(rss_path.read_text()) / 1024,
     }
 
 
@@ -212,10 +237,13 @@ def main(argv: list[str]) -> int:
         results = _run_jobs(jobs, {"rev": rev, "tree": None}, Path(tmp))
     if results is None:
         return 2
+    print(f"peak RSS (MiB): {rev} | working tree | invocation")
+    for i, job in enumerate(jobs):
+        print(f"{results[i, 'rev'][PEAK_RSS]:8.1f} | {results[i, 'tree'][PEAK_RSS]:8.1f} | {job[0]}")
     differing = 0
     for i, job in enumerate(jobs):
         old, new = results[i, "rev"], results[i, "tree"]
-        fields = [name for name in old if old[name] != new[name]]
+        fields = [name for name in old if name != PEAK_RSS and old[name] != new[name]]
         if fields:
             differing += 1
             print(f"DIFFERS {job[0]}: {', '.join(fields)}")
