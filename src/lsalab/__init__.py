@@ -14,7 +14,6 @@ from types import ModuleType as _ModuleType
 
 from lsalab.linalg import (
     SpectralProfile,
-    hurwitz_check,
     solve_lyapunov,
     solve_sigma,
     solve_riccati,

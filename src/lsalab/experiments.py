@@ -83,6 +83,7 @@ from lsalab.engine import (
     sample_stationary,
 )
 from lsalab.linalg import (
+    SolverResidualError,
     _geometry,
     _kron,
     _kron_sum,
@@ -446,7 +447,11 @@ def _check_bounds(config: ExperimentConfig, errors: list[str]) -> None:
     if model.dim != 1:
         errors.append(f"bounds needs a one-dimensional model, got dim={model.dim}")
         return
-    profile = lyapunov_witness(model)
+    try:
+        profile = lyapunov_witness(model)
+    except (ValueError, SolverResidualError) as exc:
+        errors.append(f"model: {exc}")
+        return
     grid = itertools.product(enumerate(config.alphas), enumerate(config.ns), enumerate(config.ps))
     for (i, al), (k, n), (j, p) in grid:
         try:
@@ -484,8 +489,12 @@ def _check_clt(config: ExperimentConfig, errors: list[str]) -> None:
     if model.dim != 1:
         errors.append(f"clt needs a one-dimensional model, got dim={model.dim}")
         return
-    profile = lyapunov_witness(model)
-    sig = solve_sigma(model.abar, model.sigma_eps_exact)
+    try:
+        profile = lyapunov_witness(model)
+        sig = solve_sigma(model.abar, model.sigma_eps_exact)
+    except (ValueError, SolverResidualError) as exc:
+        errors.append(f"model: {exc}")
+        return
     for i, al in enumerate(config.alphas):
         try:
             exact_stationary_cov(model, al)

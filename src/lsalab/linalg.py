@@ -9,10 +9,12 @@ Q and the asymptotic covariance Sigma (K = 0), the Riccati scale S^alpha
 dense d^2 x d^2 system (Kronecker form; ``_kron`` forms the same products as
 ``np.kron`` by one broadcast, without its per-call overhead), solves it,
 symmetrizes the result and checks it against an explicit residual tolerance.
-Validation lives at the public entries: ``solve_lyapunov``, ``solve_sigma``,
-``solve_riccati`` and ``lsalab.noise.exact_stationary_cov`` each check their
-own inputs once (finite entries, then the stepsize, then the Hurwitz
-condition), and ``_solve_stationary`` assumes an already validated ``abar``.
+Validation lives at the public entries: ``solve_lyapunov``, ``solve_sigma``
+and ``solve_riccati`` each check their own inputs once (finite entries, then
+the stepsize, then the Hurwitz condition, whose one predicate is
+``_require_hurwitz``).  ``lsalab.noise.exact_stationary_cov`` checks only its
+stepsize, since a model checks its ``abar`` when it is built, and
+``_solve_stationary`` assumes an already validated ``abar``.
 ``spectral_profile`` gets Q through ``solve_lyapunov``, and a norm in a
 profile's geometry is ``q_norm_mat(m, profile.q)``.  Q's Kronecker system
 (of ``abar.T``) is Sigma's (of ``abar``) transposed, entry for entry, so the
@@ -133,19 +135,10 @@ def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def hurwitz_check(abar: np.ndarray) -> bool:
-    """True iff every eigenvalue of ``abar`` has real part > ``EIG_MARGIN``.
-
-    This is the stability convention used throughout: ``-abar`` is Hurwitz,
-    so the fixed-stepsize recursion contracts for small alpha.
-    """
-    abar = _as_square(abar, "abar")
-    return bool(np.min(np.linalg.eigvals(abar).real) > EIG_MARGIN)
-
-
 def _require_hurwitz(abar: np.ndarray) -> np.ndarray:
     """Raise NotHurwitzError unless the finite matrix, or every matrix of the
-    finite stack, ``abar`` is Hurwitz."""
+    finite stack, ``abar`` is Hurwitz: every eigenvalue has real part >
+    ``EIG_MARGIN``, so the fixed-stepsize recursion contracts for small alpha."""
     eig = np.linalg.eigvals(abar)
     bad = ~(eig.real.min(axis=-1) > EIG_MARGIN)
     if bad.any():

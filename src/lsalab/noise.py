@@ -1,14 +1,16 @@
 """Noise models: joint laws for the random pairs (A_n, b_n).
 
-A model packages the mean pair (abar, bbar), the target theta_star solving
-``abar @ theta_star = bbar``, the scale constants used by the bound
-evaluators (c_a, sigma_b), the exact covariance ``sigma_eps_exact`` of the
+A model is built from the mean pair (abar, bbar), the scale constants used
+by the bound evaluators (c_a, sigma_b) and a sampler, whose ``atoms`` and
+``weights`` are the law of A.  It checks once that abar is Hurwitz and
+derives from its law the dimension, the target theta_star solving ``abar @
+theta_star = bbar``, the exact covariance ``sigma_eps_exact`` of the
 effective noise
 
     eps_n = (b_n - bbar) - (A_n - abar) @ theta_star
 
-and a sampler, whose ``atoms`` and ``weights`` are the law of A; the kernel
-``kernel_exact`` = E[kron(A_n, A_n)] is derived from that table.  Each
+and the kernel ``kernel_exact`` = E[kron(A_n, A_n)]; a builder only checks
+its parameters and writes down the law.  Each
 built-in sampler owns a fixed word layout: an n-step path reads the A-noise
 words of all n steps first, then all b-noise words, so a path is a pure
 function of ``(seed, stream_id, n)`` and never depends on batching or
@@ -50,7 +52,6 @@ from lsalab.linalg import (
     _require_finite,
     _require_hurwitz,
     _solve_stationary,
-    hurwitz_check,
     spectral_norm,
     spectral_profile,
 )
@@ -131,29 +132,43 @@ class _TableSampler:
 class LsaModel:
     """A fully specified instance of the fixed-stepsize linear recursion.
 
-    ``kernel_exact`` is E[kron(A, A)], shape (d^2, d^2).  With numpy's
-    row-major vec, ``kron(A, A) @ vec(X) == vec(A @ X @ A.T)``, so this
-    kernel drives every exact second-moment recursion of the iterates.  It
-    is derived from the sampler's law: the sum of ``weights[k] *
-    kron(atoms[k], atoms[k])`` over atoms of nonzero weight, in atom order.
+    ``abar`` must be Hurwitz (``NotHurwitzError`` otherwise).  Over the
+    atoms of nonzero weight, in atom order, ``sigma_eps_exact`` is sigma^2 I
+    plus the sum of ``weights[k] * outer(eps_k, eps_k)``, eps_k = (row k of
+    ``b_atoms`` - bbar) - (atoms[k] - abar) @ theta_star, and
+    ``kernel_exact`` = E[kron(A, A)], shape (d^2, d^2), the sum of
+    ``weights[k] * kron(atoms[k], atoms[k])``.  With numpy's row-major vec,
+    ``kron(A, A) @ vec(X) == vec(A @ X @ A.T)``, so this kernel drives every
+    exact second-moment recursion of the iterates.
     """
 
-    name: str
-    dim: int
     abar: np.ndarray
     bbar: np.ndarray
-    theta_star: np.ndarray
     c_a: float
     sigma_b: float
-    sigma_eps_exact: np.ndarray
-    kernel_exact: np.ndarray = field(init=False)
     sampler: _TableSampler
+    dim: int = field(init=False)
+    theta_star: np.ndarray = field(init=False)
+    sigma_eps_exact: np.ndarray = field(init=False)
+    kernel_exact: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        atoms, weights = self.sampler.atoms, self.sampler.weights
-        kernel = np.zeros((self.dim**2, self.dim**2))
+        abar = _require_hurwitz(_as_square(self.abar, "abar"))
+        d = abar.shape[0]
+        theta_star = np.linalg.solve(abar, self.bbar)
+        atoms, weights, sigma = self.sampler.atoms, self.sampler.weights, self.sampler.sigma
+        # a law with one b row shares it between all atoms
+        b_rows = np.broadcast_to(self.sampler.b_atoms, (weights.size, d))
+        # each term is exactly symmetric, so their sum is too
+        sigma_eps = sigma**2 * np.eye(d)
+        kernel = np.zeros((d * d, d * d))
         for k in np.flatnonzero(weights):
+            eps = (b_rows[k] - self.bbar) - (atoms[k] - abar) @ theta_star
+            sigma_eps += weights[k] * np.outer(eps, eps)
             kernel += weights[k] * _kron(atoms[k], atoms[k])
+        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "theta_star", theta_star)
+        object.__setattr__(self, "sigma_eps_exact", sigma_eps)
         object.__setattr__(self, "kernel_exact", kernel)
 
     def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,21 +191,17 @@ _SIGN_ATOMS = np.array([-1.0, 1.0]).reshape(2, 1, 1)
 _SIGN_ATOMS.setflags(write=False)
 
 
-def _sign_model(name: str, q_a: float, sigma: float) -> LsaModel:
+def _sign_model(q_a: float, sigma: float) -> LsaModel:
     """Scalar recursion with A = +-1, P(A = +1) = q_a, and b ~ N(0, sigma^2)."""
     if not 0.5 < q_a < 1.0:
         raise ValueError(f"q_a must lie in (1/2, 1), got {q_a}")
     if not 0.0 <= sigma < np.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     return LsaModel(
-        name=name,
-        dim=1,
         abar=np.array([[2.0 * q_a - 1.0]]),
         bbar=np.zeros(1),
-        theta_star=np.zeros(1),
         c_a=1.0,
         sigma_b=float(sigma),
-        sigma_eps_exact=np.array([[float(sigma) ** 2]]),
         sampler=_TableSampler(
             _SIGN_ATOMS, np.array([1 - q_a, q_a]), np.zeros((1, 1)), float(sigma)
         ),
@@ -205,12 +216,12 @@ def biased_rademacher_model(q_a: float) -> LsaModel:
     threshold blow up exponentially; tails of the n-step product are exact
     Binomial sums.
     """
-    return _sign_model("biased_rademacher", q_a, 0.0)
+    return _sign_model(q_a, 0.0)
 
 
 def rademacher_gaussian_model(q_a: float, sigma: float) -> LsaModel:
     """Scalar recursion with A = +-1 (P(+1) = q_a) and b ~ N(0, sigma^2)."""
-    return _sign_model("rademacher_gaussian", q_a, sigma)
+    return _sign_model(q_a, sigma)
 
 
 def bounded_factor_model(
@@ -223,8 +234,9 @@ def bounded_factor_model(
     """A = abar + eta * zeta * M with a fair sign zeta; b = bbar + sigma * g.
 
     The multiplicative noise is bounded (two-point), the additive noise
-    Gaussian.  ``c_a = ||abar|| + eta * ||M||`` and the effective-noise
-    covariance is exactly ``sigma^2 * I + eta^2 * (M theta*) (M theta*)^T``.
+    Gaussian.  ``c_a = ||abar|| + eta * ||M||``, and the effective-noise
+    covariance that the model derives from the two atoms is
+    ``sigma^2 * I + eta^2 * (M theta*) (M theta*)^T`` up to rounding.
     """
     abar = _as_square(abar, "abar")
     m = _as_square(m, "m")
@@ -235,20 +247,11 @@ def bounded_factor_model(
     for name, value in (("eta", eta), ("sigma", sigma)):
         if not 0.0 <= value < np.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
-    if not hurwitz_check(abar):
-        raise ValueError("abar must have eigenvalues with positive real part")
-    theta_star = np.linalg.solve(abar, bbar)
-    m_theta = m @ theta_star
-    sig_eps = sigma**2 * np.eye(d) + eta**2 * np.outer(m_theta, m_theta)
     return LsaModel(
-        name="bounded_factor",
-        dim=d,
         abar=abar,
         bbar=bbar,
-        theta_star=theta_star,
         c_a=float(spectral_norm(abar) + eta * spectral_norm(m)),
         sigma_b=float(sigma * np.sqrt(d)),
-        sigma_eps_exact=sig_eps,
         # zeta = -1 (index 0) or +1 (index 1), each with probability 1/2
         sampler=_TableSampler(
             abar + eta * _SIGN_ATOMS * m, np.full(2, 0.5), bbar[None], float(sigma)
@@ -310,12 +313,6 @@ def td_zero_model(
     d_pi = np.diag(pi)
     abar = phi.T @ d_pi @ (phi - gamma * (p @ phi))
     bbar = phi.T @ (pi * rewards)
-    if not hurwitz_check(abar):
-        raise ValueError(
-            "feature/transition combination yields a mean matrix without "
-            "positive-real-part spectrum; choose full-rank features and gamma < 1"
-        )
-    theta_star = np.linalg.solve(abar, bbar)
     # atom x * S + x' is phi(x) (phi(x) - gamma phi(x'))^T, of weight
     # pi[x] p[x, x'], with b row r(x) phi(x), for every pair of states
     states = np.repeat(np.arange(s), s)
@@ -326,25 +323,17 @@ def td_zero_model(
         b_atoms=rewards[states][:, None] * f,
         sigma=0.0,
     )
-    # exact noise covariance and the almost-sure bound c_a over reachable transitions
-    d = phi.shape[1]
-    sig_eps = np.zeros((d, d))
+    # the almost-sure bound c_a over reachable transitions
     c_a = 0.0
     for k in np.flatnonzero(sampler.weights):
-        eps = (sampler.b_atoms[k] - bbar) - (sampler.atoms[k] - abar) @ theta_star
-        sig_eps += sampler.weights[k] * np.outer(eps, eps)
         norm_next = np.linalg.norm(f[k] - gamma * f_next[k])
         c_a = max(c_a, float(np.linalg.norm(f[k]) * norm_next))
     sigma_b = float(max(np.linalg.norm(rewards[x] * phi[x] - bbar) for x in range(s)))
     return LsaModel(
-        name="td_zero",
-        dim=d,
         abar=abar,
         bbar=bbar,
-        theta_star=theta_star,
         c_a=max(c_a, float(spectral_norm(abar))),
         sigma_b=sigma_b,
-        sigma_eps_exact=0.5 * (sig_eps + sig_eps.T),
         sampler=sampler,
     )
 
@@ -379,14 +368,14 @@ def exact_stationary_cov(model: LsaModel, alpha: float) -> np.ndarray:
     + alpha^2 * Sigma_eps.  Unlike the linearized stationary scale
     (``solve_riccati``, which replaces E[A . A.T] by abar . abar.T), this
     keeps the multiplicative noise exactly, so it is the true limit of
-    Var(theta_n) whenever that limit exists.  Raises, like the other
-    covariance solves, when abar is not Hurwitz or the solution misses its
-    residual tolerance, and when the second-moment map is not a contraction
-    at this stepsize.
+    Var(theta_n) whenever that limit exists.  ``abar`` needs no check here:
+    a model's is Hurwitz by construction.  Raises for a stepsize that is not
+    positive and finite, when the second-moment map is not a contraction at
+    this stepsize, and, like the other covariance solves, when the solution
+    misses its residual tolerance.
     """
     if not (np.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    abar = _require_hurwitz(_as_square(model.abar, "abar"))
     transfer = _second_moment_transfer(model, alpha)
     radius = float(np.max(np.abs(np.linalg.eigvals(transfer))))
     if radius >= 1.0:
@@ -396,5 +385,5 @@ def exact_stationary_cov(model: LsaModel, alpha: float) -> np.ndarray:
         )
     rhs = alpha * model.sigma_eps_exact
     return _solve_stationary(
-        abar[None], rhs, alpha, model.kernel_exact, "stationary covariance"
+        model.abar[None], rhs, alpha, model.kernel_exact, "stationary covariance"
     )[0][0]

@@ -194,6 +194,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config error: model kind 'bounded_factor': {key}" in err
 
+    @pytest.mark.parametrize("experiment", ["bounds", "clt"])
+    @pytest.mark.parametrize("model", [
+        # 2 q_a - 1 = 2e-13: the mean matrix is not Hurwitz
+        {"kind": "biased_rademacher", "q_a": 0.5000000000001},
+        # the Lyapunov solve of abar = 1e308 misses its residual gate
+        {"kind": "bounded_factor", "abar": [[1e308]], "bbar": [0.0], "m": [[1e308]],
+         "eta": 1.0, "sigma": 1.0},
+    ], ids=["pm1-not-hurwitz", "factor-residual"])
+    def test_a_model_without_a_lyapunov_witness_exits_two(
+        self, tmp_path, capsys, experiment, model
+    ):
+        cfg = write_config(tmp_path, model=model, out=str(tmp_path / "r"))
+        assert main([experiment, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model")
+        assert "Traceback" not in err
+
     def test_unreadable_config_exits_two(self, tmp_path, capsys):
         assert main(["clt", "--config", str(tmp_path / "absent.json")]) == 2
         assert "cannot read config file" in capsys.readouterr().err

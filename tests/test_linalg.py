@@ -25,9 +25,9 @@ from lsalab.linalg import (
     _kron_sum,
     _logsumexp,
     _lyapunov_q,
+    _require_hurwitz,
     _t,
     alpha_p_inf,
-    hurwitz_check,
     q_norm_mat,
     solve_lyapunov,
     solve_riccati,
@@ -120,8 +120,11 @@ class TestEntryValidation:
         (lambda: solve_riccati(_UNSTABLE, np.eye(1), -0.1), "alpha must be >= 0"),
         (lambda: spectral_profile(np.array([[np.nan]]), c_a=1.0), "abar has non-finite"),
         (lambda: spectral_profile(np.array([[0.5]]), c_a=0.4), "c_a=0.4 must be"),
-        (lambda: exact_stationary_cov(_with_abar(_UNSTABLE), -0.1), "alpha must be positive"),
-        (lambda: exact_stationary_cov(_with_abar(_UNSTABLE), np.nan), "alpha must be positive"),
+        # a model's abar is Hurwitz by construction, so only alpha is left to check
+        (lambda: exact_stationary_cov(_with_abar(np.array([[1.0]])), -0.1),
+         "alpha must be positive"),
+        (lambda: exact_stationary_cov(_with_abar(np.array([[1.0]])), np.nan),
+         "alpha must be positive"),
     ], ids=["lyapunov-nan", "sigma-abar-inf", "sigma-rhs-nan", "riccati-nan-before-alpha",
             "riccati-rhs-before-alpha", "riccati-alpha-before-hurwitz", "profile-nan",
             "profile-c_a", "exact-cov-alpha", "exact-cov-nan-alpha"])
@@ -390,9 +393,10 @@ class TestSpectralProfile:
             alpha_p_inf(prof, 0.5)
 
     def test_hurwitz_check_boundary(self):
-        assert hurwitz_check(np.array([[1.0]]))
-        assert not hurwitz_check(np.array([[0.0]]))
-        assert not hurwitz_check(np.array([[1.0, 0.0], [0.0, -0.5]]))
+        _require_hurwitz(np.array([[1.0]]))
+        for abar in (np.array([[0.0]]), np.array([[1.0, 0.0], [0.0, -0.5]])):
+            with pytest.raises(NotHurwitzError):
+                _require_hurwitz(abar)
 
 
 class TestResidualGuard:

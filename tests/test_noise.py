@@ -339,6 +339,37 @@ class TestKernelFromTheLaw:
         assert np.array_equal(weights == 0.0, p.reshape(-1) == 0.0)
 
 
+class TestNoiseCovarianceFromTheLaw:
+    """sigma_eps_exact is derived from the law: sigma^2 I plus the weighted
+    outer products of each atom's effective noise."""
+
+    @pytest.mark.parametrize("q_a, sigma", [
+        (0.75, 0.0), (0.6, 1.0), (0.5 + 2.0**-20, 0.3), (0.75, 1e150),
+    ])
+    def test_sign_chains_are_sigma_squared(self, q_a, sigma):
+        model = rademacher_gaussian_model(q_a, sigma)
+        assert model.sigma_eps_exact.tobytes() == np.array([[sigma**2]]).tobytes()
+
+    def test_random_factors_are_the_closed_form_to_the_last_bits(self):
+        rng = np.random.default_rng(33)
+        built = 0
+        for _ in range(500):
+            d = int(rng.integers(1, 5))
+            abar = (1.0 + rng.random()) * np.eye(d) + 0.2 * rng.normal(size=(d, d))
+            m, bbar = rng.normal(size=(d, d)), rng.normal(size=d)
+            eta, sigma = float(rng.random()), float(rng.random())
+            try:
+                model = bounded_factor_model(abar, bbar, m, eta, sigma)
+            except linalg.NotHurwitzError:
+                continue
+            built += 1
+            m_theta = m @ model.theta_star
+            closed_form = sigma**2 * np.eye(d) + eta**2 * np.outer(m_theta, m_theta)
+            gap = np.abs(model.sigma_eps_exact - closed_form).max()
+            assert gap <= 1e-15 * np.abs(closed_form).max()
+        assert built > 400
+
+
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_sign_chain_sigma(self, value):
@@ -643,6 +674,14 @@ def test_a_law_with_other_weights_decodes_and_kernels_by_them(kind):
     assert index[0].tolist() == kept[1:].tolist()
     kernel = sum(w[j] * np.kron(sampler.atoms[j], sampler.atoms[j]) for j in kept)
     assert np.allclose(tilted.kernel_exact, kernel, rtol=1e-14, atol=0.0)
+    # and so does its noise covariance, the mean pair and theta_star being kept
+    b_rows = np.broadcast_to(sampler.b_atoms, (k, model.dim))
+    sig_eps = sampler.sigma**2 * np.eye(model.dim)
+    for j in kept:
+        eps = (b_rows[j] - model.bbar) - (sampler.atoms[j] - model.abar) @ model.theta_star
+        sig_eps = sig_eps + w[j] * np.outer(eps, eps)
+    assert np.array_equal(tilted.theta_star, model.theta_star)
+    assert np.allclose(tilted.sigma_eps_exact, sig_eps, rtol=1e-14, atol=0.0)
 
 
 def _paths(sampler, n, alpha=None):

@@ -7,10 +7,12 @@ Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
 runs the same ``lsalab`` invocations on it and on the working tree's
 ``src/``: the seven default runs at seeds 0, 2 and 3; every invocation of
 the workloads in ``perfbench/workloads.py`` at seed 0 with ``--workers`` 1
-and 2; and ``simulate`` and ``wasserstein`` on the TD(0) model of
+and 2; ``simulate`` and ``wasserstein`` on the TD(0) model of
 ``tests/test_engine.py::small_td`` at seed 0 with ``--workers`` 1 and 2,
-since no default run or workload decodes a TD(0) law.  All run with
-``--format both``.  For each invocation it compares the CSV
+since no default run or workload decodes a TD(0) law; and ``clt`` on a
+scalar bounded factor with ``bbar != 0`` at seed 0 with ``--workers`` 1 and
+2, since no default run or workload reads the noise covariance of a model
+with ``theta_star != 0``.  All run with ``--format both``.  For each invocation it compares the CSV
 bytes, the JSON text with its ``wall_time_s`` value blanked, stdout and
 stderr with the output prefix replaced by a placeholder, and the exit code.
 It prints each invocation's peak RSS (``ru_maxrss``, from ``os.wait4``) on
@@ -74,6 +76,12 @@ TD_MODEL = {
     "kind": "td_zero", "p": [[0.2, 0.8], [0.6, 0.4]], "rewards": [1, -1],
     "phi": [[1, 0.2], [0.3, 1]], "gamma": 0.8,
 }
+# theta_star = 0.7 / 1.3; the noise covariance the model derives from its two
+# atoms is the closed form 1 + 0.25 * (0.9 * theta_star)^2 plus one ulp
+FACTOR_MODEL = {
+    "kind": "bounded_factor", "abar": [[1.3]], "bbar": [0.7], "m": [[0.9]],
+    "eta": 0.5, "sigma": 1.0,
+}
 
 
 def blank_wall_time(json_text: str) -> str:
@@ -116,6 +124,11 @@ def _jobs(defaults_only: bool = False) -> list[tuple[str, str, dict, int, int]]:
         (f"td_zero/{experiment} workers={workers}", experiment, {"model": TD_MODEL},
          WORKLOAD_SEED, workers)
         for experiment in ("simulate", "wasserstein")
+        for workers in WORKERS
+    ]
+    jobs += [
+        (f"bounded_factor/clt workers={workers}", "clt", {"model": FACTOR_MODEL},
+         WORKLOAD_SEED, workers)
         for workers in WORKERS
     ]
     return jobs
