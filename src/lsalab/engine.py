@@ -1,33 +1,35 @@
 """Simulation engine: trajectories, error decomposition, Monte Carlo estimates.
 
 Determinism contract: trajectory j reads its own counter stream
-``stream(seed, j)`` in the model's fixed word layout, so it is a pure function
-of ``(model, alpha, seed, j)``.  The batch routines (``final_errors``,
-``mc_norm_moment``, ``coupled_w2`` and the error decomposition
-``_decomposed_errors``) all step through one driver, ``_drive``: it runs the
-trajectories in fixed chunks, sized so that a chunk's words and step
-temporaries stay under a float budget, decodes each chunk's draws once for
-the whole path into one word buffer per drive (atom indices, then b in
-place over its words), tiles the start state over each chunk and applies
-the caller's step to it, each row with a lone trajectory's arithmetic
-(``_matvec``).  One streaming reducer, ``_Moments``, gives every Monte
-Carlo mean and sample variance: it reduces fixed granules of _GRANULE
-trajectories, aligned to the trajectory index, and merges them in a fixed
-pairwise tree (Chan, Golub & LeVeque), so results are bit-identical however
-trajectories are chunked or scheduled and rows do not depend on the chunk
-budget.  ``coupled_w2`` reduces its per-step values, a batch of steps at a
-time, as the driver produces them, so no estimator holds an (n_traj, n + 1)
-array.  Equal values give a variance of exactly 0.  ``mc_norm_moment`` and
-``coupled_w2`` take their random products from one product kernel,
-``_products``, the only caller of the driver that reads A's words alone.
-A's law has finite support, so a batch routine builds its A-dependent step
-matrices (such as I - alpha*A and A - abar) once per call, one per atom of
-the sampler, and each step gathers them by the decoded atom indices: the
-same numpy operations on the same values as a per-step computation, hence
-the same bits.  ``run_trajectory``, ``run_decomposed`` and ``product`` are the
-single-trajectory references; ``run_decomposed`` runs the batch
-decomposition's step (``_decomposition``) through the driver on one row
-drawn from its own generator.
+``stream(seed, j)`` in the model's fixed word layout, so it is a pure
+function of ``(model, alpha, seed, j)``.  The batch routines
+(``final_errors``, ``mc_norm_moment``, ``coupled_w2`` and the error
+decomposition ``_decomposed_errors``) all step through one driver,
+``_drive``: it runs the trajectories in chunks of fixed rows, as many as fit
+whole paths in a float budget but never fewer than a row floor, and draws
+and decodes a chunk's paths a window of steps at a time into one word buffer
+per drive (atom indices, then b in place over its words), so that a chunk's
+draws stay in the budget at any horizon.  The streams are counter-based, so
+a window reads its words bit for bit wherever it starts.  It tiles the start
+state over each chunk and applies the caller's step to it, each row with a
+lone trajectory's arithmetic (``_matvec``).  One streaming reducer,
+``_Moments``, gives every Monte Carlo mean and sample variance: it reduces
+fixed granules of _GRANULE trajectories, aligned to the trajectory index,
+and merges them in a fixed pairwise tree (Chan, Golub & LeVeque), so results
+are bit-identical however trajectories are chunked, windowed or scheduled
+and rows do not depend on the chunk budget.  ``coupled_w2`` reduces its
+per-step values, a batch of steps at a time, as the driver produces them, so
+no estimator holds an (n_traj, n + 1) array.  Equal values give a variance
+of exactly 0.  ``mc_norm_moment`` and ``coupled_w2`` take their random
+products from one product kernel, ``_products``, the only caller of the
+driver that reads A's words alone.  A's law has finite support, so a batch
+routine builds its A-dependent step matrices (such as I - alpha*A and A -
+abar) once per call, one per atom of the sampler, and each step gathers them
+by the decoded atom indices: the same numpy operations on the same values as
+a per-step computation, hence the same bits.  ``run_trajectory``,
+``run_decomposed`` and ``product`` are the single-trajectory references;
+``run_decomposed`` runs the batch decomposition's step (``_decomposition``)
+through the driver on one row drawn from its own generator.
 """
 
 from __future__ import annotations
@@ -43,13 +45,16 @@ from lsalab.linalg import SpectralProfile, _horizon, _logsumexp
 from lsalab.noise import LsaModel, _second_moment_transfer, lyapunov_witness
 from lsalab.rng import _block_uniforms, stream, uniform_open01
 
-# A chunk's buffers stay under roughly this many floats.  Per trajectory: its
-# stream words and a step's temporaries (see _traj_floats).
-_CHUNK_FLOAT_BUDGET = 4_000_000
-
 # Monte Carlo statistics are reduced in granules of this many trajectories,
 # aligned to the trajectory index (see _Moments).
 _GRANULE = 256
+
+# A chunk's draws and step temporaries stay under about this many floats, and
+# a chunk holds at least _CHUNK_ROWS trajectories, or all of them if fewer: a
+# longer path than fits at that many rows is drawn in windows of steps (see
+# _layout), so a step's numpy calls serve as many rows at any horizon.
+_CHUNK_FLOAT_BUDGET = 1_000_000
+_CHUNK_ROWS = 4 * _GRANULE
 
 
 class TrajectoryBlowup(RuntimeError):
@@ -237,19 +242,36 @@ def product(model: LsaModel, alpha: float, n: int, gen: Generator) -> np.ndarray
     return gamma
 
 
-def _traj_floats(model: LsaModel, n: int, with_b: bool, state_floats: int) -> int:
-    """Floats a chunk holds per trajectory: its words, and a step's temporaries.
+def _layout(model: LsaModel, n: int, with_b: bool, state_floats: int, n_traj: int):
+    """(rows, window, width): a drive's chunk rows, window steps and buffer words a row.
 
-    A chunk's words share one buffer, as wide as the larger of the A words
-    and the b words; where that width and the decoded draws held beside it
-    come to more than the words, they count instead.  A step on a state of
-    ``state_floats`` floats holds the state, its update and the gathered
-    (d, d) step matrices: at most d floats per state float.
+    Per trajectory, a step of a window holds its words in the buffer (its A
+    word, or its b words where they are more: ``width`` / ``window`` of
+    them), its decoded draws beside them (``sampler._held``), and a step on
+    a state of ``state_floats`` floats holds the state, its update and the
+    gathered (d, d) step matrices: at most d + 2 floats per state float.  A
+    chunk is as many trajectories as fit whole paths in the budget, but at
+    least _CHUNK_ROWS (all n_traj, if fewer), and whole granules of the
+    reducer where that takes no more chunks; a window is as many steps as
+    fit in the budget beside the chunk's states, at least 1, and the path's
+    windows are made as even as whole steps allow.
     """
     sampler = model.sampler
-    n_a, words = sampler._words(n, False), sampler._words(n, with_b)
-    held = max(n_a, words - n_a) + sampler._held(n, with_b)
-    return max(words, held) + (model.dim + 2) * state_floats
+    # a step's A word, or its b words where they are more
+    words = max(1, sampler._words(1, with_b) - 1)
+    step_bytes = 8 * words + sampler._held(with_b)
+    state_bytes = 8 * (model.dim + 2) * state_floats
+    budget = 8 * _CHUNK_FLOAT_BUDGET
+    rows = max(1, min(n_traj, max(_CHUNK_ROWS, budget // (n * step_bytes + state_bytes))))
+    # whole granules, so that the reducer splits none across chunks, unless
+    # that takes one chunk more, whose n steps are as many numpy calls more
+    aligned = rows - rows % _GRANULE
+    if aligned and -(-n_traj // aligned) == -(-n_traj // rows):
+        rows = aligned
+    fit = max(1, (budget // rows - state_bytes) // step_bytes)
+    windows = max(1, -(-n // fit))
+    window = max(1, -(-n // windows))
+    return rows, window, window * words
 
 
 def _drive(
@@ -260,10 +282,12 @@ def _drive(
 
     Trajectory j reads stream(seed, j), or with ``words`` the one row of
     words given, shape (1, words); with_b=False reads only the A words.
-    Trajectories run in fixed chunks whose words and step temporaries stay
-    in budget (``_traj_floats``).  One word buffer serves the whole drive:
-    a chunk's A words are drawn into it and decoded to atom indices, then
-    its b words are drawn into it and decoded in place, so one chunk's draws
+    Trajectories run in chunks of fixed rows, and each chunk's paths are
+    drawn and decoded a window of steps at a time (``_layout`` sizes both
+    under the budget).  One word buffer serves the whole drive: every draw
+    fills it from its start, a window's A words are decoded to atom indices,
+    then its b words are drawn into it and decoded in place, and a window's
+    draws are dropped before the next window is drawn, so one window's draws
     are alive at a time.  Each chunk starts from ``start`` tiled, and
     ``step(state, index_k, b_k)`` returns the chunk's next state from the
     step's atom indices and b draws (see ``noise._TableSampler._steps``).
@@ -275,37 +299,33 @@ def _drive(
     with the first such trajectory and the step its reference names.
     """
     sampler = model.sampler
-    n_a = sampler._words(n, False)
-    width = max(n_a, sampler._words(n, with_b) - n_a)
-    chunk = max(1, min(4096, _CHUNK_FLOAT_BUDGET // _traj_floats(model, n, with_b, start.size)))
+    chunk, window, width = _layout(model, n, with_b, start.size, n_traj)
     out = np.empty((n_traj,) + start.shape)
-    buffer = np.empty(min(chunk, n_traj) * width)
+    buffer = np.empty(chunk * width)
+    for lo in range(0, n_traj, chunk):
+        hi = min(lo + chunk, n_traj)
 
-    def run(lo, hi):
         def draw(n_words, first):
-            # a (rows, n_words) block of words [first, first + n_words) sits
-            # at its place in a row of the buffer's width, or, past that
-            # width, at the start: b's words take the place of A's
-            at = (hi - lo) * (first if first + n_words <= width else 0)
-            u = buffer[at : at + (hi - lo) * n_words].reshape(hi - lo, n_words)
+            # every block of words fills the buffer from its start
+            u = buffer[: (hi - lo) * n_words].reshape(hi - lo, n_words)
             if words is None:
                 return _block_uniforms(seed, lo, hi, n_words, first, out=u)
             u[...] = words[:, first : first + n_words]
             return u
 
-        # the chunk's decoded draws die with this frame, before the next chunk's
         state = np.tile(start, (hi - lo,) + (1,) * start.ndim)
         if observe is not None:
             observe(slice(lo, hi), 0, state)
-        for k, (index, b_k) in enumerate(sampler._steps(draw, n, with_b), 1):
-            state = step(state, index, b_k)
-            if observe is not None:
-                observe(slice(lo, hi), k, state)
-        return state
-
-    for lo in range(0, n_traj, chunk):
-        hi = min(lo + chunk, n_traj)
-        state = out[lo:hi] = run(lo, hi)
+        k = 0
+        for index, b in sampler._steps(draw, n, with_b, window):
+            for i in range(index.shape[1]):
+                state = step(state, index[:, i], None if b is None else b[:, i, :, None])
+                k += 1
+                if observe is not None:
+                    observe(slice(lo, hi), k, state)
+            # the window's draws die before the next window is drawn
+            del index, b
+        out[lo:hi] = state
         if reference is not None:
             bad = ~np.all(np.isfinite(state.reshape(hi - lo, -1)[:, : model.dim]), axis=1)
             if np.any(bad):

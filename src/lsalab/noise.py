@@ -2,10 +2,10 @@
 
 A model is built from the mean pair (abar, bbar), the scale constants used
 by the bound evaluators (c_a, sigma_b) and a sampler, whose ``atoms`` and
-``weights`` are the law of A.  It checks once that abar is Hurwitz and
-derives from its law the dimension, the target theta_star solving ``abar @
-theta_star = bbar``, the exact covariance ``sigma_eps_exact`` of the
-effective noise
+``weights`` are the law of A.  It checks once that abar is Hurwitz and the
+law's atoms finite, and derives from its law the dimension, the target
+theta_star solving ``abar @ theta_star = bbar``, the exact covariance
+``sigma_eps_exact`` of the effective noise
 
     eps_n = (b_n - bbar) - (A_n - abar) @ theta_star
 
@@ -14,8 +14,8 @@ its parameters and writes down the law.  Each
 built-in sampler owns a fixed word layout: an n-step path reads the A-noise
 words of all n steps first, then all b-noise words, so a path is a pure
 function of ``(seed, stream_id, n)`` and never depends on batching or
-scheduling.  A consumer that needs only the A draws reads only the A-word
-prefix.
+scheduling, and a window of its steps reads the same slices of both.  A
+consumer that needs only the A draws reads only the A-word prefix.
 
 Every built-in law gives A_n finite support: two values for the +-1 chains,
 two matrices ``abar -+ eta*M`` for the bounded factor and the S^2 rank-one
@@ -67,14 +67,19 @@ class _TableSampler:
     row per atom, shape (K, d), or one row shared by all, shape (1, d).
     With sigma > 0 the n*d Gaussian words of b follow the n A words.
     ``_words(n, with_b)`` is the number of words per trajectory of an n-step
-    path: all of them, or only the A-word prefix.  A path of B trajectories
-    is decoded from ``draw(n_words, start)``, which returns words [start,
-    start + n_words) of each trajectory, shape (B, n_words), and may reuse
-    the memory of the words it returned before: ``_index(draw, n)`` gives
-    the indices into ``atoms`` of the n A draws, shape (B, n), and then
-    ``_b(index, draw, n)`` the b draws, shape (B, n, d), decoded in place
-    over their words where there are any.  ``_held(n, with_b)`` is the
-    floats per trajectory that the decoded draws hold outside the words.
+    path: all of them, or only the A-word prefix.  The draws of B
+    trajectories are decoded from ``draw(n_words, start)``, which returns
+    words [start, start + n_words) of each trajectory, shape (B, n_words),
+    and may reuse the memory of every block it returned before:
+    ``_index(draw, steps, start)`` gives the indices into ``atoms`` of the A
+    draws of A words [start, start + steps), shape (B, steps), and then
+    ``_b(index, draw, steps, start)`` the b draws of those steps, from b
+    words [start, start + steps*d), shape (B, steps, d), decoded in place
+    over their words where there are any.  ``_steps`` yields a path's draws
+    a window of steps at a time, each window decoded from its own slices of
+    the A words and the b words, so the draws do not depend on the windows.
+    ``_held(with_b)`` is the bytes per trajectory and step that the decoded
+    draws hold outside their words.
     """
 
     atoms: np.ndarray
@@ -89,31 +94,37 @@ class _TableSampler:
             return u[:, start : start + n_words]
 
         index = self._index(draw, n)
-        return self.atoms[index[0]], np.array(self._b(index, draw, n)[0])
+        return self.atoms[index[0]], np.array(self._b(index, draw, n, n)[0])
 
-    def _steps(self, draw, n: int, with_b: bool):
-        """Yield (index_k, b_k), shapes (B,) and (B, d, 1), for k = 0..n-1.
+    def _steps(self, draw, n: int, with_b: bool, window: int):
+        """Yield an n-step path's draws a window of ``window`` steps at a time.
 
-        A_k of row i is ``atoms[index_k[i]]``; b_k is None unless with_b.
+        Window [s, s + w), w = min(window, n - s), is (index, b): the atom
+        indices of A words [s, s + w), shape (B, w), and, with_b, the b draws
+        of b words [n + s*d, n + (s + w)*d), shape (B, w, d), else None.  A
+        window's draws are dropped before the next window is drawn, so the
+        caller may let ``draw`` reuse its memory once it drops them too.
         """
-        index = self._index(draw, n)
-        b = self._b(index, draw, n) if with_b else None
-        for k in range(n):
-            yield index[:, k], None if b is None else b[:, k, :, None]
+        d = self.b_atoms.shape[1]
+        for s in range(0, n, window):
+            w = min(window, n - s)
+            index = self._index(draw, w, s)
+            yield index, self._b(index, draw, w, n + s * d) if with_b else None
+            del index
 
     def _words(self, n: int, with_b: bool) -> int:
         return n + n * self.b_atoms.shape[1] if with_b and self.sigma != 0.0 else n
 
-    def _held(self, n: int, with_b: bool) -> int:
+    def _held(self, with_b: bool) -> int:
         # the index, and b where it is gathered: b decoded over its words, or
         # a view of a shared row, holds nothing more
-        index = -(-n * np.min_scalar_type(self.weights.size - 1).itemsize // 8)
-        return index + n * self.b_atoms.shape[1] if with_b and len(self.b_atoms) > 1 else index
+        index = np.min_scalar_type(self.weights.size - 1).itemsize
+        return index + 8 * self.b_atoms.shape[1] if with_b and len(self.b_atoms) > 1 else index
 
-    def _index(self, draw, n: int) -> np.ndarray:
-        return _inverse(draw(n, 0), self.weights)
+    def _index(self, draw, steps: int, start: int = 0) -> np.ndarray:
+        return _inverse(draw(steps, start), self.weights)
 
-    def _b(self, index: np.ndarray, draw, n: int) -> np.ndarray:
+    def _b(self, index: np.ndarray, draw, steps: int, start: int) -> np.ndarray:
         d = self.b_atoms.shape[1]
         # a shared row is broadcast, so nothing is gathered
         shared = len(self.b_atoms) == 1
@@ -121,8 +132,8 @@ class _TableSampler:
         if self.sigma == 0.0:
             return np.broadcast_to(mean, index.shape + (d,)) if shared else mean
         # mean + sigma * g, rounded as that expression rounds it
-        g = draw(n * d, n)
-        g = _normals(g, out=g).reshape(len(g), n, d)
+        g = draw(steps * d, start)
+        g = _normals(g, out=g).reshape(len(g), steps, d)
         g *= self.sigma
         g += mean
         return g
@@ -132,7 +143,8 @@ class _TableSampler:
 class LsaModel:
     """A fully specified instance of the fixed-stepsize linear recursion.
 
-    ``abar`` must be Hurwitz (``NotHurwitzError`` otherwise).  Over the
+    ``abar`` must be Hurwitz (``NotHurwitzError`` otherwise) and the
+    sampler's ``atoms`` and ``b_atoms`` finite (``ValueError``).  Over the
     atoms of nonzero weight, in atom order, ``sigma_eps_exact`` is sigma^2 I
     plus the sum of ``weights[k] * outer(eps_k, eps_k)``, eps_k = (row k of
     ``b_atoms`` - bbar) - (atoms[k] - abar) @ theta_star, and
@@ -154,6 +166,10 @@ class LsaModel:
 
     def __post_init__(self):
         abar = _require_hurwitz(_as_square(self.abar, "abar"))
+        # every derived value is a sum over the atoms, so an atom that
+        # overflowed would make them inf or nan
+        _require_finite(self.sampler.atoms, "the law of A")
+        _require_finite(self.sampler.b_atoms, "the law of b")
         d = abar.shape[0]
         theta_star = np.linalg.solve(abar, self.bbar)
         atoms, weights, sigma = self.sampler.atoms, self.sampler.weights, self.sampler.sigma
@@ -247,15 +263,16 @@ def bounded_factor_model(
     for name, value in (("eta", eta), ("sigma", sigma)):
         if not 0.0 <= value < np.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    # zeta = -1 (index 0) or +1 (index 1), each with probability 1/2; an atom
+    # that overflows is rejected by LsaModel, so it needs no warning here
+    with np.errstate(over="ignore"):
+        atoms = abar + eta * _SIGN_ATOMS * m
     return LsaModel(
         abar=abar,
         bbar=bbar,
         c_a=float(spectral_norm(abar) + eta * spectral_norm(m)),
         sigma_b=float(sigma * np.sqrt(d)),
-        # zeta = -1 (index 0) or +1 (index 1), each with probability 1/2
-        sampler=_TableSampler(
-            abar + eta * _SIGN_ATOMS * m, np.full(2, 0.5), bbar[None], float(sigma)
-        ),
+        sampler=_TableSampler(atoms, np.full(2, 0.5), bbar[None], float(sigma)),
     )
 
 

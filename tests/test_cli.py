@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,10 +199,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("model", [
         # 2 q_a - 1 = 2e-13: the mean matrix is not Hurwitz
         {"kind": "biased_rademacher", "q_a": 0.5000000000001},
-        # the Lyapunov solve of abar = 1e308 misses its residual gate
+        # the atom abar + eta*m = 1e308 + 1e308 overflows
         {"kind": "bounded_factor", "abar": [[1e308]], "bbar": [0.0], "m": [[1e308]],
          "eta": 1.0, "sigma": 1.0},
-    ], ids=["pm1-not-hurwitz", "factor-residual"])
+    ], ids=["pm1-not-hurwitz", "factor-overflow"])
     def test_a_model_without_a_lyapunov_witness_exits_two(
         self, tmp_path, capsys, experiment, model
     ):
@@ -210,6 +211,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: model")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment", ["bounds", "clt", "simulate", "wasserstein"])
+    def test_a_law_with_an_overflowing_atom_exits_two_without_warnings(
+        self, tmp_path, capsys, experiment
+    ):
+        # every value a model derives is a sum over its atoms: one atom
+        # abar + eta*m that overflows is named where the model is built,
+        # before any of them is computed
+        model = {"kind": "bounded_factor", "abar": [[1e308]], "bbar": [0.0], "m": [[1e308]],
+                 "eta": 1.0, "sigma": 1.0}
+        cfg = write_config(tmp_path, model=model, out=str(tmp_path / "r"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([experiment, "--config", cfg]) == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: model kind 'bounded_factor': the law of A has non-finite entries\n"
+        )
+        assert not (tmp_path / "r.csv").exists()
 
     def test_unreadable_config_exits_two(self, tmp_path, capsys):
         assert main(["clt", "--config", str(tmp_path / "absent.json")]) == 2

@@ -49,6 +49,12 @@ from lsalab.noise import (
 from lsalab.rng import stream
 
 
+def _chunks(patch, budget: int, rows: int) -> None:
+    """Chunks of at least ``rows`` trajectories under a budget of ``budget`` floats."""
+    patch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
+    patch.setattr(engine, "_CHUNK_ROWS", rows)
+
+
 def gm_model():
     """Scalar A = 1 + 0.5*zeta, b ~ N(0,1)."""
     return bounded_factor_model(
@@ -174,8 +180,8 @@ class TestDecomposedErrors:
             dec = run_decomposed(model, alpha, theta0, n, stream(seed, j))
             expected.append(np.stack([dec.theta_err, dec.gamma_term, dec.h1, dec.j1, dec.j0]))
         expected = np.stack(expected)
-        for budget in (engine._CHUNK_FLOAT_BUDGET, 3000):
-            monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
+        for budget, rows in ((engine._CHUNK_FLOAT_BUDGET, engine._CHUNK_ROWS), (3000, 5)):
+            _chunks(monkeypatch, budget, rows)
             terms = engine._decomposed_errors(model, alpha, theta0, n, n_traj, seed)
             assert terms.shape == (n_traj, 5, model.dim)
             assert terms.tobytes() == expected.tobytes()
@@ -194,8 +200,8 @@ class TestDecomposedErrors:
                     expected = (j, exc.step)
                     break
         assert expected is not None and expected[0] > 0
-        for budget in (engine._CHUNK_FLOAT_BUDGET, 250):
-            monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
+        for budget, rows in ((engine._CHUNK_FLOAT_BUDGET, engine._CHUNK_ROWS), (250, 7)):
+            _chunks(monkeypatch, budget, rows)
             with np.errstate(all="ignore"), pytest.raises(TrajectoryBlowup) as info:
                 engine._decomposed_errors(model, alpha, theta0, n, n_traj, seed)
             assert (info.value.trajectory, info.value.step) == expected
@@ -257,7 +263,7 @@ class TestFinalErrors:
     def test_chunk_budget_does_not_change_results(self, monkeypatch):
         model = gm_model()
         full = final_errors(model, 0.1, np.array([1.0]), 50, 64, seed=13)
-        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 200)
+        _chunks(monkeypatch, 200, 10)
         tiny = final_errors(model, 0.1, np.array([1.0]), 50, 64, seed=13)
         assert np.array_equal(full, tiny)
 
@@ -265,7 +271,7 @@ class TestFinalErrors:
     def test_multidim_chunk_budget_does_not_change_results(self, maker, monkeypatch):
         model = maker()
         full = final_errors(model, 0.05, model.theta_star + 1.0, 20, 40, seed=31)
-        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 2000)
+        _chunks(monkeypatch, 2000, 6)
         tiny = final_errors(model, 0.05, model.theta_star + 1.0, 20, 40, seed=31)
         assert np.array_equal(full, tiny)
 
@@ -283,8 +289,8 @@ class TestFinalErrors:
                     expected = (j, exc.step)
                     break
         assert expected is not None and expected[0] > 0
-        for budget in (engine._CHUNK_FLOAT_BUDGET, 250):
-            monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
+        for budget, rows in ((engine._CHUNK_FLOAT_BUDGET, engine._CHUNK_ROWS), (250, 7)):
+            _chunks(monkeypatch, budget, rows)
             with np.errstate(all="ignore"), pytest.raises(TrajectoryBlowup) as info:
                 final_errors(model, alpha, theta0, n, n_traj, seed)
             assert (info.value.trajectory, info.value.step) == expected
@@ -299,7 +305,7 @@ class TestFinalErrors:
 
 
 # Each batch estimator, whether it reads the b words, and the floats of its
-# start state at dimension d (engine._traj_floats sizes chunks by both).
+# start state at dimension d (engine._layout sizes chunks and windows by both).
 _ESTIMATORS = {
     "final_errors": (
         lambda model, n, n_traj: final_errors(model, 0.1, np.zeros(model.dim), n, n_traj, 7),
@@ -328,63 +334,122 @@ _ESTIMATORS = {
 }
 
 
+def _window_budget(model, with_b: bool, state_floats: int, rows: int, window: int) -> int:
+    """The float budget at which chunks of ``rows`` trajectories draw their
+    paths in windows of ``window`` steps: a step's words in the buffer, its
+    decoded draws and d + 2 floats per state float, per trajectory."""
+    sampler = model.sampler
+    step_bytes = 8 * max(1, sampler._words(1, with_b) - 1) + sampler._held(with_b)
+    state_bytes = 8 * (model.dim + 2) * state_floats
+    return -(-rows * (window * step_bytes + state_bytes) // 8)
+
+
+def _spy_on_windows(monkeypatch, model) -> dict:
+    """Record a drive's word buffers, chunks and windows, and what its
+    decoded draws hold.
+
+    ``starts`` holds the first A word and ``b_starts`` the first b word of
+    each window, ``decoded`` the bytes of each window's decoded draws that
+    are not views of words, and ``earlier_alive`` how many earlier windows'
+    decoded draws are still alive when a window's A words are drawn.
+    """
+    seen = {key: [] for key in ("chunks", "starts", "b_starts", "decoded", "earlier_alive")}
+    seen["buffers"], alive = set(), []
+    draw = engine._block_uniforms
+    sampler = type(model.sampler)
+    index_of, b_of = sampler._index, sampler._b
+
+    def spy(seed, lo, hi, n_words, start=0, out=None):
+        seen["buffers"].add(id(out.base))
+        if start == 0:
+            seen["chunks"].append((lo, hi))
+        return draw(seed, lo, hi, n_words, start, out=out)
+
+    def index_spy(self, draw, steps, start=0):
+        seen["starts"].append(start)
+        seen["earlier_alive"].append(sum(ref() is not None for ref in alive))
+        index = index_of(self, draw, steps, start)
+        alive.append(weakref.ref(index))
+        seen["decoded"].append(index.nbytes)
+        return index
+
+    def b_spy(self, index, draw, steps, start):
+        seen["b_starts"].append(start)
+        b = b_of(self, index, draw, steps, start)
+        # b decoded over its words, or a view of bbar, holds no memory of
+        # its own
+        if b.flags.owndata:
+            alive.append(weakref.ref(b))
+            seen["decoded"][-1] += b.nbytes
+        return b
+
+    monkeypatch.setattr(engine, "_block_uniforms", spy)
+    monkeypatch.setattr(sampler, "_index", index_spy)
+    monkeypatch.setattr(sampler, "_b", b_spy)
+    return seen
+
+
 class TestChunkMemory:
     @pytest.mark.parametrize("maker", [gm_model, small_td, d8_model])
     @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
-    def test_one_buffer_and_one_chunk_of_draws_alive_at_a_time(self, name, maker, monkeypatch):
+    def test_one_buffer_and_one_window_of_draws_alive_at_a_time(self, name, maker, monkeypatch):
         estimate, with_b, state_floats = _ESTIMATORS[name]
         model = maker()
-        n, n_traj = 2000, 35
-        # ten trajectories a chunk, so 10, 10, 10, 5
-        budget = 10 * engine._traj_floats(model, n, with_b, state_floats(model.dim))
-        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
-        chunks, buffers, held, decoded, alive, earlier_alive = [], set(), [], [], [], []
-        draw = engine._block_uniforms
-        sampler = type(model.sampler)
-        index_of, b_of = sampler._index, sampler._b
+        n, n_traj, window = 3000, 100, 1000
+        # forty trajectories a chunk, so 40, 40, 20, and paths that do
+        # not fit whole: each is drawn in three windows of 1000 steps
+        budget = _window_budget(model, with_b, state_floats(model.dim), 40, 1100)
+        _chunks(monkeypatch, budget, 40)
+        seen = _spy_on_windows(monkeypatch, model)
+        held, peaks = [], []
+        spied, drive = engine._block_uniforms, engine._drive
 
-        def spy(seed, lo, hi, n_words, start=0, out=None):
-            buffers.add(id(out.base))
-            if start == 0:
-                chunks.append((lo, hi))
-                earlier_alive.append(sum(ref() is not None for ref in alive))
+        def first_draw(seed, lo, hi, n_words, start=0, out=None):
             if not held:
                 # what the estimator holds before its first chunk, such as
                 # its output arrays, is not chunk memory; the buffer is
                 buffer_bytes = out.base.nbytes
                 held.append((tracemalloc.get_traced_memory()[0] - buffer_bytes, buffer_bytes))
                 tracemalloc.reset_peak()
-            return draw(seed, lo, hi, n_words, start, out=out)
+            return spied(seed, lo, hi, n_words, start, out=out)
 
-        def index_spy(self, u, n):
-            index = index_of(self, u, n)
-            alive.append(weakref.ref(index))
-            decoded.append(index.nbytes)
-            return index
+        def drive_peak(*args, **kwargs):
+            # what an estimator makes of the drive's results is not chunk
+            # memory either
+            out = drive(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return out
 
-        def b_spy(self, index, u, n):
-            b = b_of(self, index, u, n)
-            # b decoded over its words, or a view of bbar, holds no memory of
-            # its own
-            if b.flags.owndata:
-                alive.append(weakref.ref(b))
-                decoded[-1] += b.nbytes
-            return b
-
-        monkeypatch.setattr(engine, "_block_uniforms", spy)
-        monkeypatch.setattr(sampler, "_index", index_spy)
-        monkeypatch.setattr(sampler, "_b", b_spy)
+        monkeypatch.setattr(engine, "_block_uniforms", first_draw)
+        monkeypatch.setattr(engine, "_drive", drive_peak)
         tracemalloc.start()
         try:
             estimate(model, n, n_traj)
-            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert chunks == [(0, 10), (10, 20), (20, 30), (30, 35)]
-        assert len(buffers) == 1  # every chunk draws into the drive's one buffer
-        assert earlier_alive == [0, 0, 0, 0]
-        (before, buffer_bytes), = held
-        assert peak - before <= 1.25 * (buffer_bytes + max(decoded)), (peak, held, decoded)
+        assert seen["chunks"] == [(0, 40), (40, 80), (80, 100)]
+        assert seen["starts"] == [0, window, 2 * window] * 3
+        assert len(seen["buffers"]) == 1  # every window draws into the drive's one buffer
+        assert seen["earlier_alive"] == [0] * 9
+        ((before, buffer_bytes),), (peak,) = held, peaks
+        drawn = buffer_bytes + max(seen["decoded"])
+        assert drawn <= 8 * budget
+        assert peak - before <= 1.25 * drawn, (peak, held, seen["decoded"])
+
+    def test_a_long_path_is_drawn_in_windows_under_the_budget(self):
+        # at the row floor, the words of whole paths of 3000 steps would take
+        # more than four budgets
+        model, n, n_traj = gm_model(), 3000, engine._CHUNK_ROWS
+        budget_bytes = 8 * engine._CHUNK_FLOAT_BUDGET
+        assert 8 * n_traj * model.sampler._words(n, True) > 4 * budget_bytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            final_errors(model, 0.1, np.zeros(1), n, n_traj, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 1.1 * budget_bytes, peak - before
 
     @pytest.mark.parametrize("maker", [gm_model, small_td])
     @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
@@ -415,6 +480,78 @@ class TestChunkMemory:
         assert before <= 8 * floats < 8 * n_traj * (n + 1), (before, floats)
 
 
+def _bits(result) -> bytes:
+    """The bytes of a drive's result: arrays, estimates, decompositions and tuples of them."""
+    if isinstance(result, tuple):
+        return b"".join(map(_bits, result))
+    if isinstance(result, McEstimate):
+        return np.array([result.value, result.std_err]).tobytes()
+    if isinstance(result, engine.TrajectoryDecomposition):
+        return _bits((result.theta_err, result.gamma_term, result.h1, result.j1, result.j0))
+    return np.asarray(result).tobytes()
+
+
+# The batch estimators and run_decomposed as (the bytes of a run of n steps,
+# whether it reads the b words, its state floats at dimension d, its
+# trajectories).
+_DRIVES = {
+    **{
+        name: (lambda model, n, f=f: _bits(f(model, n, 13)), with_b, floats, 13)
+        for name, (f, with_b, floats) in _ESTIMATORS.items()
+    },
+    "run_decomposed": (
+        lambda model, n: _bits(run_decomposed(model, 0.1, np.ones(model.dim), n, stream(7, 3))),
+        True,
+        lambda d: 7 * d,
+        1,
+    ),
+}
+
+
+class TestDrawWindows:
+    @pytest.mark.parametrize("maker", [gm_model, small_td, d8_model])
+    @pytest.mark.parametrize("name", sorted(_DRIVES))
+    def test_windows_give_the_bits_of_whole_paths(self, name, maker, monkeypatch):
+        # windows of 7 steps and of 1, in chunks of 5 trajectories: with n
+        # odd, most windows start at A words and b words (n + s*d) that are
+        # not whole Philox counters of four words
+        drive, with_b, state_floats, n_traj = _DRIVES[name]
+        model, n = maker(), 37
+        floats, rows = state_floats(model.dim), min(5, n_traj)
+        assert engine._layout(model, n, with_b, floats, n_traj)[:2] == (n_traj, n)
+        whole = drive(model, n)
+        for window in (7, 1):
+            with monkeypatch.context() as patch:
+                _chunks(patch, _window_budget(model, with_b, floats, rows, window), rows)
+                seen = _spy_on_windows(patch, model)
+                assert drive(model, n) == whole
+            starts = list(range(0, n, window)) * -(-n_traj // rows)
+            assert seen["starts"] == starts
+            assert seen["b_starts"] == ([n + s * model.dim for s in starts] if with_b else [])
+            assert any((n + s * model.dim) % 4 for s in starts[1:]) and window % 4
+            assert seen["earlier_alive"] == [0] * len(starts)
+
+    @pytest.mark.parametrize("maker", [gm_model, small_td, d8_model])
+    @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+    def test_chunk_rows_do_not_fall_with_n_and_windows_keep_the_budget(self, name, maker):
+        # a chunk's words and decoded draws stay in the budget at any
+        # horizon, without its rows falling below the floor
+        _, with_b, state_floats = _ESTIMATORS[name]
+        model = maker()
+        held, last, n_traj = model.sampler._held(with_b), math.inf, 10**6
+        for n in (1, 2, 10, 37, 200, 719, 1456, 7350, 10**5, 10**7, 10**9):
+            rows, window, width = engine._layout(model, n, with_b, state_floats(model.dim), n_traj)
+            windows = -(-n // window)
+            assert engine._CHUNK_ROWS <= rows <= last, n
+            # whole granules of the reducer, unless that would take a chunk more
+            aligned = rows - rows % engine._GRANULE
+            assert aligned == rows or -(-n_traj // aligned) > -(-n_traj // rows), n
+            assert rows == engine._CHUNK_ROWS or windows == 1, n  # whole paths above the floor
+            assert window == -(-n // windows), n  # windows as even as whole steps allow
+            assert rows * (8 * width + window * held) <= 8 * engine._CHUNK_FLOAT_BUDGET, n
+            last = rows
+
+
 class TestOneLoop:
     def test_only_the_driver_draws_and_steps_chunks(self):
         # a function that draws a block of stream rows or runs a sampler's
@@ -443,7 +580,7 @@ class TestMcNormMoment:
     def test_chunking_invariance(self, monkeypatch):
         model = biased_rademacher_model(0.75)
         a = mc_norm_moment(model, 0.1, 20, 2.0, n_traj=256, seed=16)
-        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 100)
+        _chunks(monkeypatch, 100, 9)
         b = mc_norm_moment(model, 0.1, 20, 2.0, n_traj=256, seed=16)
         assert a == b
 
@@ -460,7 +597,7 @@ class TestMcNormMoment:
         assert est.value == engine._mean_var(x)[0] ** (1.0 / p)
         mean = math.fsum(x) / n_traj
         assert est.value == pytest.approx(mean ** (1.0 / p), rel=1e-13, abs=0.0)
-        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 2000)
+        _chunks(monkeypatch, 2000, 5)
         assert mc_norm_moment(model, 0.05, n, p, n_traj, seed) == est
 
     def test_rejects_bad_inputs(self):
@@ -607,7 +744,7 @@ class TestCoupling:
         model = maker()
         args = (model, 0.05, 20, model.theta_star + 1.0, model.theta_star - 1.0, 40, 34)
         value, std_err = coupled_w2(*args)
-        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 2000)
+        _chunks(monkeypatch, 2000, 6)
         tiny_value, tiny_err = coupled_w2(*args)
         assert np.array_equal(value, tiny_value)
         assert np.array_equal(std_err, tiny_err)
@@ -632,10 +769,10 @@ class TestCoupling:
         mean = np.array([math.fsum(col) / n_traj for col in sq.T])
         var = np.array([math.fsum((col - m) ** 2) / (n_traj - 1) for col, m in zip(sq.T, mean)])
         expected = np.sqrt(var / n_traj) / (2.0 * np.sqrt(mean))
-        # uneven chunks: 23 trajectories in chunks of 5, and with granules of
-        # 4 a granule split across chunks and granules merged
-        per_traj = engine._traj_floats(model, n, False, model.dim)
-        monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", 5 * per_traj)
+        # uneven chunks: 23 trajectories in chunks of 5, each path drawn in
+        # windows of one step, and with granules of 4 a granule split across
+        # chunks and granules merged
+        _chunks(monkeypatch, 1, 5)
         monkeypatch.setattr(engine, "_GRANULE", granule)
         value, std_err = coupled_w2(model, alpha, n, delta0, np.zeros(model.dim), n_traj, seed)
         # the chunked reduction has the bits of one block of the reference

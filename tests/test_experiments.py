@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import concurrent.futures
+import gc
 import itertools
 import json
 import math
@@ -685,7 +686,8 @@ _LAYOUT = {
 
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
 def test_csv_bytes_do_not_depend_on_chunk_block_or_worker_layout(name, monkeypatch):
-    # the reproducibility contract: chunk size, block size and worker count
+    # the reproducibility contract: chunk size, draw windows, block size and
+    # worker count
     # schedule the work and never change what it computes.  Two workers run
     # before one, and block sizes alternate, so no run finds a block it needs
     # in the cache the run before it left: a pool forks with the parent's
@@ -694,14 +696,14 @@ def test_csv_bytes_do_not_depend_on_chunk_block_or_worker_layout(name, monkeypat
     record = experiments._EXPERIMENTS[name]
     blocks = (record.block, 3) if record.block > 1 else (1,)
     expected = None
-    for budget, block, workers in itertools.product(
-        (engine._CHUNK_FLOAT_BUDGET, 20_000, 3_000), blocks, (2, 1)
-    ):
+    chunking = ((engine._CHUNK_FLOAT_BUDGET, engine._CHUNK_ROWS), (20_000, 7), (3_000, 3))
+    for (budget, rows), block, workers in itertools.product(chunking, blocks, (2, 1)):
         monkeypatch.setattr(engine, "_CHUNK_FLOAT_BUDGET", budget)
+        monkeypatch.setattr(engine, "_CHUNK_ROWS", rows)
         monkeypatch.setitem(experiments._EXPERIMENTS, name, replace(record, block=block))
         text = csv_text(name, run(replace(cfg, workers=workers)))
         expected = expected or text
-        assert text == expected, (budget, block, workers)
+        assert text == expected, (budget, rows, block, workers)
 
 
 _D2_FACTOR = {
@@ -1404,17 +1406,25 @@ class TestOutputs:
         ]
         batch_text = len(json_text("lyapunov", rows[: experiments._BATCH_ROWS], cfg, 0.5))
         # a first write fills the interpreter's tuple free lists, which
-        # tracemalloc counts as held
-        write_outputs(cfg, rows[:1000], 0.5)
+        # tracemalloc counts as held, and a full collection empties them: so
+        # collect, fill them with a write as large as the first measured one
+        # and let no collection run in the measured writes, whose peaks then
+        # do not depend on what earlier tests left
+        gc.collect()
+        write_outputs(cfg, rows[:6000], 0.5)
         peaks = []
-        for chosen in (rows[:6000], rows):
-            tracemalloc.start()
-            try:
-                held = tracemalloc.get_traced_memory()[0]
-                write_outputs(cfg, chosen, 0.5)
-                peaks.append(tracemalloc.get_traced_memory()[1] - held)
-            finally:
-                tracemalloc.stop()
+        gc.disable()
+        try:
+            for chosen in (rows[:6000], rows):
+                tracemalloc.start()
+                try:
+                    held = tracemalloc.get_traced_memory()[0]
+                    write_outputs(cfg, chosen, 0.5)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - held)
+                finally:
+                    tracemalloc.stop()
+        finally:
+            gc.enable()
         assert max(peaks) < 3 * batch_text, (peaks, batch_text)
         assert peaks[1] < 1.1 * peaks[0], peaks
 

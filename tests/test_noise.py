@@ -3,6 +3,7 @@ stationary covariance, and the contraction witness."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -495,8 +496,9 @@ class TestWordLayout:
     ] + _NOISELESS_B[1:])
     def test_block_decode_matches_sample_path(self, make):
         # step k of row j of a block draw is step k of stream(seed, j)'s path,
-        # the A draws need only the A-word prefix, and a draw of words at an
-        # offset reads the same words as a slice of the whole block
+        # the A draws need only the A-word prefix, and a path drawn in windows
+        # of any length, of words at offsets that are not whole Philox
+        # counters, reads the same words as slices of the whole block
         model = make()
         sampler, n, seed = model.sampler, 11, 9
         full = _block_uniforms(seed, 2, 7, sampler._words(n, with_b=True))
@@ -511,17 +513,18 @@ class TestWordLayout:
             return _block_uniforms(seed, 2, 7, n_words, start)
 
         index = sampler._index(sliced(full), n)
-        b = sampler._b(index, sliced(full), n)
-        for draw in (sliced(full), offset):
-            steps = list(sampler._steps(draw, n, with_b=True))
-            assert len(steps) == n
-            for k, (index_k, b_k) in enumerate(steps):
-                assert np.array_equal(index_k, index[:, k])
-                assert np.array_equal(b_k[..., 0], b[:, k])
-        for draw in (sliced(full), sliced(prefix), offset):
-            for k, (a_only, no_b) in enumerate(sampler._steps(draw, n, with_b=False)):
+        b = sampler._b(index, sliced(full), n, n)
+        for window, draw in itertools.product((n, 3, 1), (sliced(full), offset)):
+            windows = list(sampler._steps(draw, n, True, window))
+            lengths = [min(window, n - s) for s in range(0, n, window)]
+            assert [w.shape[1] for w, _ in windows] == lengths
+            assert np.array_equal(np.concatenate([w for w, _ in windows], axis=1), index)
+            assert np.array_equal(np.concatenate([w for _, w in windows], axis=1), b)
+        for window, draw in itertools.product((n, 4), (sliced(full), sliced(prefix), offset)):
+            windows = sampler._steps(draw, n, False, window)
+            for s, (a_only, no_b) in zip(range(0, n, window), windows):
                 assert no_b is None
-                assert np.array_equal(a_only, index[:, k])
+                assert np.array_equal(a_only, index[:, s : s + window])
         for k in range(n):
             for row, (a_seq, b_seq) in enumerate(paths):
                 assert np.array_equal(sampler.atoms[index[row, k]], a_seq[k])
@@ -537,7 +540,7 @@ class TestWordLayout:
         u_b = words[:, n:].copy()
         bbar = sampler.b_atoms[0]
         expected = bbar + sampler.sigma * scipy.special.ndtri(u_b).reshape(4, n, -1)
-        b = sampler._b(None, lambda n_words, start: u_b, n)
+        b = sampler._b(None, lambda n_words, start: u_b, n, n)
         assert np.shares_memory(b, u_b)
         assert b.tobytes() == expected.tobytes()
 
@@ -644,6 +647,18 @@ _KINDS = {
     "bounded_factor": lambda: _banded_factor(3)[0],
     "td_zero": three_state_td,
 }
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+@pytest.mark.parametrize("table,name", [("atoms", "A"), ("b_atoms", "b")])
+def test_a_law_with_a_non_finite_atom_is_rejected(kind, table, name):
+    # the model derives theta_star, its noise covariance and its kernel from
+    # the atoms, so an atom that is not finite is rejected before any of them
+    model = _KINDS[kind]()
+    values = getattr(model.sampler, table).copy()
+    values.flat[-1] = np.inf
+    with pytest.raises(ValueError, match=f"the law of {name} has non-finite entries"):
+        replace(model, sampler=replace(model.sampler, **{table: values}))
 
 
 @pytest.mark.parametrize("kind", sorted(_KINDS))

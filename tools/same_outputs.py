@@ -7,17 +7,19 @@ Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
 runs the same ``lsalab`` invocations on it and on the working tree's
 ``src/``: the seven default runs at seeds 0, 2 and 3; every invocation of
 the workloads in ``perfbench/workloads.py`` at seed 0 with ``--workers`` 1
-and 2; ``simulate`` and ``wasserstein`` on the TD(0) model of
-``tests/test_engine.py::small_td`` at seed 0 with ``--workers`` 1 and 2,
-since no default run or workload decodes a TD(0) law; and ``clt`` on a
-scalar bounded factor with ``bbar != 0`` at seed 0 with ``--workers`` 1 and
-2, since no default run or workload reads the noise covariance of a model
-with ``theta_star != 0``.  All run with ``--format both``.  For each invocation it compares the CSV
-bytes, the JSON text with its ``wall_time_s`` value blanked, stdout and
-stderr with the output prefix replaced by a placeholder, and the exit code.
-It prints each invocation's peak RSS (``ru_maxrss``, from ``os.wait4``) on
-REV and on the working tree side by side, then every difference, and exits
-1 if there is one, 0 if there is none and 2 if REV cannot be exported.
+and 2; and three more, each at seed 0 with ``--workers`` 1 and 2:
+``simulate`` and ``wasserstein`` on the TD(0) model of
+``tests/test_engine.py::small_td``, since no default run or workload decodes
+a TD(0) law; ``clt`` on a scalar bounded factor with ``bbar != 0``, since
+none reads the noise covariance of a model with ``theta_star != 0``; and
+``clt`` at alpha 0.01 with 1500 trajectories, whose 7350-step paths are
+drawn in nine windows of steps.  All run with ``--format both``.  For each
+invocation it compares the CSV bytes, the JSON text with its
+``wall_time_s`` value blanked, stdout and stderr with the output prefix
+replaced by a placeholder, and the exit code.  It prints each invocation's
+peak RSS (``ru_maxrss``, from ``os.wait4``) on REV and on the working tree
+side by side, then every difference, and exits 1 if there is one, 0 if
+there is none and 2 if REV cannot be exported.
 
 All outputs go to the temporary directory and no bytecode is cached, so the
 repository, ``perfbench/`` included, is left as it was.  A full check takes
@@ -84,6 +86,11 @@ FACTOR_MODEL = {
 }
 
 
+# 7350 burn-in steps: more trajectories than a chunk's row floor, whose paths
+# do not fit the chunk budget whole
+LONG_HORIZON = {"alphas": [0.01], "n_traj": 1500}
+
+
 def blank_wall_time(json_text: str) -> str:
     return _WALL_TIME.sub('"wall_time_s": -', json_text)
 
@@ -129,6 +136,10 @@ def _jobs(defaults_only: bool = False) -> list[tuple[str, str, dict, int, int]]:
     jobs += [
         (f"bounded_factor/clt workers={workers}", "clt", {"model": FACTOR_MODEL},
          WORKLOAD_SEED, workers)
+        for workers in WORKERS
+    ]
+    jobs += [
+        (f"long_horizon/clt workers={workers}", "clt", LONG_HORIZON, WORKLOAD_SEED, workers)
         for workers in WORKERS
     ]
     return jobs
