@@ -6,11 +6,12 @@ function of ``(model, alpha, seed, j)``.  The batch routines
 (``final_errors``, ``mc_norm_moment``, ``coupled_w2`` and the error
 decomposition ``_decomposed_errors``) all step through one driver,
 ``_drive``: it runs the trajectories in chunks of fixed rows, as many as fit
-whole paths in a float budget but never fewer than a row floor, and draws
-and decodes a chunk's paths a window of steps at a time into one word buffer
-per drive (atom indices, then b in place over its words), so that a chunk's
-draws stay in the budget at any horizon.  The streams are counter-based, so
-a window reads its words bit for bit wherever it starts.  It tiles the start
+whole paths in a float budget but never fewer than a row floor, and reads
+a chunk's paths a window of steps at a time into one word buffer per drive
+(window offsets and buffer reuse live there; the sampler only decodes the
+words), so that a chunk's draws stay in the budget at any horizon.  The
+streams are counter-based, so a window reads its words bit for bit
+wherever it starts.  It tiles the start
 state over each chunk and applies the caller's step to it, each row with a
 lone trajectory's arithmetic (``_matvec``).  One streaming reducer,
 ``_Moments``, gives every Monte Carlo mean and sample variance: it reduces
@@ -243,7 +244,7 @@ def product(model: LsaModel, alpha: float, n: int, gen: Generator) -> np.ndarray
 
 
 def _layout(model: LsaModel, n: int, with_b: bool, state_floats: int, n_traj: int):
-    """(rows, window, width): a drive's chunk rows, window steps and buffer words a row.
+    """(rows, window, width, b_words): chunk rows, window steps, buffer words a row, b words a step.
 
     Per trajectory, a step of a window holds its words in the buffer (its A
     word, or its b words where they are more: ``width`` / ``window`` of
@@ -257,8 +258,9 @@ def _layout(model: LsaModel, n: int, with_b: bool, state_floats: int, n_traj: in
     windows are made as even as whole steps allow.
     """
     sampler = model.sampler
+    b_words = sampler._words(1, with_b) - 1
     # a step's A word, or its b words where they are more
-    words = max(1, sampler._words(1, with_b) - 1)
+    words = max(1, b_words)
     step_bytes = 8 * words + sampler._held(with_b)
     state_bytes = 8 * (model.dim + 2) * state_floats
     budget = 8 * _CHUNK_FLOAT_BUDGET
@@ -271,7 +273,7 @@ def _layout(model: LsaModel, n: int, with_b: bool, state_floats: int, n_traj: in
     fit = max(1, (budget // rows - state_bytes) // step_bytes)
     windows = max(1, -(-n // fit))
     window = max(1, -(-n // windows))
-    return rows, window, window * words
+    return rows, window, window * words, b_words
 
 
 def _drive(
@@ -283,14 +285,14 @@ def _drive(
     Trajectory j reads stream(seed, j), or with ``words`` the one row of
     words given, shape (1, words); with_b=False reads only the A words.
     Trajectories run in chunks of fixed rows, and each chunk's paths are
-    drawn and decoded a window of steps at a time (``_layout`` sizes both
-    under the budget).  One word buffer serves the whole drive: every draw
-    fills it from its start, a window's A words are decoded to atom indices,
-    then its b words are drawn into it and decoded in place, and a window's
-    draws are dropped before the next window is drawn, so one window's draws
-    are alive at a time.  Each chunk starts from ``start`` tiled, and
+    drawn and decoded a window of steps at a time (``_layout`` sizes both).
+    Window [s, s + w) reads A words [s, s + w) into the drive's one buffer,
+    from its start, for the sampler to decode to atom indices, then b words
+    [n + s*d, n + (s + w)*d), none for a law without b words, into the same
+    buffer to decode in place; its draws are dropped before the next window
+    is drawn.  Each chunk starts from ``start`` tiled, and
     ``step(state, index_k, b_k)`` returns the chunk's next state from the
-    step's atom indices and b draws (see ``noise._TableSampler._steps``).
+    step's atom indices and b draws (shape (rows, d, 1), or None).
     ``observe(rows, k, state)`` sees the state of trajectories ``rows`` (a
     slice) at each step k = 0..n, the tiled start at k = 0.  With
     ``reference``, a function of a trajectory's generator that raises
@@ -299,14 +301,13 @@ def _drive(
     with the first such trajectory and the step its reference names.
     """
     sampler = model.sampler
-    chunk, window, width = _layout(model, n, with_b, start.size, n_traj)
+    chunk, window, width, b_words = _layout(model, n, with_b, start.size, n_traj)
     out = np.empty((n_traj,) + start.shape)
     buffer = np.empty(chunk * width)
     for lo in range(0, n_traj, chunk):
         hi = min(lo + chunk, n_traj)
 
         def draw(n_words, first):
-            # every block of words fills the buffer from its start
             u = buffer[: (hi - lo) * n_words].reshape(hi - lo, n_words)
             if words is None:
                 return _block_uniforms(seed, lo, hi, n_words, first, out=u)
@@ -316,15 +317,18 @@ def _drive(
         state = np.tile(start, (hi - lo,) + (1,) * start.ndim)
         if observe is not None:
             observe(slice(lo, hi), 0, state)
-        k = 0
-        for index, b in sampler._steps(draw, n, with_b, window):
-            for i in range(index.shape[1]):
+        for s in range(0, n, window):
+            w = min(window, n - s)
+            index = sampler._index(draw(w, s))
+            # no b words, no draw: even a zero-width one resets Philox per row
+            g = draw(w * b_words, n + s * b_words) if b_words else None
+            b = sampler._b(index, g) if with_b else None
+            for i in range(w):
                 state = step(state, index[:, i], None if b is None else b[:, i, :, None])
-                k += 1
                 if observe is not None:
-                    observe(slice(lo, hi), k, state)
+                    observe(slice(lo, hi), s + i + 1, state)
             # the window's draws die before the next window is drawn
-            del index, b
+            del index, g, b
         out[lo:hi] = state
         if reference is not None:
             bad = ~np.all(np.isfinite(state.reshape(hi - lo, -1)[:, : model.dim]), axis=1)

@@ -489,6 +489,10 @@ def _check_clt(config: ExperimentConfig, errors: list[str]) -> None:
     if model.dim != 1:
         errors.append(f"clt needs a one-dimensional model, got dim={model.dim}")
         return
+    if model.sigma_eps_exact[0, 0] == 0.0:
+        # the KS row's normal law would have scale sqrt(S^alpha) = 0
+        errors.append("clt needs a model whose effective noise is not zero")
+        return
     try:
         profile = lyapunov_witness(model)
         sig = solve_sigma(model.abar, model.sigma_eps_exact)

@@ -26,8 +26,8 @@ two-point laws compare ``u < weights[1]``, no atom of weight 0 is drawn and
 ``replace(sampler, weights=w)`` draws by w.  b is the atom's row of a b
 table plus sigma*g: the two-point laws share one row, bbar, TD(0) has
 r(x) phi(x) for each pair and sigma == 0, and a law with sigma == 0 has no
-b words.  One path (``sample_path``) is ``atoms[index]``; a block of
-trajectories (one row per trajectory, see ``lsalab.rng``) is decoded to
+b words.  A sampler reads no stream: one path's words (``sample_path``) or
+a window of a block's (``engine._drive``, a row per trajectory) decode to
 indices, so a batch kernel gathers what it needs per atom from small tables
 built from ``atoms``.
 The atoms, built once with the model, come from the same elementwise
@@ -67,50 +67,20 @@ class _TableSampler:
     row per atom, shape (K, d), or one row shared by all, shape (1, d).
     With sigma > 0 the n*d Gaussian words of b follow the n A words.
     ``_words(n, with_b)`` is the number of words per trajectory of an n-step
-    path: all of them, or only the A-word prefix.  The draws of B
-    trajectories are decoded from ``draw(n_words, start)``, which returns
-    words [start, start + n_words) of each trajectory, shape (B, n_words),
-    and may reuse the memory of every block it returned before:
-    ``_index(draw, steps, start)`` gives the indices into ``atoms`` of the A
-    draws of A words [start, start + steps), shape (B, steps), and then
-    ``_b(index, draw, steps, start)`` the b draws of those steps, from b
-    words [start, start + steps*d), shape (B, steps, d), decoded in place
-    over their words where there are any.  ``_steps`` yields a path's draws
-    a window of steps at a time, each window decoded from its own slices of
-    the A words and the b words, so the draws do not depend on the windows.
-    ``_held(with_b)`` is the bytes per trajectory and step that the decoded
-    draws hold outside their words.
+    path: all of them, or only the A-word prefix.  The sampler only decodes
+    word arrays of B trajectories; their windows, offsets and buffer are
+    ``engine._drive``'s.  ``_index(u)`` decodes A words u, shape (B, steps),
+    to indices into ``atoms``, and ``_b(index, g)`` gives those steps' b
+    draws, shape (B, steps, d), in place over their b words g, shape
+    (B, steps*d), or with g None (a law without b words) from ``b_atoms``
+    alone.  ``_held(with_b)`` is the bytes per trajectory and step that the
+    decoded draws hold outside their words.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
     b_atoms: np.ndarray
     sigma: float
-
-    def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        u = uniform_open01(gen, (1, self._words(n, with_b=True)))
-
-        def draw(n_words, start):
-            return u[:, start : start + n_words]
-
-        index = self._index(draw, n)
-        return self.atoms[index[0]], np.array(self._b(index, draw, n, n)[0])
-
-    def _steps(self, draw, n: int, with_b: bool, window: int):
-        """Yield an n-step path's draws a window of ``window`` steps at a time.
-
-        Window [s, s + w), w = min(window, n - s), is (index, b): the atom
-        indices of A words [s, s + w), shape (B, w), and, with_b, the b draws
-        of b words [n + s*d, n + (s + w)*d), shape (B, w, d), else None.  A
-        window's draws are dropped before the next window is drawn, so the
-        caller may let ``draw`` reuse its memory once it drops them too.
-        """
-        d = self.b_atoms.shape[1]
-        for s in range(0, n, window):
-            w = min(window, n - s)
-            index = self._index(draw, w, s)
-            yield index, self._b(index, draw, w, n + s * d) if with_b else None
-            del index
 
     def _words(self, n: int, with_b: bool) -> int:
         return n + n * self.b_atoms.shape[1] if with_b and self.sigma != 0.0 else n
@@ -121,19 +91,18 @@ class _TableSampler:
         index = np.min_scalar_type(self.weights.size - 1).itemsize
         return index + 8 * self.b_atoms.shape[1] if with_b and len(self.b_atoms) > 1 else index
 
-    def _index(self, draw, steps: int, start: int = 0) -> np.ndarray:
-        return _inverse(draw(steps, start), self.weights)
+    def _index(self, u: np.ndarray) -> np.ndarray:
+        return _inverse(u, self.weights)
 
-    def _b(self, index: np.ndarray, draw, steps: int, start: int) -> np.ndarray:
+    def _b(self, index: np.ndarray, g: np.ndarray | None) -> np.ndarray:
         d = self.b_atoms.shape[1]
         # a shared row is broadcast, so nothing is gathered
         shared = len(self.b_atoms) == 1
         mean = self.b_atoms[0] if shared else self.b_atoms[index]
-        if self.sigma == 0.0:
+        if g is None:
             return np.broadcast_to(mean, index.shape + (d,)) if shared else mean
         # mean + sigma * g, rounded as that expression rounds it
-        g = draw(steps * d, start)
-        g = _normals(g, out=g).reshape(len(g), steps, d)
+        g = _normals(g, out=g).reshape(len(g), -1, d)
         g *= self.sigma
         g += mean
         return g
@@ -188,7 +157,13 @@ class LsaModel:
         object.__setattr__(self, "kernel_exact", kernel)
 
     def sample_path(self, gen: Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.sampler.sample_path(gen, n)
+        """One n-step path's draws, A of shape (n, d, d) and b of shape (n, d),
+        decoded from one row of ``gen``'s words in the sampler's layout."""
+        sampler = self.sampler
+        u = uniform_open01(gen, (1, sampler._words(n, with_b=True)))
+        index = sampler._index(u[:, :n])
+        b = sampler._b(index, u[:, n:] if u.shape[1] > n else None)
+        return sampler.atoms[index[0]], np.array(b[0])
 
 
 def eps_subgauss_const(model: LsaModel) -> float:

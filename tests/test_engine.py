@@ -345,15 +345,19 @@ def _window_budget(model, with_b: bool, state_floats: int, rows: int, window: in
 
 
 def _spy_on_windows(monkeypatch, model) -> dict:
-    """Record a drive's word buffers, chunks and windows, and what its
-    decoded draws hold.
+    """Record a drive's word buffers, chunks, stream draws and windows, and
+    what its decoded draws hold.
 
-    ``starts`` holds the first A word and ``b_starts`` the first b word of
-    each window, ``decoded`` the bytes of each window's decoded draws that
-    are not views of words, and ``earlier_alive`` how many earlier windows'
-    decoded draws are still alive when a window's A words are drawn.
+    ``draws`` holds (words, first word) of each block drawn from the
+    streams, ``lengths`` the steps of each window, read from the A words
+    the sampler decodes, ``b_words`` the b words it decodes for each window
+    (None for a law without them), ``decoded`` the bytes of each window's
+    decoded draws that are not views of words, and ``earlier_alive`` how
+    many earlier windows' decoded draws are still alive when a window's A
+    words are decoded.
     """
-    seen = {key: [] for key in ("chunks", "starts", "b_starts", "decoded", "earlier_alive")}
+    keys = ("chunks", "draws", "lengths", "b_words", "decoded", "earlier_alive")
+    seen = {key: [] for key in keys}
     seen["buffers"], alive = set(), []
     draw = engine._block_uniforms
     sampler = type(model.sampler)
@@ -361,21 +365,22 @@ def _spy_on_windows(monkeypatch, model) -> dict:
 
     def spy(seed, lo, hi, n_words, start=0, out=None):
         seen["buffers"].add(id(out.base))
+        seen["draws"].append((n_words, start))
         if start == 0:
             seen["chunks"].append((lo, hi))
         return draw(seed, lo, hi, n_words, start, out=out)
 
-    def index_spy(self, draw, steps, start=0):
-        seen["starts"].append(start)
+    def index_spy(self, u):
+        seen["lengths"].append(u.shape[1])
         seen["earlier_alive"].append(sum(ref() is not None for ref in alive))
-        index = index_of(self, draw, steps, start)
+        index = index_of(self, u)
         alive.append(weakref.ref(index))
         seen["decoded"].append(index.nbytes)
         return index
 
-    def b_spy(self, index, draw, steps, start):
-        seen["b_starts"].append(start)
-        b = b_of(self, index, draw, steps, start)
+    def b_spy(self, index, g):
+        seen["b_words"].append(None if g is None else g.shape[1])
+        b = b_of(self, index, g)
         # b decoded over its words, or a view of bbar, holds no memory of
         # its own
         if b.flags.owndata:
@@ -387,6 +392,17 @@ def _spy_on_windows(monkeypatch, model) -> dict:
     monkeypatch.setattr(sampler, "_index", index_spy)
     monkeypatch.setattr(sampler, "_b", b_spy)
     return seen
+
+
+def _window_draws(model, n: int, with_b: bool, starts: list[int], window: int) -> list:
+    """(words, first word) of each stream draw of windows at ``starts``: a
+    window's A words, then its b words where the law has them."""
+    b_words = model.sampler._words(1, with_b) - 1
+    draws = []
+    for s in starts:
+        w = min(window, n - s)
+        draws += [(w, s)] + ([(w * b_words, n + s * b_words)] if b_words else [])
+    return draws
 
 
 class TestChunkMemory:
@@ -428,7 +444,8 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert seen["chunks"] == [(0, 40), (40, 80), (80, 100)]
-        assert seen["starts"] == [0, window, 2 * window] * 3
+        assert seen["lengths"] == [window] * 9
+        assert seen["draws"] == _window_draws(model, n, with_b, [0, window, 2 * window] * 3, window)
         assert len(seen["buffers"]) == 1  # every window draws into the drive's one buffer
         assert seen["earlier_alive"] == [0] * 9
         ((before, buffer_bytes),), (peak,) = held, peaks
@@ -526,10 +543,34 @@ class TestDrawWindows:
                 seen = _spy_on_windows(patch, model)
                 assert drive(model, n) == whole
             starts = list(range(0, n, window)) * -(-n_traj // rows)
-            assert seen["starts"] == starts
-            assert seen["b_starts"] == ([n + s * model.dim for s in starts] if with_b else [])
+            lengths = [min(window, n - s) for s in starts]
+            assert seen["lengths"] == lengths
+            b_words = engine._layout(model, n, with_b, floats, n_traj)[3]
+            assert seen["b_words"] == ([w * b_words or None for w in lengths] if with_b else [])
+            if name != "run_decomposed":  # which reads the words it is given
+                assert seen["draws"] == _window_draws(model, n, with_b, starts, window)
             assert any((n + s * model.dim) % 4 for s in starts[1:]) and window % 4
             assert seen["earlier_alive"] == [0] * len(starts)
+
+    @pytest.mark.parametrize(
+        "maker", [small_td, lambda: biased_rademacher_model(0.75)],
+        ids=["small_td", "biased_rademacher"],
+    )
+    @pytest.mark.parametrize("name", ["final_errors", "decomposed_errors"])
+    def test_a_law_without_b_words_draws_only_its_a_words(self, name, maker, monkeypatch):
+        # sigma == 0: each window draws its A words and nothing else, not
+        # even a block of no words, which would reset the generator per row
+        estimate, with_b, state_floats = _ESTIMATORS[name]
+        model, n, n_traj, rows, window = maker(), 37, 13, 5, 7
+        assert with_b and model.sampler._words(n, with_b) == n
+        budget = _window_budget(model, with_b, state_floats(model.dim), rows, window)
+        _chunks(monkeypatch, budget, rows)
+        seen = _spy_on_windows(monkeypatch, model)
+        estimate(model, n, n_traj)
+        starts = list(range(0, n, window)) * -(-n_traj // rows)
+        assert len(set(starts)) > 1
+        assert seen["draws"] == [(min(window, n - s), s) for s in starts]
+        assert seen["b_words"] == [None] * len(starts)
 
     @pytest.mark.parametrize("maker", [gm_model, small_td, d8_model])
     @pytest.mark.parametrize("name", sorted(_ESTIMATORS))
@@ -540,7 +581,9 @@ class TestDrawWindows:
         model = maker()
         held, last, n_traj = model.sampler._held(with_b), math.inf, 10**6
         for n in (1, 2, 10, 37, 200, 719, 1456, 7350, 10**5, 10**7, 10**9):
-            rows, window, width = engine._layout(model, n, with_b, state_floats(model.dim), n_traj)
+            rows, window, width, _ = engine._layout(
+                model, n, with_b, state_floats(model.dim), n_traj
+            )
             windows = -(-n // window)
             assert engine._CHUNK_ROWS <= rows <= last, n
             # whole granules of the reducer, unless that would take a chunk more
@@ -552,21 +595,35 @@ class TestDrawWindows:
             last = rows
 
 
+def _callers(names: set[str]) -> set[str]:
+    """Where in lsalab a function of one of ``names`` is called: the module
+    and the classes and outermost function around each call, say
+    ``noise.LsaModel.sample_path``; a nested function counts as the one it
+    is nested in."""
+    callers = set()
+
+    def visit(node, where: str, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (getattr(func, "id", None) or getattr(func, "attr", None)) in names:
+                    callers.add(where)
+            defines = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            inner = f"{where}.{child.name}" if defines and not in_function else where
+            visit(child, inner, in_function or defines and not isinstance(child, ast.ClassDef))
+
+    for path in sorted(Path(lsalab.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, False)
+    return callers
+
+
 class TestOneLoop:
     def test_only_the_driver_draws_and_steps_chunks(self):
-        # a function that draws a block of stream rows or runs a sampler's
-        # steps itself is a second chunk loop beside engine._drive
-        callers = set()
-        for path in sorted(Path(lsalab.__file__).parent.glob("*.py")):
-            for top in ast.parse(path.read_text(encoding="utf-8")).body:
-                for node in ast.walk(top):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    func = node.func
-                    name = getattr(func, "id", None) or getattr(func, "attr", None)
-                    if name in ("_block_uniforms", "_steps"):
-                        callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-        assert callers == {"engine._drive"}
+        # a function that draws a block of stream rows, or decodes a
+        # sampler's words, is a second loop over steps beside engine._drive;
+        # one path (LsaModel.sample_path) decodes its one row of words alone
+        assert _callers({"_block_uniforms"}) == {"engine._drive"}
+        assert _callers({"_index", "_b"}) == {"engine._drive", "noise.LsaModel.sample_path"}
 
 
 class TestMcNormMoment:

@@ -261,6 +261,19 @@ class TestValidate:
         assert main(["clt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "alphas[0]=1.5: alpha=1.5 outside [0, alpha_inf=1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "biased_rademacher", "q_a": 0.75},
+        {"kind": "bounded_factor", "abar": [[1.0]], "bbar": [0.0], "m": [[0.5]],
+         "eta": 0.5, "sigma": 0.0},
+    ], ids=["biased_rademacher", "bounded_factor"])
+    def test_clt_without_effective_noise_exits_two(self, model, tmp_path, capsys):
+        # with Sigma_eps = 0 the KS row's normal law has scale 0: both ks rows
+        # read nan and failed with no note, and the run exited 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": model, "n_traj": 200}))
+        assert main(["clt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "clt needs a model whose effective noise is not zero" in capsys.readouterr().err
+
     def test_clt_takes_its_gap_bounds_largest_stepsize(self):
         # at alpha_inf the gap row passes with equality, 0.5 <= 0.5
         model = _build_model(experiments._EXPERIMENTS["clt"].model)

@@ -496,11 +496,12 @@ class TestWordLayout:
     ] + _NOISELESS_B[1:])
     def test_block_decode_matches_sample_path(self, make):
         # step k of row j of a block draw is step k of stream(seed, j)'s path,
-        # the A draws need only the A-word prefix, and a path drawn in windows
-        # of any length, of words at offsets that are not whole Philox
-        # counters, reads the same words as slices of the whole block
+        # the A draws need only the A-word prefix, and a path decoded in
+        # windows of any length, of words at offsets that are not whole
+        # Philox counters, gives the draws of the whole block
         model = make()
         sampler, n, seed = model.sampler, 11, 9
+        b_words = sampler._words(1, with_b=True) - 1
         full = _block_uniforms(seed, 2, 7, sampler._words(n, with_b=True))
         prefix = _block_uniforms(seed, 2, 7, sampler._words(n, with_b=False))
         paths = [model.sample_path(stream(seed, j), n) for j in range(2, 7)]
@@ -512,17 +513,23 @@ class TestWordLayout:
         def offset(n_words, start):
             return _block_uniforms(seed, 2, 7, n_words, start)
 
-        index = sampler._index(sliced(full), n)
-        b = sampler._b(index, sliced(full), n, n)
+        def windows(draw, window, with_b):
+            # each window's A words [s, s + w), then its b words [n + s*d, n + (s + w)*d)
+            for s in range(0, n, window):
+                w = min(window, n - s)
+                index = sampler._index(draw(w, s))
+                g = draw(w * b_words, n + s * b_words) if b_words else None
+                yield index, sampler._b(index, g) if with_b else None
+
+        (index, b), = windows(sliced(full), n, True)
         for window, draw in itertools.product((n, 3, 1), (sliced(full), offset)):
-            windows = list(sampler._steps(draw, n, True, window))
+            decoded = list(windows(draw, window, True))
             lengths = [min(window, n - s) for s in range(0, n, window)]
-            assert [w.shape[1] for w, _ in windows] == lengths
-            assert np.array_equal(np.concatenate([w for w, _ in windows], axis=1), index)
-            assert np.array_equal(np.concatenate([w for _, w in windows], axis=1), b)
+            assert [w.shape[1] for w, _ in decoded] == lengths
+            assert np.array_equal(np.concatenate([w for w, _ in decoded], axis=1), index)
+            assert np.array_equal(np.concatenate([w for _, w in decoded], axis=1), b)
         for window, draw in itertools.product((n, 4), (sliced(full), sliced(prefix), offset)):
-            windows = sampler._steps(draw, n, False, window)
-            for s, (a_only, no_b) in zip(range(0, n, window), windows):
+            for s, (a_only, no_b) in zip(range(0, n, window), windows(draw, window, False)):
                 assert no_b is None
                 assert np.array_equal(a_only, index[:, s : s + window])
         for k in range(n):
@@ -540,7 +547,7 @@ class TestWordLayout:
         u_b = words[:, n:].copy()
         bbar = sampler.b_atoms[0]
         expected = bbar + sampler.sigma * scipy.special.ndtri(u_b).reshape(4, n, -1)
-        b = sampler._b(None, lambda n_words, start: u_b, n, n)
+        b = sampler._b(None, u_b)
         assert np.shares_memory(b, u_b)
         assert b.tobytes() == expected.tobytes()
 
@@ -618,7 +625,7 @@ class TestAtoms:
         n = 40
         assert model.sampler._words(n, with_b=False) == n  # one A word a step
         u = _block_uniforms(13, 0, 25, n)
-        index = model.sampler._index(lambda n_words, start: u[:, start : start + n_words], n)
+        index = model.sampler._index(u)
         expected = _closed_form_a(model, u, n, **law)
         assert model.sampler.atoms[index].tobytes() == expected.tobytes()
 
@@ -633,10 +640,10 @@ class TestAtoms:
         u = np.concatenate([
             _block_uniforms(5, 0, 1, 20_000)[0], tail, np.nextafter(tail, 0.0), [2.0**-54, _TOP],
         ]).clip(2.0**-54, _TOP)[None]
-        index = model.sampler._index(lambda n_words, start: u[:, start : start + n_words], u.size)
+        index = model.sampler._index(u)
         assert 0 * 4 + 3 not in index
         assert set(np.flatnonzero(model.sampler.weights)) == set(index[0].tolist())
-        assert model.sampler._index(lambda n_words, start: np.array([[_TOP]]), 1).tolist() == [[0]]
+        assert model.sampler._index(np.array([[_TOP]])).tolist() == [[0]]
         expected = _closed_form_a(model, u, u.size, **law)
         assert model.sampler.atoms[index].tobytes() == expected.tobytes()
 
@@ -680,12 +687,10 @@ def test_a_law_with_other_weights_decodes_and_kernels_by_them(kind):
     hi = np.nextafter(tail[kept], 0.0)
     hi[0] = _TOP
     u = np.concatenate([lo, hi])[None]
-    index = tilted.sampler._index(lambda n_words, start: u[:, start : start + n_words], u.size)
+    index = tilted.sampler._index(u)
     assert index[0].tolist() == kept.tolist() * 2
     below = np.nextafter(lo[:-1], 0.0)[None]  # the top of the next atom down
-    index = tilted.sampler._index(
-        lambda n_words, start: below[:, start : start + n_words], below.size
-    )
+    index = tilted.sampler._index(below)
     assert index[0].tolist() == kept[1:].tolist()
     kernel = sum(w[j] * np.kron(sampler.atoms[j], sampler.atoms[j]) for j in kept)
     assert np.allclose(tilted.kernel_exact, kernel, rtol=1e-14, atol=0.0)

@@ -7,13 +7,17 @@ Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
 runs the same ``lsalab`` invocations on it and on the working tree's
 ``src/``: the seven default runs at seeds 0, 2 and 3; every invocation of
 the workloads in ``perfbench/workloads.py`` at seed 0 with ``--workers`` 1
-and 2; and three more, each at seed 0 with ``--workers`` 1 and 2:
+and 2; and five more, each at seed 0 with ``--workers`` 1 and 2:
 ``simulate`` and ``wasserstein`` on the TD(0) model of
 ``tests/test_engine.py::small_td``, since no default run or workload decodes
-a TD(0) law; ``clt`` on a scalar bounded factor with ``bbar != 0``, since
-none reads the noise covariance of a model with ``theta_star != 0``; and
-``clt`` at alpha 0.01 with 1500 trajectories, whose 7350-step paths are
-drawn in nine windows of steps.  All run with ``--format both``.  For each
+a TD(0) law; the same two at n = 5000 with 200 trajectories, whose paths of
+a law without b words are drawn in windows of steps (four of 1250 steps for
+``simulate``, which gathers the b rows, and two of 2500 for
+``wasserstein``, which reads A alone); ``clt`` on a scalar bounded factor
+with ``bbar != 0``, since none reads the noise covariance of a model with
+``theta_star != 0``; and ``clt`` at alpha 0.01 with 1500 trajectories, whose
+7350-step paths are drawn in nine windows of steps.  All run with
+``--format both``.  For each
 invocation it compares the CSV bytes, the JSON text with its
 ``wall_time_s`` value blanked, stdout and stderr with the output prefix
 replaced by a placeholder, and the exit code.  It prints each invocation's
@@ -89,6 +93,8 @@ FACTOR_MODEL = {
 # 7350 burn-in steps: more trajectories than a chunk's row floor, whose paths
 # do not fit the chunk budget whole
 LONG_HORIZON = {"alphas": [0.01], "n_traj": 1500}
+# 5000 steps of TD(0), a law without b words, drawn in windows
+TD_LONG_HORIZON = {"model": TD_MODEL, "alphas": [0.1], "ns": [5000], "n_traj": 200}
 
 
 def blank_wall_time(json_text: str) -> str:
@@ -129,6 +135,12 @@ def _jobs(defaults_only: bool = False) -> list[tuple[str, str, dict, int, int]]:
     ]
     jobs += [
         (f"td_zero/{experiment} workers={workers}", experiment, {"model": TD_MODEL},
+         WORKLOAD_SEED, workers)
+        for experiment in ("simulate", "wasserstein")
+        for workers in WORKERS
+    ]
+    jobs += [
+        (f"td_zero_long/{experiment} workers={workers}", experiment, TD_LONG_HORIZON,
          WORKLOAD_SEED, workers)
         for experiment in ("simulate", "wasserstein")
         for workers in WORKERS
