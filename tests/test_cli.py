@@ -28,6 +28,9 @@ def _unfreeze():
 
 
 _MAIN = "import sys; from lsalab.cli import main; sys.exit(main())"
+# rosenthal's default drift model
+_DRIFT = {"kind": "drift", "lambda": 0.52, "b": 0.1, "m": 5, "epsilon": 0.1, "d_level": 9.0,
+          "abar": 1.0, "c_a": 1.0}
 
 
 def write_config(tmp_path, name="cfg.json", **fields):
@@ -113,6 +116,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error: alphas[0]=0.1, ns[0]=50000, ps[0]=3.0: bound at n=50000" in err
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("experiment,fields,reason", [
+        ("rademacher", {"model": {"kind": "rademacher_gaussian", "q_a": 0.75, "sigma": 1.0}},
+         "kind biased_rademacher"),
+        ("rademacher", {"deltas": [0.6]}, "needs delta in (0, 0.5]"),
+        # past the exact integer range even where no buq unit reads q: the
+        # brute-force count of a count unit grows without bound in q
+        ("rosenthal", {"qs": [13]}, "exact-integer range (q <= 12)"),
+        ("rosenthal", {"qs": [13], "rhos": []}, "exact-integer range (q <= 12)"),
+        ("rosenthal", {"model": {**_DRIFT, "lambda": 0.9, "b": 1.0}}, "admissibility violated"),
+        ("rosenthal", {"model": {**_DRIFT, "c_a": 0.5}}, "c_a=0.5 must be finite"),
+    ], ids=["rademacher-gaussian", "rademacher-delta", "rosenthal-q", "rosenthal-q-no-rhos",
+            "drift-inadmissible", "drift-c-a"])
+    def test_a_config_its_units_cannot_compute_exits_two(
+        self, tmp_path, capsys, experiment, fields, reason
+    ):
+        cfg = write_config(tmp_path, out=str(tmp_path / "r"), **fields)
+        assert main([experiment, "--config", cfg]) == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_overflowing_rows_print_no_numpy_warnings(self, tmp_path):
         # the rows fail with inf and nan cells, in pool workers too, but
