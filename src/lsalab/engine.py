@@ -604,12 +604,6 @@ def stationary_horizon(profile: SpectralProfile, alpha: float, tol: float) -> in
     return _horizon(profile, alpha, tol / math.sqrt(profile.kappa_q * profile.dim))
 
 
-def _burn_in(model: LsaModel, profile: SpectralProfile, alpha: float) -> int:
-    """Burn-in of ``sample_stationary``: the stationary horizon at 1e-8 * (1 + ||theta_star||)."""
-    tol = 1e-8 * (1.0 + float(np.linalg.norm(model.theta_star)))
-    return stationary_horizon(profile, alpha, tol)
-
-
 def sample_stationary(model: LsaModel, alpha: float, n_samples: int, seed: int) -> np.ndarray:
     """Approximate stationary samples by forward burn-in from theta_star.
 
@@ -617,10 +611,9 @@ def sample_stationary(model: LsaModel, alpha: float, n_samples: int, seed: int) 
     N(alpha, tol) started at theta_star, with tol = 1e-8 * (1 + ||theta_star||)
     and N read from ``lyapunov_witness(model)``.  Returns shape (n_samples, d).
     """
-    profile = lyapunov_witness(model)
-    return model.theta_star + final_errors(
-        model, alpha, model.theta_star, _burn_in(model, profile, alpha), n_samples, seed
-    )
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(model.theta_star)))
+    n = stationary_horizon(lyapunov_witness(model), alpha, tol)
+    return model.theta_star + final_errors(model, alpha, model.theta_star, n, n_samples, seed)
 
 
 def coupled_w2(

@@ -2,11 +2,12 @@
 
 Each experiment is one record in ``_EXPERIMENTS``: its parameter columns,
 default grids and model, its unit plan, the coordinates of each unit's rows,
-its runner and its validation hook.  Adding an experiment means adding a
-record and a runner; the driver reads everything else from the table.  A
-runner returns one verdict per row (value, pass, error, oracle, bound,
-note); ``run_unit`` is the one place that pairs the verdicts with the
-record's coordinates and builds the rows.
+its runner and the runner's exact halves, which ``validate`` dry-runs, so
+the function that computes with a precondition is the one that checks it.
+Adding an experiment means adding a record and a runner; the driver reads
+everything else from the table.  A runner returns one verdict per row
+(value, pass, error, oracle, bound, note); ``run_unit`` is the one place
+that pairs the verdicts with the record's coordinates and builds the rows.
 
 Each experiment orders its work into units: the explicit units of its
 parameter grid, in row order, then, for ``lyapunov`` and ``rosenthal``,
@@ -69,7 +70,6 @@ import numpy as np
 
 from lsalab.bounds import product_moment_bound, rademacher_tail_thresholds, sigma_gap_bound
 from lsalab.engine import (
-    _burn_in,
     _decomposed_errors,
     _decomposition_residuals,
     _mean_var,
@@ -108,6 +108,7 @@ from lsalab.noise import (
 )
 from lsalab.rng import _normals, _seed_uniforms, _special
 from lsalab.rosenthal import (
+    B_UQ_EXACT_MAX_Q,
     ROOT_RESIDUAL_TOL,
     _delta_gap,
     attach_wasserstein,
@@ -134,6 +135,9 @@ REL_SLACK = 1e-12
 SE_MULT = 4.0
 KS_TOL = 0.02
 _LYAPUNOV_MAX_DIM = 8
+# numpy's error state for the runners and their exact halves: an overflow
+# reaches the row and its note, not stderr
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 # the tails each rademacher unit checks, one row each
 _SIDES = ("upper", "lower")
 
@@ -225,7 +229,9 @@ _GRID_WINDOWS = {
     "ns": ("must be >= 0", lambda v: v >= 0),
     "deltas": ("must lie in (0, 1)", lambda v: math.isfinite(v) and 0.0 < v < 1.0),
     "ps": ("must be >= 2", lambda v: math.isfinite(v) and v >= 2.0),
-    "qs": ("must be >= 2", lambda v: v >= 2),
+    # B_UQ_EXACT_MAX_Q ends b_uq_exact's integer range and bounds a count unit's brute force
+    "qs": (f"must be >= 2 and within the exact-integer range (q <= {B_UQ_EXACT_MAX_Q})",
+           lambda v: 2 <= v <= B_UQ_EXACT_MAX_Q),
     "rhos": ("must lie in (0, 1)", lambda v: math.isfinite(v) and 0.0 < v < 1.0),
 }
 
@@ -354,27 +360,33 @@ def _build_model(spec: dict) -> LsaModel:
 _DRIFT_KEYS = ("lambda", "b", "m", "epsilon", "d_level", "abar", "c_a")
 
 
-def _drift_spec(spec: dict) -> dict:
-    """Validate and normalize the drift-parameter dict of the rosenthal runs."""
+def _drift_spec(spec: dict) -> tuple:
+    """Validate and normalize the drift-parameter dict of the rosenthal runs;
+    returns its values in ``_DRIFT_KEYS`` order."""
     if not isinstance(spec, dict) or spec.get("kind") != "drift":
         raise ValueError("rosenthal model must be an object with kind='drift'")
-    out = {}
+    out = []
     extra = sorted(set(spec) - {"kind", *_DRIFT_KEYS})
     if extra:
         raise ValueError(f"unknown drift parameter(s): {', '.join(extra)}")
     for key in _DRIFT_KEYS:
         if key not in spec:
             raise ValueError(f"drift model is missing {key!r}")
-        out[key] = _coerce_int(spec[key]) if key == "m" else _coerce_float(spec[key])
-    return out
+        try:
+            out.append(_coerce_int(spec[key]) if key == "m" else _coerce_float(spec[key]))
+        except TypeError as exc:
+            raise ValueError(f"drift parameter {key!r}: {exc}") from exc
+    return tuple(out)
 
 
 def validate(config: ExperimentConfig) -> list[str]:
     """Exhaustive semantic validation of a resolved config.
 
-    Returns every problem found, including each grid point that violates a
-    precondition of the routine that would consume it, so a failing config
-    can be fixed in one pass.
+    Returns every problem found, so a failing config can be fixed in one
+    pass.  The grid points are checked by a dry run of the runner's exact
+    halves: ``law`` once, whose ``ValueError`` or ``SolverResidualError``
+    ends validation, then ``exact`` on each explicit unit, whose
+    ``ValueError`` is reported after the coordinates its rows share.
     """
     errors: list[str] = []
     exp = _EXPERIMENTS.get(config.experiment)
@@ -421,123 +433,25 @@ def validate(config: ExperimentConfig) -> list[str]:
         # lsalab.rng) here, so the CLI pays for them before the timed run
         # and a pool's workers fork with them instead of each loading them
         _special()
-    if exp.check is not None:
-        exp.check(config, errors)
+    if exp.law is None:
+        return errors
+    with np.errstate(**_QUIET):
+        try:
+            law = exp.law(config)
+        except (ValueError, SolverResidualError) as exc:
+            return [str(exc)]
+        except Exception:  # noqa: BLE001 - every unit's rows report it
+            return errors
+        for unit in _plan(config)[1] if exp.exact else ():
+            try:
+                exp.exact(config, law, unit)
+            except ValueError as exc:
+                coords = zip(exp.keys, *exp.params(config, unit))
+                shared = [f"{k}={v}" for k, v, *vs in coords if v != "" and vs.count(v) == len(vs)]
+                errors.append(f"{', '.join(shared)}: {exc}")
+            except Exception:  # noqa: BLE001 - stays the unit's failing row
+                pass
     return errors
-
-
-def _checked_model(config: ExperimentConfig, errors: list[str]) -> LsaModel | None:
-    """The config's model, or None with the reason appended to ``errors``.
-
-    Any positive stepsize suits simulate and wasserstein, which use this as
-    their whole check: the residual identity is scale-free and the coupled
-    curve oracle is exact for all alpha; instability shows up in the rows.
-    """
-    try:
-        return _build_model(config.model)
-    except ValueError as exc:
-        errors.append(str(exc))
-        return None
-
-
-def _check_bounds(config: ExperimentConfig, errors: list[str]) -> None:
-    model = _checked_model(config, errors)
-    if model is None:
-        return
-    if model.dim != 1:
-        errors.append(f"bounds needs a one-dimensional model, got dim={model.dim}")
-        return
-    try:
-        profile = lyapunov_witness(model)
-    except (ValueError, SolverResidualError) as exc:
-        errors.append(f"model: {exc}")
-        return
-    grid = itertools.product(enumerate(config.alphas), enumerate(config.ns), enumerate(config.ps))
-    for (i, al), (k, n), (j, p) in grid:
-        try:
-            product_moment_bound(profile, p, al, n)
-        except ValueError as exc:
-            errors.append(f"alphas[{i}]={al}, ns[{k}]={n}, ps[{j}]={p}: {exc}")
-
-
-def _check_rademacher(config: ExperimentConfig, errors: list[str]) -> None:
-    if _checked_model(config, errors) is None:
-        return
-    if config.model["kind"] != "biased_rademacher":
-        errors.append(
-            "rademacher needs the two-point factor model with exact closed-form "
-            f"oracles (kind biased_rademacher), got {config.model['kind']}"
-        )
-        return
-    q_a = config.model["q_a"]
-    for (i, al), (j, n), (k, d) in itertools.product(
-        enumerate(config.alphas), enumerate(config.ns), enumerate(config.deltas)
-    ):
-        for side in _SIDES:
-            try:
-                rademacher_tail_thresholds(q_a, al, n, d, side)
-            except ValueError as exc:
-                errors.append(
-                    f"alphas[{i}]={al}, ns[{j}]={n}, deltas[{k}]={d}, {side}: {exc}"
-                )
-
-
-def _check_clt(config: ExperimentConfig, errors: list[str]) -> None:
-    model = _checked_model(config, errors)
-    if model is None:
-        return
-    if model.dim != 1:
-        errors.append(f"clt needs a one-dimensional model, got dim={model.dim}")
-        return
-    if model.sigma_eps_exact[0, 0] == 0.0:
-        # the KS row's normal law would have scale sqrt(S^alpha) = 0
-        errors.append("clt needs a model whose effective noise is not zero")
-        return
-    try:
-        profile = lyapunov_witness(model)
-        sig = solve_sigma(model.abar, model.sigma_eps_exact)
-    except (ValueError, SolverResidualError) as exc:
-        errors.append(f"model: {exc}")
-        return
-    for i, al in enumerate(config.alphas):
-        try:
-            exact_stationary_cov(model, al)
-            _burn_in(model, profile, al)
-            sigma_gap_bound(model.abar, sig, profile, al)
-        except ValueError as exc:
-            errors.append(f"alphas[{i}]={al}: {exc}")
-
-
-def _check_rosenthal(config: ExperimentConfig, errors: list[str]) -> None:
-    try:
-        spec = _drift_spec(config.model)
-    except (TypeError, ValueError) as exc:
-        errors.append(str(exc))
-        return
-    try:
-        v_geometric_constants(
-            spec["lambda"], spec["b"], spec["m"], spec["epsilon"], spec["d_level"]
-        )
-    except ValueError as exc:
-        errors.append(f"drift constants: {exc}")
-    try:
-        profile = spectral_profile(np.array([[spec["abar"]]]), spec["c_a"])
-    except ValueError as exc:
-        errors.append(f"drift model mean matrix: {exc}")
-        profile = None
-    for i, al in enumerate(config.alphas):
-        if not al < 1.0:
-            errors.append(f"alphas[{i}]={al}: interpolation exponent needs alpha < 1")
-        elif profile is not None:
-            try:
-                contraction_horizon(profile, al, spec["epsilon"])
-            except ValueError as exc:
-                errors.append(f"alphas[{i}]={al}: {exc}")
-    for i, q in enumerate(config.qs):
-        try:
-            b_uq_exact(1, q, 0.5)
-        except ValueError as exc:
-            errors.append(f"qs[{i}]={q}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +674,35 @@ def _run_lyapunov_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list
     ]
 
 
+def _model_law(config: ExperimentConfig) -> LsaModel:
+    """The law of simulate and wasserstein: the config's model.  Any positive
+    stepsize suits them: the residual identity is scale-free and the coupled
+    curve oracle is exact for all alpha; instability shows up in the rows."""
+    return _build_model(config.model)
+
+
+def _bounds_law(config: ExperimentConfig) -> tuple:
+    """The law of bounds: a one-dimensional model and its Lyapunov witness."""
+    model = _build_model(config.model)
+    if model.dim != 1:
+        raise ValueError(f"{config.experiment} needs a one-dimensional model, got dim={model.dim}")
+    return model, lyapunov_witness(model)
+
+
+def _bounds_exact(config: ExperimentConfig, law: tuple, unit: tuple) -> tuple[float, float]:
+    """A bounds unit's oracle, the exact p-th moment's p-th root, and its
+    bound, which raises first past alpha_inf or the float range."""
+    model, profile = law
+    alpha, n, p = unit
+    bound = product_moment_bound(profile, p, alpha, n)
+    return exact_product_moment(model, alpha, p, n) ** (1.0 / p), bound
+
+
 def _run_bounds_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
     alpha, n, p = unit
-    model = _build_model(config.model)
+    model, _ = law = _bounds_law(config)
+    oracle, bound = _bounds_exact(config, law, unit)
     mc = mc_norm_moment(model, alpha, n, p, config.n_traj, seed)
-    oracle = exact_product_moment(model, alpha, p, n) ** (1.0 / p)
-    bound = product_moment_bound(lyapunov_witness(model), p, alpha, n)
     passed = _band(mc.value, mc.std_err, oracle) and _dominates(oracle, bound)
     note = _band_note(mc.value, mc.std_err, oracle)
     return [_Verdict(mc.value, passed, mc.std_err, oracle, bound, note)]
@@ -781,7 +718,7 @@ def _run_simulate_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list
     both within DECOMPOSITION_TOL.
     """
     alpha, n = unit
-    model = _build_model(config.model)
+    model = _model_law(config)
     theta0 = model.theta_star + 1.0
     terms = _decomposed_errors(model, alpha, theta0, n, config.n_traj, seed)
     # np.max, not max(): a NaN residual must fail the row, not be skipped
@@ -810,33 +747,65 @@ def _run_simulate_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list
     ]
 
 
+def _rademacher_law(config: ExperimentConfig) -> float:
+    """The law of rademacher: q_a of the +-1 chain, the model whose tails
+    have closed-form thresholds."""
+    _build_model(config.model)
+    if config.model["kind"] != "biased_rademacher":
+        raise ValueError(
+            "rademacher needs the two-point factor model with exact closed-form "
+            f"oracles (kind biased_rademacher), got {config.model['kind']}"
+        )
+    return config.model["q_a"]
+
+
+def _rademacher_exact(config: ExperimentConfig, q_a: float, unit: tuple) -> list[float]:
+    """A rademacher unit's tail threshold on each of ``_SIDES``."""
+    alpha, n, delta = unit
+    return [rademacher_tail_thresholds(q_a, alpha, n, delta, side) for side in _SIDES]
+
+
 def _run_rademacher_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
-    q_a = config.model["q_a"]
+    q_a = _rademacher_law(config)
     alpha, n, delta = unit
     verdicts = []
-    for side in _SIDES:
-        t = rademacher_tail_thresholds(q_a, alpha, n, delta, side)
+    for side, t in zip(_SIDES, _rademacher_exact(config, q_a, unit)):
         tail = rademacher_exact_tail(q_a, alpha, n, t)
         passed = tail <= delta if side == "upper" else tail >= delta
         verdicts.append(_Verdict(tail, passed, oracle=delta, bound=t))
     return verdicts
 
 
+def _clt_law(config: ExperimentConfig) -> tuple:
+    """The law of clt: the law of bounds and the limit Sigma."""
+    model, profile = _bounds_law(config)
+    if model.sigma_eps_exact[0, 0] == 0.0:
+        # the KS row's normal law would have scale sqrt(S^alpha) = 0
+        raise ValueError("clt needs a model whose effective noise is not zero")
+    return model, profile, solve_sigma(model.abar, model.sigma_eps_exact)
+
+
+def _clt_exact(config: ExperimentConfig, law: tuple, unit: tuple) -> tuple[float, float, float]:
+    """A clt unit's exact variance of the scaled error, S^alpha and the cap
+    on their gap."""
+    model, profile, sig = law
+    (alpha,) = unit
+    v_exact = exact_stationary_cov(model, alpha)[0, 0] / alpha
+    sig_alpha = solve_riccati(model.abar, model.sigma_eps_exact, alpha)[0, 0]
+    return v_exact, sig_alpha, sigma_gap_bound(model.abar, sig, profile, alpha)
+
+
 def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
     (alpha,) = unit
-    model = _build_model(config.model)
-    profile = lyapunov_witness(model)
+    model, _, sig = law = _clt_law(config)
+    v_exact, sig_alpha, gap_cap = _clt_exact(config, law, unit)
     samples = sample_stationary(model, alpha, config.n_traj, seed)
     x = (samples[:, 0] - model.theta_star[0]) / math.sqrt(alpha)
     n_s = x.size
     _, v_hat = _mean_var(x)
     v_se = v_hat * math.sqrt(2.0 / (n_s - 1))
-    v_exact = exact_stationary_cov(model, alpha)[0, 0] / alpha
-    sig = solve_sigma(model.abar, model.sigma_eps_exact)
     sig_limit = sig[0, 0]
-    sig_alpha = solve_riccati(model.abar, model.sigma_eps_exact, alpha)[0, 0]
     gap = abs(sig_alpha - sig_limit)
-    gap_cap = sigma_gap_bound(model.abar, sig, profile, alpha)
     scale = math.sqrt(sig_alpha)
     ndtr = _special().ndtr
     ks = empirical_ks(x, lambda t: ndtr(t / scale))
@@ -854,17 +823,21 @@ def _run_clt_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Ver
     ]
 
 
+def _wasserstein_exact(config: ExperimentConfig, model: LsaModel, unit: tuple) -> tuple:
+    """A wasserstein unit's two coupled starts, and their exact distance at
+    n = 0, ..., max(ns)."""
+    (alpha,) = unit
+    theta_a, theta_b = model.theta_star + 1.0, model.theta_star - 1.0
+    exact = np.sqrt(coupled_exact_sq(model, alpha, max(config.ns), theta_a - theta_b))
+    return theta_a, theta_b, exact.tolist()
+
+
 def _run_wasserstein_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
     (alpha,) = unit
-    model = _build_model(config.model)
-    theta_a = model.theta_star + 1.0
-    theta_b = model.theta_star - 1.0
-    n_max = max(config.ns)
-    value, std_err = (
-        curve.tolist()
-        for curve in coupled_w2(model, alpha, n_max, theta_a, theta_b, config.n_traj, seed)
-    )
-    exact = np.sqrt(coupled_exact_sq(model, alpha, n_max, theta_a - theta_b)).tolist()
+    model = _model_law(config)
+    theta_a, theta_b, exact = _wasserstein_exact(config, model, unit)
+    draws = coupled_w2(model, alpha, max(config.ns), theta_a, theta_b, config.n_traj, seed)
+    value, std_err = (curve.tolist() for curve in draws)
     return [
         _Verdict(
             value[n], _band(value[n], std_err[n], exact[n]), std_err[n], exact[n],
@@ -914,11 +887,17 @@ def _bsum_verdicts(seeds: list[int], units: range) -> list[float]:
     return out.tolist()
 
 
-def _run_rosenthal_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
-    kind, q, u, rho, alpha, trial = unit
-    if kind == "bsum":
-        res = _block_verdict(config, _bsum_verdicts, trial)
-        return [_Verdict(res, res <= GEOMETRIC_SUM_TOL, oracle=0.0, bound=GEOMETRIC_SUM_TOL)]
+def _rosenthal_law(config: ExperimentConfig) -> tuple:
+    """The law of rosenthal: the drift model's block constants and the
+    spectral profile of its mean matrix."""
+    lambda_, b, m, epsilon, d_level, abar, c_a = _drift_spec(config.model)
+    constants = v_geometric_constants(lambda_, b, m, epsilon, d_level)
+    return constants, spectral_profile(np.array([[abar]]), c_a)
+
+
+def _rosenthal_exact(config: ExperimentConfig, law: tuple, unit: tuple) -> list[_Verdict]:
+    """The verdict of a closed-form unit, every rosenthal unit but a bsum trial."""
+    kind, q, u, rho, alpha, _ = unit
     if kind == "buq":
         exact = b_uq_exact(u, q, rho)
         upper = b_uq_upper(u, q, rho)
@@ -927,36 +906,37 @@ def _run_rosenthal_unit(config: ExperimentConfig, unit: tuple, seed: int) -> lis
         brute = _count_compositions(2 * q - u, u)
         closed = composition_count(u, q)
         return [_Verdict(brute, brute == closed, oracle=closed)]
-    spec = _drift_spec(config.model)
+    constants, profile = law
     if kind == "horizon":
-        profile = spectral_profile(np.array([[spec["abar"]]]), spec["c_a"])
-        m_h = contraction_horizon(profile, alpha, spec["epsilon"])
+        m_h = contraction_horizon(profile, alpha, constants.epsilon)
         rate = 1.0 - alpha * profile.a / 2.0
         reached = profile.kappa_q * rate ** (m_h / 2.0)
-        target = 1.0 - spec["epsilon"]
+        target = 1.0 - constants.epsilon
         minimal = m_h == 1 or profile.kappa_q * rate ** ((m_h - 1) / 2.0) > target
         return [
             _Verdict(reached, reached <= target and minimal, bound=target, note=f"horizon={m_h}")
         ]
     # delta_root
-    constants = v_geometric_constants(
-        spec["lambda"], spec["b"], spec["m"], spec["epsilon"], spec["d_level"]
-    )
-    full = attach_wasserstein(constants, alpha, c_a=spec["c_a"])
+    full = attach_wasserstein(constants, alpha, c_a=profile.c_a)
     delta = full.delta_alpha
     if delta is None:
         residual, passed = math.nan, True
         note = "no positive root; contraction rates undefined at this alpha"
     else:
-        residual = abs(
-            _delta_gap(
-                delta, constants.lambda_bar_m, constants.b_m, constants.d_bar,
-                constants.epsilon, alpha,
-            )
-        )
+        gap = _delta_gap(delta, full.lambda_bar_m, full.b_m, full.d_bar, full.epsilon, alpha)
+        residual = abs(gap)
         passed = residual <= ROOT_RESIDUAL_TOL and 0.0 < full.rho_alpha < 1.0
         note = f"delta_alpha={delta:.9g}, rho_alpha={full.rho_alpha:.9g}"
     return [_Verdict(residual, passed, oracle=0.0, bound=ROOT_RESIDUAL_TOL, note=note)]
+
+
+def _run_rosenthal_unit(config: ExperimentConfig, unit: tuple, seed: int) -> list[_Verdict]:
+    kind, *_, trial = unit
+    if kind == "bsum":
+        # no law: a many-units run has thousands of these trials
+        res = _block_verdict(config, _bsum_verdicts, trial)
+        return [_Verdict(res, res <= GEOMETRIC_SUM_TOL, oracle=0.0, bound=GEOMETRIC_SUM_TOL)]
+    return _rosenthal_exact(config, _rosenthal_law(config), unit)
 
 
 # ---------------------------------------------------------------------------
@@ -982,10 +962,12 @@ class _Experiment:
     itself); ``runner(config, unit, seed)`` returns one ``_Verdict`` per
     tuple, in the same order, and ``run_unit`` builds the rows.  A verdict's
     own ``params`` replaces a coordinate tuple where the unit draws a
-    coordinate itself.  ``check(config, errors)`` appends the per-point
-    problems of a config whose fields are otherwise valid.  ``block`` is the
-    number of consecutive trials the runner computes together; a pool chunk
-    is a whole number of blocks.
+    coordinate itself.  The runner calls its exact halves, which draw
+    nothing and raise ``ValueError`` at a bad point, and ``validate``
+    dry-runs them: ``law(config)``, the model and what every unit shares,
+    and ``exact(config, law, unit)``, a unit's oracles and bounds.
+    ``block`` is the number of consecutive trials the runner computes
+    together; a pool chunk is a whole number of blocks.
 
     Records hold private functions only: a public lsalab function stored
     here would escape the rebinding of module-level names that tracing uses.
@@ -998,7 +980,8 @@ class _Experiment:
     units: Callable[[ExperimentConfig], Iterable[tuple]]
     runner: Callable[[ExperimentConfig, tuple, int], list[_Verdict]]
     params: Callable[[ExperimentConfig, tuple], list[tuple]] = lambda config, unit: [unit]
-    check: Callable[[ExperimentConfig, list[str]], object] | None = None
+    law: Callable[[ExperimentConfig], object] | None = None
+    exact: Callable[[ExperimentConfig, object, tuple], object] | None = None
     trial: Callable[[int], tuple] | None = None
     block: int = 1
 
@@ -1028,7 +1011,8 @@ _EXPERIMENTS = {
         special=False,
         units=lambda c: itertools.product(c.alphas, c.ns, c.ps),
         runner=_run_bounds_unit,
-        check=_check_bounds,
+        law=_bounds_law,
+        exact=_bounds_exact,
     ),
     "simulate": _Experiment(
         keys=("alpha", "n"),
@@ -1037,7 +1021,7 @@ _EXPERIMENTS = {
         special=True,  # Gaussian b noise
         units=lambda c: itertools.product(c.alphas, c.ns),
         runner=_run_simulate_unit,
-        check=_checked_model,
+        law=_model_law,
     ),
     "rademacher": _Experiment(
         keys=("q_a", "alpha", "n", "delta", "side"),
@@ -1047,7 +1031,8 @@ _EXPERIMENTS = {
         units=lambda c: itertools.product(c.alphas, c.ns, c.deltas),
         params=lambda c, unit: [(c.model["q_a"], *unit, side) for side in _SIDES],
         runner=_run_rademacher_unit,
-        check=_check_rademacher,
+        law=_rademacher_law,
+        exact=_rademacher_exact,
     ),
     "clt": _Experiment(
         keys=("check", "alpha"),
@@ -1057,7 +1042,8 @@ _EXPERIMENTS = {
         units=lambda c: itertools.product(c.alphas),
         params=lambda c, unit: [(check, *unit) for check in ("variance", "gap", "ks")],
         runner=_run_clt_unit,
-        check=_check_clt,
+        law=_clt_law,
+        exact=_clt_exact,
     ),
     "wasserstein": _Experiment(
         keys=("alpha", "n"),
@@ -1068,7 +1054,8 @@ _EXPERIMENTS = {
         units=lambda c: itertools.product(c.alphas if c.ns else ()),
         params=lambda c, unit: [(*unit, n) for n in c.ns],
         runner=_run_wasserstein_unit,
-        check=_checked_model,
+        law=_model_law,
+        exact=_wasserstein_exact,
     ),
     "rosenthal": _Experiment(
         keys=("check", "q", "u", "rho", "alpha", "trial"),
@@ -1082,7 +1069,8 @@ _EXPERIMENTS = {
         # a trial's coordinates, padded as the closed-form units' are
         trial=lambda t: ("bsum", "", "", "", "", t),
         runner=_run_rosenthal_unit,
-        check=_check_rosenthal,
+        law=_rosenthal_law,
+        exact=_rosenthal_exact,
         block=512,
     ),
 }
@@ -1106,8 +1094,7 @@ def run_unit(config: ExperimentConfig, index: int) -> list[ResultRow]:
     exp = _EXPERIMENTS[config.experiment]
     coords = exp.params(config, unit)
     try:
-        # an overflow reaches the row and its note, not stderr
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(**_QUIET):
             verdicts = exp.runner(config, unit, seed)
     except Exception as exc:  # noqa: BLE001 - unit failures become rows
         failed = _Verdict(math.nan, False, math.nan, note=f"{type(exc).__name__}: {exc}")

@@ -114,7 +114,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path, ps=[3], ns=[50000], out=str(tmp_path / "b"))
         assert main(["bounds", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert "config error: alphas[0]=0.1, ns[0]=50000, ps[0]=3.0: bound at n=50000" in err
+        assert "config error: alpha=0.1, n=50000, p=3.0: bound at n=50000" in err
         assert not (tmp_path / "b.csv").exists()
 
     @pytest.mark.parametrize("experiment,fields,reason", [

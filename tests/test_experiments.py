@@ -259,7 +259,8 @@ class TestValidate:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"alphas": [1.5]}))
         assert main(["clt", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "alphas[0]=1.5: alpha=1.5 outside [0, alpha_inf=1]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: alpha=1.5: alpha=1.5 outside [0, alpha_inf=1]" in err
 
     @pytest.mark.parametrize("model", [
         {"kind": "biased_rademacher", "q_a": 0.75},
@@ -653,17 +654,42 @@ def test_edge_configs_pass_only_finite_rows(name):
     for row in rows:
         values = [row.empirical, row.std_err] + [v for v in (row.oracle, row.bound) if v is not None]
         assert not row.passed or all(map(math.isfinite, values)), row
+        # validation dry-ran every exact half a unit computes
+        assert not row.note.startswith("ValueError"), row
 
 
-def test_only_the_rademacher_runner_reads_q_a():
-    # every other runner reads its oracle from the model's law, not from a
-    # parameter of one kind of model
-    runners = {f"experiments.{exp.runner.__name__}" for exp in experiments._EXPERIMENTS.values()}
+def test_only_the_rademacher_law_reads_q_a():
+    # every other experiment reads its oracle from the model's law, not from
+    # a parameter of one kind of model
+    held = {
+        f"experiments.{fn.__name__}"
+        for exp in experiments._EXPERIMENTS.values()
+        for fn in (exp.runner, exp.law, exp.exact) if fn is not None
+    }
     readers = {
         name for name, node in _top_level_nodes()
         if isinstance(node, ast.Constant) and node.value == "q_a"
     }
-    assert readers & runners == {"experiments._run_rademacher_unit"}
+    assert readers & held == {"experiments._rademacher_law"}
+
+
+def test_each_precondition_has_one_home():
+    # validate dry-runs the exact halves the runners call: a hand-written
+    # check beside them, or a runner that computes its model, oracles or
+    # bounds itself, would be a second home for a precondition
+    tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert [name for name in defs if name.startswith("_check")] == []
+    for name, exp in experiments._EXPERIMENTS.items():
+        called = {
+            node.func.id for node in ast.walk(defs[exp.runner.__name__])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        halves = {fn.__name__ for fn in (exp.law, exp.exact) if fn is not None}
+        assert halves <= called, name
+    assert {name for name, exp in experiments._EXPERIMENTS.items() if exp.law is None} == {
+        "lyapunov"
+    }
 
 
 @pytest.mark.parametrize("change", [-1, 1], ids=["one_too_few", "one_too_many"])
