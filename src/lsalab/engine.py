@@ -18,9 +18,10 @@ lone trajectory's arithmetic (``_matvec``).  One streaming reducer,
 fixed granules of _GRANULE trajectories, aligned to the trajectory index,
 and merges them in a fixed pairwise tree (Chan, Golub & LeVeque), so results
 are bit-identical however trajectories are chunked, windowed or scheduled
-and rows do not depend on the chunk budget.  ``coupled_w2`` reduces its
-per-step values, a batch of steps at a time, as the driver produces them, so
-no estimator holds an (n_traj, n + 1) array.  Equal values give a variance
+and rows do not depend on the chunk budget; a drive that feeds it cuts its
+chunks at whole granules.  ``coupled_w2`` reduces its per-step values, a
+batch of steps at a time, as the driver produces them, so no estimator holds
+an (n_traj, n + 1) array.  Equal values give a variance
 of exactly 0.  ``mc_norm_moment`` and ``coupled_w2`` take their random
 products from one product kernel, ``_products``, the only caller of the
 driver that reads A's words alone.  A's law has finite support, so a batch
@@ -243,7 +244,7 @@ def product(model: LsaModel, alpha: float, n: int, gen: Generator) -> np.ndarray
     return gamma
 
 
-def _layout(model: LsaModel, n: int, with_b: bool, state_floats: int, n_traj: int):
+def _layout(model: LsaModel, n: int, with_b: bool, state_floats: int, n_traj: int, reduced=False):
     """(rows, window, width, b_words): chunk rows, window steps, buffer words a row, b words a step.
 
     Per trajectory, a step of a window holds its words in the buffer (its A
@@ -252,8 +253,9 @@ def _layout(model: LsaModel, n: int, with_b: bool, state_floats: int, n_traj: in
     a state of ``state_floats`` floats holds the state, its update and the
     gathered (d, d) step matrices: at most d + 2 floats per state float.  A
     chunk is as many trajectories as fit whole paths in the budget, but at
-    least _CHUNK_ROWS (all n_traj, if fewer), and whole granules of the
-    reducer where that takes no more chunks; a window is as many steps as
+    least _CHUNK_ROWS (all n_traj, if fewer); a ``reduced`` drive, whose
+    states feed ``_Moments``, rounds them down to whole granules, at least
+    one, where it takes more than one chunk.  A window is as many steps as
     fit in the budget beside the chunk's states, at least 1, and the path's
     windows are made as even as whole steps allow.
     """
@@ -265,11 +267,8 @@ def _layout(model: LsaModel, n: int, with_b: bool, state_floats: int, n_traj: in
     state_bytes = 8 * (model.dim + 2) * state_floats
     budget = 8 * _CHUNK_FLOAT_BUDGET
     rows = max(1, min(n_traj, max(_CHUNK_ROWS, budget // (n * step_bytes + state_bytes))))
-    # whole granules, so that the reducer splits none across chunks, unless
-    # that takes one chunk more, whose n steps are as many numpy calls more
-    aligned = rows - rows % _GRANULE
-    if aligned and -(-n_traj // aligned) == -(-n_traj // rows):
-        rows = aligned
+    if reduced and rows < n_traj:
+        rows = min(n_traj, max(_GRANULE, rows - rows % _GRANULE))
     fit = max(1, (budget // rows - state_bytes) // step_bytes)
     windows = max(1, -(-n // fit))
     window = max(1, -(-n // windows))
@@ -294,14 +293,17 @@ def _drive(
     ``step(state, index_k, b_k)`` returns the chunk's next state from the
     step's atom indices and b draws (shape (rows, d, 1), or None).
     ``observe(rows, k, state)`` sees the state of trajectories ``rows`` (a
-    slice) at each step k = 0..n, the tiled start at k = 0.  With
+    slice) at each step k = 0..n, the tiled start at k = 0; a drive with
+    ``observe`` is laid out as one that feeds the reducer.  With
     ``reference``, a function of a trajectory's generator that raises
     TrajectoryBlowup at its first non-finite step, a final iterate (the
     leading d floats of a state) that is not finite raises TrajectoryBlowup
     with the first such trajectory and the step its reference names.
     """
     sampler = model.sampler
-    chunk, window, width, b_words = _layout(model, n, with_b, start.size, n_traj)
+    chunk, window, width, b_words = _layout(
+        model, n, with_b, start.size, n_traj, reduced=observe is not None
+    )
     out = np.empty((n_traj,) + start.shape)
     buffer = np.empty(chunk * width)
     for lo in range(0, n_traj, chunk):
@@ -404,18 +406,16 @@ class _Moments:
     give their own value and an M2 of exactly 0.  Granules are merged in
     index order on a binary-counter stack by Chan, Golub & LeVeque's update,
     so the tree depends on n_traj alone.  ``add`` takes the trajectories in
-    blocks of consecutive rows, column by column from 0 to width - 1; a
-    granule split across blocks is staged, _GRANULE floats a column, and a
-    block's columns are batched so that one reduction serves several.  Each
+    blocks of whole granules, column by column from 0 to width - 1, and
+    batches a block's columns so that one reduction serves several.  Each
     column is reduced alone, so the bits depend only on the trajectory
     indices, not on the blocks or the batches.  For blocks of at most R
-    trajectories it holds O((_GRANULE + R / _GRANULE + log n_traj) * width)
-    floats.
+    trajectories it holds O((R / _GRANULE + log n_traj) * width) floats of
+    granules and stack, and a batch of at most _GRANULE floats a column.
     """
 
     def __init__(self, n_traj: int, width: int):
         self.n_traj, self.width = n_traj, width
-        self.stage = np.empty((width, min(_GRANULE, n_traj)))
         self.batch = np.empty((0, 0))  # sized by _fit from the first block
         self.first = 0  # the batch's first column
         self.mean, self.m2 = np.empty((2, (-(-n_traj // _GRANULE)).bit_length() + 1, width))
@@ -423,19 +423,23 @@ class _Moments:
 
     def _fit(self, rows: int) -> None:
         """Size the batch and the leaves for blocks of ``rows`` trajectories."""
-        # a batch of columns is no larger than the stage, and its reduction's
+        # a batch holds at most _GRANULE floats a column, and its reduction's
         # temporaries stay small beside a chunk's draws
-        self.batch = np.empty((max(1, min(64, self.width, self.stage.size // rows)), rows))
-        # a block completes at most rows // G + 2 granules (a staged one, its
-        # whole ones and the shorter last one); their columns wait here until
-        # the block's last column is added
-        leaves = rows // _GRANULE + 2
+        self.batch = np.empty((max(1, min(64, self.width, self.width * _GRANULE // rows)), rows))
+        # a block's granules wait here until its last column is added
+        leaves = -(-rows // _GRANULE)
         self.leaf_mean, self.leaf_m2 = np.empty((2, leaves, self.width))
         self.leaf_n = [0] * leaves
 
     def add(self, rows: slice, k: int, values: np.ndarray) -> None:
-        """Column k's values, shape (hi - lo,), of trajectories rows = lo:hi."""
+        """Column k's values, shape (hi - lo,), of trajectories rows = lo:hi.
+
+        A block is whole granules, the run's shorter last one included;
+        one that splits a granule raises ValueError.
+        """
         lo, hi = rows.start, rows.stop
+        if lo % _GRANULE or (hi % _GRANULE and hi != self.n_traj):
+            raise ValueError(f"rows {lo}:{hi} split a granule of {_GRANULE} trajectories")
         # the driver's first block is its largest; a larger block resizes at
         # its column 0, when no batched column or leaf is pending
         if hi - lo > self.batch.shape[1]:
@@ -446,25 +450,10 @@ class _Moments:
         # columns first..k of the block, reduced in place (v, its rows) by granule
         cols, v = slice(self.first, k + 1), self.batch[: k + 1 - self.first, : hi - lo]
         self.first = (k + 1) % self.width
-        leaf, at = 0, lo
-        if lo % _GRANULE:  # the rest of a staged granule, or more of it
-            start = lo - lo % _GRANULE
-            end = min(start + _GRANULE, self.n_traj)
-            take = min(end, hi)
-            self.stage[cols, lo - start : take - start] = v[:, : take - lo]
-            if take == end:
-                leaf = self._reduce(self.stage[cols, None, : end - start], leaf, cols)
-            at = take
-        whole = (hi - at) // _GRANULE * _GRANULE
-        if whole:
-            block = v[:, at - lo : at - lo + whole].reshape(len(v), -1, _GRANULE)
-            leaf = self._reduce(block, leaf, cols)
-            at += whole
-        if at < hi:
-            if hi == self.n_traj:  # the last granule, shorter, whole in this block
-                leaf = self._reduce(v[:, None, at - lo :], leaf, cols)
-            else:
-                self.stage[cols, : hi - at] = v[:, at - lo :]
+        whole = (hi - lo) // _GRANULE * _GRANULE
+        leaf = self._reduce(v[:, :whole].reshape(len(v), -1, _GRANULE), 0, cols)
+        if whole < hi - lo:  # the run's last granule, shorter
+            leaf = self._reduce(v[:, None, whole:], leaf, cols)
         if k == self.width - 1:
             for i in range(leaf):
                 self._push(i)

@@ -162,6 +162,8 @@ def v_geometric_constants(
         / (m * (math.log(1.0 - epsilon) + math.log(lambda_bar) - math.log(b_bar)))
     )
     rho = math.exp(log_rho)
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"drift model's block rate rho_m = {rho} is not in (0,1)")
     geom = lam_m + (1.0 - lam_m) / (1.0 - lambda_)
     c_m = (
         rho**-m

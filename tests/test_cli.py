@@ -127,8 +127,11 @@ class TestExitCodes:
         ("rosenthal", {"qs": [13], "rhos": []}, "exact-integer range (q <= 12)"),
         ("rosenthal", {"model": {**_DRIFT, "lambda": 0.9, "b": 1.0}}, "admissibility violated"),
         ("rosenthal", {"model": {**_DRIFT, "c_a": 0.5}}, "c_a=0.5 must be finite"),
+        ("rosenthal", {"model": {**_DRIFT, "b": 0.0, "m": 1, "epsilon": 0.01, "d_level": 0.5,
+                                 "abar": 0.1, "c_a": 0.5}},
+         "drift model's block rate rho_m = 1.2527025325512666 is not in (0,1)"),
     ], ids=["rademacher-gaussian", "rademacher-delta", "rosenthal-q", "rosenthal-q-no-rhos",
-            "drift-inadmissible", "drift-c-a"])
+            "drift-inadmissible", "drift-c-a", "drift-block-rate"])
     def test_a_config_its_units_cannot_compute_exits_two(
         self, tmp_path, capsys, experiment, fields, reason
     ):

@@ -37,6 +37,7 @@ from lsalab.engine import (
     sample_stationary,
     stationary_horizon,
 )
+from lsalab.experiments import ExperimentConfig, resolve, run
 from lsalab.linalg import _logsumexp, solve_riccati
 from lsalab.noise import (
     biased_rademacher_model,
@@ -413,9 +414,11 @@ class TestChunkMemory:
         model = maker()
         n, n_traj, window = 3000, 100, 1000
         # forty trajectories a chunk, so 40, 40, 20, and paths that do
-        # not fit whole: each is drawn in three windows of 1000 steps
+        # not fit whole: each is drawn in three windows of 1000 steps; the
+        # reducer's granules of 20 keep coupled_w2's chunks at 40
         budget = _window_budget(model, with_b, state_floats(model.dim), 40, 1100)
         _chunks(monkeypatch, budget, 40)
+        monkeypatch.setattr(engine, "_GRANULE", 20)
         seen = _spy_on_windows(monkeypatch, model)
         held, peaks = [], []
         spied, drive = engine._block_uniforms, engine._drive
@@ -535,6 +538,8 @@ class TestDrawWindows:
         drive, with_b, state_floats, n_traj = _DRIVES[name]
         model, n = maker(), 37
         floats, rows = state_floats(model.dim), min(5, n_traj)
+        # granules of a chunk's rows, so that coupled_w2's drive keeps them
+        monkeypatch.setattr(engine, "_GRANULE", rows)
         assert engine._layout(model, n, with_b, floats, n_traj)[:2] == (n_traj, n)
         whole = drive(model, n)
         for window in (7, 1):
@@ -579,20 +584,46 @@ class TestDrawWindows:
         # horizon, without its rows falling below the floor
         _, with_b, state_floats = _ESTIMATORS[name]
         model = maker()
+        floats = state_floats(model.dim)
         held, last, n_traj = model.sampler._held(with_b), math.inf, 10**6
+        # the reducer's drive takes whole granules, every other drive the
+        # rows its budget allows
+        unit = engine._GRANULE if name == "coupled_w2" else 1
         for n in (1, 2, 10, 37, 200, 719, 1456, 7350, 10**5, 10**7, 10**9):
             rows, window, width, _ = engine._layout(
-                model, n, with_b, state_floats(model.dim), n_traj
+                model, n, with_b, floats, n_traj, reduced=name == "coupled_w2"
             )
             windows = -(-n // window)
             assert engine._CHUNK_ROWS <= rows <= last, n
-            # whole granules of the reducer, unless that would take a chunk more
-            aligned = rows - rows % engine._GRANULE
-            assert aligned == rows or -(-n_traj // aligned) > -(-n_traj // rows), n
+            assert rows % unit == 0, n
+            more = _window_budget(model, with_b, floats, rows + unit, n)
+            assert rows == engine._CHUNK_ROWS or more > engine._CHUNK_FLOAT_BUDGET, n
             assert rows == engine._CHUNK_ROWS or windows == 1, n  # whole paths above the floor
             assert window == -(-n // windows), n  # windows as even as whole steps allow
             assert rows * (8 * width + window * held) <= 8 * engine._CHUNK_FLOAT_BUDGET, n
             last = rows
+
+    def test_the_mc_batch_drives_keep_their_chunks(self, monkeypatch):
+        # perfbench's mc-batch invocations: (n, n_traj, chunk rows, chunks)
+        # of each drive; only wasserstein's coupled_w2 feeds the reducer
+        seen, layout = [], engine._layout
+
+        def spy(model, n, with_b, state_floats, n_traj, reduced=False):
+            out = layout(model, n, with_b, state_floats, n_traj, reduced)
+            seen.append((n, n_traj, out[0], -(-n_traj // out[0])))
+            return out
+
+        monkeypatch.setattr(engine, "_layout", spy)
+        expected = {
+            ("bounds", 20000): [(10, 20000, 20000, 1), (50, 20000, 16877, 2),
+                                (200, 20000, 4385, 5)],
+            ("clt", 10000): [(719, 10000, 1231, 9), (1456, 10000, 1024, 10)],
+            ("wasserstein", 20000): [(200, 20000, 4352, 5)],
+        }
+        for (name, n_traj), drives in expected.items():
+            seen.clear()
+            run(resolve(ExperimentConfig(experiment=name, n_traj=n_traj)))
+            assert seen == drives, name
 
 
 def _callers(names: set[str]) -> set[str]:
@@ -667,9 +698,9 @@ class TestMcNormMoment:
 
 def _reduce_in_blocks(values: np.ndarray, cuts: list[int], granule: int):
     """engine._Moments over values (n_traj, width) in granules of ``granule``,
-    in blocks split at ``cuts``."""
+    in blocks split at ``cuts`` rounded down to whole granules."""
     n_traj, width = values.shape
-    edges = sorted({0, n_traj, *(c for c in cuts if 0 < c < n_traj)})
+    edges = sorted({0, n_traj, *(c - c % granule for c in cuts if c < n_traj)})
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "_GRANULE", granule)
         moments = engine._Moments(n_traj, width)
@@ -713,6 +744,17 @@ class TestMoments:
         with np.errstate(invalid="ignore"):
             mean, var = _reduce_in_blocks(values, cuts, granule)
         assert mean[0] == math.inf and math.isnan(var[0])
+
+    @pytest.mark.parametrize("lo,hi", [(0, 3), (2, 4), (1, 8), (4, 7), (6, 10)])
+    def test_a_block_that_splits_a_granule_raises(self, lo, hi, monkeypatch):
+        # granules 0:4, 4:8 and the run's last, shorter one, 8:10
+        monkeypatch.setattr(engine, "_GRANULE", 4)
+        moments = engine._Moments(10, 1)
+        with pytest.raises(ValueError, match=f"rows {lo}:{hi} split a granule of 4"):
+            moments.add(slice(lo, hi), 0, np.zeros(hi - lo))
+        for start, stop in ((0, 8), (8, 10)):
+            moments.add(slice(start, stop), 0, np.arange(start, stop, dtype=float))
+        assert moments.mean_var()[0][0] == 4.5
 
 
 class TestCovJ0:
@@ -800,13 +842,16 @@ class TestCoupling:
     def test_chunk_budget_does_not_change_curve(self, maker, monkeypatch):
         model = maker()
         args = (model, 0.05, 20, model.theta_star + 1.0, model.theta_star - 1.0, 40, 34)
+        # granules of one trajectory, which divide any chunk, so that the
+        # tiny budget splits d8_model's trajectories in chunks of 19
+        monkeypatch.setattr(engine, "_GRANULE", 1)
         value, std_err = coupled_w2(*args)
         _chunks(monkeypatch, 2000, 6)
         tiny_value, tiny_err = coupled_w2(*args)
         assert np.array_equal(value, tiny_value)
         assert np.array_equal(std_err, tiny_err)
 
-    @pytest.mark.parametrize("granule", [engine._GRANULE, 4])
+    @pytest.mark.parametrize("granule", [5, 1])
     @pytest.mark.parametrize("maker", [gm_model, small_td])
     def test_curve_is_a_two_pass_fsum_of_per_trajectory_squared_norms(
         self, maker, granule, monkeypatch
@@ -827,8 +872,8 @@ class TestCoupling:
         var = np.array([math.fsum((col - m) ** 2) / (n_traj - 1) for col, m in zip(sq.T, mean)])
         expected = np.sqrt(var / n_traj) / (2.0 * np.sqrt(mean))
         # uneven chunks: 23 trajectories in chunks of 5, each path drawn in
-        # windows of one step, and with granules of 4 a granule split across
-        # chunks and granules merged
+        # windows of one step, with granules of 5 (one a chunk, and the
+        # shorter last one) or of 1 (merged within and across chunks)
         _chunks(monkeypatch, 1, 5)
         monkeypatch.setattr(engine, "_GRANULE", granule)
         value, std_err = coupled_w2(model, alpha, n, delta0, np.zeros(model.dim), n_traj, seed)

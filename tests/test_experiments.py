@@ -707,7 +707,8 @@ def test_a_runner_with_the_wrong_verdict_count_raises(change, monkeypatch):
 
 
 # Small configs on which the layout varies: the budgets below split every
-# chunked Monte Carlo unit into several chunks, lyapunov's 20 trials and
+# chunked Monte Carlo unit into several chunks (wasserstein's 600
+# trajectories into whole granules of 256), lyapunov's 20 trials and
 # rosenthal's 600 into blocks (rosenthal's 4 head units and 600 trials fill
 # one block of 512 and part of a second, and a block of 3 units holds the
 # last head unit and two trials), and all but rademacher's and wasserstein's
@@ -718,7 +719,7 @@ _LAYOUT = {
     "simulate": dict(alphas=(0.1, 0.05), ns=(50,), n_traj=150),
     "rademacher": dict(alphas=(0.1,), ns=(400,), deltas=(0.1,)),
     "clt": dict(alphas=(0.1, 0.2), n_traj=30),
-    "wasserstein": dict(alphas=(0.1,), ns=(10, 20), n_traj=200),
+    "wasserstein": dict(alphas=(0.1,), ns=(10, 20), n_traj=600),
     "rosenthal": dict(alphas=(0.25,), qs=(2,), rhos=(0.5,), n_traj=600),
 }
 

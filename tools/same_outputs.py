@@ -7,7 +7,7 @@ Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
 runs the same ``lsalab`` invocations on it and on the working tree's
 ``src/``: the seven default runs at seeds 0, 2 and 3; every invocation of
 the workloads in ``perfbench/workloads.py`` at seed 0 with ``--workers`` 1
-and 2; and five more, each at seed 0 with ``--workers`` 1 and 2:
+and 2; and seven more, each at seed 0 with ``--workers`` 1 and 2:
 ``simulate`` and ``wasserstein`` on the TD(0) model of
 ``tests/test_engine.py::small_td``, since no default run or workload decodes
 a TD(0) law; the same two at n = 5000 with 200 trajectories, whose paths of
@@ -15,9 +15,11 @@ a law without b words are drawn in windows of steps (four of 1250 steps for
 ``simulate``, which gathers the b rows, and two of 2500 for
 ``wasserstein``, which reads A alone); ``clt`` on a scalar bounded factor
 with ``bbar != 0``, since none reads the noise covariance of a model with
-``theta_star != 0``; and ``clt`` at alpha 0.01 with 1500 trajectories, whose
-7350-step paths are drawn in nine windows of steps.  All run with
-``--format both``.  For each
+``theta_star != 0``; ``clt`` at alpha 0.01 with 1500 trajectories, whose
+7350-step paths are drawn in nine windows of steps; and ``wasserstein`` with
+8770 trajectories, whose reducer drive reads chunks of 4352, whole granules
+of the reducer, where the 4385 that fit would split granule 17.  All run
+with ``--format both``.  For each
 invocation it compares the CSV bytes, the JSON text with its
 ``wall_time_s`` value blanked, stdout and stderr with the output prefix
 replaced by a placeholder, and the exit code.  It prints each invocation's
@@ -95,6 +97,9 @@ FACTOR_MODEL = {
 LONG_HORIZON = {"alphas": [0.01], "n_traj": 1500}
 # 5000 steps of TD(0), a law without b words, drawn in windows
 TD_LONG_HORIZON = {"model": TD_MODEL, "alphas": [0.1], "ns": [5000], "n_traj": 200}
+# two chunks of whole granules and a third, shorter one, where chunks of as
+# many trajectories as fit would split a granule
+SPLIT_GRANULES = {"n_traj": 8770}
 
 
 def blank_wall_time(json_text: str) -> str:
@@ -152,6 +157,11 @@ def _jobs(defaults_only: bool = False) -> list[tuple[str, str, dict, int, int]]:
     ]
     jobs += [
         (f"long_horizon/clt workers={workers}", "clt", LONG_HORIZON, WORKLOAD_SEED, workers)
+        for workers in WORKERS
+    ]
+    jobs += [
+        (f"split_granules/wasserstein workers={workers}", "wasserstein", SPLIT_GRANULES,
+         WORKLOAD_SEED, workers)
         for workers in WORKERS
     ]
     return jobs
