@@ -167,25 +167,22 @@ def run_decomposed(
     All five recursions (the iterate itself, the transient product term, and
     the three noise terms) consume the same (A_k, b_k) sequence, so the
     identity  theta_err = gamma_term + j0 + j1 + h1  holds to rounding error.
-    This is the single-trajectory reference of the batch kernel
-    ``_decomposed_errors``; both take the same step (``_decomposition``).
+    The single-trajectory reference of the batch kernel ``_decomposed_errors``,
+    with the same step (``_decomposition``); its one drive raises
+    TrajectoryBlowup at the first step whose theta_err is not finite.
     """
     _check_run_args(model, alpha, n)
     start, step = _decomposition(model, alpha, theta0)
     words = uniform_open01(gen, (1, model.sampler._words(n, with_b=True)))
-    end = _drive(model, n, start, step, words=words)
-    if not np.all(np.isfinite(end[0, 0])):
-        # a non-finite iterate stays non-finite: re-run to name the step
-        def check(rows, k, state):
-            # as in run_trajectory, a non-finite start is named at step 1
-            if k and not np.all(np.isfinite(state[:, 0])):
-                raise TrajectoryBlowup(step=k)
 
-        _drive(model, n, start, step, words=words, observe=check)
+    def check(rows, k, state):
+        # as in run_trajectory, a non-finite start is named at step 1
+        if k and not np.all(np.isfinite(state[:, 0])):
+            raise TrajectoryBlowup(step=k)
+
+    end = _drive(model, n, start, step, words=words, observe=check)
     theta_err, gamma_term, h1, j1, j0 = end[0, :5, :, 0]
-    return TrajectoryDecomposition(
-        gamma_term=gamma_term, j0=j0, j1=j1, h1=h1, theta_err=theta_err
-    )
+    return TrajectoryDecomposition(gamma_term=gamma_term, j0=j0, j1=j1, h1=h1, theta_err=theta_err)
 
 
 # The seven decomposition rows are theta_err, gamma_term, h1, j1, j0, j0, j1;
@@ -587,9 +584,6 @@ def stationary_horizon(profile: SpectralProfile, alpha: float, tol: float) -> in
     """
     if not 0.0 < tol:
         raise ValueError(f"tol must be positive, got {tol}")
-    rate = 1.0 - profile.a * alpha / 2.0
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"need 0 < 1 - a*alpha/2 < 1, got {rate}")
     return _horizon(profile, alpha, tol / math.sqrt(profile.kappa_q * profile.dim))
 
 

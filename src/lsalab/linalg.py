@@ -320,13 +320,20 @@ class SpectralProfile:
 
 
 def _py_squares(x: np.ndarray) -> np.ndarray:
-    """``v ** 2`` of every entry as a Python float.
+    """``v ** 2`` of every entry, a stack's ``||abar||_q``, as a Python float.
 
     numpy's array ``** 2`` multiplies, which can round differently in the
     last bit from the libm ``pow`` behind Python's float ``** 2``, and the
-    geometry has always squared one Python float at a time.
+    geometry has always squared one Python float at a time.  Raises
+    ValueError for the first square that overflows.
     """
-    return np.array([v**2 for v in x.tolist()])
+    squares = []
+    for v in x.tolist():
+        try:
+            squares.append(v**2)
+        except OverflowError:
+            raise ValueError(f"||abar||_q = {v:.6g} squared overflows the float range") from None
+    return np.array(squares)
 
 
 def _geometry(abar: np.ndarray, q: np.ndarray, c_a, abar_norm: np.ndarray) -> tuple:
@@ -335,8 +342,8 @@ def _geometry(abar: np.ndarray, q: np.ndarray, c_a, abar_norm: np.ndarray) -> tu
     ``abar`` is a validated stack, ``q`` its Lyapunov solutions, ``c_a``
     one bound or one per slice and ``abar_norm`` the stack's ``_norms``.
     Raises for the first slice whose ``c_a`` is not finite or is below
-    ``||abar||``.  Returns the stacks a and alpha_inf and the factors
-    ``spd_sqrt`` gives of each q.
+    ``||abar||``, or whose ``||abar||_q`` squared overflows.  Returns the
+    stacks a and alpha_inf and the factors ``spd_sqrt`` gives of each q.
     """
     bad = ~np.isfinite(c_a) | (c_a < abar_norm)
     if bad.any():
@@ -380,10 +387,14 @@ def _horizon(profile: SpectralProfile, alpha: float, target: float) -> int:
     """Smallest n with (1 - a*alpha/2)^(n/2) <= target, at least 1.
 
     ceil(2 * log(target) / log(1 - a*alpha/2)), and 1 when target >= 1.
+    Raises ValueError unless 0 < 1 - a*alpha/2 < 1.
     """
+    rate = 1.0 - profile.a * alpha / 2.0
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"need 0 < 1 - a*alpha/2 < 1, got {rate}")
     if target >= 1.0:
         return 1
-    return max(1, math.ceil(2.0 * math.log(target) / math.log(1.0 - profile.a * alpha / 2.0)))
+    return max(1, math.ceil(2.0 * math.log(target) / math.log(rate)))
 
 
 def alpha_p_inf(profile: SpectralProfile, p: float) -> float:

@@ -16,6 +16,7 @@ is reported as ``None`` rather than as an error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -35,6 +36,9 @@ ROOT_BRACKET_MAX = 1e12
 # (k!)^2 weights make the float conversion overflow-prone and the log-space
 # upper bound b_uq_upper should be used instead.
 B_UQ_EXACT_MAX_Q = 12
+
+# exp(x) is finite for x up to this
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,8 @@ def v_geometric_constants(
                  / (m*(log(1-eps) + log(lambda_bar) - log(b_bar)))
     c_m        = rho^-m * (lambda^m + (1-lambda^m)/(1-lambda))
                        * (1 + b_bar/((1-eps)*(1-lambda_bar)))
+
+    Raises ValueError unless 0 < rho < 1 and rho^-m is in the float range.
     """
     if not 0.0 <= lambda_ < 1.0:
         raise ValueError(f"lambda must be in [0,1), got {lambda_}")
@@ -156,17 +162,20 @@ def v_geometric_constants(
             f"lambda_bar_m = {lambda_bar} is not positive; need lambda > 0 or b > 0"
         )
     b_bar = lam_m * b_m + d_level
-    log_rho = (
-        math.log(1.0 - epsilon)
-        * math.log(lambda_bar)
-        / (m * (math.log(1.0 - epsilon) + math.log(lambda_bar) - math.log(b_bar)))
-    )
-    rho = math.exp(log_rho)
+    gap = m * (math.log(1.0 - epsilon) + math.log(lambda_bar) - math.log(b_bar))
+    # log(1-eps)*log(lambda_bar) > 0, so a gap >= 0 is a block rate of at least
+    # 1: inf at a gap of 0 or past the float range
+    log_rho = math.log(1.0 - epsilon) * math.log(lambda_bar) / gap if gap else math.inf
+    rho = math.exp(log_rho) if log_rho <= _LOG_FLOAT_MAX else math.inf
     if not 0.0 < rho < 1.0:
         raise ValueError(f"drift model's block rate rho_m = {rho} is not in (0,1)")
+    try:
+        inv_rho_m = rho**-m
+    except OverflowError:
+        raise ValueError(f"drift model's rho_m^-m = {rho}^-{m} overflows the float range") from None
     geom = lam_m + (1.0 - lam_m) / (1.0 - lambda_)
     c_m = (
-        rho**-m
+        inv_rho_m
         * geom
         * (1.0 + b_bar / ((1.0 - epsilon) * (1.0 - lambda_bar)))
     )
@@ -266,7 +275,8 @@ def wasserstein_rates(
     ``vartheta`` is the one-step Lipschitz constant of the coupling kernel,
     taken as max(1, 1 + alpha*c_a): for the linear recursion one step moves
     points by at most a (1 + alpha*||A||) factor.  That is a modeling choice,
-    not a derived quantity.  Requires ``constants.delta_alpha``.
+    not a derived quantity.  Requires ``constants.delta_alpha``; raises
+    ValueError if kappa overflows.
     """
     if constants.delta_alpha is None:
         raise ValueError(
@@ -284,12 +294,19 @@ def wasserstein_rates(
         (constants.lambda_bar_m * constants.d_bar + da) / (constants.d_bar + da)
     ) ** (alpha / m)
     vartheta_alpha = (1.0 + constants.b / (1.0 - constants.lambda_) + da) ** alpha / rho_alpha**m
+    try:
+        kappa = vartheta ** (m * (1.0 - alpha))
+    except OverflowError:
+        raise ValueError(
+            f"kappa = vartheta^(m*(1-alpha)) = {vartheta}^{m * (1.0 - alpha)} "
+            "overflows the float range"
+        ) from None
     return replace(
         constants,
         alpha=alpha,
         rho_alpha=rho_alpha,
         vartheta_alpha=vartheta_alpha,
-        kappa=vartheta ** (m * (1.0 - alpha)),
+        kappa=kappa,
         vartheta=vartheta,
     )
 
@@ -361,7 +378,7 @@ def b_uq_exact(u: int, q: int, rho: float) -> float:
 
     (q!/u!)*(1/rho)^u*(2/log(1/rho))^(2q-u) * sum over compositions
     k_1+...+k_u = 2q (k_i >= 2) of prod (k_i!)^2, with the composition sum
-    in exact integer arithmetic.
+    in exact integer arithmetic.  Raises ValueError if it overflows.
     """
     _check_uq(u, q)
     if not 0.0 < rho < 1.0:
@@ -374,8 +391,11 @@ def b_uq_exact(u: int, q: int, rho: float) -> float:
     weight = _composition_weight(2 * q, u)
     head = math.factorial(q) // math.factorial(u)
     log_inv_rho = math.log(1.0 / rho)
-    scale = (1.0 / rho) ** u * (2.0 / log_inv_rho) ** (2 * q - u)
-    return float(head * weight) * scale
+    try:
+        scale = (1.0 / rho) ** u * (2.0 / log_inv_rho) ** (2 * q - u)
+    except OverflowError:
+        scale = math.inf
+    return _finite_buq(float(head * weight) * scale, u, q, rho)
 
 
 def b_uq_upper(u: int, q: int, rho: float) -> float:
@@ -383,6 +403,8 @@ def b_uq_upper(u: int, q: int, rho: float) -> float:
 
     (e*q/(q-u))^(q-u) * (e*(2q-u-1)/(2q-2u))^(2q-2u) * ((2q-2u+2)!)^2
       * (2/log(1/rho))^(2q) * (2*log(1/rho)/rho)^u.
+
+    Raises ValueError past the float range.
     """
     _check_uq(u, q)
     if not 0.0 < rho < 1.0:
@@ -396,7 +418,14 @@ def b_uq_upper(u: int, q: int, rho: float) -> float:
         + 2 * q * (math.log(2.0) - log_l)
         + u * (math.log(2.0) + log_l - math.log(rho))
     )
-    return math.exp(logv)
+    return _finite_buq(math.exp(logv) if logv <= _LOG_FLOAT_MAX else math.inf, u, q, rho)
+
+
+def _finite_buq(value: float, u: int, q: int, rho: float) -> float:
+    """``value``, a B_{u,q}(rho) coefficient; ValueError if it overflowed."""
+    if not math.isfinite(value):
+        raise ValueError(f"B_{{{u},{q}}}({rho}) overflows the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,20 @@ class TestExitCodes:
         ("rosenthal", {"model": {**_DRIFT, "b": 0.0, "m": 1, "epsilon": 0.01, "d_level": 0.5,
                                  "abar": 0.1, "c_a": 0.5}},
          "drift model's block rate rho_m = 1.2527025325512666 is not in (0,1)"),
+        # log(1 - eps) + log(lambda_bar) - log(b_bar) = 0: rho_m's exponent divides by 0
+        ("rosenthal", {"model": {**_DRIFT, "lambda": 0.5, "b": 0.0, "m": 1, "epsilon": 0.5,
+                                 "d_level": 0.25, "abar": 0.1, "c_a": 0.5}},
+         "drift model's block rate rho_m = inf is not in (0,1)"),
+        # 1 - a*alpha/2 rounds to 1, whose log the contraction horizon divides by
+        ("rosenthal", {"alphas": [1e-17]}, "alpha=1e-17: need 0 < 1 - a*alpha/2 < 1, got 1.0"),
+        ("rosenthal", {"rhos": [1e-30], "qs": [2, 12]},
+         "q=12, u=11, rho=1e-30: B_{11,12}(1e-30) overflows the float range"),
+        ("bounds", {"model": {"kind": "bounded_factor", "abar": [[1e200]], "bbar": [0.0],
+                              "m": [[1e199]], "eta": 0.5, "sigma": 1.0}},
+         "||abar||_q = 1e+200 squared overflows the float range"),
     ], ids=["rademacher-gaussian", "rademacher-delta", "rosenthal-q", "rosenthal-q-no-rhos",
-            "drift-inadmissible", "drift-c-a", "drift-block-rate"])
+            "drift-inadmissible", "drift-c-a", "drift-block-rate", "drift-block-rate-gap-zero",
+            "horizon-rate-one", "buq-overflow", "profile-overflow"])
     def test_a_config_its_units_cannot_compute_exits_two(
         self, tmp_path, capsys, experiment, fields, reason
     ):

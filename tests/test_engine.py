@@ -144,6 +144,42 @@ class TestDecomposition:
             with pytest.raises(TrajectoryBlowup):
                 run_decomposed(model, 1e77, theta0, step, stream(35, 0))
 
+    @pytest.mark.parametrize("alpha, blows_up", [(1e77, True), (0.1, False)])
+    def test_one_drive_names_a_blowup_or_returns_the_row(self, alpha, blows_up, monkeypatch):
+        # the model of test_blowup_reports_first_bad_step: the step check
+        # rides the row's one drive, so a failing row is not driven again
+        model = bounded_factor_model(np.eye(2), np.zeros(2), 0.9 * np.eye(2), 1.0, 0.0)
+        drives, drive = [], engine._drive
+
+        def spy(*args, **kwargs):
+            drives.append(kwargs.get("observe"))
+            return drive(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_drive", spy)
+        with np.errstate(all="ignore"):
+            if blows_up:
+                with pytest.raises(TrajectoryBlowup) as info:
+                    run_decomposed(model, alpha, np.ones(2), 40, stream(35, 0))
+                assert info.value.step > 1
+            else:
+                assert run_decomposed(model, alpha, np.ones(2), 40, stream(35, 0)).residual <= 1e-9
+        assert len(drives) == 1 and drives[0] is not None
+
+    def test_a_non_finite_start_is_named_at_step_one(self):
+        # step 0 is the start itself; every reference and batch kernel names
+        # the first step whose iterate is not finite, here step 1
+        model = gm_model()
+        theta0, n = np.array([np.inf]), 5
+        with np.errstate(all="ignore"):
+            for reference in (run_trajectory, run_decomposed):
+                with pytest.raises(TrajectoryBlowup) as info:
+                    reference(model, 0.1, theta0, n, stream(37, 0))
+                assert (info.value.trajectory, info.value.step) == (None, 1)
+            for batch in (final_errors, engine._decomposed_errors):
+                with pytest.raises(TrajectoryBlowup) as info:
+                    batch(model, 0.1, theta0, n, 3, 37)
+                assert (info.value.trajectory, info.value.step) == (0, 1)
+
     def test_noise_free_start_kills_transient(self):
         # started at theta_star the transient term carries zero
         model = gm_model()

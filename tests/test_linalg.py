@@ -358,6 +358,13 @@ class TestSpectralProfile:
         with pytest.raises(ValueError):
             spectral_profile(np.array([[2.0]]), c_a=1.0)
 
+    def test_a_q_norm_whose_square_overflows_raises(self):
+        # alpha_inf squares ||abar||_q = 1e200 as a Python float, which raises
+        # OverflowError; the profile names it as a ValueError instead
+        with pytest.raises(ValueError, match=r"\|\|abar\|\|_q = 1e\+200 squared overflows"):
+            spectral_profile(np.array([[1e200]]), c_a=1e200)
+        assert spectral_profile(np.array([[1e150]]), c_a=1e150).alpha_inf > 0.0
+
     def test_step_limit_product_never_exceeds_one(self):
         # a * alpha_inf = ||abar||_q^-2 / (4 ||q||^2 a) ... direct consequence
         # of 1 = ||abar.T q + q abar|| <= 2 ||q|| ||abar||: always <= 1.

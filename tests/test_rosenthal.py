@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -86,6 +88,22 @@ class TestVGeometricConstants:
         with pytest.raises(ValueError):
             v_geometric_constants(0.5, 0.1, 1, 0.1, 0.0)
 
+    @pytest.mark.parametrize("d_level, rate", [
+        (0.25, "inf"),  # log(1-eps) + log(lambda_bar) - log(b_bar) is exactly 0
+        (0.25 * (1 - 1e-15), "inf"),  # a small positive sum: exp overflows
+        (0.24, "129244.917"),  # a positive sum: rho_m > 1, still finite
+        (0.25 * (1 + 1e-15), "0.0"),  # a small negative sum: rho_m underflows
+    ], ids=["zero", "overflow", "above-one", "underflow"])
+    def test_a_block_rate_outside_the_unit_interval_raises(self, d_level, rate):
+        # lambda 0.5, b 0, m 1, eps 0.5: the numerator log(0.5)^2 is positive
+        with pytest.raises(ValueError, match=f"block rate rho_m = {rate}.* is not in"):
+            v_geometric_constants(0.5, 0.0, 1, 0.5, d_level)
+
+    def test_a_block_rate_whose_inverse_power_overflows_raises(self):
+        # a small negative sum: rho_m = 1e-300 or so, and rho_m^-2 overflows
+        with pytest.raises(ValueError, match=r"rho_m\^-m = .*\^-2 overflows the float range"):
+            v_geometric_constants(0.5, 0.0, 2, 0.5, 0.125 * (1 + 1e-3))
+
 
 class TestDeltaAlphaRoot:
     def test_root_satisfies_equation(self):
@@ -144,6 +162,14 @@ class TestWassersteinRates:
         with pytest.raises(ValueError, match="delta_alpha"):
             wasserstein_rates(c, 0.25)
 
+    def test_a_kappa_past_the_float_range_raises(self):
+        # vartheta = 1 + 0.25e300 to the power 0.75 stays finite; at m = 2 it
+        # is (2.5e299)^1.5
+        assert math.isfinite(wasserstein_rates(self.manual_constants(1.0), 0.25, c_a=1e300).kappa)
+        c = replace(self.manual_constants(1.0), m=2)
+        with pytest.raises(ValueError, match=r"kappa = .* overflows the float range"):
+            wasserstein_rates(c, 0.25, c_a=1e300)
+
 
 class TestAttachWasserstein:
     def test_fills_rate_fields(self):
@@ -191,6 +217,12 @@ class TestContractionHorizon:
             contraction_horizon(prof, 5.0, 0.1)
         with pytest.raises(ValueError):
             contraction_horizon(prof, 0.1, 1.5)
+
+    def test_a_rate_that_rounds_to_one_raises(self):
+        # 1 - a*alpha/2 rounds to 1.0, whose log is 0
+        prof = spectral_profile(np.array([[0.5]]), 1.0)
+        with pytest.raises(ValueError, match=r"need 0 < 1 - a\*alpha/2 < 1, got 1.0"):
+            contraction_horizon(prof, 1e-17, 0.1)
 
 
 class TestCompositionCombinatorics:
@@ -249,6 +281,18 @@ class TestCompositionCombinatorics:
             b_uq_exact(1, 2, 1.0)
         with pytest.raises(ValueError, match="exact-integer range"):
             b_uq_exact(1, B_UQ_EXACT_MAX_Q + 1, 0.5)
+
+    @pytest.mark.parametrize("b_uq", [b_uq_exact, b_uq_upper])
+    @pytest.mark.parametrize("u, q, rho", [
+        (11, 12, 1e-30),  # (1/rho)^u overflows
+        (1, 2, 5e-324),  # 1/rho is inf, or exp(log B) overflows
+        (1, 12, 1 - 2**-53),  # (2/log(1/rho))^(2q-u) overflows
+    ])
+    def test_a_coefficient_past_the_float_range_raises(self, b_uq, u, q, rho):
+        message = f"B_{{{u},{q}}}({rho}) overflows the float range"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            b_uq(u, q, rho)
+        assert math.isfinite(b_uq(u, q, 0.5))
 
 
 class TestRosenthalInputs:

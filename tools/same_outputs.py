@@ -7,7 +7,7 @@ Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
 runs the same ``lsalab`` invocations on it and on the working tree's
 ``src/``: the seven default runs at seeds 0, 2 and 3; every invocation of
 the workloads in ``perfbench/workloads.py`` at seed 0 with ``--workers`` 1
-and 2; and seven more, each at seed 0 with ``--workers`` 1 and 2:
+and 2; and nine more, each at seed 0 with ``--workers`` 1 and 2:
 ``simulate`` and ``wasserstein`` on the TD(0) model of
 ``tests/test_engine.py::small_td``, since no default run or workload decodes
 a TD(0) law; the same two at n = 5000 with 200 trajectories, whose paths of
@@ -16,10 +16,13 @@ a law without b words are drawn in windows of steps (four of 1250 steps for
 ``wasserstein``, which reads A alone); ``clt`` on a scalar bounded factor
 with ``bbar != 0``, since none reads the noise covariance of a model with
 ``theta_star != 0``; ``clt`` at alpha 0.01 with 1500 trajectories, whose
-7350-step paths are drawn in nine windows of steps; and ``wasserstein`` with
+7350-step paths are drawn in nine windows of steps; ``wasserstein`` with
 8770 trajectories, whose reducer drive reads chunks of 4352, whole granules
-of the reducer, where the 4385 that fit would split granule 17.  All run
-with ``--format both``.  For each
+of the reducer, where the 4385 that fit would split granule 17; ``simulate``
+at alphas 3.0 and 0.1, n = 3000 and 40 trajectories, whose first unit blows
+up and writes a note naming the trajectory and step (the second passes); and
+``wasserstein`` at alpha 50, whose rows overflow to inf and nan cells.  All
+run with ``--format both``.  For each
 invocation it compares the CSV bytes, the JSON text with its
 ``wall_time_s`` value blanked, stdout and stderr with the output prefix
 replaced by a placeholder, and the exit code.  It prints each invocation's
@@ -100,6 +103,10 @@ TD_LONG_HORIZON = {"model": TD_MODEL, "alphas": [0.1], "ns": [5000], "n_traj": 2
 # two chunks of whole granules and a third, shorter one, where chunks of as
 # many trajectories as fit would split a granule
 SPLIT_GRANULES = {"n_traj": 8770}
+# unit 0 blows up, and its note names the trajectory and step; unit 1 passes
+DIVERGING = {"alphas": [3.0, 0.1], "ns": [3000], "n_traj": 40}
+# rows that overflow to inf and nan cells
+OVERFLOWING = {"alphas": [50], "ns": [50, 100], "n_traj": 5}
 
 
 def blank_wall_time(json_text: str) -> str:
@@ -160,8 +167,12 @@ def _jobs(defaults_only: bool = False) -> list[tuple[str, str, dict, int, int]]:
         for workers in WORKERS
     ]
     jobs += [
-        (f"split_granules/wasserstein workers={workers}", "wasserstein", SPLIT_GRANULES,
-         WORKLOAD_SEED, workers)
+        (f"{name}/{experiment} workers={workers}", experiment, config, WORKLOAD_SEED, workers)
+        for name, experiment, config in (
+            ("split_granules", "wasserstein", SPLIT_GRANULES),
+            ("diverging", "simulate", DIVERGING),
+            ("overflowing", "wasserstein", OVERFLOWING),
+        )
         for workers in WORKERS
     ]
     return jobs
